@@ -31,11 +31,10 @@ use crate::svbuffer::SourceVertexBuffer;
 use omega_ligra::trace::TraceMeta;
 use omega_sim::audit::{self, AuditReport};
 use omega_sim::dram::RowMode;
-use omega_sim::hierarchy::CacheHierarchy;
+use omega_sim::hierarchy::{CacheHierarchy, LineMap};
 use omega_sim::stats::{AtomicStats, MemStats, ScratchpadStats};
 use omega_sim::telemetry::{TelemetryReport, WindowSampler};
 use omega_sim::{AccessKind, AccessOutcome, AtomicKind, Blocking, Cycle, MemAccess, MemorySystem};
-use std::collections::HashMap;
 
 /// The OMEGA memory system. See the module docs for the request flows.
 #[derive(Debug)]
@@ -49,7 +48,7 @@ pub struct OmegaMemory {
     svbs: Vec<SourceVertexBuffer>,
     /// Per-vertex-entry locks for the scratchpad-only ablation (atomics
     /// executed by the cores over scratchpad data).
-    sp_locks: HashMap<u64, Cycle>,
+    sp_locks: LineMap<Cycle>,
     sp_local: u64,
     sp_remote: u64,
     range_misses: u64,
@@ -116,7 +115,7 @@ impl OmegaMemory {
                     })
                 })
                 .collect(),
-            sp_locks: HashMap::new(),
+            sp_locks: LineMap::default(),
             sp_local: 0,
             sp_remote: 0,
             range_misses: 0,

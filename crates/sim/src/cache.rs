@@ -36,10 +36,24 @@ struct Slot {
     pinned: bool,
 }
 
+/// Filler for slots past a set's length; never read as a resident line.
+const EMPTY: Slot = Slot {
+    line: 0,
+    state: LineState::Shared,
+    lru: 0,
+    pinned: false,
+};
+
 /// A set-associative cache array with LRU replacement.
 ///
 /// Addresses are tracked at line (64 B) granularity; the array stores no
 /// data, only tags and states — the simulator is timing-only.
+///
+/// The slots live in one flat `sets × ways` vector: set `s` owns
+/// `slots[s * ways..s * ways + len[s]]`, kept dense the way a
+/// `Vec<Slot>` per set would be (push to fill, swap-remove to
+/// invalidate). The set of a line is a mask of its line index when the
+/// set count is a power of two, and a remainder otherwise.
 ///
 /// # Example
 ///
@@ -54,8 +68,12 @@ struct Slot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CacheArray {
-    sets: Vec<Vec<Slot>>,
+    slots: Vec<Slot>,
+    len: Vec<u32>,
     ways: usize,
+    sets: u64,
+    /// `sets - 1` when `sets` is a power of two.
+    mask: Option<u64>,
     tick: u64,
 }
 
@@ -75,21 +93,57 @@ impl CacheArray {
     ///
     /// Panics if the configuration yields zero sets or zero ways.
     pub fn new(cfg: &CacheConfig) -> Self {
-        let sets = cfg.sets() as usize;
+        let sets = cfg.sets();
         let ways = cfg.ways as usize;
         assert!(
             sets > 0 && ways > 0,
             "cache must have at least one set and way"
         );
         CacheArray {
-            sets: vec![Vec::with_capacity(ways); sets],
+            slots: vec![EMPTY; sets as usize * ways],
+            len: vec![0; sets as usize],
             ways,
+            sets,
+            mask: sets.is_power_of_two().then(|| sets - 1),
             tick: 0,
         }
     }
 
     fn set_index(&self, line: u64) -> usize {
-        ((line / crate::LINE_BYTES) % self.sets.len() as u64) as usize
+        let index = line / crate::LINE_BYTES;
+        (match self.mask {
+            Some(mask) => index & mask,
+            None => index % self.sets,
+        }) as usize
+    }
+
+    /// The resident slots of set `idx`.
+    fn set(&self, idx: usize) -> &[Slot] {
+        let base = idx * self.ways;
+        &self.slots[base..base + self.len[idx] as usize]
+    }
+
+    fn set_mut(&mut self, idx: usize) -> &mut [Slot] {
+        let base = idx * self.ways;
+        &mut self.slots[base..base + self.len[idx] as usize]
+    }
+
+    /// Appends a slot to set `idx`, which must have a free way.
+    fn push(&mut self, idx: usize, slot: Slot) {
+        let len = self.len[idx] as usize;
+        debug_assert!(len < self.ways);
+        self.slots[idx * self.ways + len] = slot;
+        self.len[idx] += 1;
+    }
+
+    /// Index within set `idx` of the least-recently-used unpinned line.
+    fn lru_unpinned(&self, idx: usize) -> Option<usize> {
+        self.set(idx)
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| !s.pinned)
+            .min_by_key(|(_, s)| s.lru)
+            .map(|(i, _)| i)
     }
 
     /// Looks up the line containing `addr`; updates LRU on hit.
@@ -98,18 +152,19 @@ impl CacheArray {
         self.tick += 1;
         let tick = self.tick;
         let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        set.iter_mut().find(|s| s.line == line).map(|s| {
-            s.lru = tick;
-            s.state
-        })
+        self.set_mut(idx)
+            .iter_mut()
+            .find(|s| s.line == line)
+            .map(|s| {
+                s.lru = tick;
+                s.state
+            })
     }
 
     /// Peeks at the state without touching LRU (used by directory probes).
     pub fn peek(&self, addr: u64) -> Option<LineState> {
         let line = line_of(addr);
-        let idx = self.set_index(line);
-        self.sets[idx]
+        self.set(self.set_index(line))
             .iter()
             .find(|s| s.line == line)
             .map(|s| s.state)
@@ -119,7 +174,7 @@ impl CacheArray {
     pub fn set_state(&mut self, addr: u64, state: LineState) -> bool {
         let line = line_of(addr);
         let idx = self.set_index(line);
-        match self.sets[idx].iter_mut().find(|s| s.line == line) {
+        match self.set_mut(idx).iter_mut().find(|s| s.line == line) {
             Some(s) => {
                 s.state = state;
                 true
@@ -136,42 +191,29 @@ impl CacheArray {
         self.tick += 1;
         let tick = self.tick;
         let idx = self.set_index(line);
-        let ways = self.ways;
-        let set = &mut self.sets[idx];
-        if let Some(s) = set.iter_mut().find(|s| s.line == line) {
+        if let Some(s) = self.set_mut(idx).iter_mut().find(|s| s.line == line) {
             s.state = state;
             s.lru = tick;
             return None;
         }
-        if set.len() < ways {
-            set.push(Slot {
-                line,
-                state,
-                lru: tick,
-                pinned: false,
-            });
+        let slot = Slot {
+            line,
+            state,
+            lru: tick,
+            pinned: false,
+        };
+        if (self.len[idx] as usize) < self.ways {
+            self.push(idx, slot);
             return None;
         }
         // Victimise the least-recently-used *unpinned* line (§IX locked
         // cache: pinned lines have their replacement disabled). A set made
         // entirely of pinned lines cannot host the newcomer: the access is
         // served but not cached.
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.pinned)
-            .min_by_key(|(_, s)| s.lru)
-            .map(|(i, _)| i);
-        let Some(victim_idx) = victim_idx else {
+        let Some(victim_idx) = self.lru_unpinned(idx) else {
             return None; // bypass: fully pinned set
         };
-        let victim = set[victim_idx];
-        set[victim_idx] = Slot {
-            line,
-            state,
-            lru: tick,
-            pinned: false,
-        };
+        let victim = std::mem::replace(&mut self.set_mut(idx)[victim_idx], slot);
         Some(Eviction {
             line: victim.line,
             state: victim.state,
@@ -190,59 +232,56 @@ impl CacheArray {
         let tick = self.tick;
         let idx = self.set_index(line);
         let ways = self.ways;
-        let set = &mut self.sets[idx];
-        if let Some(s) = set.iter_mut().find(|s| s.line == line) {
+        if let Some(s) = self.set_mut(idx).iter_mut().find(|s| s.line == line) {
             s.pinned = true;
             return true;
         }
-        let pinned_ways = set.iter().filter(|s| s.pinned).count();
+        let pinned_ways = self.set(idx).iter().filter(|s| s.pinned).count();
         if pinned_ways + 1 > (ways / 2).max(1).min(ways - 1) {
             return false; // lockdown cap: at most half the ways, always one free
         }
-        if set.len() < ways {
-            set.push(Slot {
-                line,
-                state: LineState::Shared,
-                lru: tick,
-                pinned: true,
-            });
-            return true;
-        }
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.pinned)
-            .min_by_key(|(_, s)| s.lru)
-            .map(|(i, _)| i)
-            .expect("pinned_ways + 1 < ways implies an unpinned way exists");
-        set[victim_idx] = Slot {
+        let slot = Slot {
             line,
             state: LineState::Shared,
             lru: tick,
             pinned: true,
         };
+        if (self.len[idx] as usize) < ways {
+            self.push(idx, slot);
+            return true;
+        }
+        let victim_idx = self
+            .lru_unpinned(idx)
+            .expect("pinned_ways + 1 < ways implies an unpinned way exists");
+        self.set_mut(idx)[victim_idx] = slot;
         true
     }
 
     /// Number of pinned lines.
     pub fn pinned_count(&self) -> usize {
-        self.sets.iter().flatten().filter(|s| s.pinned).count()
+        (0..self.len.len())
+            .map(|idx| self.set(idx).iter().filter(|s| s.pinned).count())
+            .sum()
     }
 
     /// Removes the line containing `addr`; returns its state if it was
-    /// present (coherence invalidation).
+    /// present (coherence invalidation). The set's last line moves into
+    /// the freed way.
     pub fn invalidate(&mut self, addr: u64) -> Option<LineState> {
         let line = line_of(addr);
         let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        set.iter()
-            .position(|s| s.line == line)
-            .map(|i| set.swap_remove(i).state)
+        let set = self.set_mut(idx);
+        let i = set.iter().position(|s| s.line == line)?;
+        let state = set[i].state;
+        let last = set.len() - 1;
+        set.swap(i, last);
+        self.len[idx] -= 1;
+        Some(state)
     }
 
     /// Number of currently valid lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.len.iter().map(|&n| n as usize).sum()
     }
 }
 
@@ -360,6 +399,239 @@ mod tests {
         // Inserting a third conflicting line evicts the unpinned one.
         let ev = c.insert(0x100, LineState::Shared).unwrap();
         assert_eq!(ev.line, 0x080);
+    }
+
+    #[test]
+    fn invalidate_moves_the_last_line_into_the_freed_way() {
+        let mut c = CacheArray::new(&CacheConfig {
+            capacity: 256,
+            ways: 4,
+            latency: 1,
+        }); // one set of four ways
+        for line in 0..4u64 {
+            c.insert(line * 0x40, LineState::Shared);
+        }
+        c.lookup(0x40); // line 0 is now the LRU, line 2 next
+        assert_eq!(c.invalidate(0x40), Some(LineState::Shared));
+        assert_eq!(c.occupancy(), 3);
+        // Line 3 took line 1's way and is still found; a refill lands in
+        // the freed way, and the next eviction still picks the true LRU.
+        assert_eq!(c.peek(0xC0), Some(LineState::Shared));
+        assert_eq!(c.insert(0x100, LineState::Shared), None);
+        assert_eq!(
+            c.insert(0x140, LineState::Shared).map(|e| e.line),
+            Some(0x00)
+        );
+        assert_eq!(
+            c.insert(0x180, LineState::Shared).map(|e| e.line),
+            Some(0x80)
+        );
+    }
+
+    /// The pre-flattening array, one `Vec<Slot>` per set, kept as the
+    /// reference the flat layout is fuzzed against.
+    struct RefArray {
+        sets: Vec<Vec<Slot>>,
+        ways: usize,
+        tick: u64,
+    }
+
+    impl RefArray {
+        fn new(cfg: &CacheConfig) -> Self {
+            let ways = cfg.ways as usize;
+            RefArray {
+                sets: vec![Vec::with_capacity(ways); cfg.sets() as usize],
+                ways,
+                tick: 0,
+            }
+        }
+
+        fn set_index(&self, line: u64) -> usize {
+            ((line / crate::LINE_BYTES) % self.sets.len() as u64) as usize
+        }
+
+        fn lookup(&mut self, addr: u64) -> Option<LineState> {
+            let line = line_of(addr);
+            self.tick += 1;
+            let tick = self.tick;
+            let idx = self.set_index(line);
+            self.sets[idx].iter_mut().find(|s| s.line == line).map(|s| {
+                s.lru = tick;
+                s.state
+            })
+        }
+
+        fn peek(&self, addr: u64) -> Option<LineState> {
+            let line = line_of(addr);
+            self.sets[self.set_index(line)]
+                .iter()
+                .find(|s| s.line == line)
+                .map(|s| s.state)
+        }
+
+        fn set_state(&mut self, addr: u64, state: LineState) -> bool {
+            let line = line_of(addr);
+            let idx = self.set_index(line);
+            match self.sets[idx].iter_mut().find(|s| s.line == line) {
+                Some(s) => {
+                    s.state = state;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn victim(set: &[Slot]) -> Option<usize> {
+            set.iter()
+                .enumerate()
+                .filter(|(_, s)| !s.pinned)
+                .min_by_key(|(_, s)| s.lru)
+                .map(|(i, _)| i)
+        }
+
+        fn insert(&mut self, addr: u64, state: LineState) -> Option<Eviction> {
+            let line = line_of(addr);
+            self.tick += 1;
+            let tick = self.tick;
+            let idx = self.set_index(line);
+            let ways = self.ways;
+            let set = &mut self.sets[idx];
+            if let Some(s) = set.iter_mut().find(|s| s.line == line) {
+                s.state = state;
+                s.lru = tick;
+                return None;
+            }
+            let slot = Slot {
+                line,
+                state,
+                lru: tick,
+                pinned: false,
+            };
+            if set.len() < ways {
+                set.push(slot);
+                return None;
+            }
+            let v = Self::victim(set)?;
+            let victim = std::mem::replace(&mut set[v], slot);
+            Some(Eviction {
+                line: victim.line,
+                state: victim.state,
+            })
+        }
+
+        fn pin(&mut self, addr: u64) -> bool {
+            let line = line_of(addr);
+            self.tick += 1;
+            let tick = self.tick;
+            let idx = self.set_index(line);
+            let ways = self.ways;
+            let set = &mut self.sets[idx];
+            if let Some(s) = set.iter_mut().find(|s| s.line == line) {
+                s.pinned = true;
+                return true;
+            }
+            if set.iter().filter(|s| s.pinned).count() + 1 > (ways / 2).max(1).min(ways - 1) {
+                return false;
+            }
+            let slot = Slot {
+                line,
+                state: LineState::Shared,
+                lru: tick,
+                pinned: true,
+            };
+            if set.len() < ways {
+                set.push(slot);
+            } else {
+                let v = Self::victim(set).expect("an unpinned way exists");
+                set[v] = slot;
+            }
+            true
+        }
+
+        fn invalidate(&mut self, addr: u64) -> Option<LineState> {
+            let line = line_of(addr);
+            let idx = self.set_index(line);
+            let set = &mut self.sets[idx];
+            set.iter()
+                .position(|s| s.line == line)
+                .map(|i| set.swap_remove(i).state)
+        }
+
+        fn pinned_count(&self) -> usize {
+            self.sets.iter().flatten().filter(|s| s.pinned).count()
+        }
+
+        fn occupancy(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+    }
+
+    /// SplitMix64: a seeded stream for the differential fuzz.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn flat_array_matches_the_per_set_reference() {
+        const STATES: [LineState; 3] =
+            [LineState::Shared, LineState::Exclusive, LineState::Modified];
+        // (sets, ways): power-of-two set counts take the mask path, the
+        // rest the remainder path; one- and two-way sets hit the pin cap.
+        let geometries = [
+            (1, 1),
+            (2, 2),
+            (4, 4),
+            (8, 8),
+            (3, 2),
+            (5, 4),
+            (6, 3),
+            (7, 1),
+        ];
+        for (g, &(sets, ways)) in geometries.iter().enumerate() {
+            let cfg = CacheConfig {
+                capacity: sets * ways * crate::LINE_BYTES,
+                ways: ways as u32,
+                latency: 1,
+            };
+            assert_eq!(cfg.sets(), sets);
+            let mut flat = CacheArray::new(&cfg);
+            let mut reference = RefArray::new(&cfg);
+            let mut rng = 0x5EED_0000 + g as u64;
+            // Three lines' worth of candidates per slot keeps sets full and
+            // contended; random offsets exercise line_of.
+            let universe = sets * ways * 3;
+            for step in 0..20_000 {
+                let r = splitmix(&mut rng);
+                let addr = (r >> 8) % universe * crate::LINE_BYTES + (r >> 40) % crate::LINE_BYTES;
+                let state = STATES[(r >> 4) as usize % 3];
+                let ctx = format!("geometry {sets}x{ways}, step {step}, addr {addr:#x}");
+                match r % 16 {
+                    0..=4 => assert_eq!(flat.lookup(addr), reference.lookup(addr), "{ctx}"),
+                    5..=9 => assert_eq!(
+                        flat.insert(addr, state),
+                        reference.insert(addr, state),
+                        "{ctx}"
+                    ),
+                    10 => assert_eq!(flat.pin(addr), reference.pin(addr), "{ctx}"),
+                    11 | 12 => {
+                        assert_eq!(flat.invalidate(addr), reference.invalidate(addr), "{ctx}")
+                    }
+                    13 => assert_eq!(
+                        flat.set_state(addr, state),
+                        reference.set_state(addr, state),
+                        "{ctx}"
+                    ),
+                    _ => assert_eq!(flat.peek(addr), reference.peek(addr), "{ctx}"),
+                }
+                assert_eq!(flat.occupancy(), reference.occupancy(), "{ctx}");
+                assert_eq!(flat.pinned_count(), reference.pinned_count(), "{ctx}");
+            }
+            assert!(flat.occupancy() > 0);
+        }
     }
 
     #[test]

@@ -26,6 +26,19 @@
 //! waits until all cores arrive, then all resume at the same cycle and the
 //! memory system is notified (OMEGA flushes its source-vertex buffers).
 //!
+//! ## Run-ahead scheduling
+//!
+//! The order is "the runnable core with the smallest `(time, index)` issues
+//! next", but [`run_source`] does not rescan the cores before every op. One
+//! scan over a compact array of clocks (`Cycle::MAX` for a parked or
+//! finished core) finds both the minimum core and the runner-up, and the
+//! chosen core then keeps issuing until its `(time, index)` passes the
+//! runner-up's, or it parks at a barrier or finishes. This is exact: cores
+//! interact only through the memory system, and while one core issues no
+//! other core's clock moves, so a rescan after each op would pick the same
+//! core every time until that horizon. `crates/sim/tests/engine_timing.rs`
+//! fuzzes the engine against the per-op scanning loop it replaced.
+//!
 //! ## Staged (epoch-parallel) replay
 //!
 //! Timing itself cannot be parallelised without changing results: the
@@ -391,6 +404,10 @@ impl CoreState {
         }
     }
 
+    fn runnable(&self) -> bool {
+        !self.finished && !self.at_barrier
+    }
+
     /// Waits for the oldest-completing window entry, attributing the wait to
     /// memory stall, and removes every entry that has completed by then.
     fn drain_one(&mut self) {
@@ -458,18 +475,26 @@ pub fn run_source<S: OpSource, M: MemorySystem + ?Sized>(
     // the cycle its core's current epoch started at.
     let mut epochs = crate::obs::IntervalRecorder::if_active("core", n).map(|r| (r, vec![0u64; n]));
 
+    // `ready[i]` is core `i`'s clock while it is runnable and `Cycle::MAX`
+    // while it is parked at a barrier or finished: a compact copy of the
+    // scheduling keys, so the scan below touches one cache line or two.
+    let mut ready: Vec<Cycle> = vec![0; n];
+
     loop {
-        // Pick the runnable core with the smallest local time.
-        let mut next: Option<usize> = None;
-        for (i, c) in cores.iter().enumerate() {
-            if !c.finished && !c.at_barrier {
-                match next {
-                    Some(j) if cores[j].time <= c.time => {}
-                    _ => next = Some(i),
-                }
+        // Pick the runnable core with the smallest (time, index), and the
+        // runner-up: the chosen core may run ahead until it passes it.
+        // Scanning in index order with strict compares breaks ties toward
+        // the lower index.
+        let (mut best, mut runner_up) = ((Cycle::MAX, n), (Cycle::MAX, n));
+        for (i, &t) in ready.iter().enumerate() {
+            if t < best.0 {
+                runner_up = best;
+                best = (t, i);
+            } else if t < runner_up.0 {
+                runner_up = (t, i);
             }
         }
-        let Some(i) = next else {
+        let Some(i) = (best.0 != Cycle::MAX).then_some(best.1) else {
             // Everyone is finished or parked at a barrier.
             let any_waiting = cores.iter().any(|c| c.at_barrier);
             if !any_waiting {
@@ -490,75 +515,29 @@ pub fn run_source<S: OpSource, M: MemorySystem + ?Sized>(
                     }
                 }
             }
-            for c in cores.iter_mut().filter(|c| c.at_barrier) {
-                c.report.barrier_cycles += release - c.time;
-                c.time = release;
-                c.at_barrier = false;
+            for (c, r) in cores.iter_mut().zip(&mut ready) {
+                if c.at_barrier {
+                    c.report.barrier_cycles += release - c.time;
+                    c.time = release;
+                    c.at_barrier = false;
+                    *r = release;
+                }
             }
             mem.barrier(release);
             continue;
         };
-
+        // Core `i` stays the scan's pick while it sorts before the
+        // runner-up by (time, index); no other core's clock moves while it
+        // runs, so issuing its ops back to back replays the exact order.
         let core = &mut cores[i];
-        let Some(op) = source.next(i) else {
-            core.drain_all();
-            core.finished = true;
-            core.report.finish_time = core.time;
-            if let Some((rec, start)) = epochs.as_mut() {
-                rec.record(i, start[i], core.time);
-            }
-            debug_assert_eq!(
-                core.report.attributed_cycles(),
-                core.report.finish_time,
-                "core {i}: stall buckets must partition wall time at retirement"
-            );
-            continue;
-        };
-        core.report.ops += 1;
-
-        match op {
-            CoreOp::ComputeX100(k) => {
-                core.issue_acc_x100 += k as u64;
-                let whole = core.issue_acc_x100 / 100;
-                core.issue_acc_x100 %= 100;
-                core.time += whole;
-                core.report.compute_cycles += whole;
-            }
-            CoreOp::Barrier => {
-                core.drain_all();
-                core.at_barrier = true;
-            }
-            CoreOp::Access(access) => {
-                // Issue occupancy.
-                core.issue_acc_x100 += cfg.core.issue_cost_x100 as u64;
-                let whole = core.issue_acc_x100 / 100;
-                core.issue_acc_x100 %= 100;
-                core.time += whole;
-                core.report.compute_cycles += whole;
-
-                // A full window stalls the front end.
-                while core.window.len() >= max_outstanding {
-                    core.drain_one();
-                }
-                let now = core.time;
-                let out = mem.access(i, access, now);
-                match out.blocking {
-                    Blocking::Window => {
-                        // Opportunistically retire completed entries.
-                        let t = core.time;
-                        core.window.retain(|&c| c > t);
-                        core.window.push(out.completion);
-                    }
-                    Blocking::Full => {
-                        if out.completion > core.time {
-                            core.report.atomic_stall_cycles += out.completion - core.time;
-                            core.time = out.completion;
-                        }
-                    }
-                    Blocking::None => {}
-                }
-            }
+        while core.runnable() && (core.time, i) < runner_up {
+            step(core, i, source, mem, cfg, max_outstanding, &mut epochs);
         }
+        ready[i] = if core.runnable() {
+            core.time
+        } else {
+            Cycle::MAX
+        };
     }
 
     if let Some((mut rec, _)) = epochs {
@@ -573,6 +552,82 @@ pub fn run_source<S: OpSource, M: MemorySystem + ?Sized>(
     EngineReport {
         total_cycles: total,
         per_core: cores.into_iter().map(|c| c.report).collect(),
+    }
+}
+
+/// Per-core lanes of simulated epoch activity and the start of each lane's
+/// current epoch (trace mode only).
+type Epochs = Option<(Box<crate::obs::IntervalRecorder>, Vec<Cycle>)>;
+
+/// Issues core `i`'s next op: advances its clock, stalls it, parks it at a
+/// barrier, or retires it at end of stream.
+#[inline]
+fn step<S: OpSource, M: MemorySystem + ?Sized>(
+    core: &mut CoreState,
+    i: usize,
+    source: &mut S,
+    mem: &mut M,
+    cfg: &MachineConfig,
+    max_outstanding: usize,
+    epochs: &mut Epochs,
+) {
+    let Some(op) = source.next(i) else {
+        core.drain_all();
+        core.finished = true;
+        core.report.finish_time = core.time;
+        if let Some((rec, start)) = epochs.as_mut() {
+            rec.record(i, start[i], core.time);
+        }
+        debug_assert_eq!(
+            core.report.attributed_cycles(),
+            core.report.finish_time,
+            "core {i}: stall buckets must partition wall time at retirement"
+        );
+        return;
+    };
+    core.report.ops += 1;
+
+    match op {
+        CoreOp::ComputeX100(k) => {
+            core.issue_acc_x100 += k as u64;
+            let whole = core.issue_acc_x100 / 100;
+            core.issue_acc_x100 %= 100;
+            core.time += whole;
+            core.report.compute_cycles += whole;
+        }
+        CoreOp::Barrier => {
+            core.drain_all();
+            core.at_barrier = true;
+        }
+        CoreOp::Access(access) => {
+            // Issue occupancy.
+            core.issue_acc_x100 += cfg.core.issue_cost_x100 as u64;
+            let whole = core.issue_acc_x100 / 100;
+            core.issue_acc_x100 %= 100;
+            core.time += whole;
+            core.report.compute_cycles += whole;
+
+            // A full window stalls the front end.
+            while core.window.len() >= max_outstanding {
+                core.drain_one();
+            }
+            let out = mem.access(i, access, core.time);
+            match out.blocking {
+                Blocking::Window => {
+                    // Opportunistically retire completed entries.
+                    let t = core.time;
+                    core.window.retain(|&c| c > t);
+                    core.window.push(out.completion);
+                }
+                Blocking::Full => {
+                    if out.completion > core.time {
+                        core.report.atomic_stall_cycles += out.completion - core.time;
+                        core.time = out.completion;
+                    }
+                }
+                Blocking::None => {}
+            }
+        }
     }
 }
 

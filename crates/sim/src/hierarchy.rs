@@ -34,6 +34,12 @@
 //!   access in causal order, so they must only ever be touched by the
 //!   single timing thread. This is why parallelism lives in op *staging*
 //!   (lowering), never in timing itself.
+//!
+//! The directory and `line_locks` are [`LineMap`]s, so an L1 miss's four to
+//! six lookups each cost one multiply rather than a SipHash. Their keys are
+//! line addresses the simulator computes, so the default hasher's defence
+//! against crafted keys does not apply (see [`LineMap`]). `line_locks` is
+//! pruned at every barrier, so it holds only locks still held.
 
 use crate::audit::{self, AuditReport};
 use crate::cache::{CacheArray, LineState};
@@ -45,6 +51,41 @@ use crate::stats::{AtomicStats, CoreCounters, MemStats};
 use crate::telemetry::{LatencyHistogram, TelemetryReport, WindowSampler};
 use crate::{line_of, Cycle, LINE_BYTES};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A map keyed by simulated line (or word) addresses.
+///
+/// The keys are addresses the simulator computes itself, inside the dense
+/// layout ranges of one replay — never bytes that arrive from outside the
+/// program — so nobody can craft keys that collide, and the default
+/// hasher's flooding protection buys nothing here. [`LineHasher`] instead
+/// costs one multiply per lookup; the hierarchy does several per L1 miss.
+/// Nothing iterates these maps in an order that reaches results.
+pub type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
+
+/// Multiplicative (Fibonacci) hash of one `u64` address, for [`LineMap`].
+///
+/// The product's low bits depend only on the key's low bits, which are
+/// zero for line-aligned addresses; the rotate moves the well-mixed high
+/// bits down to where the table takes its bucket index.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 #[derive(Debug, Clone, Copy, Default)]
 struct DirEntry {
@@ -82,10 +123,10 @@ pub struct CacheHierarchy {
     l1_stats: CoreCounters,
     l2: Vec<CacheArray>,
     l2_stats: CoreCounters,
-    directory: HashMap<u64, DirEntry>,
+    directory: LineMap<DirEntry>,
     noc: Crossbar,
     dram: DramModel,
-    line_locks: HashMap<u64, Cycle>,
+    line_locks: LineMap<Cycle>,
     atomics: AtomicStats,
     telemetry: Option<Box<HierTelemetry>>,
 }
@@ -101,10 +142,10 @@ impl CacheHierarchy {
             l1_stats: CoreCounters::new(n),
             l2: (0..n).map(|_| CacheArray::new(&cfg.l2)).collect(),
             l2_stats: CoreCounters::new(n),
-            directory: HashMap::new(),
+            directory: LineMap::default(),
             noc: Crossbar::new(cfg.noc, n),
             dram: DramModel::new(cfg.dram),
-            line_locks: HashMap::new(),
+            line_locks: LineMap::default(),
             atomics: AtomicStats::default(),
             telemetry: None,
         };
@@ -476,6 +517,14 @@ impl MemorySystem for CacheHierarchy {
         }
     }
 
+    fn barrier(&mut self, now: Cycle) {
+        // Every access after a barrier issues at or after its release
+        // cycle, so a lock that has freed by then can never delay one:
+        // dropping it is exact and bounds the map by the atomics still in
+        // flight across the barrier, not by every atomic line ever seen.
+        self.line_locks.retain(|_, free| *free > now);
+    }
+
     fn finish(&mut self, now: Cycle) {
         // Hand any simulated obs intervals (DRAM busy windows, NoC
         // contention bursts) to the global registry; one branch each when
@@ -587,6 +636,44 @@ mod tests {
         );
         assert!(h.stats().atomics.lock_wait_cycles > 0);
         assert_eq!(h.stats().atomics.executed, 2);
+    }
+
+    #[test]
+    fn barrier_drops_line_locks_that_have_freed() {
+        let (cfg, mut h) = mini();
+        let lines = 1000u64;
+        for i in 0..lines {
+            h.access(
+                0,
+                MemAccess::atomic(i * LINE_BYTES, 8, AtomicKind::FpAdd),
+                i,
+            );
+        }
+        assert_eq!(h.line_locks.len(), lines as usize);
+        // Only locks still held past the release cycle survive a barrier.
+        let release = 900;
+        let held = (0..lines)
+            .filter(|&i| i + cfg.atomic_handoff as u64 > release)
+            .count();
+        h.barrier(release);
+        assert_eq!(h.line_locks.len(), held);
+        assert!(held < 200, "{held} locks survived");
+        h.barrier(lines + cfg.atomic_handoff as u64);
+        assert!(h.line_locks.is_empty());
+    }
+
+    #[test]
+    fn line_hasher_spreads_aligned_keys() {
+        // Line-aligned keys have six zero low bits; the table indexes by
+        // low hash bits, so those must still vary.
+        let buckets: std::collections::HashSet<u64> = (0..1024u64)
+            .map(|i| {
+                let mut h = LineHasher::default();
+                h.write_u64(i * LINE_BYTES);
+                h.finish() & 1023
+            })
+            .collect();
+        assert!(buckets.len() > 512, "{} distinct buckets", buckets.len());
     }
 
     #[test]

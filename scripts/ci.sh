@@ -69,6 +69,10 @@ trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; rm -rf "$store_dir"'
 ./target/release/figures all --tiny --jobs 4 --store "$store_dir/store" \
   > target/figures-warm.txt 2> target/figures-warm.err
 cmp target/figures-cold.txt target/figures-warm.txt
+# Cross-commit golden: simulated results must match the committed tiny
+# sweep byte for byte (stdout carries no host times and is the same for
+# every --jobs), so a speed-only change that shifts a figure fails here.
+cmp target/figures-cold.txt results/figures_all_tiny.txt
 warm_line=$(grep '^\[store\]' target/figures-warm.err)
 echo "ci: warm sweep $warm_line"
 case "$warm_line" in
