@@ -495,7 +495,7 @@ fn table3() {
         "-".into(),
         format!(
             "{} KB, 3-cycle",
-            omega.omega.unwrap().sp_bytes_per_core / 1024
+            omega.omega().unwrap().sp_bytes_per_core / 1024
         ),
     ]);
     t.row([

@@ -189,8 +189,7 @@ pub fn run_report_to_json(r: &RunReport, system: &SystemConfig) -> Json {
     config.set(
         "sp_bytes_per_core",
         system
-            .omega
-            .as_ref()
+            .omega()
             .map_or(Json::Null, |o| num(o.sp_bytes_per_core)),
     );
     root.set("config", config);

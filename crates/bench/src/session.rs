@@ -1,7 +1,7 @@
 //! Memoising experiment runner shared by all figures.
 
 use crate::store::ExperimentStore;
-use omega_core::config::SystemConfig;
+use omega_core::config::{OffchipExtensions, OmegaConfig, SystemConfig};
 use omega_core::runner::{replay_report_parallel, trace_algorithm, RunConfig, RunReport, Runner};
 use omega_core::OmegaError;
 use omega_graph::datasets::{Dataset, DatasetScale};
@@ -10,6 +10,7 @@ use omega_ligra::algorithms::Algo;
 use omega_ligra::ExecConfig;
 use omega_sim::obs;
 use omega_sim::telemetry::TelemetryConfig;
+use omega_sim::MachineConfig;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -81,7 +82,7 @@ impl MachineKind {
     /// previously `with_scratchpad_bytes` would silently ignore the scale
     /// and simulate the unscaled machine under the scaled label.
     pub fn scaled_sp(base: MachineKind, permille: u32) -> Result<MachineKind, OmegaError> {
-        let Some(omega) = base.system().omega else {
+        let Some(omega) = base.system().omega() else {
             return Err(OmegaError::InvalidConfig(format!(
                 "machine '{}' has no scratchpad to scale",
                 base.label()
@@ -153,8 +154,7 @@ impl MachineKind {
             MachineKind::Baseline => SystemConfig::mini_baseline(),
             MachineKind::Omega => SystemConfig::mini_omega(),
             MachineKind::OmegaScaledSp { permille } => {
-                let base = SystemConfig::mini_omega();
-                let sp = base.omega.unwrap().sp_bytes_per_core * permille as u64 / 1000;
+                let sp = OmegaConfig::default().sp_bytes_per_core * permille as u64 / 1000;
                 assert!(
                     sp >= Self::MIN_SP_BYTES,
                     "OmegaScaledSp {{ permille: {permille} }} yields a {sp} B/core \
@@ -162,29 +162,28 @@ impl MachineKind {
                      use MachineKind::scaled_sp to validate",
                     Self::MIN_SP_BYTES
                 );
-                base.with_scratchpad_bytes(sp)
+                mini_omega(OmegaConfig {
+                    sp_bytes_per_core: sp,
+                    ..OmegaConfig::default()
+                })
             }
-            MachineKind::OmegaNoPisc => {
-                let mut s = SystemConfig::mini_omega();
-                s.omega.as_mut().unwrap().pisc_enabled = false;
-                s
-            }
-            MachineKind::OmegaNoSvb => {
-                let mut s = SystemConfig::mini_omega();
-                s.omega.as_mut().unwrap().svb_enabled = false;
-                s
-            }
-            MachineKind::OmegaChunkMismatch => {
-                let mut s = SystemConfig::mini_omega();
-                // Framework schedules with chunk 4; map scratchpads with 64.
-                s.omega.as_mut().unwrap().mapping_chunk = 64;
-                s
-            }
-            MachineKind::OmegaOffchip => {
-                let mut s = SystemConfig::mini_omega();
-                s.omega.as_mut().unwrap().ext = omega_core::config::OffchipExtensions::all();
-                s
-            }
+            MachineKind::OmegaNoPisc => mini_omega(OmegaConfig {
+                pisc_enabled: false,
+                ..OmegaConfig::default()
+            }),
+            MachineKind::OmegaNoSvb => mini_omega(OmegaConfig {
+                svb_enabled: false,
+                ..OmegaConfig::default()
+            }),
+            // Framework schedules with chunk 4; map scratchpads with 64.
+            MachineKind::OmegaChunkMismatch => mini_omega(OmegaConfig {
+                mapping_chunk: 64,
+                ..OmegaConfig::default()
+            }),
+            MachineKind::OmegaOffchip => mini_omega(OmegaConfig {
+                ext: OffchipExtensions::all(),
+                ..OmegaConfig::default()
+            }),
             MachineKind::LockedCache => SystemConfig::mini_locked_cache(),
             MachineKind::PimRank => SystemConfig::mini_pim_rank(),
             MachineKind::SpecializedCache => SystemConfig::mini_specialized_cache(),
@@ -206,6 +205,11 @@ impl MachineKind {
             MachineKind::SpecializedCache => "specialized-cache".into(),
         }
     }
+}
+
+/// The mini-scale OMEGA machine with the given scratchpad/PISC parameters.
+fn mini_omega(omega: OmegaConfig) -> SystemConfig {
+    SystemConfig::omega_from_baseline(MachineConfig::mini_baseline(), omega)
 }
 
 impl std::fmt::Display for MachineKind {
@@ -843,6 +847,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omega_core::config::{MemoryModel, PinOrder};
 
     #[test]
     fn session_memoises_runs() {
@@ -863,33 +868,51 @@ mod tests {
 
     #[test]
     fn machine_kinds_produce_expected_configs() {
-        assert!(!MachineKind::Baseline.system().is_omega());
-        assert!(MachineKind::Omega.system().is_omega());
+        assert!(MachineKind::Baseline.system().omega().is_none());
+        assert!(MachineKind::Omega.system().omega().is_some());
         let half = MachineKind::OmegaScaledSp { permille: 500 }.system();
         assert_eq!(
-            half.omega.unwrap().sp_bytes_per_core * 2,
-            MachineKind::Omega.system().omega.unwrap().sp_bytes_per_core
+            half.omega().unwrap().sp_bytes_per_core * 2,
+            MachineKind::Omega
+                .system()
+                .omega()
+                .unwrap()
+                .sp_bytes_per_core
         );
         assert!(
             !MachineKind::OmegaNoPisc
                 .system()
-                .omega
+                .omega()
                 .unwrap()
                 .pisc_enabled
         );
-        assert!(!MachineKind::OmegaNoSvb.system().omega.unwrap().svb_enabled);
+        assert!(
+            !MachineKind::OmegaNoSvb
+                .system()
+                .omega()
+                .unwrap()
+                .svb_enabled
+        );
         assert_eq!(
             MachineKind::OmegaChunkMismatch
                 .system()
-                .omega
+                .omega()
                 .unwrap()
                 .mapping_chunk,
             64
         );
         let pim = MachineKind::PimRank.system();
-        assert!(pim.pim_rank.is_some() && pim.omega.is_none());
+        assert!(matches!(pim.model, MemoryModel::PimRank(_)) && pim.omega().is_none());
         let sc = MachineKind::SpecializedCache.system();
-        assert!(sc.specialized_cache.is_some() && sc.omega.is_none());
+        assert!(
+            matches!(
+                sc.model,
+                MemoryModel::Pinned {
+                    order: PinOrder::VertexMajor,
+                    ..
+                }
+            ) && sc.omega().is_none()
+        );
         assert_eq!(pim.label(), "pim-rank");
         assert_eq!(sc.label(), "specialized-cache");
     }
@@ -907,7 +930,7 @@ mod tests {
         let sys = MachineKind::scaled_sp(MachineKind::Omega, 8)
             .unwrap()
             .system();
-        assert_eq!(sys.omega.unwrap().sp_bytes_per_core, 65);
+        assert_eq!(sys.omega().unwrap().sp_bytes_per_core, 65);
     }
 
     #[test]

@@ -47,7 +47,9 @@ pub mod codec;
 ///
 /// v3: `MemStats` grew `dram.open_page_accesses` (the row-outcome
 /// partition denominator) and `SystemConfig` grew the `pim_rank` /
-/// `specialized_cache` machine coordinates.
+/// `specialized_cache` machine coordinates. Those per-rival fields later
+/// folded into one `MemoryModel` enum that canonicalises to the same
+/// bytes, so v3 still holds.
 pub const STORE_FORMAT_VERSION: u32 = 3;
 
 /// Schema identifier embedded in every store entry file.

@@ -209,3 +209,32 @@ fn cross_process_dump_is_deterministic_and_warm() {
     assert_eq!(warm_misses, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Pinned store fingerprints of PageRank on sd at tiny scale (telemetry
+/// off) for every machine kind. Store format v3 entries are addressed by
+/// these values, so stores written by earlier builds keep serving only
+/// while `MemoryModel` canonicalises to the v3 byte layout. A change here
+/// moves every store entry and needs a `STORE_FORMAT_VERSION` bump.
+#[test]
+fn store_fingerprints_are_pinned() {
+    let pinned: [(MachineKind, u64); 10] = [
+        (MachineKind::Baseline, 0xa67a_1880_80e7_6830),
+        (MachineKind::Omega, 0xd8fc_c870_d493_11f8),
+        (MachineKind::OmegaNoPisc, 0x2bb6_043a_5e2d_14f1),
+        (MachineKind::OmegaNoSvb, 0xe705_6e0f_2fbe_ed5f),
+        (MachineKind::OmegaChunkMismatch, 0x760a_80fe_a3ae_f8f4),
+        (MachineKind::OmegaOffchip, 0x7d9d_64b1_5c0e_34d3),
+        (MachineKind::LockedCache, 0x8ca0_b5ad_7e62_8cc7),
+        (MachineKind::PimRank, 0x4266_d253_5f8c_7cf5),
+        (MachineKind::SpecializedCache, 0x2028_7d93_74d6_997f),
+        (
+            MachineKind::OmegaScaledSp { permille: 250 },
+            0x935e_43ab_d0a9_1c00,
+        ),
+    ];
+    for (m, want) in pinned {
+        let spec = ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, m);
+        let fp = spec.fingerprint(DatasetScale::Tiny, TelemetryConfig::off());
+        assert_eq!(fp, want, "{}: got {fp:#018x}", spec.label());
+    }
+}

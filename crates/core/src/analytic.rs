@@ -130,7 +130,7 @@ pub fn estimate(profile: &WorkloadProfile, system: &SystemConfig) -> AnalyticEst
 
     // How many of the hottest vertices fit on-chip? Destination-update
     // cost per edge, by machine.
-    let (onchip_fraction, dst_cost, pisc_bound) = match &system.omega {
+    let (onchip_fraction, dst_cost, pisc_bound) = match system.omega() {
         None => {
             // Baseline: the L2 retains roughly its capacity's worth of the
             // hottest vtxProp entries (LRU keeps what is touched most).
@@ -179,7 +179,7 @@ pub fn estimate(profile: &WorkloadProfile, system: &SystemConfig) -> AnalyticEst
 
     // Source-property reads: served by caches/SVB on-chip most of the time.
     let src_cost = if profile.reads_src {
-        match &system.omega {
+        match system.omega() {
             None => m.l1.latency as f64 + 2.0,
             Some(o) => {
                 let svb = if o.svb_enabled { SVB_HIT_RATE } else { 0.0 };

@@ -1,4 +1,5 @@
-//! System assembly: the baseline CMP versus the OMEGA machine.
+//! System assembly: the CMP substrate plus one [`MemoryModel`] — the
+//! baseline hierarchy, OMEGA, or one of its rivals.
 //!
 //! The paper's rule (Table III): OMEGA re-purposes **half** of each core's
 //! L2 slice as a scratchpad of the same capacity, keeping total on-chip
@@ -38,11 +39,6 @@ impl OffchipExtensions {
             pim: true,
             hybrid_page: true,
         }
-    }
-
-    /// Whether any extension is active.
-    pub fn any(&self) -> bool {
-        self.word_dram || self.pim || self.hybrid_page
     }
 }
 
@@ -118,70 +114,63 @@ impl Default for PimRankConfig {
     }
 }
 
-/// Parameters of the domain-specialized cache rival (GRASP-style, Faldu
-/// et al.): a plain hierarchy whose insertion/protection policy pins the
-/// top-degree vertices' property lines, selected vertex-major so every
-/// property of a hot vertex is protected together. No scratchpad, no
-/// PISC; atomics execute on the cores.
+/// The order in which a pinned hierarchy spends its per-core byte budget
+/// on hot vtxProp lines. Both rivals pin through the same L2 lockdown; the
+/// order decides who wins the per-set capacity conflicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpecializedCacheConfig {
-    /// Per-core byte budget of protected hot vtxProp lines (matched to
-    /// OMEGA's scratchpad budget for apples-to-apples comparisons).
-    pub protected_bytes_per_core: u64,
+pub enum PinOrder {
+    /// The §IX locked cache: the scratchpad controller's hot prefix for
+    /// the same budget, prop-major in address order, so both designs
+    /// protect the same vertices and differ only in mechanism.
+    ScratchpadPrefix,
+    /// The GRASP-style domain-specialized cache (Faldu et al.): vertex-
+    /// major, every property of a hot vertex together, spent at line
+    /// granularity until the budget runs out.
+    VertexMajor,
 }
 
-impl Default for SpecializedCacheConfig {
-    fn default() -> Self {
-        SpecializedCacheConfig {
-            protected_bytes_per_core: OmegaConfig::default().sp_bytes_per_core,
-        }
-    }
+/// What sits between the cores and the CMP substrate: exactly one memory
+/// model per machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemoryModel {
+    /// The plain cache hierarchy.
+    Baseline,
+    /// OMEGA's scratchpads and PISCs (the machine's L2 is already halved).
+    Omega(OmegaConfig),
+    /// The PIM-rank rival: monitored atomics execute at the DRAM rank.
+    PimRank(PimRankConfig),
+    /// A full-size L2 with hot vtxProp lines pinned: no scratchpad, no
+    /// PISC, atomics on the cores.
+    Pinned {
+        /// Per-core byte budget of pinned lines (matched to OMEGA's
+        /// scratchpad budget for apples-to-apples comparisons).
+        bytes_per_core: u64,
+        /// Which lines the budget is spent on first.
+        order: PinOrder,
+    },
 }
 
-/// A complete machine: the CMP substrate plus, optionally, the OMEGA
-/// extension. `omega == None` is the baseline.
+/// A complete machine: the CMP substrate plus its memory model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// The CMP substrate (cores, caches, NoC, DRAM). For an OMEGA machine
     /// this already carries the *halved* L2.
     pub machine: MachineConfig,
-    /// The scratchpad/PISC extension, absent on the baseline.
-    pub omega: Option<OmegaConfig>,
-    /// §IX locked-cache alternative: pin this many bytes per core of hot
-    /// vtxProp lines into the (full-size) L2. Mutually exclusive with
-    /// `omega`.
-    pub locked_cache_bytes: Option<u64>,
-    /// PIM-rank rival machine. Mutually exclusive with `omega`,
-    /// `locked_cache_bytes`, and `specialized_cache`.
-    pub pim_rank: Option<PimRankConfig>,
-    /// GRASP-style specialized-cache rival. Mutually exclusive with the
-    /// other extensions.
-    pub specialized_cache: Option<SpecializedCacheConfig>,
+    /// The memory model built over the substrate.
+    pub model: MemoryModel,
 }
 
 impl SystemConfig {
     /// Scaled-down baseline (Table III at 1/160 capacity; see DESIGN.md).
     pub fn mini_baseline() -> Self {
-        SystemConfig {
-            machine: MachineConfig::mini_baseline(),
-            omega: None,
-            locked_cache_bytes: None,
-            pim_rank: None,
-            specialized_cache: None,
-        }
+        Self::mini(MemoryModel::Baseline)
     }
 
     /// Scaled-down locked-cache machine (§IX): the baseline CMP with the
     /// same per-core byte budget OMEGA spends on scratchpads pinned into
     /// the L2 instead.
     pub fn mini_locked_cache() -> Self {
-        SystemConfig {
-            machine: MachineConfig::mini_baseline(),
-            omega: None,
-            locked_cache_bytes: Some(OmegaConfig::default().sp_bytes_per_core),
-            pim_rank: None,
-            specialized_cache: None,
-        }
+        Self::mini_pinned(PinOrder::ScratchpadPrefix)
     }
 
     /// Scaled-down OMEGA: half of each 16 KB L2 slice becomes an 8 KB
@@ -194,10 +183,7 @@ impl SystemConfig {
     pub fn paper_baseline() -> Self {
         SystemConfig {
             machine: MachineConfig::paper_baseline(),
-            omega: None,
-            locked_cache_bytes: None,
-            pim_rank: None,
-            specialized_cache: None,
+            model: MemoryModel::Baseline,
         }
     }
 
@@ -224,64 +210,68 @@ impl SystemConfig {
         machine.l2.capacity /= 2;
         SystemConfig {
             machine,
-            omega: Some(omega),
-            locked_cache_bytes: None,
-            pim_rank: None,
-            specialized_cache: None,
+            model: MemoryModel::Omega(omega),
         }
     }
 
     /// Scaled-down PIM-rank machine: the baseline CMP (full-size L2) with
     /// rank-level compute engines behind every DRAM channel.
     pub fn mini_pim_rank() -> Self {
-        SystemConfig {
-            machine: MachineConfig::mini_baseline(),
-            omega: None,
-            locked_cache_bytes: None,
-            pim_rank: Some(PimRankConfig::default()),
-            specialized_cache: None,
-        }
+        Self::mini(MemoryModel::PimRank(PimRankConfig::default()))
     }
 
     /// Scaled-down specialized-cache machine: the baseline CMP with a
     /// GRASP-style hot-vertex protection policy in the (full-size) L2.
     pub fn mini_specialized_cache() -> Self {
+        Self::mini_pinned(PinOrder::VertexMajor)
+    }
+
+    fn mini(model: MemoryModel) -> Self {
         SystemConfig {
             machine: MachineConfig::mini_baseline(),
-            omega: None,
-            locked_cache_bytes: None,
-            pim_rank: None,
-            specialized_cache: Some(SpecializedCacheConfig::default()),
+            model,
         }
     }
 
+    fn mini_pinned(order: PinOrder) -> Self {
+        Self::mini(MemoryModel::Pinned {
+            bytes_per_core: OmegaConfig::default().sp_bytes_per_core,
+            order,
+        })
+    }
+
     /// Returns a copy with a different scratchpad size (the Fig. 19
-    /// sensitivity sweep). No-op on a baseline.
+    /// sensitivity sweep). No-op on a machine without scratchpads.
     pub fn with_scratchpad_bytes(mut self, bytes_per_core: u64) -> Self {
-        if let Some(o) = &mut self.omega {
+        if let MemoryModel::Omega(o) = &mut self.model {
             o.sp_bytes_per_core = bytes_per_core;
         }
         self
     }
 
-    /// Whether this is an OMEGA machine.
-    pub fn is_omega(&self) -> bool {
-        self.omega.is_some()
+    /// The scratchpad/PISC parameters, on an OMEGA machine.
+    pub fn omega(&self) -> Option<OmegaConfig> {
+        match self.model {
+            MemoryModel::Omega(o) => Some(o),
+            _ => None,
+        }
     }
 
     /// "baseline", "omega", "locked-cache", "pim-rank", or
     /// "specialized-cache", for report labels.
     pub fn label(&self) -> &'static str {
-        if self.is_omega() {
-            "omega"
-        } else if self.locked_cache_bytes.is_some() {
-            "locked-cache"
-        } else if self.pim_rank.is_some() {
-            "pim-rank"
-        } else if self.specialized_cache.is_some() {
-            "specialized-cache"
-        } else {
-            "baseline"
+        match self.model {
+            MemoryModel::Baseline => "baseline",
+            MemoryModel::Omega(_) => "omega",
+            MemoryModel::PimRank(_) => "pim-rank",
+            MemoryModel::Pinned {
+                order: PinOrder::ScratchpadPrefix,
+                ..
+            } => "locked-cache",
+            MemoryModel::Pinned {
+                order: PinOrder::VertexMajor,
+                ..
+            } => "specialized-cache",
         }
     }
 
@@ -290,7 +280,7 @@ impl SystemConfig {
     pub fn total_onchip_bytes(&self) -> u64 {
         let l2 = self.machine.l2.capacity * self.machine.core.n_cores as u64;
         let sp = self
-            .omega
+            .omega()
             .map(|o| o.sp_bytes_per_core * self.machine.core.n_cores as u64)
             .unwrap_or(0);
         l2 + sp
@@ -318,40 +308,6 @@ impl Canonicalize for OmegaConfig {
     }
 }
 
-impl Canonicalize for SystemConfig {
-    fn canonicalize(&self, h: &mut Fnv64) {
-        self.machine.canonicalize(h);
-        match &self.omega {
-            None => h.write_u8(0),
-            Some(o) => {
-                h.write_u8(1);
-                o.canonicalize(h);
-            }
-        }
-        match self.locked_cache_bytes {
-            None => h.write_u8(0),
-            Some(b) => {
-                h.write_u8(1);
-                h.write_u64(b);
-            }
-        }
-        match &self.pim_rank {
-            None => h.write_u8(0),
-            Some(p) => {
-                h.write_u8(1);
-                p.canonicalize(h);
-            }
-        }
-        match &self.specialized_cache {
-            None => h.write_u8(0),
-            Some(s) => {
-                h.write_u8(1);
-                s.canonicalize(h);
-            }
-        }
-    }
-}
-
 impl Canonicalize for PimRankConfig {
     fn canonicalize(&self, h: &mut Fnv64) {
         h.write_usize(self.ranks_per_channel);
@@ -360,9 +316,44 @@ impl Canonicalize for PimRankConfig {
     }
 }
 
-impl Canonicalize for SpecializedCacheConfig {
+impl Canonicalize for MemoryModel {
     fn canonicalize(&self, h: &mut Fnv64) {
-        h.write_u64(self.protected_bytes_per_core);
+        // The byte layout of the four optional overlays this enum replaced
+        // (omega, locked cache, PIM rank, specialized cache): a 0/1 tag per
+        // slot, the occupied one followed by its payload. Keeping it leaves
+        // every store fingerprint where format v3 put it.
+        let slot = match self {
+            MemoryModel::Baseline => None,
+            MemoryModel::Omega(_) => Some(0),
+            MemoryModel::Pinned {
+                order: PinOrder::ScratchpadPrefix,
+                ..
+            } => Some(1),
+            MemoryModel::PimRank(_) => Some(2),
+            MemoryModel::Pinned {
+                order: PinOrder::VertexMajor,
+                ..
+            } => Some(3),
+        };
+        for tag in 0..4 {
+            h.write_bool(slot == Some(tag));
+            if slot != Some(tag) {
+                continue;
+            }
+            match self {
+                MemoryModel::Baseline => {}
+                MemoryModel::Omega(o) => o.canonicalize(h),
+                MemoryModel::PimRank(p) => p.canonicalize(h),
+                MemoryModel::Pinned { bytes_per_core, .. } => h.write_u64(*bytes_per_core),
+            }
+        }
+    }
+}
+
+impl Canonicalize for SystemConfig {
+    fn canonicalize(&self, h: &mut Fnv64) {
+        self.machine.canonicalize(h);
+        self.model.canonicalize(h);
     }
 }
 
@@ -415,18 +406,18 @@ mod tests {
     #[test]
     fn scratchpad_sweep_rescales() {
         let half = SystemConfig::mini_omega().with_scratchpad_bytes(4 * 1024);
-        assert_eq!(half.omega.unwrap().sp_bytes_per_core, 4 * 1024);
+        assert_eq!(half.omega().unwrap().sp_bytes_per_core, 4 * 1024);
         // Baselines ignore the sweep.
         let b = SystemConfig::mini_baseline().with_scratchpad_bytes(4 * 1024);
-        assert!(b.omega.is_none());
+        assert!(b.omega().is_none());
     }
 
     #[test]
     fn paper_omega_matches_table_three() {
         let o = SystemConfig::paper_omega();
         assert_eq!(o.machine.l2.capacity, 1024 * 1024);
-        assert_eq!(o.omega.unwrap().sp_bytes_per_core, 1024 * 1024);
-        assert_eq!(o.omega.unwrap().sp_latency, 3);
+        assert_eq!(o.omega().unwrap().sp_bytes_per_core, 1024 * 1024);
+        assert_eq!(o.omega().unwrap().sp_latency, 3);
     }
 
     #[test]
@@ -451,22 +442,36 @@ mod tests {
                 assert_ne!(digest(a), digest(b), "{} vs {}", a.label(), b.label());
             }
         }
-        // Omega sub-fields reach the digest through the Option.
-        let mut nosvb = SystemConfig::mini_omega();
-        nosvb.omega.as_mut().unwrap().svb_enabled = false;
+        // Omega sub-fields reach the digest through the model.
+        let mini_omega_with = |omega: OmegaConfig| {
+            SystemConfig::omega_from_baseline(MachineConfig::mini_baseline(), omega)
+        };
+        let nosvb = mini_omega_with(OmegaConfig {
+            svb_enabled: false,
+            ..OmegaConfig::default()
+        });
         assert_ne!(digest(&SystemConfig::mini_omega()), digest(&nosvb));
-        let mut ext = SystemConfig::mini_omega();
-        ext.omega.as_mut().unwrap().ext = OffchipExtensions::all();
+        let ext = mini_omega_with(OmegaConfig {
+            ext: OffchipExtensions::all(),
+            ..OmegaConfig::default()
+        });
         assert_ne!(digest(&SystemConfig::mini_omega()), digest(&ext));
-        // Rival sub-fields reach the digest through their Options too.
-        let mut pim = SystemConfig::mini_pim_rank();
-        pim.pim_rank.as_mut().unwrap().ranks_per_channel = 4;
+        // Rival sub-fields reach the digest through the model too.
+        let pim = SystemConfig {
+            model: MemoryModel::PimRank(PimRankConfig {
+                ranks_per_channel: 4,
+                ..PimRankConfig::default()
+            }),
+            ..SystemConfig::mini_pim_rank()
+        };
         assert_ne!(digest(&SystemConfig::mini_pim_rank()), digest(&pim));
-        let mut sc = SystemConfig::mini_specialized_cache();
-        sc.specialized_cache
-            .as_mut()
-            .unwrap()
-            .protected_bytes_per_core = 4 * 1024;
+        let sc = SystemConfig {
+            model: MemoryModel::Pinned {
+                bytes_per_core: 4 * 1024,
+                order: PinOrder::VertexMajor,
+            },
+            ..SystemConfig::mini_specialized_cache()
+        };
         assert_ne!(digest(&SystemConfig::mini_specialized_cache()), digest(&sc));
     }
 }

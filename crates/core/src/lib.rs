@@ -7,8 +7,9 @@
 //!
 //! This crate assembles the paper's contribution on top of the substrates:
 //!
-//! * [`config`] — machine assembly: the baseline CMP vs. the OMEGA machine
-//!   (half the L2 re-purposed as scratchpads, Table III).
+//! * [`config`] — machine assembly: the CMP substrate plus one
+//!   [`MemoryModel`] — the baseline, OMEGA (half the L2 re-purposed as
+//!   scratchpads, Table III), or one of its rivals.
 //! * [`layout`] — the simulated virtual address space for Ligra's data
 //!   structures; the basis of the controller's address-monitoring
 //!   registers.
@@ -19,15 +20,16 @@
 //!   for the paper's source-to-source translation tool (Fig. 13).
 //! * [`pisc`] — the PISC engine of Fig. 9: ALU + sequencer timing model.
 //! * [`svbuffer`] — the source-vertex buffer of Fig. 11.
-//! * [`locked`] — the §IX locked-cache alternative (hot lines pinned in
-//!   the regular L2), built so the ablation can quantify why OMEGA beats it.
-//! * [`pim`] — `PimRankMemory`, the ALPHA-PIM/PIUMA-style rival: atomic
-//!   vertex updates execute at the DRAM rank instead of on-chip.
-//! * [`grasp`] — the GRASP-style domain-specialized cache rival: a plain
-//!   hierarchy whose protection policy pins hot vertices' property lines.
+//! * [`pinned`] — pinned hierarchies: hot vtxProp lines locked in the
+//!   regular L2, in the scratchpad controller's order (the §IX locked
+//!   cache) or vertex-major (the GRASP-style specialized cache).
+//! * [`pim`] — `DramPim`, the DRAM-side atomic-offload engines, and
+//!   `PimRankMemory`, the ALPHA-PIM/PIUMA-style rival built on them:
+//!   atomic vertex updates execute at the DRAM rank instead of on-chip.
 //! * [`machine`] — `OmegaMemory`, the full OMEGA memory system implementing
 //!   `omega_sim::MemorySystem`, routing vtxProp accesses to scratchpads at
-//!   word granularity and offloading atomics to PISCs.
+//!   word granularity and offloading atomics to PISCs (and, with the §IX.2
+//!   extension, cold-vertex atomics to one `DramPim` engine per channel).
 //! * [`lower`] — lowering of `omega-ligra` trace events onto concrete
 //!   addresses and simulator operations.
 //! * [`runner`] — one-call experiment execution: run an algorithm, collect
@@ -63,18 +65,17 @@ pub mod analytic;
 pub mod config;
 pub mod controller;
 pub mod error;
-pub mod grasp;
 pub mod layout;
-pub mod locked;
 pub mod lower;
 pub mod machine;
 pub mod microcode;
 pub mod pim;
+pub mod pinned;
 pub mod pisc;
 pub mod runner;
 pub mod svbuffer;
 
-pub use config::{OmegaConfig, PimRankConfig, SpecializedCacheConfig, SystemConfig};
+pub use config::{MemoryModel, OmegaConfig, PimRankConfig, PinOrder, SystemConfig};
 pub use error::OmegaError;
 pub use machine::OmegaMemory;
 pub use pim::PimRankMemory;

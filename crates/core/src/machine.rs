@@ -23,10 +23,11 @@
 //! traffic, so both contend for the same port bandwidth and are counted in
 //! the same Fig. 17 traffic statistics.
 
-use crate::config::{OmegaConfig, SystemConfig};
+use crate::config::{MemoryModel, OmegaConfig, PimRankConfig, SystemConfig};
 use crate::controller::ScratchpadController;
 use crate::layout::Layout;
-use crate::pisc::PiscEngine;
+use crate::pim::DramPim;
+use crate::pisc::{release_offloader, PiscEngine};
 use crate::svbuffer::SourceVertexBuffer;
 use omega_ligra::trace::TraceMeta;
 use omega_sim::audit::{self, AuditReport};
@@ -43,8 +44,9 @@ pub struct OmegaMemory {
     omega: OmegaConfig,
     ctrl: ScratchpadController,
     piscs: Vec<PiscEngine>,
-    /// Memory-side PIM engines, one per DRAM channel (§IX.2 extension).
-    pims: Vec<PiscEngine>,
+    /// Memory-side PIM engines, one per DRAM channel (§IX.2 extension);
+    /// `None` unless `omega.ext.pim`.
+    pim: Option<DramPim>,
     svbs: Vec<SourceVertexBuffer>,
     /// Per-vertex-entry locks for the scratchpad-only ablation (atomics
     /// executed by the cores over scratchpad data).
@@ -55,7 +57,6 @@ pub struct OmegaMemory {
     active_list_updates: u64,
     atomics_executed: u64,
     atomic_lock_wait: u64,
-    pim_ops: u64,
     word_dram_accesses: u64,
     /// Window sampler taken over from the inner hierarchy, so the time
     /// series is computed from the *combined* statistics (scratchpad and
@@ -73,11 +74,11 @@ impl OmegaMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `system.omega` is `None`.
+    /// Panics if `system` is not an OMEGA machine.
     pub fn new(system: &SystemConfig, layout: Layout, meta: &TraceMeta) -> Self {
-        let omega = system
-            .omega
-            .expect("OmegaMemory requires an OMEGA system config");
+        let MemoryModel::Omega(omega) = system.model else {
+            panic!("OmegaMemory requires an OMEGA system config");
+        };
         let mut machine = system.machine;
         if omega.ext.hybrid_page {
             // §IX.3: ordinary traffic (edge streams, frontier arrays, cold
@@ -86,7 +87,6 @@ impl OmegaMemory {
             machine.dram.default_mode = RowMode::OpenPage;
         }
         let n = machine.core.n_cores;
-        let channels = machine.dram.channels;
         let ctrl = ScratchpadController::new(
             layout,
             meta,
@@ -103,9 +103,16 @@ impl OmegaMemory {
             omega,
             ctrl,
             piscs: (0..n).map(|_| PiscEngine::new(omega.sp_latency)).collect(),
-            // A PIM's "scratchpad" is the DRAM row buffer: its service time
-            // is dominated by the in-memory read-modify-write.
-            pims: (0..channels).map(|_| PiscEngine::new(12)).collect(),
+            // A channel PIM is a PIM-rank engine with one rank per channel,
+            // back-pressured like a PISC.
+            pim: omega.ext.pim.then(|| {
+                let channel_engines = PimRankConfig {
+                    ranks_per_channel: 1,
+                    rank_latency: 12,
+                    rank_backlog_cycles: omega.pisc_backlog_cycles,
+                };
+                DramPim::new(channel_engines, &machine)
+            }),
             svbs: (0..n)
                 .map(|_| {
                     SourceVertexBuffer::new(if omega.svb_enabled {
@@ -122,7 +129,6 @@ impl OmegaMemory {
             active_list_updates: 0,
             atomics_executed: 0,
             atomic_lock_wait: 0,
-            pim_ops: 0,
             word_dram_accesses: 0,
             sampler,
         }
@@ -151,13 +157,16 @@ impl OmegaMemory {
             svb_hits: self.svbs.iter().map(|b| b.hits()).sum(),
             svb_misses: self.svbs.iter().map(|b| b.misses()).sum(),
             active_list_updates: self.active_list_updates,
-            pim_ops: self.pim_ops,
             word_dram_accesses: self.word_dram_accesses,
+            ..ScratchpadStats::default()
         });
         s.atomics.merge(&AtomicStats {
             executed: self.atomics_executed,
             lock_wait_cycles: self.atomic_lock_wait,
         });
+        if let Some(pim) = &self.pim {
+            pim.merge_stats(&mut s);
+        }
         s
     }
 
@@ -253,26 +262,10 @@ impl OmegaMemory {
             let done = self.piscs[owner].execute(kind, arrival);
             // The PISC sets the dense active-list bit in the same RMW.
             self.active_list_updates += 1;
-            // Fire-and-forget unless the PISC queue is saturated. The
-            // offload itself holds the core for the memory-mapped register
-            // stores of the translated update function (Fig. 13: operand
-            // then destination id, ~2 cycles per uncached store).
-            let issue_done = now + 4;
-            let backlog_free = done.saturating_sub(self.omega.pisc_backlog_cycles);
-            let wait = backlog_free.saturating_sub(issue_done);
+            let (out, wait) = release_offloader(now, done, self.omega.pisc_backlog_cycles);
             self.inner.record_lock_wait(wait);
-            if wait > 0 {
-                self.atomic_lock_wait += wait;
-                AccessOutcome {
-                    completion: backlog_free,
-                    blocking: Blocking::Full,
-                }
-            } else {
-                AccessOutcome {
-                    completion: issue_done,
-                    blocking: Blocking::Full,
-                }
-            }
+            self.atomic_lock_wait += wait;
+            out
         } else {
             // Scratchpads-as-storage ablation (§X.A): the core itself
             // performs the RMW over scratchpad data, serialised per entry.
@@ -297,75 +290,36 @@ impl OmegaMemory {
             }
         }
     }
-}
 
-impl OmegaMemory {
     /// §IX cold-vertex path: word-granularity DRAM access and/or PIM
     /// offload for vtxProp entries outside the scratchpads. Returns `None`
     /// when no extension covers the access (regular cache path).
     fn cold_access(&mut self, access: MemAccess, now: Cycle) -> Option<AccessOutcome> {
-        let ext = self.omega.ext;
         match access.kind {
-            AccessKind::Read | AccessKind::ReadStable if ext.word_dram => {
+            AccessKind::Atomic(kind) => {
+                let pim = self.pim.as_mut()?;
+                Some(pim.offload(&mut self.inner, access, kind, now))
+            }
+            _ if self.omega.ext.word_dram => {
+                // Reads block the window; writes are posted.
+                let write = access.kind == AccessKind::Write;
                 self.word_dram_accesses += 1;
-                let done = self.inner.dram_mut().access(
+                let completion = self.inner.dram_mut().access(
                     access.addr,
                     access.size as u32,
-                    false,
+                    write,
                     RowMode::ClosePage,
                     now,
                 );
-                Some(AccessOutcome {
-                    completion: done,
-                    blocking: Blocking::Window,
-                })
-            }
-            AccessKind::Write if ext.word_dram => {
-                self.word_dram_accesses += 1;
-                let done = self.inner.dram_mut().access(
-                    access.addr,
-                    access.size as u32,
-                    true,
-                    RowMode::ClosePage,
-                    now,
-                );
-                Some(AccessOutcome {
-                    completion: done,
-                    blocking: Blocking::None,
-                })
-            }
-            AccessKind::Atomic(kind) if ext.pim => {
-                self.atomics_executed += 1;
-                self.pim_ops += 1;
-                // Offload packet to the memory controller; the PIM performs
-                // the word-granularity RMW in memory (close-page).
-                let ch = self.inner.config().dram_channel_of(access.addr);
-                let arrival = now + self.inner.config().noc.latency as u64 + 1;
-                let rmw_start = self.pims[ch].execute(kind, arrival);
-                let done = self.inner.dram_mut().access(
-                    access.addr,
-                    access.size as u32,
-                    true,
-                    RowMode::ClosePage,
-                    rmw_start,
-                );
-                // Fire-and-forget, with the same backlog bound as PISCs.
-                let issue_done = now + 4;
-                let backlog_free = done.saturating_sub(self.omega.pisc_backlog_cycles);
-                self.inner
-                    .record_lock_wait(backlog_free.saturating_sub(issue_done));
-                if backlog_free > issue_done {
-                    self.atomic_lock_wait += backlog_free - issue_done;
-                    Some(AccessOutcome {
-                        completion: backlog_free,
-                        blocking: Blocking::Full,
-                    })
+                let blocking = if write {
+                    Blocking::None
                 } else {
-                    Some(AccessOutcome {
-                        completion: issue_done,
-                        blocking: Blocking::Full,
-                    })
-                }
+                    Blocking::Window
+                };
+                Some(AccessOutcome {
+                    completion,
+                    blocking,
+                })
             }
             _ => None,
         }
@@ -380,12 +334,9 @@ impl MemorySystem for OmegaMemory {
         };
         if !req.resident {
             self.range_misses += 1;
-            if self.omega.ext.any() {
-                if let Some(out) = self.cold_access(access, now) {
-                    return out;
-                }
-            }
-            return self.inner.access(core, access, now);
+            return self
+                .cold_access(access, now)
+                .unwrap_or_else(|| self.inner.access(core, access, now));
         }
         match access.kind {
             AccessKind::Read | AccessKind::ReadStable => self.sp_read(core, access, req.owner, now),
@@ -426,6 +377,9 @@ impl MemorySystem for OmegaMemory {
         // traffic and offloaded atomics only balance at this level.
         self.inner.audit_components(out);
         audit::check_mem_stats(&self.stats(), out);
+        if let Some(pim) = &self.pim {
+            pim.audit_into(out);
+        }
     }
 }
 
@@ -436,6 +390,11 @@ mod tests {
 
     fn system() -> SystemConfig {
         SystemConfig::mini_omega()
+    }
+
+    /// The mini OMEGA machine with modified scratchpad/PISC parameters.
+    fn system_with(omega: OmegaConfig) -> SystemConfig {
+        SystemConfig::omega_from_baseline(omega_sim::MachineConfig::mini_baseline(), omega)
     }
 
     fn meta(n: u64) -> TraceMeta {
@@ -620,8 +579,10 @@ mod tests {
 
     #[test]
     fn scratchpad_only_ablation_blocks_and_serialises() {
-        let mut sys = system();
-        sys.omega.as_mut().unwrap().pisc_enabled = false;
+        let sys = system_with(OmegaConfig {
+            pisc_enabled: false,
+            ..OmegaConfig::default()
+        });
         let mt = meta(10_000);
         let layout = Layout::new(&mt);
         let mut m = OmegaMemory::new(&sys, layout, &mt);
@@ -637,8 +598,10 @@ mod tests {
     }
 
     fn machine_with_ext(n: u64) -> OmegaMemory {
-        let mut sys = system();
-        sys.omega.as_mut().unwrap().ext = crate::config::OffchipExtensions::all();
+        let sys = system_with(OmegaConfig {
+            ext: crate::config::OffchipExtensions::all(),
+            ..OmegaConfig::default()
+        });
         let mt = meta(n);
         let layout = Layout::new(&mt);
         OmegaMemory::new(&sys, layout, &mt)
@@ -737,8 +700,10 @@ mod tests {
 
     #[test]
     fn svb_disabled_config_never_hits() {
-        let mut sys = system();
-        sys.omega.as_mut().unwrap().svb_enabled = false;
+        let sys = system_with(OmegaConfig {
+            svb_enabled: false,
+            ..OmegaConfig::default()
+        });
         let mt = meta(10_000);
         let layout = Layout::new(&mt);
         let mut m = OmegaMemory::new(&sys, layout, &mt);

@@ -1,5 +1,6 @@
 //! `PimRankMemory`: the processing-in-memory rival machine (ALPHA-PIM /
-//! PIUMA-style, see PAPERS.md).
+//! PIUMA-style, see PAPERS.md), and `DramPim`, the DRAM-side offload
+//! engines it shares with OMEGA's §IX.2 extension.
 //!
 //! Where OMEGA pulls hot vertex state *on-chip* into scratchpads, the PIM
 //! machine pushes the compute *off-chip*: every atomic reduce/apply on a
@@ -17,32 +18,133 @@
 //! touched from the timing loop, so the staged engine stays bit-identical
 //! at any worker count.
 
-use crate::config::{PimRankConfig, SystemConfig};
+use crate::config::{MemoryModel, PimRankConfig, SystemConfig};
 use crate::layout::Layout;
-use crate::pisc::PiscEngine;
+use crate::pisc::{release_offloader, PiscEngine};
 use omega_ligra::trace::TraceMeta;
 use omega_sim::audit::{self, AuditReport};
 use omega_sim::dram::RowMode;
 use omega_sim::hierarchy::CacheHierarchy;
 use omega_sim::stats::{AtomicStats, MemStats, ScratchpadStats};
 use omega_sim::telemetry::{TelemetryReport, WindowSampler};
-use omega_sim::{AccessKind, AccessOutcome, Blocking, Cycle, MemAccess, MemorySystem, LINE_BYTES};
+use omega_sim::{
+    AccessKind, AccessOutcome, AtomicKind, Cycle, MachineConfig, MemAccess, MemorySystem,
+    LINE_BYTES,
+};
+
+/// Compute engines at the DRAM side of the memory controllers: the one
+/// atomic-offload path shared by the PIM-rank machine (one engine per
+/// rank) and OMEGA's §IX.2 cold-vertex extension (one engine per channel,
+/// i.e. one rank per channel).
+///
+/// An offloaded atomic travels to the owning engine as a command packet,
+/// queues there in arrival order, and performs a word-granularity
+/// read-modify-write inside DRAM (close-page — the rank-local access never
+/// populates a row buffer the channel queue could observe, so it
+/// contributes no row outcome). The core is held only for the
+/// memory-mapped command stores unless the engine's backlog is saturated.
+#[derive(Debug)]
+pub struct DramPim {
+    cfg: PimRankConfig,
+    /// Per-engine compute ledgers, indexed `channel * ranks_per_channel +
+    /// rank`. Ops per engine feed the audit.
+    engines: Vec<PiscEngine>,
+    ops: u64,
+    lock_wait: u64,
+}
+
+impl DramPim {
+    /// Idle engines for every rank of every channel of `machine`.
+    pub fn new(cfg: PimRankConfig, machine: &MachineConfig) -> Self {
+        DramPim {
+            cfg,
+            // An engine's "scratchpad" is the in-rank row buffer; its
+            // service time is dominated by the in-memory RMW.
+            engines: (0..machine.dram.channels * cfg.ranks_per_channel)
+                .map(|_| PiscEngine::new(cfg.rank_latency))
+                .collect(),
+            ops: 0,
+            lock_wait: 0,
+        }
+    }
+
+    /// The engine index owning `addr`: its DRAM channel, then the rank the
+    /// line maps to within the channel (line-interleaved across ranks, the
+    /// same modulo scheme the channels use).
+    fn engine_of(&self, machine: &MachineConfig, addr: u64) -> usize {
+        let channels = machine.dram.channels as u64;
+        let ranks = self.cfg.ranks_per_channel;
+        let rank = ((addr / LINE_BYTES / channels) % ranks as u64) as usize;
+        machine.dram_channel_of(addr) * ranks + rank
+    }
+
+    /// Offloads one atomic issued at `now` to the engine owning its
+    /// address, over `mem`'s NoC and DRAM. Returns when the core is
+    /// released.
+    pub fn offload(
+        &mut self,
+        mem: &mut CacheHierarchy,
+        access: MemAccess,
+        kind: AtomicKind,
+        now: Cycle,
+    ) -> AccessOutcome {
+        self.ops += 1;
+        let engine = self.engine_of(mem.config(), access.addr);
+        let arrival = now + mem.config().noc.latency as u64 + 1;
+        let rmw_start = self.engines[engine].execute(kind, arrival);
+        let done = mem.dram_mut().access(
+            access.addr,
+            access.size as u32,
+            true,
+            RowMode::ClosePage,
+            rmw_start,
+        );
+        let (out, wait) = release_offloader(now, done, self.cfg.rank_backlog_cycles);
+        mem.record_lock_wait(wait);
+        self.lock_wait += wait;
+        out
+    }
+
+    /// Total operations executed across all engines (the ledger side of
+    /// the `pim_ops` audit).
+    pub fn ledger_ops(&self) -> u64 {
+        self.engines.iter().map(|e| e.ops()).sum()
+    }
+
+    /// Adds the offloads to `s`: each is one executed atomic and one
+    /// `pim_ops` count, and back-pressure counts as lock wait.
+    pub fn merge_stats(&self, s: &mut MemStats) {
+        s.scratchpad.merge(&ScratchpadStats {
+            pim_ops: self.ops,
+            ..ScratchpadStats::default()
+        });
+        s.atomics.merge(&AtomicStats {
+            executed: self.ops,
+            lock_wait_cycles: self.lock_wait,
+        });
+    }
+
+    /// Every offloaded op must be owned by exactly one engine.
+    pub fn audit_into(&self, out: &mut AuditReport) {
+        let ledger = self.ledger_ops();
+        out.check(
+            "pim-rank",
+            "rank ledgers sum to the offloaded op count",
+            ledger == self.ops,
+            || format!("rank ledger {} vs pim_ops {}", ledger, self.ops),
+        );
+    }
+}
 
 /// The PIM-rank memory system. See the module docs for the request flow.
 #[derive(Debug)]
 pub struct PimRankMemory {
     inner: CacheHierarchy,
-    cfg: PimRankConfig,
     layout: Layout,
     /// Which property arrays are monitored (the same address-monitoring
     /// registers OMEGA's controller uses, §V.A).
     monitored: Vec<bool>,
-    /// Per-rank compute ledgers, indexed `channel * ranks_per_channel +
-    /// rank`. Ops and busy cycles per engine feed the audit.
-    ranks: Vec<PiscEngine>,
-    atomics_executed: u64,
-    atomic_lock_wait: u64,
-    pim_ops: u64,
+    ranks: DramPim,
     /// Window sampler taken over from the inner hierarchy so windows see
     /// the combined (rank-op) counters. `None` when telemetry is off.
     sampler: Option<WindowSampler>,
@@ -53,47 +155,26 @@ impl PimRankMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `system.pim_rank` is `None`.
+    /// Panics if `system` is not a PIM-rank machine.
     pub fn new(system: &SystemConfig, layout: Layout, meta: &TraceMeta) -> Self {
-        let cfg = system
-            .pim_rank
-            .expect("PimRankMemory requires a PIM-rank system config");
-        let channels = system.machine.dram.channels;
+        let MemoryModel::PimRank(cfg) = system.model else {
+            panic!("PimRankMemory requires a PIM-rank system config");
+        };
         let mut inner = CacheHierarchy::new(&system.machine);
         let sampler = inner.take_sampler();
         PimRankMemory {
             inner,
-            cfg,
             layout,
             monitored: meta.props.iter().map(|p| p.monitored).collect(),
-            // The rank engine's "scratchpad" is the in-rank row buffer; its
-            // service time is dominated by the in-memory RMW, same as the
-            // §IX.2 channel-PIM extension.
-            ranks: (0..channels * cfg.ranks_per_channel)
-                .map(|_| PiscEngine::new(cfg.rank_latency))
-                .collect(),
-            atomics_executed: 0,
-            atomic_lock_wait: 0,
-            pim_ops: 0,
+            ranks: DramPim::new(cfg, &system.machine),
             sampler,
         }
-    }
-
-    /// The engine index owning `addr`: its DRAM channel, then the rank the
-    /// line maps to within the channel (line-interleaved across ranks, the
-    /// same modulo scheme the channels use).
-    fn rank_of(&self, addr: u64) -> usize {
-        let channels = self.inner.config().dram.channels;
-        let ch = self.inner.config().dram_channel_of(addr);
-        let rank =
-            ((addr / LINE_BYTES / channels as u64) % self.cfg.ranks_per_channel as u64) as usize;
-        ch * self.cfg.ranks_per_channel + rank
     }
 
     /// Total operations executed across all rank engines (the ledger side
     /// of the `pim_ops` audit).
     pub fn rank_ops(&self) -> u64 {
-        self.ranks.iter().map(|r| r.ops()).sum()
+        self.ranks.ledger_ops()
     }
 
     /// Merged statistics: the hierarchy's counters plus the rank-offload
@@ -101,14 +182,7 @@ impl PimRankMemory {
     /// extension established).
     pub fn stats(&self) -> MemStats {
         let mut s = self.inner.stats();
-        s.scratchpad.merge(&ScratchpadStats {
-            pim_ops: self.pim_ops,
-            ..ScratchpadStats::default()
-        });
-        s.atomics.merge(&AtomicStats {
-            executed: self.atomics_executed,
-            lock_wait_cycles: self.atomic_lock_wait,
-        });
+        self.ranks.merge_stats(&mut s);
         s
     }
 
@@ -133,46 +207,11 @@ impl PimRankMemory {
 impl MemorySystem for PimRankMemory {
     fn access(&mut self, core: usize, access: MemAccess, now: Cycle) -> AccessOutcome {
         self.sample_if_due(now);
-        let AccessKind::Atomic(kind) = access.kind else {
-            return self.inner.access(core, access, now);
-        };
-        if !self.is_monitored(access.addr) {
-            return self.inner.access(core, access, now);
-        }
-        self.atomics_executed += 1;
-        self.pim_ops += 1;
-        // Offload packet to the owning rank; the engine performs the
-        // word-granularity RMW in memory (close-page — the rank-local
-        // access never populates a row buffer the channel queue could
-        // observe, so it contributes no row outcome).
-        let engine = self.rank_of(access.addr);
-        let arrival = now + self.inner.config().noc.latency as u64 + 1;
-        let rmw_start = self.ranks[engine].execute(kind, arrival);
-        let done = self.inner.dram_mut().access(
-            access.addr,
-            access.size as u32,
-            true,
-            RowMode::ClosePage,
-            rmw_start,
-        );
-        // Fire-and-forget with a bounded backlog, exactly as PISC offload:
-        // the core is held only for the memory-mapped command stores
-        // unless the rank's queue is saturated.
-        let issue_done = now + 4;
-        let backlog_free = done.saturating_sub(self.cfg.rank_backlog_cycles);
-        self.inner
-            .record_lock_wait(backlog_free.saturating_sub(issue_done));
-        if backlog_free > issue_done {
-            self.atomic_lock_wait += backlog_free - issue_done;
-            AccessOutcome {
-                completion: backlog_free,
-                blocking: Blocking::Full,
+        match access.kind {
+            AccessKind::Atomic(kind) if self.is_monitored(access.addr) => {
+                self.ranks.offload(&mut self.inner, access, kind, now)
             }
-        } else {
-            AccessOutcome {
-                completion: issue_done,
-                blocking: Blocking::Full,
-            }
+            _ => self.inner.access(core, access, now),
         }
     }
 
@@ -201,15 +240,7 @@ impl MemorySystem for PimRankMemory {
     fn audit_into(&self, out: &mut AuditReport) {
         self.inner.audit_components(out);
         audit::check_mem_stats(&self.stats(), out);
-        // Per-rank compute ledger: every offloaded op must be owned by
-        // exactly one rank engine.
-        let ledger = self.rank_ops();
-        out.check(
-            "pim-rank",
-            "rank ledgers sum to the offloaded op count",
-            ledger == self.pim_ops,
-            || format!("rank ledger {} vs pim_ops {}", ledger, self.pim_ops),
-        );
+        self.ranks.audit_into(out);
     }
 }
 
@@ -217,7 +248,7 @@ impl MemorySystem for PimRankMemory {
 mod tests {
     use super::*;
     use omega_ligra::trace::PropSpec;
-    use omega_sim::AtomicKind;
+    use omega_sim::{AtomicKind, Blocking};
 
     fn meta(n: u64) -> TraceMeta {
         TraceMeta {
@@ -236,6 +267,31 @@ mod tests {
         let m = meta(n);
         let layout = Layout::new(&m);
         PimRankMemory::new(&SystemConfig::mini_pim_rank(), layout, &m)
+    }
+
+    #[test]
+    fn one_rank_per_channel_engines_are_the_dram_channels() {
+        // OMEGA's §IX.2 channel PIMs are this engine with one rank per
+        // channel: the engine index must be the DRAM channel itself.
+        let mut rng = omega_graph::rng::SmallRng::seed_from_u64(0x0c4a_77e1);
+        for channels in [1, 2, 4] {
+            let mut machine = MachineConfig::mini_baseline();
+            machine.dram.channels = channels;
+            let cfg = PimRankConfig {
+                ranks_per_channel: 1,
+                ..PimRankConfig::default()
+            };
+            let pim = DramPim::new(cfg, &machine);
+            assert_eq!(pim.engines.len(), channels);
+            for _ in 0..1000 {
+                let addr = rng.next_u64() >> 20;
+                assert_eq!(
+                    pim.engine_of(&machine, addr),
+                    machine.dram_channel_of(addr),
+                    "{channels} channels, addr {addr:#x}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -294,7 +350,7 @@ mod tests {
             let a = m.layout.prop_addr(0, v * 8); // stride across lines
             m.access(0, MemAccess::atomic(a, 8, AtomicKind::FpAdd), 0);
         }
-        let busy_ranks = m.ranks.iter().filter(|r| r.ops() > 0).count();
+        let busy_ranks = m.ranks.engines.iter().filter(|r| r.ops() > 0).count();
         assert!(
             busy_ranks > 1,
             "line-interleaving must engage more than one rank"

@@ -9,7 +9,7 @@
 //! here by the engine's strict arrival-order serialisation per PISC.
 
 use crate::microcode::{compile, Program};
-use omega_sim::{AtomicKind, Cycle};
+use omega_sim::{AccessOutcome, AtomicKind, Blocking, Cycle};
 
 /// One PISC engine's timing state.
 ///
@@ -93,6 +93,22 @@ impl PiscEngine {
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles
     }
+}
+
+/// Releases a core that offloaded an atomic at `now` to an engine that
+/// finishes it at `done`. Offload is fire-and-forget: the core is held only
+/// for the memory-mapped register stores of the translated update function
+/// (Fig. 13: operand then destination id, ~2 cycles per uncached store),
+/// unless the engine's queue holds more than `backlog` cycles of work, which
+/// back-pressures it. Returns the outcome and that back-pressure wait.
+pub fn release_offloader(now: Cycle, done: Cycle, backlog: Cycle) -> (AccessOutcome, Cycle) {
+    let issue_done = now + 4;
+    let wait = done.saturating_sub(backlog).saturating_sub(issue_done);
+    let outcome = AccessOutcome {
+        completion: issue_done + wait,
+        blocking: Blocking::Full,
+    };
+    (outcome, wait)
 }
 
 #[cfg(test)]

@@ -12,10 +12,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::config::SystemConfig;
+use crate::config::{MemoryModel, SystemConfig};
 use crate::layout::Layout;
 use crate::lower::{CoreLoweringStream, LoweringStream, Target};
 use crate::machine::OmegaMemory;
+use crate::pim::PimRankMemory;
+use crate::pinned::pinned_hierarchy;
 use omega_graph::CsrGraph;
 use omega_ligra::algorithms::Algo;
 use omega_ligra::trace::{CollectingTracer, RawTrace, TraceMeta};
@@ -26,7 +28,7 @@ use omega_sim::hierarchy::CacheHierarchy;
 use omega_sim::obs;
 use omega_sim::stats::MemStats;
 use omega_sim::telemetry::{TelemetryConfig, TelemetryReport};
-use omega_sim::{engine, EngineReport, MemorySystem};
+use omega_sim::{engine, AccessOutcome, Cycle, EngineReport, MemAccess, MemorySystem};
 
 /// Everything needed to execute one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -427,7 +429,7 @@ fn replay_impl(
     raw: &RawTrace,
     meta: &TraceMeta,
     system: &SystemConfig,
-    mut audit: Option<&mut AuditReport>,
+    audit: Option<&mut AuditReport>,
     parallelism: usize,
 ) -> (EngineReport, MemStats, u32, Option<TelemetryReport>) {
     let _span = obs::span("runner.replay");
@@ -437,67 +439,102 @@ fn replay_impl(
     let _sim = obs::sim_session(system.label());
     TIMING_REPLAYS.fetch_add(1, Ordering::Relaxed);
     let layout = Layout::new(meta);
+    let mut mem = Memory::build(system, &layout, meta);
+    // OMEGA lowers its resident vertices for the scratchpads; every other
+    // model sees the baseline lowering.
+    let hot_count = match &mem {
+        Memory::Omega(m) => Some(m.hot_count()),
+        _ => None,
+    };
+    let target = hot_count.map_or(Target::Baseline, |hot_count| Target::Omega { hot_count });
     // `parallelism == 1` is the exact serial engine (a multi-core
     // `LoweringStream` pulled inline by `run_source`); `>= 2` stages the
     // same lowering on `parallelism - 1` worker threads. Both paths feed
     // identical per-core op sequences into the identical timing loop.
-    let run = |target: Target, mem: &mut dyn MemorySystem| -> EngineReport {
-        if parallelism >= 2 {
-            let streams = CoreLoweringStream::split(raw, &layout, target);
-            engine::run_staged(streams, &mut *mem, &system.machine, parallelism - 1)
-        } else {
-            let mut stream = LoweringStream::new(raw, &layout, target);
-            engine::run_source(&mut stream, &mut *mem, &system.machine)
+    let report = if parallelism >= 2 {
+        let streams = CoreLoweringStream::split(raw, &layout, target);
+        engine::run_staged(streams, &mut mem, &system.machine, parallelism - 1)
+    } else {
+        let mut stream = LoweringStream::new(raw, &layout, target);
+        engine::run_source(&mut stream, &mut mem, &system.machine)
+    };
+    if let Some(out) = audit {
+        mem.audit_into(out);
+    }
+    (
+        report,
+        mem.stats(),
+        hot_count.unwrap_or(0),
+        mem.take_telemetry(),
+    )
+}
+
+/// The memory system a [`SystemConfig`] replays on: one variant per
+/// concrete model, built by one `match` over [`MemoryModel`]. The pinned
+/// rivals are plain hierarchies once their lines are pinned.
+///
+/// There is one value per replay, so the variants' size spread costs
+/// nothing, while boxing would add a pointer chase to every access.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+enum Memory {
+    Hierarchy(CacheHierarchy),
+    Omega(OmegaMemory),
+    PimRank(PimRankMemory),
+}
+
+/// Evaluates `$body` with `$m` bound to the concrete model `$mem` holds.
+macro_rules! each_model {
+    ($mem:expr, $m:ident => $body:expr) => {
+        match $mem {
+            Memory::Hierarchy($m) => $body,
+            Memory::Omega($m) => $body,
+            Memory::PimRank($m) => $body,
         }
     };
-    if system.is_omega() {
-        let mut mem = OmegaMemory::new(system, layout.clone(), meta);
-        let hot = mem.hot_count();
-        let report = run(Target::Omega { hot_count: hot }, &mut mem);
-        if let Some(out) = audit.as_deref_mut() {
-            mem.audit_into(out);
+}
+
+impl Memory {
+    fn build(system: &SystemConfig, layout: &Layout, meta: &TraceMeta) -> Memory {
+        match system.model {
+            MemoryModel::Baseline => Memory::Hierarchy(CacheHierarchy::new(&system.machine)),
+            MemoryModel::Omega(_) => Memory::Omega(OmegaMemory::new(system, layout.clone(), meta)),
+            MemoryModel::PimRank(_) => {
+                Memory::PimRank(PimRankMemory::new(system, layout.clone(), meta))
+            }
+            MemoryModel::Pinned {
+                bytes_per_core,
+                order,
+            } => Memory::Hierarchy(
+                pinned_hierarchy(&system.machine, layout, meta, bytes_per_core, order).0,
+            ),
         }
-        let stats = mem.stats();
-        let telemetry = mem.take_telemetry();
-        (report, stats, hot, telemetry)
-    } else if system.pim_rank.is_some() {
-        let mut mem = crate::pim::PimRankMemory::new(system, layout.clone(), meta);
-        let report = run(Target::Baseline, &mut mem);
-        if let Some(out) = audit.as_deref_mut() {
-            mem.audit_into(out);
-        }
-        let stats = mem.stats();
-        let telemetry = mem.take_telemetry();
-        (report, stats, 0, telemetry)
-    } else if let Some(sc) = &system.specialized_cache {
-        let (mut mem, _protected) =
-            crate::grasp::specialized_cache_memory(&system.machine, &layout, meta, sc);
-        let report = run(Target::Baseline, &mut mem);
-        if let Some(out) = audit.as_deref_mut() {
-            MemorySystem::audit_into(&mem, out);
-        }
-        let stats = mem.stats();
-        let telemetry = mem.take_telemetry();
-        (report, stats, 0, telemetry)
-    } else if let Some(budget) = system.locked_cache_bytes {
-        let (mut mem, _pinned) =
-            crate::locked::locked_cache_memory(&system.machine, &layout, meta, budget);
-        let report = run(Target::Baseline, &mut mem);
-        if let Some(out) = audit.as_deref_mut() {
-            MemorySystem::audit_into(&mem, out);
-        }
-        let stats = mem.stats();
-        let telemetry = mem.take_telemetry();
-        (report, stats, 0, telemetry)
-    } else {
-        let mut mem = CacheHierarchy::new(&system.machine);
-        let report = run(Target::Baseline, &mut mem);
-        if let Some(out) = audit {
-            MemorySystem::audit_into(&mem, out);
-        }
-        let stats = mem.stats();
-        let telemetry = mem.take_telemetry();
-        (report, stats, 0, telemetry)
+    }
+
+    fn stats(&self) -> MemStats {
+        each_model!(self, m => m.stats())
+    }
+}
+
+impl MemorySystem for Memory {
+    fn access(&mut self, core: usize, access: MemAccess, now: Cycle) -> AccessOutcome {
+        each_model!(self, m => m.access(core, access, now))
+    }
+
+    fn barrier(&mut self, now: Cycle) {
+        each_model!(self, m => m.barrier(now))
+    }
+
+    fn finish(&mut self, now: Cycle) {
+        each_model!(self, m => m.finish(now))
+    }
+
+    fn take_telemetry(&mut self) -> Option<TelemetryReport> {
+        each_model!(self, m => m.take_telemetry())
+    }
+
+    fn audit_into(&self, out: &mut AuditReport) {
+        each_model!(self, m => m.audit_into(out))
     }
 }
 
@@ -710,6 +747,43 @@ mod tests {
                 report.algo,
                 report.machine
             );
+        }
+    }
+
+    #[test]
+    fn offchip_replay_audits_the_channel_pim_ledgers() {
+        // omega-offchip's §IX.2 channel engines are the PIM-rank engine
+        // with one rank per channel, so the rank-ledger check runs on it:
+        // one check more than the same replay without the extensions, and
+        // it passes. sd is fully resident at tiny scale, so a 64 B
+        // scratchpad variant makes cold vertices whose atomics reach the
+        // ledgers.
+        use crate::config::{OffchipExtensions, OmegaConfig};
+        let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
+        let exec = ExecConfig {
+            n_cores: SystemConfig::mini_omega().machine.core.n_cores,
+            ..ExecConfig::default()
+        };
+        let (_, raw, meta) = trace_algorithm(&g, Algo::PageRank { iters: 1 }, &exec);
+        for sp_bytes_per_core in [OmegaConfig::default().sp_bytes_per_core, 64] {
+            let machine = |ext| {
+                SystemConfig::omega_from_baseline(
+                    omega_sim::MachineConfig::mini_baseline(),
+                    OmegaConfig {
+                        sp_bytes_per_core,
+                        ext,
+                        ..OmegaConfig::default()
+                    },
+                )
+            };
+            let ((_, stats, _, _), offchip) =
+                replay_audited(&raw, &meta, &machine(OffchipExtensions::all()));
+            let (_, standard) = replay_audited(&raw, &meta, &machine(OffchipExtensions::default()));
+            assert!(offchip.is_clean(), "{offchip}");
+            assert_eq!(offchip.checks_run(), standard.checks_run() + 1);
+            if sp_bytes_per_core == 64 {
+                assert!(stats.scratchpad.pim_ops > 0, "cold atomics reach the PIMs");
+            }
         }
     }
 

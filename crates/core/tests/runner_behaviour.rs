@@ -1,7 +1,7 @@
 //! Behavioural tests of the run pipeline: chunk matching, trace reuse,
 //! and machine-level properties that unit tests cannot see.
 
-use omega_core::config::SystemConfig;
+use omega_core::config::{OmegaConfig, SystemConfig};
 use omega_core::layout::Layout;
 use omega_core::lower::{lower, Target};
 use omega_core::runner::{replay, run, trace_algorithm, RunConfig};
@@ -14,8 +14,13 @@ fn matched_chunks_maximise_local_scratchpad_accesses() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     let algo = Algo::PageRank { iters: 1 };
     let matched = run(&g, algo, &RunConfig::new(SystemConfig::mini_omega()));
-    let mut mismatched_cfg = SystemConfig::mini_omega();
-    mismatched_cfg.omega.as_mut().unwrap().mapping_chunk = 64; // scheduling stays 4
+    let mismatched_cfg = SystemConfig::omega_from_baseline(
+        omega_sim::MachineConfig::mini_baseline(),
+        OmegaConfig {
+            mapping_chunk: 64, // scheduling stays 4
+            ..OmegaConfig::default()
+        },
+    );
     let mismatched = run(&g, algo, &RunConfig::new(mismatched_cfg));
     assert!(
         matched.mem.scratchpad.local_accesses > mismatched.mem.scratchpad.local_accesses,

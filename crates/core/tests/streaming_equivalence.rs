@@ -29,7 +29,7 @@ fn replay_materialised(
     system: &SystemConfig,
 ) -> (EngineReport, MemStats) {
     let layout = Layout::new(meta);
-    if system.is_omega() {
+    if system.omega().is_some() {
         let mut mem = OmegaMemory::new(system, layout.clone(), meta);
         let hot = mem.hot_count();
         let traces = lower(raw, &layout, Target::Omega { hot_count: hot });

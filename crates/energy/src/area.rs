@@ -18,7 +18,7 @@
 //! slightly lower area is due to OMEGA's scratchpads being directly mapped
 //! and thus not requiring cache tag information").
 
-use omega_core::config::SystemConfig;
+use omega_core::config::{MemoryModel, SystemConfig};
 
 const MB: f64 = 1024.0 * 1024.0;
 
@@ -122,7 +122,7 @@ impl NodeTable {
 /// Builds the Table IV breakdown for a machine.
 pub fn node_table(system: &SystemConfig) -> NodeTable {
     let l2 = cache_slice(system.machine.l2.capacity);
-    let (sp, pisc) = match &system.omega {
+    let (sp, pisc) = match system.omega() {
         Some(o) => (
             Some(scratchpad(o.sp_bytes_per_core)),
             Some(AreaPower {
@@ -132,14 +132,17 @@ pub fn node_table(system: &SystemConfig) -> NodeTable {
         ),
         None => (None, None),
     };
-    let rank_engines = system.pim_rank.map(|p| {
-        let engines = (system.machine.dram.channels * p.ranks_per_channel) as f64;
-        let share = engines / system.machine.core.n_cores as f64;
-        AreaPower {
-            power_w: PISC_POWER_W * share,
-            area_mm2: PISC_AREA_MM2 * share,
+    let rank_engines = match system.model {
+        MemoryModel::PimRank(p) => {
+            let engines = (system.machine.dram.channels * p.ranks_per_channel) as f64;
+            let share = engines / system.machine.core.n_cores as f64;
+            Some(AreaPower {
+                power_w: PISC_POWER_W * share,
+                area_mm2: PISC_AREA_MM2 * share,
+            })
         }
-    });
+        _ => None,
+    };
     NodeTable {
         label: system.label().to_string(),
         core: AreaPower {

@@ -124,7 +124,7 @@ pub fn energy_breakdown(report: &RunReport, system: &SystemConfig) -> EnergyBrea
         l1_mj: l1_accesses as f64 * L1_ACCESS_PJ * pj_to_mj,
         l2_mj: l2_accesses as f64 * l2_access_pj(system.machine.l2.capacity) * pj_to_mj,
         scratchpad_mj: system
-            .omega
+            .omega()
             .map(|o| sp_accesses as f64 * sp_access_pj(o.sp_bytes_per_core) * pj_to_mj)
             .unwrap_or(0.0),
         pisc_mj: (m.scratchpad.pisc_ops + m.scratchpad.pim_ops) as f64 * PISC_OP_PJ * pj_to_mj,

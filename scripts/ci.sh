@@ -73,6 +73,12 @@ cmp target/figures-cold.txt target/figures-warm.txt
 # sweep byte for byte (stdout carries no host times and is the same for
 # every --jobs), so a speed-only change that shifts a figure fails here.
 cmp target/figures-cold.txt results/figures_all_tiny.txt
+# Small-scale golden: the same sweep at the default (small) scale, where
+# pin budgets and cold-vertex PIM traffic are larger than at tiny scale.
+# Store-less, so every figure is simulated afresh.
+./target/release/figures all --jobs 4 \
+  > target/figures-small.txt 2> target/figures-small.err
+cmp target/figures-small.txt results/figures_all_small.txt
 warm_line=$(grep '^\[store\]' target/figures-warm.err)
 echo "ci: warm sweep $warm_line"
 case "$warm_line" in
@@ -82,7 +88,7 @@ case "$warm_line" in
 esac
 ./target/release/stats store verify "$store_dir/store" \
   > target/store-verify.json
-echo "ci: wrote target/figures-{cold,warm}.txt, target/profile-report.json,"
+echo "ci: wrote target/figures-{cold,warm,small}.txt, target/profile-report.json,"
 echo "ci:   and target/store-verify.json"
 
 # Service smoke: boot omega-serve (--jobs 4, memo capped at 2 entries so

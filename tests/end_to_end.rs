@@ -1,10 +1,11 @@
 //! End-to-end integration tests: the full pipeline (dataset → framework →
 //! trace → lowering → timing simulation → report) across crates.
 
-use omega_repro::core::config::SystemConfig;
+use omega_repro::core::config::{OmegaConfig, SystemConfig};
 use omega_repro::core::runner::{run, run_pair, RunConfig};
 use omega_repro::graph::datasets::{Dataset, DatasetScale};
 use omega_repro::ligra::algorithms::Algo;
+use omega_repro::sim::MachineConfig;
 
 fn mini_pair() -> (SystemConfig, SystemConfig) {
     (SystemConfig::mini_baseline(), SystemConfig::mini_omega())
@@ -51,7 +52,7 @@ fn natural_graphs_speed_up_more_than_road_networks() {
     // paper's Fig. 18 crossover only shows under capacity pressure: with
     // the scratchpads squeezed to ~6% the power-law graph keeps far more
     // of its win than the road network.
-    let sp = omega_cfg.omega.unwrap().sp_bytes_per_core;
+    let sp = omega_cfg.omega().unwrap().sp_bytes_per_core;
     let constrained = omega_cfg.with_scratchpad_bytes(sp * 63 / 1000);
     let (clb, clo) = run_pair(&lj, algo, &base_cfg, &constrained);
     let (cub, cuo) = run_pair(&usa, algo, &base_cfg, &constrained);
@@ -101,8 +102,13 @@ fn pisc_ablation_loses_part_of_the_speedup() {
     let algo = Algo::PageRank { iters: 1 };
     let base = run(&g, algo, &RunConfig::new(SystemConfig::mini_baseline()));
     let full = run(&g, algo, &RunConfig::new(SystemConfig::mini_omega()));
-    let mut nopisc_cfg = SystemConfig::mini_omega();
-    nopisc_cfg.omega.as_mut().unwrap().pisc_enabled = false;
+    let nopisc_cfg = SystemConfig::omega_from_baseline(
+        MachineConfig::mini_baseline(),
+        OmegaConfig {
+            pisc_enabled: false,
+            ..OmegaConfig::default()
+        },
+    );
     let nopisc = run(&g, algo, &RunConfig::new(nopisc_cfg));
     assert!(
         full.total_cycles < nopisc.total_cycles,

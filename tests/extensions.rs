@@ -2,7 +2,7 @@
 //! §V.F): dynamic graphs, off-chip extensions, slicing, and the
 //! GraphMat-style execution mode, all through the public APIs.
 
-use omega_repro::core::config::{OffchipExtensions, SystemConfig};
+use omega_repro::core::config::{OffchipExtensions, OmegaConfig, SystemConfig};
 use omega_repro::core::runner::{replay, run, trace_algorithm, RunConfig};
 use omega_repro::graph::datasets::{Dataset, DatasetScale};
 use omega_repro::graph::dynamic::DynamicGraph;
@@ -48,8 +48,14 @@ fn offchip_extensions_change_activity_not_results() {
     let algo = Algo::PageRank { iters: 1 };
     // Shrink the scratchpad so cold vertices exist even at tiny scale.
     let standard = SystemConfig::mini_omega().with_scratchpad_bytes(256);
-    let mut extended = standard;
-    extended.omega.as_mut().unwrap().ext = OffchipExtensions::all();
+    let extended = SystemConfig::omega_from_baseline(
+        omega_repro::sim::MachineConfig::mini_baseline(),
+        OmegaConfig {
+            sp_bytes_per_core: 256,
+            ext: OffchipExtensions::all(),
+            ..OmegaConfig::default()
+        },
+    );
     let a = run(&g, algo, &RunConfig::new(standard));
     let b = run(&g, algo, &RunConfig::new(extended));
     assert_eq!(a.checksum, b.checksum, "extensions are performance-only");
