@@ -7,7 +7,7 @@ use omega_bench::microbench::{black_box, Criterion};
 use omega_core::config::SystemConfig;
 use omega_core::layout::Layout;
 use omega_core::lower::{lower, Target};
-use omega_core::runner::{replay, run, trace_algorithm, RunConfig};
+use omega_core::runner::{replay, trace_algorithm, Runner};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_ligra::algorithms::Algo;
 use omega_ligra::ExecConfig;
@@ -20,19 +20,21 @@ fn bench_pipeline(c: &mut Criterion) {
     grp.bench_function("trace_collect", |b| {
         b.iter(|| black_box(trace_algorithm(&g, algo, &ExecConfig::default())))
     });
-    let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+    let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
     grp.bench_function("lower_baseline", |b| {
         let layout = Layout::new(&meta);
         b.iter(|| black_box(lower(&raw, &layout, Target::Baseline)))
     });
     grp.bench_function("replay_baseline", |b| {
-        b.iter(|| black_box(replay(&raw, &meta, &SystemConfig::mini_baseline())))
+        let sys = SystemConfig::mini_baseline();
+        b.iter(|| black_box(replay(algo.name(), checksum, &raw, &meta, &sys, None)))
     });
     grp.bench_function("replay_omega", |b| {
-        b.iter(|| black_box(replay(&raw, &meta, &SystemConfig::mini_omega())))
+        let sys = SystemConfig::mini_omega();
+        b.iter(|| black_box(replay(algo.name(), checksum, &raw, &meta, &sys, None)))
     });
     grp.bench_function("end_to_end_omega", |b| {
-        b.iter(|| black_box(run(&g, algo, &RunConfig::new(SystemConfig::mini_omega()))))
+        b.iter(|| black_box(Runner::new(SystemConfig::mini_omega()).run(&g, algo)))
     });
     grp.finish();
 }

@@ -25,11 +25,12 @@
 use crate::session::{AlgoKey, ExperimentSpec, MachineKind};
 use crate::store::codec;
 use omega_core::config::SystemConfig;
-use omega_core::runner::{replay_audited_parallel, trace_algorithm, RunReport};
+use omega_core::runner::{replay, trace_algorithm};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::rng::SmallRng;
 use omega_graph::CsrGraph;
 use omega_ligra::ExecConfig;
+use omega_sim::audit::AuditReport;
 use omega_sim::dram::RowMode;
 use omega_sim::obs;
 use omega_sim::stats::MemStats;
@@ -158,7 +159,6 @@ pub struct Fuzzer {
     rng: SmallRng,
     graphs: HashMap<Dataset, CsrGraph>,
     verbose: bool,
-    parallelism: usize,
 }
 
 impl Fuzzer {
@@ -168,24 +168,12 @@ impl Fuzzer {
             rng: SmallRng::seed_from_u64(seed),
             graphs: HashMap::new(),
             verbose: false,
-            parallelism: 1,
         }
     }
 
     /// Sets whether per-case progress lines go to stderr.
     pub fn verbose(mut self, verbose: bool) -> Self {
         self.verbose = verbose;
-        self
-    }
-
-    /// Sets the replay parallelism every oracle runs under (default 1, the
-    /// serial engine). The staged engine is bit-identical to serial, so the
-    /// oracles — and the case stream, which only consumes RNG draws — must
-    /// produce the same verdicts at any setting; running the fuzzer at
-    /// `n >= 2` turns the whole oracle battery into a parallel-engine
-    /// equivalence check.
-    pub fn parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n.max(1);
         self
     }
 
@@ -238,22 +226,27 @@ impl Fuzzer {
         let mut checks = 0u64;
         let mut failures: Vec<(String, String)> = Vec::new();
 
+        let replay_on = |sys: &SystemConfig, audit: Option<&mut AuditReport>| {
+            replay(algo.name(), checksum, &raw, &meta, sys, audit)
+        };
+
         // Oracle 1: the conservation audit itself.
-        let (parts, audit) = replay_audited_parallel(&raw, &meta, &sys, self.parallelism);
+        let mut audit = AuditReport::new();
+        let report = replay_on(&sys, Some(&mut audit));
         checks += audit.checks_run();
         for v in audit.violations() {
             failures.push(("audit".into(), v.to_string()));
         }
 
         // Oracle 2: replaying the same trace twice is bit-identical.
-        let (again, _) = replay_audited_parallel(&raw, &meta, &sys, self.parallelism);
+        let again = replay_on(&sys, None);
         checks += 1;
-        if again != parts {
+        if again != report {
             failures.push((
                 "determinism".into(),
                 format!(
                     "second replay diverged: {} vs {} cycles",
-                    again.0.total_cycles, parts.0.total_cycles
+                    again.total_cycles, report.total_cycles
                 ),
             ));
         }
@@ -262,21 +255,23 @@ impl Fuzzer {
         if case.telemetry {
             let mut silent = sys;
             silent.machine.telemetry = TelemetryConfig::off();
-            let (off, _) = replay_audited_parallel(&raw, &meta, &silent, self.parallelism);
+            let off = replay_on(&silent, None);
             checks += 1;
-            if (&off.0, &off.1, off.2) != (&parts.0, &parts.1, parts.2) {
+            if (&off.engine, &off.mem, off.hot_count)
+                != (&report.engine, &report.mem, report.hot_count)
+            {
                 failures.push((
                     "telemetry-transparency".into(),
                     format!(
                         "telemetry perturbed the model: {} vs {} cycles",
-                        off.0.total_cycles, parts.0.total_cycles
+                        off.total_cycles, report.total_cycles
                     ),
                 ));
             }
         }
 
         // Oracle 4: merge undoes delta_since at every window prefix.
-        if let Some(t) = &parts.3 {
+        if let Some(t) = &report.telemetry {
             for split in 1..t.windows.len() {
                 let mut prefix = MemStats::default();
                 for w in &t.windows[..split] {
@@ -301,14 +296,14 @@ impl Fuzzer {
         // Oracle 5: a strictly slower DRAM never finishes the run earlier.
         let mut slow = sys;
         slow.machine.dram.latency *= 2;
-        let (slower, _) = replay_audited_parallel(&raw, &meta, &slow, self.parallelism);
+        let slower = replay_on(&slow, None);
         checks += 1;
-        if slower.0.total_cycles < parts.0.total_cycles {
+        if slower.total_cycles < report.total_cycles {
             failures.push((
                 "monotone-latency".into(),
                 format!(
                     "doubled DRAM latency finished earlier: {} vs {} cycles",
-                    slower.0.total_cycles, parts.0.total_cycles
+                    slower.total_cycles, report.total_cycles
                 ),
             ));
         }
@@ -321,33 +316,21 @@ impl Fuzzer {
         // and the baseline would have been collected obs-on anyway.
         if !obs::enabled() {
             obs::enable(true, true);
-            let (on, _) = replay_audited_parallel(&raw, &meta, &sys, self.parallelism);
+            let on = replay_on(&sys, None);
             let _ = obs::drain();
             checks += 1;
-            if on != parts {
+            if on != report {
                 failures.push((
                     "obs-transparency".into(),
                     format!(
                         "observability perturbed the model: {} vs {} cycles",
-                        on.0.total_cycles, parts.0.total_cycles
+                        on.total_cycles, report.total_cycles
                     ),
                 ));
             }
         }
 
         // Oracle 6: the store codec is lossless (warm == cold).
-        let report = RunReport {
-            algo: algo.name().to_string(),
-            machine: sys.label().to_string(),
-            checksum,
-            total_cycles: parts.0.total_cycles,
-            engine: parts.0,
-            mem: parts.1,
-            hot_count: parts.2,
-            n_vertices: meta.n_vertices,
-            n_arcs: meta.n_arcs,
-            telemetry: parts.3,
-        };
         checks += 1;
         let encoded = codec::report_to_json(&report).dump();
         match crate::json::Json::parse(&encoded)

@@ -5,8 +5,9 @@
 //! the microbench distributions (min / median / max ns-per-iter, see
 //! [`crate::microbench`]) plus wall-clock sweep measurements — notably the
 //! cold `figures all` sweep at `jobs=1` (the serial baseline) and
-//! `jobs=4`, so the parallel-replay speedup is recorded honestly in the
-//! same file. `stats bench-diff OLD NEW` renders the per-benchmark delta
+//! `jobs=4`, so the parallel-sweep speedup is recorded honestly in the
+//! same file, next to the host's CPU count without which the two cannot
+//! be read. `stats bench-diff OLD NEW` renders the per-benchmark delta
 //! table CI prints as the perf trajectory.
 
 use crate::json::Json;
@@ -23,7 +24,7 @@ pub struct SweepMeasurement {
     pub name: String,
     /// Dataset scale the sweep ran at.
     pub scale: String,
-    /// Worker-thread budget (`--jobs`) the sweep ran with.
+    /// How many experiments (`--jobs`) the sweep ran at once.
     pub jobs: usize,
     /// Wall-clock milliseconds.
     pub wall_ms: f64,
@@ -36,6 +37,10 @@ pub struct BenchReport {
     pub benchmarks: Vec<BenchResult>,
     /// Wall-clock sweep measurements.
     pub sweeps: Vec<SweepMeasurement>,
+    /// CPUs available to the run (`host.nproc`,
+    /// [`std::thread::available_parallelism`]); `None` for snapshots
+    /// written before the field existed.
+    pub nproc: Option<usize>,
 }
 
 impl BenchReport {
@@ -83,6 +88,11 @@ pub fn bench_report_to_json(report: &BenchReport) -> Json {
                 .collect(),
         ),
     );
+    if let Some(nproc) = report.nproc {
+        let mut host = Json::obj();
+        host.set("nproc", Json::Num(nproc as f64));
+        root.set("host", host);
+    }
     root.set(
         "sweeps",
         Json::Arr(
@@ -154,6 +164,12 @@ pub fn bench_report_from_json(j: &Json) -> Result<BenchReport, String> {
             wall_ms: field_f64(s, "wall_ms")?,
         });
     }
+    // Tolerant like `stddev_ns`: the committed baseline has no host block.
+    report.nproc = j
+        .get("host")
+        .and_then(|h| h.get("nproc"))
+        .and_then(Json::as_f64)
+        .map(|n| n as usize);
     Ok(report)
 }
 
@@ -310,6 +326,7 @@ mod tests {
                     wall_ms: 15_000.0,
                 },
             ],
+            nproc: Some(4),
         }
     }
 
@@ -319,6 +336,28 @@ mod tests {
         let text = bench_report_to_json(&r).dump();
         let parsed = bench_report_from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed, r);
+    }
+
+    #[test]
+    fn host_nproc_round_trips_through_json() {
+        let text = bench_report_to_json(&sample()).dump();
+        let j = Json::parse(&text).unwrap();
+        let host = j.get("host").expect("host block is written");
+        assert_eq!(host.get("nproc").and_then(Json::as_f64), Some(4.0));
+        assert_eq!(bench_report_from_json(&j).unwrap().nproc, Some(4));
+    }
+
+    #[test]
+    fn snapshots_without_a_host_block_parse_with_unknown_nproc() {
+        // The committed BENCH_sim.json predates the field.
+        let text =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json"))
+                .unwrap();
+        let old = bench_report_from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(old.nproc, None);
+        assert!(!old.benchmarks.is_empty());
+        // Writing it back out omits the block rather than inventing a count.
+        assert!(bench_report_to_json(&old).get("host").is_none());
     }
 
     #[test]

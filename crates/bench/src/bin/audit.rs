@@ -4,17 +4,13 @@
 //!
 //! ```text
 //! cargo run --release -p omega-bench --bin audit -- \
-//!     [--quick] [--seed N] [--cases N] [--jobs N] [--json] [--out PATH] \
+//!     [--quick] [--seed N] [--cases N] [--json] [--out PATH] \
 //!     [--profile] [--profile-out FILE] [--trace FILE]
 //! ```
 //!
 //! `--quick` trims the sweep to three workloads and the fuzzer to a
 //! handful of cases (CI's configuration; still covers all ten machine
 //! kinds). `--seed` fixes the fuzzer stream, `--cases` its length.
-//! `--jobs N` runs every replay — the machine sweep and all fuzzer
-//! oracles — through the staged parallel engine at that worker budget;
-//! the engine is bit-identical to serial, so every verdict must match the
-//! default `--jobs 1`.
 //! With `--json`, a machine-readable `omega-audit-report/v1` document goes
 //! to stdout; `--out PATH` additionally writes the same document to a file
 //! (the CI artifact) in every mode.
@@ -39,7 +35,6 @@ struct Options {
     json: bool,
     seed: u64,
     cases: Option<usize>,
-    jobs: usize,
     out: Option<String>,
     obs: ObsOptions,
 }
@@ -50,7 +45,6 @@ fn parse_args() -> Result<Options, String> {
         json: false,
         seed: 0xA0D17,
         cases: None,
-        jobs: 1,
         out: None,
         obs: ObsOptions::default(),
     };
@@ -73,14 +67,6 @@ fn parse_args() -> Result<Options, String> {
             "--cases" => {
                 let v = args.next().ok_or("--cases needs a value")?;
                 opts.cases = Some(v.parse().map_err(|e| format!("bad --cases `{v}`: {e}"))?);
-            }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                let n: usize = v.parse().map_err(|e| format!("bad --jobs `{v}`: {e}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                opts.jobs = n;
             }
             "--out" => opts.out = Some(args.next().ok_or("--out needs a value")?),
             other => return Err(format!("unknown argument `{other}`")),
@@ -179,7 +165,7 @@ fn main() -> ExitCode {
         if !algo.algo(&g).supports(&g) {
             continue;
         }
-        let mut runner = Runner::new(MACHINES[0].system()).parallelism(opts.jobs);
+        let mut runner = Runner::new(MACHINES[0].system());
         for m in &MACHINES[1..] {
             runner = runner.also(m.system());
         }
@@ -205,9 +191,7 @@ fn main() -> ExitCode {
 
     // 3. Seeded differential config fuzzing with metamorphic oracles.
     let cases = opts.cases.unwrap_or(if opts.quick { 6 } else { 24 });
-    let mut fuzzer = Fuzzer::new(opts.seed)
-        .verbose(!opts.json)
-        .parallelism(opts.jobs);
+    let mut fuzzer = Fuzzer::new(opts.seed).verbose(!opts.json);
     let fuzz = fuzzer.run(cases);
     checks.push(Check {
         name: format!("fuzz: {cases} cases, seed {:#x}", opts.seed),

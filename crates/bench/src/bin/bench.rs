@@ -11,10 +11,10 @@
 //! * the micro-benchmark distributions of the trace → lower → replay
 //!   pipeline (the same bodies as `cargo bench --bench simulation`, run
 //!   through [`omega_bench::microbench`] so min/median/max are retained),
-//! * the cold `figures all` sweep wall-clock at `jobs=1` (serial replay)
-//!   and `jobs=4` (parallel staging + prefetch pool), so the
-//!   parallel-replay speedup is recorded honestly next to the numbers it
-//!   came from. `--skip-sweep` drops this (seconds vs minutes); `--tiny`
+//! * the cold `figures all` sweep wall-clock at `jobs=1` and `jobs=4`
+//!   (that many experiments replayed at once by the prefetch pool), next
+//!   to the host's core count, so the speedup is recorded honestly next
+//!   to the numbers it came from. `--skip-sweep` drops this (seconds vs minutes); `--tiny`
 //!   shrinks the datasets for quick local runs.
 //!
 //! `stats bench-diff OLD NEW` compares two snapshots.
@@ -26,7 +26,7 @@ use omega_bench::ObsOptions;
 use omega_core::config::SystemConfig;
 use omega_core::layout::Layout;
 use omega_core::lower::{lower, Target};
-use omega_core::runner::{replay, replay_parallel, run, trace_algorithm, RunConfig};
+use omega_core::runner::{replay, trace_algorithm, Runner};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_ligra::algorithms::Algo;
 use omega_ligra::ExecConfig;
@@ -92,6 +92,7 @@ fn main() {
     let mut report = BenchReport {
         benchmarks: micro_benchmarks(),
         sweeps: Vec::new(),
+        nproc: std::thread::available_parallelism().ok().map(|n| n.get()),
     };
 
     if !skip_sweep {
@@ -143,9 +144,7 @@ fn scale_code(scale: DatasetScale) -> &'static str {
     }
 }
 
-/// The pipeline micro-benchmarks (same bodies as `benches/simulation.rs`),
-/// plus the staged-replay variant so serial-vs-staged per-iteration cost is
-/// tracked over time even on single-core runners.
+/// The pipeline micro-benchmarks (same bodies as `benches/simulation.rs`).
 fn micro_benchmarks() -> Vec<omega_bench::microbench::BenchResult> {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     let algo = Algo::PageRank { iters: 1 };
@@ -155,29 +154,21 @@ fn micro_benchmarks() -> Vec<omega_bench::microbench::BenchResult> {
     grp.bench_function("trace_collect", |b| {
         b.iter(|| black_box(trace_algorithm(&g, algo, &ExecConfig::default())))
     });
-    let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+    let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
     grp.bench_function("lower_baseline", |b| {
         let layout = Layout::new(&meta);
         b.iter(|| black_box(lower(&raw, &layout, Target::Baseline)))
     });
     grp.bench_function("replay_baseline", |b| {
-        b.iter(|| black_box(replay(&raw, &meta, &SystemConfig::mini_baseline())))
-    });
-    grp.bench_function("replay_baseline_staged2", |b| {
-        b.iter(|| {
-            black_box(replay_parallel(
-                &raw,
-                &meta,
-                &SystemConfig::mini_baseline(),
-                2,
-            ))
-        })
+        let sys = SystemConfig::mini_baseline();
+        b.iter(|| black_box(replay(algo.name(), checksum, &raw, &meta, &sys, None)))
     });
     grp.bench_function("replay_omega", |b| {
-        b.iter(|| black_box(replay(&raw, &meta, &SystemConfig::mini_omega())))
+        let sys = SystemConfig::mini_omega();
+        b.iter(|| black_box(replay(algo.name(), checksum, &raw, &meta, &sys, None)))
     });
     grp.bench_function("end_to_end_omega", |b| {
-        b.iter(|| black_box(run(&g, algo, &RunConfig::new(SystemConfig::mini_omega()))))
+        b.iter(|| black_box(Runner::new(SystemConfig::mini_omega()).run(&g, algo)))
     });
     grp.finish();
     c.take_results()

@@ -8,9 +8,8 @@
 //!      abl-reorder rivals channels all
 //! ```
 //!
-//! `--jobs N` caps the total worker-thread budget (default: all cores);
-//! the session splits it between whole-experiment prefetch workers and
-//! intra-replay staging threads without oversubscribing.
+//! `--jobs N` replays up to N experiments at once (default: all cores);
+//! each timing replay itself is serial.
 //!
 //! Each experiment prints the paper's reference value next to the measured
 //! one; EXPERIMENTS.md records a captured run.
@@ -35,7 +34,7 @@ use omega_bench::{ExperimentStore, ObsOptions, Table};
 use omega_core::analytic::{estimate, WorkloadProfile};
 use omega_core::config::SystemConfig;
 use omega_core::runner::{
-    functional_trace_count, run, timing_replay_count, trace_algorithm, ExecConfigSer, RunConfig,
+    functional_trace_count, replay, timing_replay_count, trace_algorithm, ExecConfigSer, Runner,
 };
 use omega_energy::{energy_breakdown, node_table};
 use omega_graph::datasets::{Dataset, DatasetScale};
@@ -1104,7 +1103,9 @@ fn abl_reorder(s: &mut Session, vc: &ValueCache) {
     let scale = s.scale();
     // Built lazily: a fully warm store never constructs the unordered graph.
     let g = std::cell::OnceCell::new();
-    let cfg = RunConfig::new(SystemConfig::mini_baseline());
+    let system = SystemConfig::mini_baseline();
+    let runner = Runner::new(system);
+    let exec = runner.resolved_exec();
     let mut t = Table::new([
         "ordering",
         "baseline cycles",
@@ -1128,13 +1129,13 @@ fn abl_reorder(s: &mut Session, vc: &ValueCache) {
         let (cycles, l2_hit) = vc.get_or(
             "abl-reorder",
             &format!("abl-reorder-{name}-{}", Dataset::Lj.code()),
-            Some(&cfg.exec),
+            Some(&exec),
             |h| {
                 h.write_str(Dataset::Lj.code());
                 h.write_str("unordered");
                 h.write_str(name);
                 h.write_str("PageRank");
-                cfg.system.canonicalize(h);
+                system.canonicalize(h);
             },
             |v| Some((ju_get(v, "cycles")?, jf_get(v, "l2_hit_rate")?)),
             || {
@@ -1142,7 +1143,7 @@ fn abl_reorder(s: &mut Session, vc: &ValueCache) {
                     g.get_or_init(|| Dataset::Lj.build_unordered(scale).expect("dataset builds"));
                 let perm = reorder::compute_permutation(g, ord);
                 let rg = reorder::apply(g, &perm).expect("permutation sized to graph");
-                let r = run(&rg, Algo::PageRank { iters: 1 }, &cfg);
+                let r = runner.run(&rg, Algo::PageRank { iters: 1 });
                 let mut o = Json::obj();
                 o.set("cycles", ju(r.total_cycles));
                 o.set("l2_hit_rate", jf(r.mem.l2.hit_rate()));
@@ -1216,24 +1217,25 @@ fn abl_slicing(s: &mut Session, vc: &ValueCache) {
     let system = SystemConfig::mini_omega().with_scratchpad_bytes(512);
     let slot = 9u64; // PageRank: 8-byte entry + flag byte
     let budget_entries = (512 * 16 / slot) as usize;
-    let cfg = RunConfig::new(system);
+    let runner = Runner::new(system);
+    let exec = runner.resolved_exec();
 
     let unsliced = vc.get_or(
         "abl-slicing",
         &format!("abl-slicing-unsliced-{}", Dataset::Uk.code()),
-        Some(&cfg.exec),
+        Some(&exec),
         |h| {
             h.write_str(Dataset::Uk.code());
             h.write_str("unsliced");
             h.write_str("PageRank");
-            cfg.system.canonicalize(h);
+            system.canonicalize(h);
         },
         |v| ju_get(v, "cycles"),
         || {
             let mut o = Json::obj();
             o.set(
                 "cycles",
-                ju(run(&g, Algo::PageRank { iters: 1 }, &cfg).total_cycles),
+                ju(runner.run(&g, Algo::PageRank { iters: 1 }).total_cycles),
             );
             o
         },
@@ -1250,13 +1252,13 @@ fn abl_slicing(s: &mut Session, vc: &ValueCache) {
         let (n_slices, total) = vc.get_or(
             "abl-slicing",
             &format!("abl-slicing-{name}-{}", Dataset::Uk.code()),
-            Some(&cfg.exec),
+            Some(&exec),
             |h| {
                 h.write_str(Dataset::Uk.code());
                 h.write_str(name);
                 h.write_str("PageRank");
                 h.write_usize(budget_entries);
-                cfg.system.canonicalize(h);
+                system.canonicalize(h);
             },
             |v| Some((ju_get(v, "slices")?, ju_get(v, "cycles")?)),
             || {
@@ -1287,7 +1289,7 @@ fn abl_slicing(s: &mut Session, vc: &ValueCache) {
                         .expect("block rotation is a bijection");
                     let rg =
                         omega_graph::reorder::apply(&slice.graph, &perm).expect("sized to graph");
-                    let r = run(&rg, Algo::PageRank { iters: 1 }, &cfg);
+                    let r = runner.run(&rg, Algo::PageRank { iters: 1 });
                     total += r.total_cycles;
                 }
                 let mut o = Json::obj();
@@ -1317,7 +1319,6 @@ fn abl_graphmat(s: &mut Session, vc: &ValueCache) {
         "abl-graphmat",
         "§V.F framework independence: Ligra vs GraphMat-style PageRank",
     );
-    use omega_core::runner::replay;
     use omega_ligra::trace::CollectingTracer;
     use omega_ligra::{graphmat, Ctx};
     let g = s.graph(Dataset::Lj).clone();
@@ -1357,12 +1358,14 @@ fn abl_graphmat(s: &mut Session, vc: &ValueCache) {
             graphmat::pagerank_graphmat(&g, &mut ctx, 1);
             let meta = ctx.meta_for(g.num_vertices() as u64, g.num_arcs(), g.is_weighted());
             let raw = tracer.finish();
-            let (gm_base, _, _, _) = replay(&raw, &meta, &SystemConfig::mini_baseline());
-            let (gm_omega, gm_stats, _, _) = replay(&raw, &meta, &SystemConfig::mini_omega());
+            // GraphMat's scores are not compared here, so no checksum is passed.
+            let replay_on = |sys: SystemConfig| replay("pagerank", 0.0, &raw, &meta, &sys, None);
+            let gm_base = replay_on(SystemConfig::mini_baseline());
+            let gm_omega = replay_on(SystemConfig::mini_omega());
             let mut o = Json::obj();
             o.set("base_cycles", ju(gm_base.total_cycles));
             o.set("omega_cycles", ju(gm_omega.total_cycles));
-            o.set("pisc_ops", ju(gm_stats.scratchpad.pisc_ops));
+            o.set("pisc_ops", ju(gm_omega.mem.scratchpad.pisc_ops));
             o
         },
     );
@@ -1489,7 +1492,6 @@ fn channels(s: &mut Session, vc: &ValueCache) {
         "channels",
         "§IX DRAM channel scaling, PageRank on lj (Green et al.: MLP vs compute placement)",
     );
-    use omega_core::runner::replay;
     const CHANNELS: [usize; 4] = [1, 2, 4, 8];
     let systems = |ch: usize| {
         let mut out = [
@@ -1528,11 +1530,11 @@ fn channels(s: &mut Session, vc: &ValueCache) {
         },
         || {
             let algo = AlgoKey::PageRank.algo(&g);
-            let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+            let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
             let mut o = Json::obj();
             for ch in CHANNELS {
                 for (label, sys) in systems(ch) {
-                    let (report, _, _, _) = replay(&raw, &meta, &sys);
+                    let report = replay(algo.name(), checksum, &raw, &meta, &sys, None);
                     o.set(format!("{label}-{ch}").as_str(), ju(report.total_cycles));
                 }
             }

@@ -35,7 +35,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage:
   stats dump [--dataset CODE] [--algo NAME] [--machine KIND] \
-[--scale tiny|small|medium] [--window N] [--store PATH] [--jobs N] [--out PATH] \
+[--scale tiny|small|medium] [--window N] [--store PATH] [--out PATH] \
 [--profile] [--profile-out FILE] [--trace FILE]
   stats diff A.json B.json
   stats bench-diff OLD.json NEW.json [--fail-on-regress PCT]
@@ -50,7 +50,6 @@ const USAGE: &str = "usage:
 dump defaults: --dataset sd --algo pagerank --machine baseline \
 --scale tiny --window 65536 (stdout)
 dump --store reuses/persists the run in a content-addressed store
-dump --jobs caps the replay worker threads (default: all cores)
 dump --profile/--profile-out/--trace enable host self-profiling (stderr/files)
 machines: baseline, omega, omega-nopisc, omega-nosvb, omega-chunkmis, \
 omega-offchip, locked-cache, omega-spNNN
@@ -69,7 +68,6 @@ fn dump(args: &[String]) -> ExitCode {
     let mut window = TelemetryConfig::DEFAULT_WINDOW;
     let mut out: Option<String> = None;
     let mut store_path: Option<String> = None;
-    let mut jobs: Option<usize> = None;
     let mut obs = ObsOptions::default();
     let mut it = args.iter().cloned();
     while let Some(flag) = it.next() {
@@ -104,10 +102,6 @@ fn dump(args: &[String]) -> ExitCode {
             },
             "--out" => out = Some(value.clone()),
             "--store" => store_path = Some(value.clone()),
-            "--jobs" => match value.parse::<usize>() {
-                Ok(n) if n > 0 => jobs = Some(n),
-                _ => return usage_error(&format!("bad jobs {value:?}")),
-            },
             _ => return usage_error(&format!("unknown flag {flag:?}")),
         }
     }
@@ -115,9 +109,6 @@ fn dump(args: &[String]) -> ExitCode {
     let mut session = Session::new(scale)
         .verbose(false)
         .telemetry(TelemetryConfig::windowed(window));
-    if let Some(n) = jobs {
-        session = session.jobs(n);
-    }
     if let Some(path) = &store_path {
         session = match session.with_store(path) {
             Ok(s) => s,
@@ -383,10 +374,12 @@ fn bench_diff(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("perf trajectory: {path_old} -> {path_new}\n");
+    let nproc = |r: &omega_bench::BenchReport| r.nproc.map_or("unknown".into(), |n| n.to_string());
+    println!("perf trajectory: {path_old} -> {path_new}");
+    println!("host nproc: {} -> {}\n", nproc(&old), nproc(&new));
     println!("{}", bench_delta_table(&old, &new).render());
     if let Some(s) = new.sweep_speedup("figures_all_cold", 4) {
-        println!("parallel replay speedup at 4 jobs (new snapshot): {s:.2}x");
+        println!("parallel sweep speedup at 4 jobs (new snapshot): {s:.2}x");
     }
     if let Some(threshold) = fail_on {
         let regressions = sweep_regressions(&old, &new, threshold);

@@ -206,7 +206,7 @@ pub fn run_report_to_json(r: &RunReport, system: &SystemConfig) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omega_core::runner::{run, RunConfig};
+    use omega_core::runner::Runner;
     use omega_graph::datasets::{Dataset, DatasetScale};
     use omega_ligra::algorithms::Algo;
     use omega_sim::telemetry::TelemetryConfig;
@@ -217,7 +217,7 @@ mod tests {
         if telemetry {
             system.machine.telemetry = TelemetryConfig::windowed(4096);
         }
-        let r = run(&g, Algo::PageRank { iters: 1 }, &RunConfig::new(system));
+        let r = Runner::new(system).run(&g, Algo::PageRank { iters: 1 });
         (r, system)
     }
 

@@ -2,7 +2,7 @@
 
 use crate::store::ExperimentStore;
 use omega_core::config::{OffchipExtensions, OmegaConfig, SystemConfig};
-use omega_core::runner::{replay_report_parallel, trace_algorithm, RunConfig, RunReport, Runner};
+use omega_core::runner::{replay, trace_algorithm, RunReport, Runner};
 use omega_core::OmegaError;
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::CsrGraph;
@@ -375,13 +375,13 @@ impl ExperimentSpec {
     /// resolved [`SystemConfig`] and execution configuration, so any
     /// machine-parameter change invalidates the cached entry.
     pub fn fingerprint(&self, scale: DatasetScale, telemetry: TelemetryConfig) -> u64 {
-        let cfg = RunConfig::new(Session::system_for(telemetry, self.machine));
+        let system = Session::system_for(telemetry, self.machine);
         crate::store::run_fingerprint(
             self.dataset.code(),
             scale.code(),
             self.algo.name(),
-            &cfg.system,
-            &cfg.exec,
+            &system,
+            &Runner::new(system).resolved_exec(),
         )
     }
 }
@@ -542,16 +542,15 @@ impl Session {
         }
     }
 
-    /// Caps the total worker-thread budget (the `--jobs N` flag). The
-    /// default is [`std::thread::available_parallelism`]. The budget is
-    /// split between whole-experiment workers and intra-replay staging
-    /// threads — see [`Session::prefetch`] — and never oversubscribed.
+    /// Caps how many experiments [`Session::prefetch`] replays at once (the
+    /// `--jobs N` flag). The default is
+    /// [`std::thread::available_parallelism`]. Each replay is serial.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = Some(jobs.max(1));
         self
     }
 
-    /// The effective worker-thread budget: the [`Session::jobs`] override,
+    /// The effective prefetch worker count: the [`Session::jobs`] override,
     /// or [`std::thread::available_parallelism`].
     pub fn effective_jobs(&self) -> usize {
         self.jobs.unwrap_or_else(|| {
@@ -671,17 +670,12 @@ impl Session {
     /// experiments are grouped by `(dataset, algo)`: the functional
     /// (tracing) phase runs **once** per group and every requested
     /// [`MachineKind`] replays the shared trace through the streaming
-    /// lowering path. The [`Session::jobs`] budget is split without
-    /// oversubscription: `min(jobs, groups)` whole-experiment workers run
-    /// concurrently, and any leftover budget (`jobs / workers`, at least 1)
-    /// becomes intra-replay staging parallelism
-    /// ([`omega_core::runner::replay_report_parallel`]) inside each worker
-    /// — so `--jobs 4` over one group stages each replay across 4 threads,
-    /// while over many groups it runs 4 serial replays side by side.
-    /// Simulations are deterministic and independent, and the staged
-    /// engine is bit-identical to the serial one, so parallel execution
-    /// changes nothing but wall-clock time. Fresh results are persisted
-    /// from the worker threads (the store is `Sync`; writes are atomic).
+    /// lowering path. `min(jobs, groups)` workers (see [`Session::jobs`])
+    /// take groups in turn, and each replays its group's machines serially
+    /// with [`omega_core::runner::replay`]. Simulations are deterministic
+    /// and independent, so parallel execution changes nothing but
+    /// wall-clock time. Fresh results are persisted from the worker
+    /// threads (the store is `Sync`; writes are atomic).
     pub fn prefetch<S: Into<ExperimentSpec> + Copy>(&mut self, work: &[S]) -> PrefetchReport {
         let _span = obs::span("session.prefetch");
         let candidates: Vec<ExperimentSpec> = {
@@ -723,9 +717,7 @@ impl Session {
         let telemetry = self.telemetry;
         let scale = self.scale;
         let store = self.store.as_ref();
-        let jobs = self.effective_jobs();
-        let workers = jobs.min(groups.len()).max(1);
-        let staging = (jobs / workers).max(1);
+        let workers = self.effective_jobs().min(groups.len()).max(1);
         let next_group = AtomicUsize::new(0);
         let results: Mutex<Vec<KeyedReport>> = Mutex::new(Vec::with_capacity(pending.len()));
         std::thread::scope(|scope| {
@@ -761,13 +753,13 @@ impl Session {
                         if verbose {
                             eprintln!("  [replay] {} on {} ({})", a.name(), d.code(), m.label());
                         }
-                        let report = replay_report_parallel(
+                        let report = replay(
                             algo.name(),
                             checksum,
                             &raw,
                             &meta,
                             &Self::system_for(telemetry, m),
-                            staging,
+                            None,
                         );
                         let spec = ExperimentSpec::new(*d, *a, m);
                         Self::persist(store, scale, telemetry, spec, &report);
@@ -816,9 +808,7 @@ impl Session {
                     g.num_arcs()
                 );
             }
-            let report = Runner::new(Self::system_for(self.telemetry, spec.machine))
-                .parallelism(self.effective_jobs())
-                .run(&g, algo);
+            let report = Runner::new(Self::system_for(self.telemetry, spec.machine)).run(&g, algo);
             Self::persist(
                 self.store.as_ref(),
                 self.scale,

@@ -11,7 +11,7 @@
 use omega_bench::report_json::run_report_to_json;
 use omega_bench::session::{AlgoKey, MachineKind, Session};
 use omega_bench::{check_chrome_trace, chrome_trace_to_json, Json};
-use omega_core::runner::{replay_report_parallel, trace_algorithm};
+use omega_core::runner::{replay, trace_algorithm};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_ligra::ExecConfig;
 use omega_sim::obs;
@@ -34,7 +34,7 @@ fn replay_once() -> omega_core::runner::RunReport {
     };
     let algo = AlgoKey::PageRank.algo(&g);
     let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec);
-    replay_report_parallel("pagerank", checksum, &raw, &meta, &sys, 1)
+    replay("pagerank", checksum, &raw, &meta, &sys, None)
 }
 
 #[test]

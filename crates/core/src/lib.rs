@@ -43,14 +43,14 @@
 //!
 //! ```
 //! use omega_core::config::SystemConfig;
-//! use omega_core::runner::{run, RunConfig};
+//! use omega_core::runner::Runner;
 //! use omega_graph::datasets::{Dataset, DatasetScale};
 //! use omega_ligra::algorithms::Algo;
 //!
 //! let g = Dataset::Sd.build(DatasetScale::Tiny)?;
 //! let algo = Algo::PageRank { iters: 1 };
-//! let base = run(&g, algo, &RunConfig::new(SystemConfig::mini_baseline()));
-//! let omega = run(&g, algo, &RunConfig::new(SystemConfig::mini_omega()));
+//! let base = Runner::new(SystemConfig::mini_baseline()).run(&g, algo);
+//! let omega = Runner::new(SystemConfig::mini_omega()).run(&g, algo);
 //! // Same computation on both machines...
 //! assert_eq!(base.checksum, omega.checksum);
 //! // ...and OMEGA does not run slower on a natural graph.
@@ -79,4 +79,4 @@ pub use config::{MemoryModel, OmegaConfig, PimRankConfig, PinOrder, SystemConfig
 pub use error::OmegaError;
 pub use machine::OmegaMemory;
 pub use pim::PimRankMemory;
-pub use runner::{run, RunConfig, RunReport};
+pub use runner::{replay, RunReport, Runner};

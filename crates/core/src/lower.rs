@@ -11,7 +11,7 @@
 
 use crate::layout::Layout;
 use omega_ligra::trace::{RawTrace, TraceEvent};
-use omega_sim::{AccessKind, CoreOp, CoreStream, MemAccess, OpSource, Trace};
+use omega_sim::{AccessKind, CoreOp, MemAccess, OpSource, Trace};
 
 /// Which machine the trace is being lowered for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,8 +74,7 @@ impl<'a> LoweringStream<'a> {
 }
 
 /// Lowers one event against one core's cursor; `None` means the event is
-/// absorbed on this target. Shared by the multi-core [`LoweringStream`]
-/// and the per-core [`CoreLoweringStream`], so the two paths cannot drift.
+/// absorbed on this target.
 fn lower_event(
     layout: &Layout,
     target: Target,
@@ -191,52 +190,6 @@ pub fn lower(raw: &RawTrace, layout: &Layout, target: Target) -> Vec<Trace> {
     (0..stream.n_cores())
         .map(|core| std::iter::from_fn(|| stream.next(core)).collect())
         .collect()
-}
-
-/// One core's lowering stream, detachable onto a staging worker thread.
-///
-/// The same lazy lowering as [`LoweringStream`], restricted to a single
-/// core so a set of them (from [`CoreLoweringStream::split`]) can be
-/// distributed across threads: each stream owns only its core's cursor and
-/// reads the shared trace and layout immutably. Both paths lower through
-/// the same `lower_event`, so the op sequence per core is identical to the
-/// serial stream's by construction.
-#[derive(Debug)]
-pub struct CoreLoweringStream<'a> {
-    raw: &'a RawTrace,
-    layout: &'a Layout,
-    target: Target,
-    core: usize,
-    cursor: CoreCursor,
-}
-
-impl<'a> CoreLoweringStream<'a> {
-    /// Splits `raw` into one independent stream per core.
-    pub fn split(raw: &'a RawTrace, layout: &'a Layout, target: Target) -> Vec<Self> {
-        (0..raw.n_cores())
-            .map(|core| CoreLoweringStream {
-                raw,
-                layout,
-                target,
-                core,
-                cursor: CoreCursor::default(),
-            })
-            .collect()
-    }
-}
-
-impl CoreStream for CoreLoweringStream<'_> {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        loop {
-            let ev = self.raw.event(self.core, self.cursor.pos)?;
-            self.cursor.pos += 1;
-            if let Some(op) = lower_event(self.layout, self.target, self.core, &mut self.cursor, ev)
-            {
-                return Some(op);
-            }
-            // Absorbed event (free on this target): keep scanning.
-        }
-    }
 }
 
 #[cfg(test)]

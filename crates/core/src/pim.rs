@@ -13,10 +13,7 @@
 //!
 //! The substrate is the unmodified baseline CMP (full-size L2, no
 //! scratchpad, no PISC): plain reads/writes and unmonitored traffic are
-//! untouched. All rank-engine and DRAM state is **globally-ordered
-//! contention state** in the parallel-replay discipline — it is only
-//! touched from the timing loop, so the staged engine stays bit-identical
-//! at any worker count.
+//! untouched.
 
 use crate::config::{MemoryModel, PimRankConfig, SystemConfig};
 use crate::layout::Layout;

@@ -7,14 +7,15 @@
 //! and replays it cycle-accurately, returning a [`RunReport`] per machine
 //! with the functional checksum (identical across machines — the
 //! architecture must not change results) and all timing/memory statistics.
-//! The free functions [`run`] and [`run_pair`] remain as thin wrappers over
-//! the builder.
+//! The free function [`replay`] is the one replay path underneath: it
+//! replays an already-collected trace on one machine, serially, and is what
+//! the builder and the benchmark session's grouped prefetch call.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::config::{MemoryModel, SystemConfig};
 use crate::layout::Layout;
-use crate::lower::{CoreLoweringStream, LoweringStream, Target};
+use crate::lower::{LoweringStream, Target};
 use crate::machine::OmegaMemory;
 use crate::pim::PimRankMemory;
 use crate::pinned::pinned_hierarchy;
@@ -29,15 +30,6 @@ use omega_sim::obs;
 use omega_sim::stats::MemStats;
 use omega_sim::telemetry::{TelemetryConfig, TelemetryReport};
 use omega_sim::{engine, AccessOutcome, Cycle, EngineReport, MemAccess, MemorySystem};
-
-/// Everything needed to execute one run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunConfig {
-    /// The machine (baseline or OMEGA).
-    pub system: SystemConfig,
-    /// Framework execution parameters (cores, chunking, compute weights).
-    pub exec: ExecConfigSer,
-}
 
 /// Serialisable mirror of [`ExecConfig`] (which lives in `omega-ligra` and
 /// stays serde-free).
@@ -85,29 +77,6 @@ impl Canonicalize for ExecConfigSer {
     }
 }
 
-impl RunConfig {
-    /// A run configuration with framework defaults, matched to the
-    /// machine's core count.
-    pub fn new(system: SystemConfig) -> Self {
-        let exec = ExecConfig {
-            n_cores: system.machine.core.n_cores,
-            ..ExecConfig::default()
-        };
-        RunConfig {
-            system,
-            exec: exec.into(),
-        }
-    }
-
-    /// Overrides the framework's OpenMP-style chunk size (the §V.D chunk
-    /// ablation changes only the scratchpad mapping side, this changes the
-    /// scheduling side).
-    pub fn with_chunk_size(mut self, chunk: usize) -> Self {
-        self.exec.chunk_size = chunk;
-        self
-    }
-}
-
 /// Builder over the trace/replay pipeline: one functional trace, replayed
 /// on one or more machines.
 ///
@@ -130,7 +99,6 @@ pub struct Runner {
     chunk_size: Option<usize>,
     telemetry: Option<TelemetryConfig>,
     audit: bool,
-    parallelism: usize,
 }
 
 impl Runner {
@@ -144,19 +112,7 @@ impl Runner {
             chunk_size: None,
             telemetry: None,
             audit: false,
-            parallelism: 1,
         }
-    }
-
-    /// Degree of intra-replay parallelism. `1` (the default) is the exact
-    /// serial engine; `n >= 2` stages the per-core lowering on `n - 1`
-    /// worker threads while the timing loop runs on the calling thread
-    /// (`n` threads total), with bit-identical results — see
-    /// [`omega_sim::engine`]'s staged-replay docs. Values are clamped to
-    /// at least 1.
-    pub fn parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n.max(1);
-        self
     }
 
     /// Adds another machine replaying the same functional trace. All
@@ -255,9 +211,7 @@ impl Runner {
         let (checksum, raw, meta) = trace_algorithm(g, algo, &exec);
         self.resolved_systems()
             .iter()
-            .map(|sys| {
-                replay_report_parallel(algo.name(), checksum, &raw, &meta, sys, self.parallelism)
-            })
+            .map(|sys| replay(algo.name(), checksum, &raw, &meta, sys, None))
             .collect()
     }
 
@@ -270,11 +224,9 @@ impl Runner {
         self.resolved_systems()
             .iter()
             .map(|sys| {
-                let (parts, audit) = replay_audited_parallel(&raw, &meta, sys, self.parallelism);
-                (
-                    report_from_parts(algo.name(), checksum, &meta, sys, parts),
-                    audit,
-                )
+                let mut audit = AuditReport::new();
+                let report = replay(algo.name(), checksum, &raw, &meta, sys, Some(&mut audit));
+                (report, audit)
             })
             .collect()
     }
@@ -363,75 +315,29 @@ pub fn trace_algorithm(g: &CsrGraph, algo: Algo, exec: &ExecConfig) -> (f64, Raw
     (output.checksum(), tracer.finish(), meta)
 }
 
-/// Replays an already-collected trace on a machine. Used directly by the
-/// harness to reuse one functional run across many machine configurations.
+/// Replays an already-collected trace of `algo` (functional result
+/// `checksum`) on `system` and builds its [`RunReport`]. This is the one
+/// replay path: [`Runner`], the benchmark session's grouped prefetch and
+/// the service all reuse one functional run across many machines through
+/// it.
 ///
 /// The trace is lowered lazily through a [`LoweringStream`] as the engine
-/// pulls operations — no materialised `Vec<Trace>` is ever allocated.
+/// pulls operations, so no materialised `Vec<Trace>` is ever allocated,
+/// and the timing loop runs serially on the calling thread.
+///
+/// With `audit` set, the model-conservation audit runs alongside: the
+/// machine's internal ledgers are checked after the replay (before
+/// telemetry is consumed), then the engine report and telemetry are
+/// cross-checked against the memory stats. Violations are collected into
+/// `audit`, not panicked on.
 pub fn replay(
+    algo: &str,
+    checksum: f64,
     raw: &RawTrace,
     meta: &TraceMeta,
     system: &SystemConfig,
-) -> (EngineReport, MemStats, u32, Option<TelemetryReport>) {
-    replay_impl(raw, meta, system, None, 1)
-}
-
-/// Like [`replay`], with intra-replay staging parallelism: `parallelism
-/// >= 2` lowers the per-core streams on `parallelism - 1` worker threads
-/// while the timing loop runs on the calling thread. Results are
-/// bit-identical to [`replay`] for every `parallelism` value.
-pub fn replay_parallel(
-    raw: &RawTrace,
-    meta: &TraceMeta,
-    system: &SystemConfig,
-    parallelism: usize,
-) -> (EngineReport, MemStats, u32, Option<TelemetryReport>) {
-    replay_impl(raw, meta, system, None, parallelism)
-}
-
-/// Like [`replay`], but runs the model-conservation audit alongside: each
-/// machine's internal ledgers are checked after the replay (before telemetry
-/// is consumed), then the engine report and telemetry are cross-checked
-/// against the memory stats. Violations are collected, not panicked on.
-pub fn replay_audited(
-    raw: &RawTrace,
-    meta: &TraceMeta,
-    system: &SystemConfig,
-) -> (
-    (EngineReport, MemStats, u32, Option<TelemetryReport>),
-    AuditReport,
-) {
-    replay_audited_parallel(raw, meta, system, 1)
-}
-
-/// Like [`replay_audited`], with intra-replay staging parallelism (see
-/// [`replay_parallel`]). The audit runs on the merged state exactly as in
-/// the serial path.
-pub fn replay_audited_parallel(
-    raw: &RawTrace,
-    meta: &TraceMeta,
-    system: &SystemConfig,
-    parallelism: usize,
-) -> (
-    (EngineReport, MemStats, u32, Option<TelemetryReport>),
-    AuditReport,
-) {
-    let mut report = AuditReport::new();
-    let parts = replay_impl(raw, meta, system, Some(&mut report), parallelism);
-    audit::check_engine(&parts.0, &mut report);
-    if let Some(telemetry) = &parts.3 {
-        audit::check_telemetry(&parts.1, telemetry, &mut report);
-    }
-    (parts, report)
-}
-
-fn replay_impl(
-    raw: &RawTrace,
-    meta: &TraceMeta,
-    system: &SystemConfig,
-    audit: Option<&mut AuditReport>,
-    parallelism: usize,
-) -> (EngineReport, MemStats, u32, Option<TelemetryReport>) {
+    mut audit: Option<&mut AuditReport>,
+) -> RunReport {
     let _span = obs::span("runner.replay");
     // In trace mode, scope a simulated session so the memory models built
     // below capture their cycle-domain intervals under this machine's
@@ -447,26 +353,47 @@ fn replay_impl(
         _ => None,
     };
     let target = hot_count.map_or(Target::Baseline, |hot_count| Target::Omega { hot_count });
-    // `parallelism == 1` is the exact serial engine (a multi-core
-    // `LoweringStream` pulled inline by `run_source`); `>= 2` stages the
-    // same lowering on `parallelism - 1` worker threads. Both paths feed
-    // identical per-core op sequences into the identical timing loop.
-    let report = if parallelism >= 2 {
-        let streams = CoreLoweringStream::split(raw, &layout, target);
-        engine::run_staged(streams, &mut mem, &system.machine, parallelism - 1)
-    } else {
-        let mut stream = LoweringStream::new(raw, &layout, target);
-        engine::run_source(&mut stream, &mut mem, &system.machine)
-    };
-    if let Some(out) = audit {
+    let mut stream = LoweringStream::new(raw, &layout, target);
+    let engine_report = engine::run_source(&mut stream, &mut mem, &system.machine);
+    if let Some(out) = audit.as_deref_mut() {
         mem.audit_into(out);
     }
-    (
-        report,
-        mem.stats(),
-        hot_count.unwrap_or(0),
-        mem.take_telemetry(),
-    )
+    let stats = mem.stats();
+    let telemetry = mem.take_telemetry();
+    if let Some(out) = audit {
+        audit::check_engine(&engine_report, out);
+        if let Some(telemetry) = &telemetry {
+            audit::check_telemetry(&stats, telemetry, out);
+        }
+    }
+    RunReport {
+        algo: algo.to_string(),
+        machine: system.label().to_string(),
+        checksum,
+        total_cycles: engine_report.total_cycles,
+        engine: engine_report,
+        mem: stats,
+        hot_count: hot_count.unwrap_or(0),
+        n_vertices: meta.n_vertices,
+        n_arcs: meta.n_arcs,
+        telemetry,
+    }
+}
+
+/// Compatibility shim for the `omegabench` ledger, which calls
+/// `replay_parallel(&raw, &meta, &sys, 1)` and destructures the tuple. It
+/// is one call to [`replay`]; `parallelism` never changed a result and is
+/// ignored. It goes when a benchmark change moves `omegabench` to
+/// [`replay`].
+#[doc(hidden)]
+pub fn replay_parallel(
+    raw: &RawTrace,
+    meta: &TraceMeta,
+    system: &SystemConfig,
+    _parallelism: usize,
+) -> (EngineReport, MemStats, u32, Option<TelemetryReport>) {
+    let r = replay("", 0.0, raw, meta, system, None);
+    (r.engine, r.mem, r.hot_count, r.telemetry)
 }
 
 /// The memory system a [`SystemConfig`] replays on: one variant per
@@ -538,80 +465,6 @@ impl MemorySystem for Memory {
     }
 }
 
-/// Builds a full [`RunReport`] by replaying an already-collected functional
-/// trace on `system` — the shared-trace path behind [`run`], [`run_pair`],
-/// and the benchmark session's grouped prefetch.
-pub fn replay_report(
-    algo_name: &str,
-    checksum: f64,
-    raw: &RawTrace,
-    meta: &TraceMeta,
-    system: &SystemConfig,
-) -> RunReport {
-    replay_report_parallel(algo_name, checksum, raw, meta, system, 1)
-}
-
-/// Like [`replay_report`], with intra-replay staging parallelism (see
-/// [`replay_parallel`]); the report is bit-identical for every
-/// `parallelism` value.
-pub fn replay_report_parallel(
-    algo_name: &str,
-    checksum: f64,
-    raw: &RawTrace,
-    meta: &TraceMeta,
-    system: &SystemConfig,
-    parallelism: usize,
-) -> RunReport {
-    let parts = replay_parallel(raw, meta, system, parallelism);
-    report_from_parts(algo_name, checksum, meta, system, parts)
-}
-
-fn report_from_parts(
-    algo_name: &str,
-    checksum: f64,
-    meta: &TraceMeta,
-    system: &SystemConfig,
-    (engine_report, mem, hot, telemetry): (EngineReport, MemStats, u32, Option<TelemetryReport>),
-) -> RunReport {
-    RunReport {
-        algo: algo_name.to_string(),
-        machine: system.label().to_string(),
-        checksum,
-        total_cycles: engine_report.total_cycles,
-        engine: engine_report,
-        mem,
-        hot_count: hot,
-        n_vertices: meta.n_vertices,
-        n_arcs: meta.n_arcs,
-        telemetry,
-    }
-}
-
-/// Runs `algo` on `g` under `cfg` end to end.
-///
-/// Thin wrapper kept for call-site compatibility; prefer
-/// `Runner::new(cfg.system).exec(cfg.exec).run(g, algo)`.
-pub fn run(g: &CsrGraph, algo: Algo, cfg: &RunConfig) -> RunReport {
-    Runner::new(cfg.system).exec(cfg.exec).run(g, algo)
-}
-
-/// Convenience: runs `algo` on both the baseline and the OMEGA machine
-/// (sharing one functional trace) and returns `(baseline, omega)`.
-///
-/// Thin wrapper kept for call-site compatibility; prefer
-/// `Runner::new(*baseline).also(*omega).run_many(g, algo)`.
-pub fn run_pair(
-    g: &CsrGraph,
-    algo: Algo,
-    baseline: &SystemConfig,
-    omega: &SystemConfig,
-) -> (RunReport, RunReport) {
-    let mut reports = Runner::new(*baseline).also(*omega).run_many(g, algo);
-    let o = reports.pop().expect("two machines yield two reports");
-    let b = reports.pop().expect("two machines yield two reports");
-    (b, o)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,12 +475,11 @@ mod tests {
     fn baseline_and_omega_compute_identical_results() {
         let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
         let algo = Algo::PageRank { iters: 1 };
-        let (base, omega) = run_pair(
-            &g,
-            algo,
-            &SystemConfig::mini_baseline(),
-            &SystemConfig::mini_omega(),
-        );
+        let [base, omega]: [RunReport; 2] = Runner::new(SystemConfig::mini_baseline())
+            .also(SystemConfig::mini_omega())
+            .run_many(&g, algo)
+            .try_into()
+            .unwrap();
         assert_eq!(base.checksum, omega.checksum);
         assert!(base.total_cycles > 0);
         assert!(omega.total_cycles > 0);
@@ -637,12 +489,11 @@ mod tests {
     fn omega_speeds_up_pagerank_on_a_natural_graph() {
         let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
         let algo = Algo::PageRank { iters: 1 };
-        let (base, omega) = run_pair(
-            &g,
-            algo,
-            &SystemConfig::mini_baseline(),
-            &SystemConfig::mini_omega(),
-        );
+        let [base, omega]: [RunReport; 2] = Runner::new(SystemConfig::mini_baseline())
+            .also(SystemConfig::mini_omega())
+            .run_many(&g, algo)
+            .try_into()
+            .unwrap();
         let speedup = omega.speedup_over(&base);
         assert!(speedup > 1.2, "expected a clear win, got {speedup:.2}x");
     }
@@ -651,12 +502,11 @@ mod tests {
     fn omega_uses_scratchpads_baseline_does_not() {
         let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
         let algo = Algo::Bfs { root: 0 }.with_default_root(&g);
-        let (base, omega) = run_pair(
-            &g,
-            algo,
-            &SystemConfig::mini_baseline(),
-            &SystemConfig::mini_omega(),
-        );
+        let [base, omega]: [RunReport; 2] = Runner::new(SystemConfig::mini_baseline())
+            .also(SystemConfig::mini_omega())
+            .run_many(&g, algo)
+            .try_into()
+            .unwrap();
         assert_eq!(base.mem.scratchpad.accesses(), 0);
         assert!(omega.mem.scratchpad.accesses() > 0);
         assert_eq!(base.hot_count, 0);
@@ -666,31 +516,25 @@ mod tests {
     #[test]
     fn reports_are_deterministic() {
         let g = Dataset::Ap.build(DatasetScale::Tiny).unwrap();
-        let cfg = RunConfig::new(SystemConfig::mini_omega());
-        let a = run(&g, Algo::Cc, &cfg);
-        let b = run(&g, Algo::Cc, &cfg);
+        let runner = Runner::new(SystemConfig::mini_omega());
+        let a = runner.run(&g, Algo::Cc);
+        let b = runner.run(&g, Algo::Cc);
         assert_eq!(a, b);
     }
 
     #[test]
-    fn builder_matches_the_free_functions() {
+    fn builder_matches_the_free_replay() {
         let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
         let algo = Algo::PageRank { iters: 1 };
-        let cfg = RunConfig::new(SystemConfig::mini_omega());
-        assert_eq!(
-            Runner::new(cfg.system).exec(cfg.exec).run(&g, algo),
-            run(&g, algo, &cfg)
-        );
-        let (b, o) = run_pair(
-            &g,
-            algo,
-            &SystemConfig::mini_baseline(),
-            &SystemConfig::mini_omega(),
-        );
-        let many = Runner::new(SystemConfig::mini_baseline())
-            .also(SystemConfig::mini_omega())
-            .run_many(&g, algo);
-        assert_eq!(many, vec![b, o]);
+        let runner = Runner::new(SystemConfig::mini_baseline()).also(SystemConfig::mini_omega());
+        let exec: ExecConfig = runner.resolved_exec().into();
+        let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec);
+        let free: Vec<RunReport> = runner
+            .resolved_systems()
+            .iter()
+            .map(|sys| replay(algo.name(), checksum, &raw, &meta, sys, None))
+            .collect();
+        assert_eq!(runner.run_many(&g, algo), free);
     }
 
     #[test]
@@ -776,9 +620,20 @@ mod tests {
                     },
                 )
             };
-            let ((_, stats, _, _), offchip) =
-                replay_audited(&raw, &meta, &machine(OffchipExtensions::all()));
-            let (_, standard) = replay_audited(&raw, &meta, &machine(OffchipExtensions::default()));
+            let audited = |ext| {
+                let mut audit = AuditReport::new();
+                let report = replay(
+                    "pagerank",
+                    0.0,
+                    &raw,
+                    &meta,
+                    &machine(ext),
+                    Some(&mut audit),
+                );
+                (report.mem, audit)
+            };
+            let (stats, offchip) = audited(OffchipExtensions::all());
+            let (_, standard) = audited(OffchipExtensions::default());
             assert!(offchip.is_clean(), "{offchip}");
             assert_eq!(offchip.checks_run(), standard.checks_run() + 1);
             if sp_bytes_per_core == 64 {
@@ -790,12 +645,11 @@ mod tests {
     #[test]
     fn omega_reduces_onchip_traffic_for_pagerank() {
         let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
-        let (base, omega) = run_pair(
-            &g,
-            Algo::PageRank { iters: 1 },
-            &SystemConfig::mini_baseline(),
-            &SystemConfig::mini_omega(),
-        );
+        let [base, omega]: [RunReport; 2] = Runner::new(SystemConfig::mini_baseline())
+            .also(SystemConfig::mini_omega())
+            .run_many(&g, Algo::PageRank { iters: 1 })
+            .try_into()
+            .unwrap();
         assert!(
             omega.mem.noc.bytes < base.mem.noc.bytes,
             "word-granularity packets must cut traffic: {} vs {}",

@@ -4,7 +4,7 @@
 use omega_core::config::{OmegaConfig, SystemConfig};
 use omega_core::layout::Layout;
 use omega_core::lower::{lower, Target};
-use omega_core::runner::{replay, run, trace_algorithm, RunConfig};
+use omega_core::runner::{replay, trace_algorithm, Runner};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_ligra::algorithms::Algo;
 use omega_ligra::ExecConfig;
@@ -13,7 +13,7 @@ use omega_ligra::ExecConfig;
 fn matched_chunks_maximise_local_scratchpad_accesses() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     let algo = Algo::PageRank { iters: 1 };
-    let matched = run(&g, algo, &RunConfig::new(SystemConfig::mini_omega()));
+    let matched = Runner::new(SystemConfig::mini_omega()).run(&g, algo);
     let mismatched_cfg = SystemConfig::omega_from_baseline(
         omega_sim::MachineConfig::mini_baseline(),
         OmegaConfig {
@@ -21,7 +21,7 @@ fn matched_chunks_maximise_local_scratchpad_accesses() {
             ..OmegaConfig::default()
         },
     );
-    let mismatched = run(&g, algo, &RunConfig::new(mismatched_cfg));
+    let mismatched = Runner::new(mismatched_cfg).run(&g, algo);
     assert!(
         matched.mem.scratchpad.local_accesses > mismatched.mem.scratchpad.local_accesses,
         "§V.D: matching chunks must convert remote scratchpad accesses to local ones \
@@ -36,17 +36,17 @@ fn one_trace_many_machines_is_consistent_with_fresh_runs() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     let algo = Algo::Bfs { root: 0 }.with_default_root(&g);
     let exec = ExecConfig::default();
-    let (_, raw, meta) = trace_algorithm(&g, algo, &exec);
+    let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec);
     for system in [SystemConfig::mini_baseline(), SystemConfig::mini_omega()] {
-        let (engine_a, stats_a, _, _) = replay(&raw, &meta, &system);
-        let fresh = run(&g, algo, &RunConfig::new(system));
+        let shared = replay(algo.name(), checksum, &raw, &meta, &system, None);
+        let fresh = Runner::new(system).run(&g, algo);
         assert_eq!(
-            engine_a.total_cycles,
+            shared.engine.total_cycles,
             fresh.total_cycles,
             "{}",
             system.label()
         );
-        assert_eq!(stats_a, fresh.mem, "{}", system.label());
+        assert_eq!(shared.mem, fresh.mem, "{}", system.label());
     }
 }
 
@@ -76,8 +76,8 @@ fn every_paper_algorithm_speeds_up_or_stays_flat_on_power_law_graphs() {
     let g = Dataset::Ap.build(DatasetScale::Tiny).unwrap();
     for algo in omega_ligra::algorithms::ALL_ALGOS {
         let algo = algo.with_default_root(&g);
-        let base = run(&g, algo, &RunConfig::new(SystemConfig::mini_baseline()));
-        let omega = run(&g, algo, &RunConfig::new(SystemConfig::mini_omega()));
+        let base = Runner::new(SystemConfig::mini_baseline()).run(&g, algo);
+        let omega = Runner::new(SystemConfig::mini_omega()).run(&g, algo);
         let speedup = base.total_cycles as f64 / omega.total_cycles as f64;
         assert!(speedup > 0.85, "{}: {speedup:.2}x", algo.name());
     }
@@ -90,7 +90,7 @@ fn radii_and_sssp_flush_svb_each_iteration() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     for algo in [Algo::Sssp { root: 0 }, Algo::Radii { sample: 8 }] {
         let algo = algo.with_default_root(&g);
-        let r = run(&g, algo, &RunConfig::new(SystemConfig::mini_omega()));
+        let r = Runner::new(SystemConfig::mini_omega()).run(&g, algo);
         let sp = &r.mem.scratchpad;
         assert!(
             sp.svb_hits + sp.svb_misses > 0,
@@ -104,12 +104,10 @@ fn radii_and_sssp_flush_svb_each_iteration() {
 fn chunk_size_override_changes_scheduling() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     let algo = Algo::PageRank { iters: 1 };
-    let default_run = run(&g, algo, &RunConfig::new(SystemConfig::mini_omega()));
-    let coarse = run(
-        &g,
-        algo,
-        &RunConfig::new(SystemConfig::mini_omega()).with_chunk_size(256),
-    );
+    let default_run = Runner::new(SystemConfig::mini_omega()).run(&g, algo);
+    let coarse = Runner::new(SystemConfig::mini_omega())
+        .chunk_size(256)
+        .run(&g, algo);
     assert_eq!(default_run.checksum, coarse.checksum);
     assert_ne!(
         default_run.total_cycles, coarse.total_cycles,
@@ -121,8 +119,8 @@ fn chunk_size_override_changes_scheduling() {
 fn hot_count_is_zero_only_on_baseline() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     let algo = Algo::PageRank { iters: 1 };
-    let base = run(&g, algo, &RunConfig::new(SystemConfig::mini_baseline()));
-    let omega = run(&g, algo, &RunConfig::new(SystemConfig::mini_omega()));
+    let base = Runner::new(SystemConfig::mini_baseline()).run(&g, algo);
+    let omega = Runner::new(SystemConfig::mini_omega()).run(&g, algo);
     assert_eq!(base.hot_count, 0);
     assert!(omega.hot_count > 0);
     assert_eq!(base.machine, "baseline");

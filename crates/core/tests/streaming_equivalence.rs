@@ -60,25 +60,25 @@ fn streaming_replay_is_bit_identical_to_materialised_replay() {
             let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
             for system in [SystemConfig::mini_baseline(), SystemConfig::mini_omega()] {
                 let (want_engine, want_mem) = replay_materialised(&raw, &meta, &system);
-                let (got_engine, got_mem, _, telemetry) = replay(&raw, &meta, &system);
+                let got = replay(name, 0.0, &raw, &meta, &system, None);
                 assert!(
-                    telemetry.is_none(),
+                    got.telemetry.is_none(),
                     "telemetry must stay off unless requested"
                 );
                 assert_eq!(
-                    got_engine,
+                    got.engine,
                     want_engine,
                     "{name} on {dataset:?} / {}: engine reports diverge",
                     system.label()
                 );
                 assert_eq!(
-                    got_mem,
+                    got.mem,
                     want_mem,
                     "{name} on {dataset:?} / {}: memory stats diverge",
                     system.label()
                 );
                 assert_eq!(
-                    got_mem.noc.bytes,
+                    got.mem.noc.bytes,
                     want_mem.noc.bytes,
                     "{name} on {dataset:?} / {}: NoC bytes diverge",
                     system.label()

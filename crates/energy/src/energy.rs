@@ -89,14 +89,14 @@ fn sp_access_pj(sp_bytes: u64) -> f64 {
 ///
 /// ```
 /// use omega_core::config::SystemConfig;
-/// use omega_core::runner::{run, RunConfig};
+/// use omega_core::runner::Runner;
 /// use omega_energy::energy_breakdown;
 /// use omega_graph::datasets::{Dataset, DatasetScale};
 /// use omega_ligra::algorithms::Algo;
 ///
 /// let g = Dataset::Sd.build(DatasetScale::Tiny)?;
 /// let cfg = SystemConfig::mini_omega();
-/// let report = run(&g, Algo::PageRank { iters: 1 }, &RunConfig::new(cfg));
+/// let report = Runner::new(cfg).run(&g, Algo::PageRank { iters: 1 });
 /// let energy = energy_breakdown(&report, &cfg);
 /// assert!(energy.total_mj() > 0.0);
 /// assert!(energy.scratchpad_mj > 0.0);
@@ -141,23 +141,22 @@ pub fn energy_breakdown(report: &RunReport, system: &SystemConfig) -> EnergyBrea
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omega_core::runner::run_pair;
+    use omega_core::runner::Runner;
     use omega_graph::datasets::{Dataset, DatasetScale};
     use omega_ligra::algorithms::Algo;
 
-    fn pagerank_pair() -> (RunReport, RunReport) {
+    fn pagerank_pair() -> [RunReport; 2] {
         let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
-        run_pair(
-            &g,
-            Algo::PageRank { iters: 1 },
-            &SystemConfig::mini_baseline(),
-            &SystemConfig::mini_omega(),
-        )
+        Runner::new(SystemConfig::mini_baseline())
+            .also(SystemConfig::mini_omega())
+            .run_many(&g, Algo::PageRank { iters: 1 })
+            .try_into()
+            .unwrap()
     }
 
     #[test]
     fn omega_saves_memory_energy_on_pagerank() {
-        let (base, omega) = pagerank_pair();
+        let [base, omega] = pagerank_pair();
         let eb = energy_breakdown(&base, &SystemConfig::mini_baseline());
         let eo = energy_breakdown(&omega, &SystemConfig::mini_omega());
         let saving = eb.total_mj() / eo.total_mj();
@@ -166,7 +165,7 @@ mod tests {
 
     #[test]
     fn baseline_has_no_scratchpad_energy() {
-        let (base, omega) = pagerank_pair();
+        let [base, omega] = pagerank_pair();
         let eb = energy_breakdown(&base, &SystemConfig::mini_baseline());
         let eo = energy_breakdown(&omega, &SystemConfig::mini_omega());
         assert_eq!(eb.scratchpad_mj, 0.0);
@@ -177,7 +176,7 @@ mod tests {
 
     #[test]
     fn breakdown_components_sum_to_total() {
-        let (base, _) = pagerank_pair();
+        let [base, _] = pagerank_pair();
         let e = energy_breakdown(&base, &SystemConfig::mini_baseline());
         let manual = e.l1_mj
             + e.l2_mj
@@ -193,7 +192,7 @@ mod tests {
 
     #[test]
     fn dram_dominates_baseline_dynamic_energy() {
-        let (base, _) = pagerank_pair();
+        let [base, _] = pagerank_pair();
         let e = energy_breakdown(&base, &SystemConfig::mini_baseline());
         assert!(
             e.dram_mj > e.l2_mj,
@@ -209,12 +208,11 @@ mod tests {
     #[test]
     fn pim_rank_ops_are_billed_as_near_memory_compute() {
         let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
-        let (_, pim) = run_pair(
-            &g,
-            Algo::PageRank { iters: 1 },
-            &SystemConfig::mini_baseline(),
-            &SystemConfig::mini_pim_rank(),
-        );
+        let [_, pim]: [RunReport; 2] = Runner::new(SystemConfig::mini_baseline())
+            .also(SystemConfig::mini_pim_rank())
+            .run_many(&g, Algo::PageRank { iters: 1 })
+            .try_into()
+            .unwrap();
         assert!(pim.mem.scratchpad.pim_ops > 0, "PIM run offloads ops");
         let e = energy_breakdown(&pim, &SystemConfig::mini_pim_rank());
         // No scratchpad exists, but the rank-engine ops draw ALU energy.

@@ -2,19 +2,18 @@
 //! scaling behaviour, and cross-machine consistency.
 
 use omega_core::config::SystemConfig;
-use omega_core::runner::{run_pair, RunReport};
+use omega_core::runner::{RunReport, Runner};
 use omega_energy::{area, energy_breakdown, node_table};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_ligra::algorithms::Algo;
 
-fn sample_reports() -> (RunReport, RunReport) {
+fn sample_reports() -> [RunReport; 2] {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
-    run_pair(
-        &g,
-        Algo::PageRank { iters: 1 },
-        &SystemConfig::mini_baseline(),
-        &SystemConfig::mini_omega(),
-    )
+    Runner::new(SystemConfig::mini_baseline())
+        .also(SystemConfig::mini_omega())
+        .run_many(&g, Algo::PageRank { iters: 1 })
+        .try_into()
+        .unwrap()
 }
 
 #[test]
@@ -50,16 +49,8 @@ fn mini_scale_node_is_much_smaller_than_paper_scale() {
 fn energy_grows_with_iteration_count() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     let cfg = SystemConfig::mini_baseline();
-    let one = omega_core::runner::run(
-        &g,
-        Algo::PageRank { iters: 1 },
-        &omega_core::runner::RunConfig::new(cfg),
-    );
-    let three = omega_core::runner::run(
-        &g,
-        Algo::PageRank { iters: 3 },
-        &omega_core::runner::RunConfig::new(cfg),
-    );
+    let one = Runner::new(cfg).run(&g, Algo::PageRank { iters: 1 });
+    let three = Runner::new(cfg).run(&g, Algo::PageRank { iters: 3 });
     let e1 = energy_breakdown(&one, &cfg).total_mj();
     let e3 = energy_breakdown(&three, &cfg).total_mj();
     assert!(
@@ -70,7 +61,7 @@ fn energy_grows_with_iteration_count() {
 
 #[test]
 fn dram_energy_tracks_dram_traffic() {
-    let (base, omega) = sample_reports();
+    let [base, omega] = sample_reports();
     let eb = energy_breakdown(&base, &SystemConfig::mini_baseline());
     let eo = energy_breakdown(&omega, &SystemConfig::mini_omega());
     if omega.mem.dram.bytes < base.mem.dram.bytes {
@@ -80,7 +71,7 @@ fn dram_energy_tracks_dram_traffic() {
 
 #[test]
 fn every_component_is_non_negative() {
-    let (base, omega) = sample_reports();
+    let [base, omega] = sample_reports();
     for (r, cfg) in [
         (&base, SystemConfig::mini_baseline()),
         (&omega, SystemConfig::mini_omega()),
@@ -104,7 +95,7 @@ fn every_component_is_non_negative() {
 
 #[test]
 fn leakage_scales_with_runtime() {
-    let (base, omega) = sample_reports();
+    let [base, omega] = sample_reports();
     let eb = energy_breakdown(&base, &SystemConfig::mini_baseline());
     let eo = energy_breakdown(&omega, &SystemConfig::mini_omega());
     // The baseline runs longer, so (at comparable on-chip peak power) its

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! omega-serve [--addr HOST:PORT] [--port-file PATH] [--store DIR]
-//!             [--jobs N] [--workers N] [--queue-depth N]
+//!             [--jobs N] [--queue-depth N]
 //!             [--memo-entries N] [--memo-ttl-ms N] [--job-delay-ms N]
 //!             [--profile] [--profile-out FILE] [--trace FILE]
 //! ```
@@ -16,7 +16,7 @@ use omega_serve::{serve, ServeConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: omega-serve [--addr HOST:PORT] [--port-file PATH] [--store DIR] \
-[--jobs N] [--workers N] [--queue-depth N] [--memo-entries N] [--memo-ttl-ms N] \
+[--jobs N] [--queue-depth N] [--memo-entries N] [--memo-ttl-ms N] \
 [--job-delay-ms N] [--profile] [--profile-out FILE] [--trace FILE]";
 
 fn fail(msg: &str) -> ExitCode {
@@ -52,10 +52,6 @@ fn main() -> ExitCode {
                 Ok(n) => config.jobs = n,
                 Err(e) => return fail(&format!("--jobs: {e}")),
             },
-            "--workers" => match value!().parse() {
-                Ok(n) => config.workers = n,
-                Err(e) => return fail(&format!("--workers: {e}")),
-            },
             "--queue-depth" => match value!().parse() {
                 Ok(n) => config.queue_depth = n,
                 Err(e) => return fail(&format!("--queue-depth: {e}")),
@@ -82,7 +78,6 @@ fn main() -> ExitCode {
 
     obs.install();
     let workers = config.effective_workers();
-    let staging = config.effective_staging();
     let queue = config.queue_depth;
     let handle = match serve(config) {
         Ok(h) => h,
@@ -92,9 +87,7 @@ fn main() -> ExitCode {
         }
     };
     let addr = handle.addr();
-    eprintln!(
-        "omega-serve: listening on {addr} (workers={workers}, staging={staging}, queue={queue})"
-    );
+    eprintln!("omega-serve: listening on {addr} (workers={workers}, queue={queue})");
     if let Some(path) = &port_file {
         if let Err(e) = std::fs::write(path, format!("{addr}\n")) {
             eprintln!("omega-serve: cannot write port file {path}: {e}");

@@ -12,7 +12,7 @@
 //!                          │  compatible jobs coalesce into one slot
 //!                          │  full queue sheds `busy`
 //!                          ▼
-//!                    worker pool (workers × staging ≤ jobs)
+//!                    worker pool (`jobs` workers, serial replays)
 //!                          │  graph/trace registries (build once)
 //!                          │  one trace per group, one replay per spec
 //!                          │  persist, memoise, retire each flight
@@ -40,7 +40,7 @@ use crate::wire::{self, Frame};
 use omega_bench::session::{trace_groups, ExperimentSpec, MachineKind};
 use omega_bench::{run_report_to_json, ExperimentStore, Json};
 use omega_core::config::SystemConfig;
-use omega_core::runner::{replay_report_parallel, trace_algorithm};
+use omega_core::runner::{replay, trace_algorithm};
 use omega_core::OmegaError;
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::CsrGraph;
@@ -62,13 +62,9 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (see
     /// [`ServerHandle::addr`] for the actual one).
     pub addr: String,
-    /// Total parallelism budget, split between concurrent workers and
-    /// intra-replay staging exactly like `Session::prefetch`:
-    /// `workers × staging ≤ jobs`, so the budget is never
-    /// oversubscribed.
+    /// Worker-pool size: how many group jobs compute at once, like
+    /// `Session::jobs`. Each replay is serial.
     pub jobs: usize,
-    /// Worker-pool size; 0 sizes it automatically (`min(jobs, 4)`).
-    pub workers: usize,
     /// Admission-queue capacity, in **group jobs**. A full queue sheds
     /// with `busy`; a request compatible with an already-queued group
     /// joins it without consuming a slot.
@@ -91,7 +87,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             jobs: 1,
-            workers: 0,
             queue_depth: 8,
             memo_entries: 256,
             memo_ttl_ms: 0,
@@ -102,18 +97,9 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Actual worker-pool size after the auto rule.
+    /// Actual worker-pool size: `jobs`, at least one.
     pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            self.jobs.clamp(1, 4)
-        }
-    }
-
-    /// Intra-replay staging parallelism handed to each worker.
-    pub fn effective_staging(&self) -> usize {
-        (self.jobs.max(1) / self.effective_workers()).max(1)
+        self.jobs.max(1)
     }
 }
 
@@ -891,13 +877,13 @@ fn compute_one(
         .expect("prepare() vetted the trace");
     let algo = spec.algo.algo(g);
     let system = ServerState::system_for(spec);
-    let report = replay_report_parallel(
+    let report = replay(
         algo.name(),
         bundle.checksum,
         &bundle.raw,
         &bundle.meta,
         &system,
-        state.config.effective_staging(),
+        None,
     );
     if let Some(store) = &state.store {
         if let Err(e) = store.store_report(fp, &spec.label(), &report) {
@@ -943,7 +929,6 @@ fn stats_payload(state: &Arc<ServerState>) -> Json {
     o.set("queue_limit", num(state.config.queue_depth as u64));
     o.set("open_flights", num(state.flights.open() as u64));
     o.set("workers", num(state.config.effective_workers() as u64));
-    o.set("staging", num(state.config.effective_staging() as u64));
     o.set("draining", Json::Bool(state.draining()));
     let mc = state.memo.counters();
     o.set("evictions", num(mc.evictions));

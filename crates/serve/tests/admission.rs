@@ -45,7 +45,6 @@ fn counter(stats: &Json, key: &str) -> u64 {
 fn full_queue_sheds_with_a_structured_busy_response() {
     let handle = serve(ServeConfig {
         jobs: 1,
-        workers: 1,
         queue_depth: 1,
         job_delay_ms: 1500,
         ..ServeConfig::default()
@@ -127,7 +126,6 @@ fn full_queue_sheds_with_a_structured_busy_response() {
 fn compatible_request_joins_a_queued_group_instead_of_shedding() {
     let handle = serve(ServeConfig {
         jobs: 1,
-        workers: 1,
         queue_depth: 1,
         job_delay_ms: 1200,
         ..ServeConfig::default()
@@ -197,7 +195,6 @@ fn compatible_request_joins_a_queued_group_instead_of_shedding() {
 fn shutdown_drains_inflight_work_then_refuses_connections() {
     let handle = serve(ServeConfig {
         jobs: 1,
-        workers: 1,
         queue_depth: 4,
         job_delay_ms: 800,
         ..ServeConfig::default()

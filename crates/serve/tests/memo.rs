@@ -51,7 +51,6 @@ fn evicted_memo_entries_reload_byte_identically_from_the_store() {
 
     let handle = serve(ServeConfig {
         jobs: 1,
-        workers: 1,
         queue_depth: 16,
         memo_entries: 2,
         store: Some(store_dir.clone()),

@@ -94,7 +94,6 @@ fn pipelined_and_batched_requests_group_replays_and_answer_byte_identically() {
 
     let handle = serve(ServeConfig {
         jobs: 1,
-        workers: 1,
         queue_depth: 16,
         // Holds the worker on each computed entry long enough for every
         // concurrent admission to land while its flight is in the air.

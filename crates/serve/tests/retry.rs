@@ -67,7 +67,6 @@ fn backoff_client_lands_every_request_on_a_saturated_server() {
 
     let handle = serve(ServeConfig {
         jobs: 1,
-        workers: 1,
         queue_depth: 1,
         job_delay_ms: 600,
         ..ServeConfig::default()

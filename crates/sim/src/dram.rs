@@ -6,13 +6,6 @@
 //! `bytes / bytes_per_cycle` cycles; requests to a busy channel queue. The
 //! busy-cycle counter divided by elapsed time is the Fig. 16 "DRAM bandwidth
 //! utilisation" metric.
-//!
-//! In the parallel-replay discipline (see `engine`'s module docs) the
-//! per-channel ledgers — backlog, last-arrival, busy cycles, and the
-//! open-row state behind [`RowMode::OpenPage`] — are **globally-ordered
-//! contention state**: every access consults and mutates its channel in
-//! causal order with zero lookahead, so the DRAM model is owned by the
-//! single timing thread and is never sharded across staging workers.
 
 use crate::audit::AuditReport;
 use crate::config::DramConfig;

@@ -38,32 +38,10 @@
 //! other core's clock moves, so a rescan after each op would pick the same
 //! core every time until that horizon. `crates/sim/tests/engine_timing.rs`
 //! fuzzes the engine against the per-op scanning loop it replaced.
-//!
-//! ## Staged (epoch-parallel) replay
-//!
-//! Timing itself cannot be parallelised without changing results: the
-//! shared contention state (directory, line locks, NoC ports, DRAM
-//! channels) is consulted with zero lookahead, so any core-time sharding
-//! would reorder contention resolution and diverge from the serial
-//! engine. What *can* run in parallel is producing the op streams —
-//! lowering is purely per-core and timing-independent.
-//!
-//! [`run_staged`] exploits exactly that split: worker threads own disjoint
-//! per-core [`CoreStream`]s (the thread-local staging state) and lower
-//! ahead of the replay in fixed-size op epochs of [`STAGE_CHUNK`]
-//! operations, pushed over bounded channels. The timing loop stays
-//! single-threaded and byte-for-byte identical ([`run_source`] is reused
-//! unchanged, fed by a [`StagedSource`] demultiplexer), so the result is
-//! **bit-identical** to the serial engine regardless of worker count or
-//! thread scheduling: the engine's behaviour depends only on the per-core
-//! op sequences, and each core's sequence is produced by a single worker
-//! in order.
 
 use crate::config::MachineConfig;
 use crate::mem::{Blocking, CoreOp, MemorySystem};
 use crate::Cycle;
-use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, SyncSender};
 
 /// A fully materialised per-core operation stream.
 pub type Trace = Vec<CoreOp>;
@@ -109,193 +87,6 @@ impl OpSource for VecOpSource {
         }
         op
     }
-}
-
-/// A single core's op stream, producible off-thread.
-///
-/// This is the unit of work [`run_staged`] hands to a staging worker: one
-/// core's lazily lowered operation sequence, owned by exactly one thread.
-/// `next_op` must keep returning `None` once the stream is exhausted.
-pub trait CoreStream: Send {
-    /// The next operation, or `None` at end of stream.
-    fn next_op(&mut self) -> Option<CoreOp>;
-}
-
-/// A materialised trace is trivially a [`CoreStream`].
-impl CoreStream for std::vec::IntoIter<CoreOp> {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        self.next()
-    }
-}
-
-/// [`OpSource`] over one [`CoreStream`] per core — the serial adapter used
-/// when [`run_staged`] runs with a single worker. Pull order per core is
-/// identical to the staged path, so both produce the same replay.
-#[derive(Debug)]
-pub struct StreamSource<C: CoreStream> {
-    streams: Vec<C>,
-}
-
-impl<C: CoreStream> StreamSource<C> {
-    /// Wraps one stream per core.
-    pub fn new(streams: Vec<C>) -> Self {
-        StreamSource { streams }
-    }
-}
-
-impl<C: CoreStream> OpSource for StreamSource<C> {
-    fn n_cores(&self) -> usize {
-        self.streams.len()
-    }
-
-    fn next(&mut self, core: usize) -> Option<CoreOp> {
-        self.streams[core].next_op()
-    }
-}
-
-/// Operations per staging epoch: the chunk size workers lower ahead of the
-/// timing loop. A chunk shorter than this (possibly empty) is the final
-/// chunk of its core's stream — that is the end-of-stream marker, so no
-/// separate control message exists on the channel.
-pub const STAGE_CHUNK: usize = 4096;
-
-/// [`OpSource`] that demultiplexes staged op chunks arriving from worker
-/// threads back into per-core streams for the (single-threaded) timing
-/// loop. Chunks for cores other than the one currently demanded are
-/// buffered; a worker produces round-robin across its owned cores, so the
-/// buffer held for any core is bounded by the chunk imbalance between that
-/// core and its siblings on the same worker.
-struct StagedSource {
-    /// `owner[core]` = index of the worker (and channel) producing it.
-    owner: Vec<usize>,
-    buf: Vec<VecDeque<CoreOp>>,
-    done: Vec<bool>,
-    rx: Vec<Receiver<(usize, Vec<CoreOp>)>>,
-}
-
-impl OpSource for StagedSource {
-    fn n_cores(&self) -> usize {
-        self.owner.len()
-    }
-
-    fn next(&mut self, core: usize) -> Option<CoreOp> {
-        loop {
-            if let Some(op) = self.buf[core].pop_front() {
-                return Some(op);
-            }
-            if self.done[core] {
-                return None;
-            }
-            let received = {
-                // Host time the timing loop spends blocked on staging.
-                let _wait = crate::obs::span("engine.stage_wait");
-                self.rx[self.owner[core]].recv()
-            };
-            match received {
-                Ok((c, chunk)) => {
-                    if chunk.len() < STAGE_CHUNK {
-                        self.done[c] = true;
-                    }
-                    self.buf[c].extend(chunk);
-                }
-                Err(_) => {
-                    // The worker died mid-stream (a panic during lowering).
-                    // Truncate all of its cores so the replay loop can wind
-                    // down; the scope join below re-raises the panic, so no
-                    // truncated result ever escapes.
-                    let w = self.owner[core];
-                    for (i, d) in self.done.iter_mut().enumerate() {
-                        if self.owner[i] == w {
-                            *d = true;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Lowers one worker shard: round-robin over the owned cores, one
-/// [`STAGE_CHUNK`]-sized chunk each per pass, until every stream ends. The
-/// short final chunk doubles as the end-of-stream marker.
-fn stage_worker<C: CoreStream>(mut shard: Vec<(usize, C)>, tx: SyncSender<(usize, Vec<CoreOp>)>) {
-    let _span = crate::obs::span("engine.stage_lower");
-    while !shard.is_empty() {
-        let mut k = 0;
-        while k < shard.len() {
-            let (core, stream) = &mut shard[k];
-            let mut chunk = Vec::with_capacity(STAGE_CHUNK);
-            while chunk.len() < STAGE_CHUNK {
-                match stream.next_op() {
-                    Some(op) => chunk.push(op),
-                    None => break,
-                }
-            }
-            let finished = chunk.len() < STAGE_CHUNK;
-            if tx.send((*core, chunk)).is_err() {
-                // Consumer gone (replay loop unwound): stop quietly.
-                return;
-            }
-            if finished {
-                shard.remove(k);
-            } else {
-                k += 1;
-            }
-        }
-    }
-}
-
-/// Replays per-core streams against `mem`, lowering them on `workers`
-/// staging threads while the timing loop runs on the calling thread.
-///
-/// With `workers <= 1` (or a single stream) this degenerates to a plain
-/// serial pull through [`StreamSource`] — no threads, no channels. With
-/// more, cores are assigned round-robin to workers (`core % workers`),
-/// each worker lowers its cores in [`STAGE_CHUNK`]-op epochs onto a
-/// bounded channel, and the timing loop demultiplexes via [`StagedSource`].
-/// Results are bit-identical to the serial engine in either case — see the
-/// module docs for why.
-///
-/// # Panics
-///
-/// Panics if `streams.len()` exceeds `cfg.core.n_cores`, or re-raises a
-/// panic from a staging worker.
-pub fn run_staged<C: CoreStream, M: MemorySystem + ?Sized>(
-    streams: Vec<C>,
-    mem: &mut M,
-    cfg: &MachineConfig,
-    workers: usize,
-) -> EngineReport {
-    let n = streams.len();
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 {
-        let mut source = StreamSource::new(streams);
-        return run_source(&mut source, mem, cfg);
-    }
-
-    let mut shards: Vec<Vec<(usize, C)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (core, stream) in streams.into_iter().enumerate() {
-        shards[core % workers].push((core, stream));
-    }
-    let owner: Vec<usize> = (0..n).map(|core| core % workers).collect();
-
-    std::thread::scope(|scope| {
-        let mut rx = Vec::with_capacity(workers);
-        for shard in shards {
-            // Two chunks of headroom per owned core keeps workers lowering
-            // ahead without unbounded buffering.
-            let (tx, r) = std::sync::mpsc::sync_channel(2 * shard.len());
-            rx.push(r);
-            scope.spawn(move || stage_worker(shard, tx));
-        }
-        let mut source = StagedSource {
-            owner,
-            buf: (0..n).map(|_| VecDeque::new()).collect(),
-            done: vec![false; n],
-            rx,
-        };
-        run_source(&mut source, mem, cfg)
-    })
 }
 
 /// Per-core cycle attribution.
@@ -809,88 +600,6 @@ mod tests {
         }
         assert!(r.per_core[0].drain_cycles > 0);
         assert!(r.per_core[1].barrier_cycles > 0);
-    }
-
-    /// A synthetic workload mixing every op kind across unevenly sized
-    /// per-core traces (some spanning multiple staging chunks).
-    fn mixed_traces(n_cores: usize, len: usize) -> Vec<Trace> {
-        (0..n_cores)
-            .map(|c| {
-                let mut t = Trace::new();
-                for i in 0..(len * (c + 1)) {
-                    let addr = ((c * 131 + i * 17) % 4096) as u64 * 64;
-                    t.push(match i % 5 {
-                        0 => CoreOp::compute((i % 7) as u32 + 1),
-                        1 => CoreOp::Access(MemAccess::read(addr, 8)),
-                        2 => CoreOp::Access(MemAccess::write(addr, 8)),
-                        3 => CoreOp::Access(MemAccess::atomic(addr, 8, AtomicKind::FpAdd)),
-                        _ => {
-                            if i % 25 == 4 {
-                                CoreOp::Barrier
-                            } else {
-                                CoreOp::Access(MemAccess::read(addr + 8, 4))
-                            }
-                        }
-                    });
-                }
-                t
-            })
-            .collect()
-    }
-
-    fn staged_report(traces: Vec<Trace>, workers: usize) -> (EngineReport, u64, u64) {
-        let mut mem = FixedMem {
-            latency: 9,
-            ..Default::default()
-        };
-        let streams: Vec<_> = traces.into_iter().map(|t| t.into_iter()).collect();
-        let r = run_staged(streams, &mut mem, &cfg(), workers);
-        (r, mem.accesses, mem.barriers)
-    }
-
-    #[test]
-    fn staged_replay_is_bit_identical_to_serial() {
-        let traces = mixed_traces(4, 3 * STAGE_CHUNK / 2);
-        let mut mem = FixedMem {
-            latency: 9,
-            ..Default::default()
-        };
-        let serial = run(traces.clone(), &mut mem, &cfg());
-        let serial_accesses = mem.accesses;
-        let serial_barriers = mem.barriers;
-        for workers in [1, 2, 3, 4, 7] {
-            let (staged, accesses, barriers) = staged_report(traces.clone(), workers);
-            assert_eq!(staged, serial, "workers={workers}");
-            assert_eq!(accesses, serial_accesses, "workers={workers}");
-            assert_eq!(barriers, serial_barriers, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn staged_handles_empty_and_chunk_boundary_streams() {
-        // Streams of length 0, exactly one chunk, and one-past-a-chunk all
-        // terminate (the short-chunk end marker covers each case).
-        let traces: Vec<Trace> = vec![
-            Vec::new(),
-            vec![CoreOp::compute(1); STAGE_CHUNK],
-            vec![CoreOp::compute(1); STAGE_CHUNK + 1],
-        ];
-        let mut mem = FixedMem::default();
-        let serial = run(traces.clone(), &mut mem, &cfg());
-        let (staged, _, _) = staged_report(traces, 2);
-        assert_eq!(staged, serial);
-    }
-
-    #[test]
-    fn staged_with_more_workers_than_cores_clamps() {
-        let traces = mixed_traces(2, 40);
-        let mut mem = FixedMem {
-            latency: 9,
-            ..Default::default()
-        };
-        let serial = run(traces.clone(), &mut mem, &cfg());
-        let (staged, _, _) = staged_report(traces, 64);
-        assert_eq!(staged, serial);
     }
 
     #[test]

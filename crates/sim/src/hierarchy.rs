@@ -18,23 +18,6 @@
 //!
 //! The L2 is inclusive: evicting an L2 victim back-invalidates L1 copies.
 //!
-//! ## State classes under parallel replay
-//!
-//! The hierarchy's state splits into two classes with different rules in
-//! the staged-replay discipline (see `engine`'s module docs):
-//!
-//! * **Per-core-accumulable** — the [`CoreCounters`] banks (`l1_stats`,
-//!   `l2_stats`) and the per-instance [`CacheArray`]s: each index is
-//!   touched only on behalf of one core or bank per event, and the public
-//!   view is an order-insensitive merge ([`CoreCounters::merged`]). These
-//!   could in principle live thread-locally and be summed at a barrier.
-//! * **Globally-ordered contention state** — the coherence `directory`,
-//!   `line_locks`, the [`Crossbar`] port ledgers, and the [`DramModel`]
-//!   channel ledgers: consulted with zero lookahead and mutated by every
-//!   access in causal order, so they must only ever be touched by the
-//!   single timing thread. This is why parallelism lives in op *staging*
-//!   (lowering), never in timing itself.
-//!
 //! The directory and `line_locks` are [`LineMap`]s, so an L1 miss's four to
 //! six lookups each cost one multiply rather than a SipHash. Their keys are
 //! line addresses the simulator computes, so the default hasher's defence

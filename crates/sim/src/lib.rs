@@ -64,7 +64,7 @@ pub mod telemetry;
 
 pub use audit::{AuditReport, AuditViolation};
 pub use config::{CacheConfig, CoreConfig, DramConfig, MachineConfig, NocConfig};
-pub use engine::{CoreStream, EngineReport, OpSource, StreamSource, Trace, VecOpSource};
+pub use engine::{EngineReport, OpSource, Trace, VecOpSource};
 pub use fingerprint::{Canonicalize, Fnv64};
 pub use mem::{AccessKind, AccessOutcome, AtomicKind, Blocking, CoreOp, MemAccess, MemorySystem};
 pub use telemetry::{TelemetryConfig, TelemetryReport};

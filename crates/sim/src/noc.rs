@@ -15,13 +15,6 @@
 //! [`NocStats::contention_cycles`] counter reports genuine oversubscription
 //! pressure — the amount by which packet arrivals outpace each port's
 //! drain rate within the run.
-//!
-//! In the parallel-replay discipline (see `engine`'s module docs) every
-//! port ledger here — busy cycles, last arrival, backlog, the
-//! `accounted_packets` conservation counter — is **globally-ordered
-//! contention state**: each `send` reads and updates it with zero
-//! lookahead, so the crossbar must only ever be driven by the single
-//! timing thread, never sharded across staging workers.
 
 use crate::audit::AuditReport;
 use crate::config::NocConfig;

@@ -58,10 +58,8 @@ impl CacheStats {
 /// each counter kind in its own contiguous array means an L1-hit burst
 /// walks one cache line of `hits` instead of striding over whole
 /// `CacheStats` records, and a per-core slice of any one kind is a plain
-/// `&[u64]`. Per-instance counters are **per-core-accumulable** state in
-/// the parallel-replay discipline: each index is written only on behalf of
-/// one cache instance, and the global view is the order-insensitive sum
-/// [`CoreCounters::merged`].
+/// `&[u64]`. Each index is written only on behalf of one cache instance,
+/// and the global view is the sum [`CoreCounters::merged`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreCounters {
     /// Per-instance hit counts.

@@ -8,7 +8,7 @@
 //! ```
 
 use omega_core::config::SystemConfig;
-use omega_core::runner::run_pair;
+use omega_core::runner::{RunReport, Runner};
 use omega_graph::dynamic::DynamicGraph;
 use omega_graph::generators::{rmat, RmatParams};
 use omega_graph::reorder;
@@ -19,12 +19,11 @@ fn measure(g: &omega_graph::CsrGraph) -> f64 {
     // Scratchpads sized to hold just ~20% of this graph's vertices, so the
     // quality of the hot-set identification is what decides the speedup.
     let omega_cfg = SystemConfig::mini_omega().with_scratchpad_bytes(512);
-    let (base, omega) = run_pair(
-        g,
-        Algo::PageRank { iters: 1 },
-        &SystemConfig::mini_baseline(),
-        &omega_cfg,
-    );
+    let [base, omega]: [RunReport; 2] = Runner::new(SystemConfig::mini_baseline())
+        .also(omega_cfg)
+        .run_many(g, Algo::PageRank { iters: 1 })
+        .try_into()
+        .unwrap();
     omega.speedup_over(&base)
 }
 

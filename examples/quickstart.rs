@@ -6,7 +6,7 @@
 //! ```
 
 use omega_core::config::SystemConfig;
-use omega_core::runner::run_pair;
+use omega_core::runner::{RunReport, Runner};
 use omega_energy::energy_breakdown;
 use omega_graph::generators::{rmat, RmatParams};
 use omega_graph::{reorder, stats};
@@ -32,7 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    result is identical; only the timing differs.
     let baseline = SystemConfig::mini_baseline();
     let omega = SystemConfig::mini_omega();
-    let (base, fast) = run_pair(&g, Algo::PageRank { iters: 1 }, &baseline, &omega);
+    let [base, fast]: [RunReport; 2] = Runner::new(baseline)
+        .also(omega)
+        .run_many(&g, Algo::PageRank { iters: 1 })
+        .try_into()
+        .unwrap();
     assert_eq!(
         base.checksum, fast.checksum,
         "the architecture must not change results"

@@ -8,7 +8,7 @@
 //! ```
 
 use omega_core::config::SystemConfig;
-use omega_core::runner::run_pair;
+use omega_core::runner::{RunReport, Runner};
 use omega_graph::generators::grid_road;
 use omega_graph::{reorder, stats};
 use omega_ligra::algorithms::{self, Algo};
@@ -55,12 +55,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // scratchpads nothing special to hold (paper Fig. 18: USA max 1.15x).
     println!("\nsimulated on a 16-core CMP (baseline vs OMEGA):");
     for algo in [Algo::Sssp { root: depot }, Algo::PageRank { iters: 1 }] {
-        let (base, fast) = run_pair(
-            &g,
-            algo,
-            &SystemConfig::mini_baseline(),
-            &SystemConfig::mini_omega(),
-        );
+        let [base, fast]: [RunReport; 2] = Runner::new(SystemConfig::mini_baseline())
+            .also(SystemConfig::mini_omega())
+            .run_many(&g, algo)
+            .try_into()
+            .unwrap();
         println!(
             "  {:<9} {:.2}x speedup ({:.0}% of vertices scratchpad-resident, but accesses are uniform)",
             algo.name(),

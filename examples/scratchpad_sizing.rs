@@ -10,7 +10,7 @@
 
 use omega_core::analytic::{estimate, WorkloadProfile};
 use omega_core::config::SystemConfig;
-use omega_core::runner::{run, RunConfig};
+use omega_core::runner::Runner;
 use omega_graph::generators::{rmat, RmatParams};
 use omega_graph::reorder;
 use omega_ligra::algorithms::Algo;
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         g.num_vertices()
     );
 
-    let baseline = run(&g, algo, &RunConfig::new(SystemConfig::mini_baseline()));
+    let baseline = Runner::new(SystemConfig::mini_baseline()).run(&g, algo);
     println!("baseline CMP: {} cycles\n", baseline.total_cycles);
     println!(
         "{:>10}  {:>12}  {:>10}  {:>9}  {:>10}",
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let analytic_base = estimate(&profile, &SystemConfig::mini_baseline());
     for kb in [1u64, 2, 4, 8, 16] {
         let system = SystemConfig::mini_omega().with_scratchpad_bytes(kb * 1024);
-        let r = run(&g, algo, &RunConfig::new(system));
+        let r = Runner::new(system).run(&g, algo);
         let a = estimate(&profile, &system);
         println!(
             "{:>8}KB  {:>11.1}%  {:>9.2}x  {:>8.2}x  {:>10}",
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // are busy, not just how much in aggregate.
     let mut system = SystemConfig::mini_omega();
     system.machine.telemetry = TelemetryConfig::windowed((baseline.total_cycles / 16).max(1));
-    let r = run(&g, algo, &RunConfig::new(system));
+    let r = Runner::new(system).run(&g, algo);
     let t = r.telemetry.expect("telemetry was enabled");
     println!(
         "\nutilisation over time (standard OMEGA, {}-cycle windows):\n",

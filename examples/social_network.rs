@@ -7,7 +7,7 @@
 //! ```
 
 use omega_core::config::SystemConfig;
-use omega_core::runner::run_pair;
+use omega_core::runner::{RunReport, Runner};
 use omega_graph::generators::{rmat_undirected, RmatParams};
 use omega_graph::reorder;
 use omega_ligra::algorithms::{self, Algo};
@@ -65,12 +65,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Algo::Bfs { root: 0 }.with_default_root(&g),
         Algo::Cc,
     ] {
-        let (base, fast) = run_pair(
-            &g,
-            algo,
-            &SystemConfig::mini_baseline(),
-            &SystemConfig::mini_omega(),
-        );
+        let [base, fast]: [RunReport; 2] = Runner::new(SystemConfig::mini_baseline())
+            .also(SystemConfig::mini_omega())
+            .run_many(&g, algo)
+            .try_into()
+            .unwrap();
         println!(
             "  {:<9} {:>11} -> {:>11} cycles  ({:.2}x; {:.0}% of vtxProp updates on PISCs)",
             algo.name(),

@@ -22,20 +22,18 @@ echo "ci: wrote target/validate-report.json and target/telemetry-sample.json"
 # invariant checker (including the PIM-rank and specialized-cache rivals),
 # and seeded differential config fuzzing. A fixed seed
 # keeps the fuzz stream reproducible; the JSON report is a CI artifact.
-# --jobs 2 runs every replay on the staged parallel engine, so the gate
-# doubles as a parallel-vs-serial equivalence check.
 cargo run --release -q -p omega-bench --bin audit -- \
-  --quick --seed 658711 --jobs 2 --out target/audit-report.json
+  --quick --seed 658711 --out target/audit-report.json
 echo "ci: wrote target/audit-report.json"
 
 # Performance snapshot (omega-bench-report/v1): microbench distributions
 # plus the cold figures-all sweep wall-clock at jobs=1 and jobs=4 — the
-# parallel-replay speedup is recorded in the same file. The full diff
-# against the committed snapshot prints the perf trajectory
-# (informational); the enforced pass re-checks only the end-to-end sweep
-# wall-clocks and fails the build past a generous 50% regression — wide
-# enough for shared-runner noise, tight enough to catch a serialisation
-# bug in the staged engine.
+# parallel-sweep speedup and the host's CPU count are recorded in the same
+# file. The full diff against the committed snapshot prints the perf
+# trajectory (informational); the enforced pass re-checks only the
+# end-to-end sweep wall-clocks and fails the build past a generous 50%
+# regression — wide enough for shared-runner noise, tight enough to catch
+# a prefetch pool that stopped running experiments side by side.
 ./target/release/bench --out target/BENCH_sim.json
 ./target/release/stats bench-diff BENCH_sim.json target/BENCH_sim.json || true
 ./target/release/stats bench-diff BENCH_sim.json target/BENCH_sim.json \
@@ -55,8 +53,8 @@ echo "ci: wrote target/trace-sample.json"
 # Warm-store determinism gate: a second figure sweep against the same store
 # must be byte-identical on stdout and perform zero functional traces and
 # zero timing replays (everything served from the content-addressed cache).
-# --jobs 4 runs the cold sweep through the parallel prefetch/staging path,
-# so the gate also proves parallel replay feeds the store bit-identically.
+# --jobs 4 runs the cold sweep through the parallel prefetch pool, so the
+# gate also proves concurrent replays feed the store bit-identically.
 store_dir=$(mktemp -d)
 serve_pid=""
 trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; rm -rf "$store_dir"' EXIT

@@ -6,16 +6,15 @@
 //! replay at tiny scale must come back clean from the full conservation
 //! audit ([`omega_sim::audit`]): internal component ledgers, engine stall
 //! attribution, cross-component traffic balance, and telemetry histogram
-//! totals. The replay parallelism is drawn alongside the machine knobs,
-//! so the audit also exercises the staged engine — which must be
-//! invisible to every invariant.
+//! totals.
 
 use omega_repro::core::config::SystemConfig;
-use omega_repro::core::runner::{replay_audited, replay_audited_parallel, trace_algorithm};
+use omega_repro::core::runner::{replay, trace_algorithm};
 use omega_repro::graph::datasets::{Dataset, DatasetScale};
 use omega_repro::graph::rng::SmallRng;
 use omega_repro::ligra::algorithms::Algo;
 use omega_repro::ligra::ExecConfig;
+use omega_repro::sim::audit::AuditReport;
 use omega_repro::sim::dram::RowMode;
 use omega_repro::sim::telemetry::TelemetryConfig;
 
@@ -53,35 +52,29 @@ fn random_configs_pass_the_conservation_audit() {
     for dataset in [Dataset::Sd, Dataset::Ap] {
         let g = dataset.build(DatasetScale::Tiny).unwrap();
         for (name, algo) in workloads(&g) {
-            let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+            let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
             for round in 0..4 {
                 for (label, base) in [
                     ("baseline", SystemConfig::mini_baseline()),
                     ("omega", SystemConfig::mini_omega()),
                 ] {
                     let sys = perturb(base, &mut rng);
-                    // The engine the audit observes is drawn too: serial or
-                    // staged at 2–4 workers, all bit-identical by contract.
-                    let parallelism = rng.gen_range(1usize..=4);
-                    let (parts, audit) = replay_audited_parallel(&raw, &meta, &sys, parallelism);
+                    // Once a replay parallelism; still drawn so later configs are unchanged.
+                    let _ = rng.gen_range(1usize..=4);
+                    let mut audit = AuditReport::new();
+                    let report = replay(name, checksum, &raw, &meta, &sys, Some(&mut audit));
                     assert!(audit.checks_run() > 0);
                     assert!(
                         audit.is_clean(),
                         "{name} on {label} (round {round}, dram latency {}, \
-                         {} channels, noc latency {}, {:?}, telemetry {}, \
-                         parallelism {parallelism}):\n{audit}",
+                         {} channels, noc latency {}, {:?}, telemetry {}):\n{audit}",
                         sys.machine.dram.latency,
                         sys.machine.dram.channels,
                         sys.machine.noc.latency,
                         sys.machine.dram.default_mode,
                         sys.machine.telemetry.enabled,
                     );
-                    assert!(parts.0.total_cycles > 0);
-                    if parallelism > 1 {
-                        // Spot-check the identity the draw relies on.
-                        let (serial, _) = replay_audited(&raw, &meta, &sys);
-                        assert_eq!(parts, serial, "{name} on {label} round {round}");
-                    }
+                    assert!(report.total_cycles > 0);
                 }
             }
         }
@@ -94,13 +87,14 @@ fn audit_stays_clean_with_telemetry_off() {
     // histograms exist to cross-check against.
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     for (name, algo) in workloads(&g) {
-        let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+        let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
         for (label, sys) in [
             ("baseline", SystemConfig::mini_baseline()),
             ("omega", SystemConfig::mini_omega()),
             ("locked-cache", SystemConfig::mini_locked_cache()),
         ] {
-            let (_, audit) = replay_audited(&raw, &meta, &sys);
+            let mut audit = AuditReport::new();
+            replay(name, checksum, &raw, &meta, &sys, Some(&mut audit));
             assert!(audit.is_clean(), "{name} on {label}:\n{audit}");
         }
     }

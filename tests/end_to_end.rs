@@ -2,7 +2,7 @@
 //! trace → lowering → timing simulation → report) across crates.
 
 use omega_repro::core::config::{OmegaConfig, SystemConfig};
-use omega_repro::core::runner::{run, run_pair, RunConfig};
+use omega_repro::core::runner::{RunReport, Runner};
 use omega_repro::graph::datasets::{Dataset, DatasetScale};
 use omega_repro::ligra::algorithms::Algo;
 use omega_repro::sim::MachineConfig;
@@ -17,7 +17,11 @@ fn every_algorithm_runs_end_to_end_on_both_machines() {
     let (base_cfg, omega_cfg) = mini_pair();
     for algo in omega_repro::ligra::algorithms::ALL_ALGOS {
         let algo = algo.with_default_root(&g);
-        let (base, omega) = run_pair(&g, algo, &base_cfg, &omega_cfg);
+        let [base, omega]: [RunReport; 2] = Runner::new(base_cfg)
+            .also(omega_cfg)
+            .run_many(&g, algo)
+            .try_into()
+            .unwrap();
         assert_eq!(
             base.checksum,
             omega.checksum,
@@ -36,8 +40,16 @@ fn natural_graphs_speed_up_more_than_road_networks() {
     let algo = Algo::PageRank { iters: 1 };
     let lj = Dataset::Lj.build(DatasetScale::Tiny).unwrap();
     let usa = Dataset::Usa.build(DatasetScale::Tiny).unwrap();
-    let (lb, lo) = run_pair(&lj, algo, &base_cfg, &omega_cfg);
-    let (ub, uo) = run_pair(&usa, algo, &base_cfg, &omega_cfg);
+    let [lb, lo]: [RunReport; 2] = Runner::new(base_cfg)
+        .also(omega_cfg)
+        .run_many(&lj, algo)
+        .try_into()
+        .unwrap();
+    let [ub, uo]: [RunReport; 2] = Runner::new(base_cfg)
+        .also(omega_cfg)
+        .run_many(&usa, algo)
+        .try_into()
+        .unwrap();
     assert!(
         lo.speedup_over(&lb) > 1.0,
         "OMEGA must win on a power-law graph, got {:.2}",
@@ -54,8 +66,16 @@ fn natural_graphs_speed_up_more_than_road_networks() {
     // of its win than the road network.
     let sp = omega_cfg.omega().unwrap().sp_bytes_per_core;
     let constrained = omega_cfg.with_scratchpad_bytes(sp * 63 / 1000);
-    let (clb, clo) = run_pair(&lj, algo, &base_cfg, &constrained);
-    let (cub, cuo) = run_pair(&usa, algo, &base_cfg, &constrained);
+    let [clb, clo]: [RunReport; 2] = Runner::new(base_cfg)
+        .also(constrained)
+        .run_many(&lj, algo)
+        .try_into()
+        .unwrap();
+    let [cub, cuo]: [RunReport; 2] = Runner::new(base_cfg)
+        .also(constrained)
+        .run_many(&usa, algo)
+        .try_into()
+        .unwrap();
     let lj_constrained = clo.speedup_over(&clb);
     let usa_constrained = cuo.speedup_over(&cub);
     assert!(
@@ -69,7 +89,11 @@ fn natural_graphs_speed_up_more_than_road_networks() {
 fn omega_cuts_onchip_traffic_and_raises_hit_rate() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     let (base_cfg, omega_cfg) = mini_pair();
-    let (base, omega) = run_pair(&g, Algo::PageRank { iters: 1 }, &base_cfg, &omega_cfg);
+    let [base, omega]: [RunReport; 2] = Runner::new(base_cfg)
+        .also(omega_cfg)
+        .run_many(&g, Algo::PageRank { iters: 1 })
+        .try_into()
+        .unwrap();
     assert!(
         omega.mem.noc.bytes < base.mem.noc.bytes,
         "word packets beat line transfers"
@@ -86,8 +110,8 @@ fn scratchpad_sweep_is_monotone_in_residency() {
     let g = Dataset::Lj.build(DatasetScale::Tiny).unwrap();
     let mut prev_hot = u32::MAX;
     for bytes in [8 * 1024, 4 * 1024, 1024, 256] {
-        let cfg = RunConfig::new(SystemConfig::mini_omega().with_scratchpad_bytes(bytes));
-        let r = run(&g, Algo::PageRank { iters: 1 }, &cfg);
+        let r = Runner::new(SystemConfig::mini_omega().with_scratchpad_bytes(bytes))
+            .run(&g, Algo::PageRank { iters: 1 });
         assert!(
             r.hot_count <= prev_hot,
             "smaller scratchpads hold fewer vertices"
@@ -100,8 +124,8 @@ fn scratchpad_sweep_is_monotone_in_residency() {
 fn pisc_ablation_loses_part_of_the_speedup() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     let algo = Algo::PageRank { iters: 1 };
-    let base = run(&g, algo, &RunConfig::new(SystemConfig::mini_baseline()));
-    let full = run(&g, algo, &RunConfig::new(SystemConfig::mini_omega()));
+    let base = Runner::new(SystemConfig::mini_baseline()).run(&g, algo);
+    let full = Runner::new(SystemConfig::mini_omega()).run(&g, algo);
     let nopisc_cfg = SystemConfig::omega_from_baseline(
         MachineConfig::mini_baseline(),
         OmegaConfig {
@@ -109,7 +133,7 @@ fn pisc_ablation_loses_part_of_the_speedup() {
             ..OmegaConfig::default()
         },
     );
-    let nopisc = run(&g, algo, &RunConfig::new(nopisc_cfg));
+    let nopisc = Runner::new(nopisc_cfg).run(&g, algo);
     assert!(
         full.total_cycles < nopisc.total_cycles,
         "PISCs must add benefit over scratchpads alone: {} vs {}",
@@ -125,7 +149,11 @@ fn pisc_ablation_loses_part_of_the_speedup() {
 fn energy_model_consumes_run_reports() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     let (base_cfg, omega_cfg) = mini_pair();
-    let (base, omega) = run_pair(&g, Algo::PageRank { iters: 1 }, &base_cfg, &omega_cfg);
+    let [base, omega]: [RunReport; 2] = Runner::new(base_cfg)
+        .also(omega_cfg)
+        .run_many(&g, Algo::PageRank { iters: 1 })
+        .try_into()
+        .unwrap();
     let eb = omega_repro::energy::energy_breakdown(&base, &base_cfg);
     let eo = omega_repro::energy::energy_breakdown(&omega, &omega_cfg);
     assert!(eb.total_mj() > 0.0);
@@ -137,11 +165,8 @@ fn energy_model_consumes_run_reports() {
 #[test]
 fn run_reports_are_debuggable_and_complete() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
-    let r = run(
-        &g,
-        Algo::Bfs { root: 0 }.with_default_root(&g),
-        &RunConfig::new(SystemConfig::mini_omega()),
-    );
+    let r = Runner::new(SystemConfig::mini_omega())
+        .run(&g, Algo::Bfs { root: 0 }.with_default_root(&g));
     let dump = format!("{r:?}");
     for field in ["total_cycles", "scratchpad", "dram", "hot_count"] {
         assert!(

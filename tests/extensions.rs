@@ -3,7 +3,7 @@
 //! GraphMat-style execution mode, all through the public APIs.
 
 use omega_repro::core::config::{OffchipExtensions, OmegaConfig, SystemConfig};
-use omega_repro::core::runner::{replay, run, trace_algorithm, RunConfig};
+use omega_repro::core::runner::{replay, trace_algorithm, RunReport, Runner};
 use omega_repro::graph::datasets::{Dataset, DatasetScale};
 use omega_repro::graph::dynamic::DynamicGraph;
 use omega_repro::graph::{reorder, slicing};
@@ -23,8 +23,15 @@ fn graphmat_replays_on_both_machines_without_pisc_activity() {
     let raw = tracer.finish();
     assert_eq!(raw.classify().prop_atomics, 0);
 
-    let (base, _base_stats, _, _) = replay(&raw, &meta, &SystemConfig::mini_baseline());
-    let (omega, omega_stats, hot, _) = replay(&raw, &meta, &SystemConfig::mini_omega());
+    // Only cycles and stats are checked, so no functional checksum is passed.
+    let replay_on = |sys: SystemConfig| replay("pagerank", 0.0, &raw, &meta, &sys, None);
+    let base = replay_on(SystemConfig::mini_baseline()).engine;
+    let RunReport {
+        engine: omega,
+        mem: omega_stats,
+        hot_count: hot,
+        ..
+    } = replay_on(SystemConfig::mini_omega());
     assert!(hot > 0);
     assert_eq!(omega_stats.scratchpad.pisc_ops, 0, "no atomics to offload");
     assert!(
@@ -56,8 +63,8 @@ fn offchip_extensions_change_activity_not_results() {
             ..OmegaConfig::default()
         },
     );
-    let a = run(&g, algo, &RunConfig::new(standard));
-    let b = run(&g, algo, &RunConfig::new(extended));
+    let a = Runner::new(standard).run(&g, algo);
+    let b = Runner::new(extended).run(&g, algo);
     assert_eq!(a.checksum, b.checksum, "extensions are performance-only");
     assert_eq!(a.mem.scratchpad.pim_ops, 0);
     assert!(
@@ -93,11 +100,7 @@ fn dynamic_graph_roundtrips_through_the_simulator() {
         "snapshot re-identifies the hot set"
     );
     // The re-reordered snapshot is a valid simulation input.
-    let r = run(
-        &snapshot,
-        Algo::PageRank { iters: 1 },
-        &RunConfig::new(SystemConfig::mini_omega()),
-    );
+    let r = Runner::new(SystemConfig::mini_omega()).run(&snapshot, Algo::PageRank { iters: 1 });
     assert!(r.total_cycles > 0);
     assert!(r.hot_count > 0);
 }
@@ -123,8 +126,15 @@ fn pull_pagerank_dense_activations_are_absorbed_on_omega() {
         assert!((a - b).abs() < 1e-12);
     }
 
-    let (base, _, _, _) = replay(&raw, &meta, &SystemConfig::mini_baseline());
-    let (omega, omega_stats, hot, _) = replay(&raw, &meta, &SystemConfig::mini_omega());
+    // Only cycles and stats are checked, so no functional checksum is passed.
+    let replay_on = |sys: SystemConfig| replay("pagerank", 0.0, &raw, &meta, &sys, None);
+    let base = replay_on(SystemConfig::mini_baseline()).engine;
+    let RunReport {
+        engine: omega,
+        mem: omega_stats,
+        hot_count: hot,
+        ..
+    } = replay_on(SystemConfig::mini_omega());
     assert!(hot > 0);
     // Fully-resident tiny graph: every dense fused activation is absorbed,
     // so the OMEGA replay executes fewer operations than the baseline one.

@@ -8,7 +8,7 @@
 
 use omega_repro::core::config::SystemConfig;
 use omega_repro::core::microcode;
-use omega_repro::core::runner::{run, run_pair, RunConfig};
+use omega_repro::core::runner::{RunReport, Runner};
 use omega_repro::graph::rng::SmallRng;
 use omega_repro::graph::{generators, reorder, stats, GraphBuilder, VertexId};
 use omega_repro::ligra::algorithms::{self, Algo};
@@ -101,12 +101,11 @@ fn machines_agree_functionally() {
     for_each_graph(0x5EED_0003, |n, edges| {
         let g = build_directed(n, edges);
         let (rg, _) = reorder::canonical_hot_order(&g);
-        let (base, omega) = run_pair(
-            &rg,
-            Algo::Bfs { root: 0 }.with_default_root(&rg),
-            &SystemConfig::mini_baseline(),
-            &SystemConfig::mini_omega(),
-        );
+        let [base, omega]: [RunReport; 2] = Runner::new(SystemConfig::mini_baseline())
+            .also(SystemConfig::mini_omega())
+            .run_many(&rg, Algo::Bfs { root: 0 }.with_default_root(&rg))
+            .try_into()
+            .unwrap();
         assert_eq!(base.checksum, omega.checksum);
     });
 }
@@ -205,9 +204,9 @@ fn simulation_is_deterministic() {
     for seed in 0u64..8 {
         let g = generators::rmat(7, 4, generators::RmatParams::default(), seed).unwrap();
         let (rg, _) = reorder::canonical_hot_order(&g);
-        let cfg = RunConfig::new(SystemConfig::mini_omega());
-        let a = run(&rg, Algo::PageRank { iters: 1 }, &cfg);
-        let b = run(&rg, Algo::PageRank { iters: 1 }, &cfg);
+        let runner = Runner::new(SystemConfig::mini_omega());
+        let a = runner.run(&rg, Algo::PageRank { iters: 1 });
+        let b = runner.run(&rg, Algo::PageRank { iters: 1 });
         assert_eq!(a, b);
     }
 }

@@ -13,7 +13,7 @@
 //!    cumulative `MemStats`, and window end cycles strictly increase.
 
 use omega_repro::core::config::SystemConfig;
-use omega_repro::core::runner::{replay, trace_algorithm};
+use omega_repro::core::runner::{replay, trace_algorithm, RunReport};
 use omega_repro::graph::datasets::{Dataset, DatasetScale};
 use omega_repro::ligra::algorithms::Algo;
 use omega_repro::ligra::ExecConfig;
@@ -41,9 +41,9 @@ fn machines() -> Vec<(&'static str, SystemConfig)> {
 fn stall_buckets_partition_wall_time_on_every_machine() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     for (name, algo) in workloads() {
-        let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+        let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
         for (label, system) in machines() {
-            let (engine, _, _, _) = replay(&raw, &meta, &system);
+            let engine = replay(name, checksum, &raw, &meta, &system, None).engine;
             for (i, core) in engine.per_core.iter().enumerate() {
                 assert_eq!(
                     core.attributed_cycles(),
@@ -66,17 +66,23 @@ fn stall_buckets_partition_wall_time_on_every_machine() {
 fn telemetry_observation_does_not_perturb_the_simulation() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     for (name, algo) in workloads() {
-        let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+        let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
         for (label, system) in machines() {
             let mut observed = system;
             observed.machine.telemetry = TelemetryConfig::windowed(1024);
-            let (engine_off, mem_off, hot_off, tel_off) = replay(&raw, &meta, &system);
-            let (engine_on, mem_on, hot_on, tel_on) = replay(&raw, &meta, &observed);
-            assert!(tel_off.is_none(), "{name} on {label}: telemetry uninvited");
-            assert!(tel_on.is_some(), "{name} on {label}: telemetry missing");
-            assert_eq!(engine_off, engine_on, "{name} on {label}: engine perturbed");
-            assert_eq!(mem_off, mem_on, "{name} on {label}: stats perturbed");
-            assert_eq!(hot_off, hot_on);
+            let off = replay(name, checksum, &raw, &meta, &system, None);
+            let on = replay(name, checksum, &raw, &meta, &observed, None);
+            assert!(
+                off.telemetry.is_none(),
+                "{name} on {label}: telemetry uninvited"
+            );
+            assert!(
+                on.telemetry.is_some(),
+                "{name} on {label}: telemetry missing"
+            );
+            assert_eq!(off.engine, on.engine, "{name} on {label}: engine perturbed");
+            assert_eq!(off.mem, on.mem, "{name} on {label}: stats perturbed");
+            assert_eq!(off.hot_count, on.hot_count);
         }
     }
 }
@@ -85,11 +91,12 @@ fn telemetry_observation_does_not_perturb_the_simulation() {
 fn window_deltas_merge_back_to_run_totals() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     for (name, algo) in workloads() {
-        let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+        let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
         for (label, system) in machines() {
             let mut observed = system;
             observed.machine.telemetry = TelemetryConfig::windowed(512);
-            let (_, mem, _, telemetry) = replay(&raw, &meta, &observed);
+            let RunReport { mem, telemetry, .. } =
+                replay(name, checksum, &raw, &meta, &observed, None);
             let t = telemetry.expect("telemetry was requested");
             assert_eq!(t.window_cycles, 512);
             assert!(
