@@ -1,15 +1,23 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! figures <id>... [--tiny|--medium] [--store PATH] [--jobs N]
+//! figures <id>... [--tiny|--medium|--scale S] [--store PATH] [--jobs N]
 //!                 [--profile] [--profile-out FILE] [--trace FILE]
-//! ids: table1 table2 table3 table4 fig3 fig4a fig4b fig5 fig14 fig15
-//!      fig16 fig17 fig18 fig19 fig20 fig21 abl-pisc abl-chunk abl-svb
-//!      abl-reorder rivals channels all
+//! ids: table1 table2 table3 fig3 fig4a fig4b fig5 fig14 fig15 fig16 fig17
+//!      fig18 fig19 fig20 table4 fig21 abl-pisc abl-chunk abl-svb
+//!      abl-reorder abl-offchip abl-slicing abl-graphmat abl-locked rivals
+//!      channels abl-atomics telemetry all
 //! ```
 //!
-//! `--jobs N` replays up to N experiments at once (default: all cores);
-//! each timing replay itself is serial.
+//! No id, or `all`, runs every experiment except `abl-atomics`. An unknown
+//! id is refused (exit 2) before any work starts.
+//!
+//! Every experiment is one entry of [`EXPERIMENTS`]: its id, its caption,
+//! the session runs it reads and its render function. Before rendering,
+//! the session runs of all selected experiments are prefetched in one
+//! grouped batch: one functional trace per (dataset, algorithm), replayed
+//! on every machine that reads it. `--jobs N` replays up to N such groups
+//! at once (default: all cores); each timing replay itself is serial.
 //!
 //! Each experiment prints the paper's reference value next to the measured
 //! one; EXPERIMENTS.md records a captured run.
@@ -28,13 +36,14 @@
 //! off by default and leave disabled runs bit-identical.
 
 use omega_bench::json::Json;
-use omega_bench::session::{AlgoKey, MachineKind, Session};
+use omega_bench::session::{paper_sweep, AlgoKey, MachineKind, Session, SWEEP, SWEEP_ALGOS};
 use omega_bench::store::{value_fingerprint, StoreCounters};
-use omega_bench::{ExperimentStore, ObsOptions, Table};
+use omega_bench::{ExperimentSpec, ObsOptions, Table};
 use omega_core::analytic::{estimate, WorkloadProfile};
 use omega_core::config::SystemConfig;
 use omega_core::runner::{
-    functional_trace_count, replay, timing_replay_count, trace_algorithm, ExecConfigSer, Runner,
+    functional_trace_count, replay, timing_replay_count, trace_algorithm, ExecConfigSer, RunReport,
+    Runner,
 };
 use omega_energy::{energy_breakdown, node_table};
 use omega_graph::datasets::{Dataset, DatasetScale};
@@ -43,29 +52,136 @@ use omega_ligra::algorithms::Algo;
 use omega_ligra::ExecConfig;
 use omega_sim::fingerprint::{Canonicalize, Fnv64};
 use omega_sim::obs;
+use omega_sim::telemetry::TelemetryConfig;
 
-/// The fig. 14-style sweep datasets (the paper's detailed-simulation set;
-/// uk/twitter are handled by the fig. 20 analytic model).
-const SWEEP: [Dataset; 9] = [
-    Dataset::Sd,
-    Dataset::Ap,
-    Dataset::Rmat,
-    Dataset::Orkut,
-    Dataset::Wiki,
-    Dataset::Lj,
-    Dataset::Ic,
-    Dataset::RoadPa,
-    Dataset::RoadCa,
+/// One experiment of the evaluation.
+struct Experiment {
+    id: &'static str,
+    render: fn(&mut Figures),
+    /// The session runs `render` reads. `main` prefetches them for every
+    /// selected experiment at once, so each report a render asks for is
+    /// already memoised.
+    runs: fn(&mut Session) -> Vec<ExperimentSpec>,
+    caption: &'static str,
+    /// Whether `all` (and an empty id list) runs it.
+    in_all: bool,
+}
+
+impl Experiment {
+    const fn new(
+        id: &'static str,
+        render: fn(&mut Figures),
+        runs: fn(&mut Session) -> Vec<ExperimentSpec>,
+        caption: &'static str,
+    ) -> Self {
+        Experiment {
+            id,
+            render,
+            runs,
+            caption,
+            in_all: true,
+        }
+    }
+}
+
+/// Every experiment, in `all` order: id, render, the session runs the
+/// render reads, and caption.
+#[rustfmt::skip]
+const EXPERIMENTS: [Experiment; 28] = [
+    Experiment::new("table1", table1, no_runs,
+        "graph dataset characterisation (measured vs paper Table I)"),
+    Experiment::new("table2", table2, no_runs,
+        "graph algorithm characterisation, measured on ap (paper Table II)"),
+    Experiment::new("table3", table3, no_runs,
+        "experimental testbed setup (Table III, capacities at mini scale)"),
+    Experiment::new("fig3", fig3, |_| cross(FIG3_ROWS, &[MachineKind::Baseline]),
+        "execution-time breakdown, baseline CMP (paper: ~71% memory bound)"),
+    Experiment::new("fig4a", fig4a, |_| cross(FIG4A_ROWS, &[MachineKind::Baseline]),
+        "baseline cache hit rates (paper: L2/LLC below 50%)"),
+    Experiment::new("fig4b", fig4b, no_runs,
+        "vtxProp accesses to the 20% most-connected vertices (paper: >75%)"),
+    Experiment::new("fig5", fig5, no_runs,
+        "heat map: vtxProp accesses to top-20% vertices (100 = all)"),
+    Experiment::new("fig14", fig14, paper_sweep,
+        "OMEGA speedup over baseline (paper: 2x average, PageRank 2.8x)"),
+    Experiment::new("fig15", fig15, sweep_pagerank,
+        "last-level storage hit rate, PageRank (paper: 44% -> >75%)"),
+    Experiment::new("fig16", fig16, sweep_pagerank,
+        "DRAM bandwidth utilisation, PageRank (paper: 2.28x better on OMEGA)"),
+    Experiment::new("fig17", fig17, sweep_pagerank,
+        "on-chip interconnect traffic, PageRank (paper: >3x reduction)"),
+    Experiment::new("fig18", fig18, |_| cross(FIG18_ROWS, &PAIR),
+        "power-law (lj) vs non-power-law (USA) (paper: USA max 1.15x)"),
+    Experiment::new("fig19", fig19, fig19_runs,
+        "scratchpad size sensitivity, lj (paper: 1.4-1.5x at quarter size)"),
+    Experiment::new("fig20", fig20, |_| cross(LJ_PAGERANK, &PAIR),
+        "large datasets via the high-level model (paper: twitter 1.68x PR)"),
+    Experiment::new("table4", table4, no_runs,
+        "peak power and area per node (paper Table IV, 45nm, paper scale)"),
+    Experiment::new("fig21", fig21, sweep_pagerank,
+        "memory-system energy, PageRank (paper: 2.5x saving)"),
+    Experiment::new("abl-pisc", abl_pisc,
+        |_| cross(LJ_PAGERANK, &pair_and(MachineKind::OmegaNoPisc)),
+        "scratchpads-as-storage ablation, PageRank lj (paper: 1.3x vs >3x)"),
+    Experiment::new("abl-chunk", abl_chunk,
+        |_| cross(LJ_PAGERANK, &[MachineKind::Omega, MachineKind::OmegaChunkMismatch]),
+        "scratchpad-mapping chunk mismatch, PageRank lj (Fig. 12)"),
+    Experiment::new("abl-svb", abl_svb,
+        |_| cross([(Dataset::Lj, AlgoKey::Sssp)], &pair_and(MachineKind::OmegaNoSvb)),
+        "source-vertex buffer ablation, SSSP lj (§V.C)"),
+    Experiment::new("abl-reorder", abl_reorder, no_runs,
+        "offline reordering variants, PageRank lj baseline (paper: ~8% best)"),
+    Experiment::new("abl-offchip", abl_offchip,
+        |_| cross(OFFCHIP_ROWS, &pair_and(MachineKind::OmegaOffchip)),
+        "§IX off-chip extensions: word DRAM + PIM + hybrid page policy (paper: future work)"),
+    Experiment::new("abl-slicing", abl_slicing, no_runs,
+        "§VII graph slicing: plain vs power-law-aware (paper: up to 5x fewer slices)"),
+    Experiment::new("abl-graphmat", abl_graphmat, |_| cross(LJ_PAGERANK, &PAIR),
+        "§V.F framework independence: Ligra vs GraphMat-style PageRank"),
+    Experiment::new("abl-locked", abl_locked, |_| cross(LJ_PAGERANK, &LOCKED_MACHINES),
+        "§IX locked cache vs scratchpad, PageRank (paper: locking still loses)"),
+    Experiment::new("rivals", rivals, |_| cross(RIVAL_ROWS, &RIVAL_MACHINES),
+        "§IX rival subsystems: omega vs PIM ranks vs specialized cache"),
+    Experiment::new("channels", channels, no_runs,
+        "§IX DRAM channel scaling, PageRank on lj (Green et al.: MLP vs compute placement)"),
+    // Not in `all`: neither captured golden (results/figures_all_*.txt)
+    // includes it, and `all` must keep reproducing both.
+    Experiment { in_all: false, ..Experiment::new("abl-atomics", abl_atomics, no_runs,
+        "§III atomic-instruction overhead on the baseline (paper: up to 50%)") },
+    // Its runs carry telemetry, so they come from the figure's own
+    // session, which prefetches them itself.
+    Experiment::new("telemetry", telemetry, no_runs,
+        "stall attribution and DRAM bandwidth utilisation over time"),
 ];
 
-/// Directed-graph algorithms of the sweep.
-const SWEEP_ALGOS: [AlgoKey; 5] = [
-    AlgoKey::PageRank,
-    AlgoKey::Bfs,
-    AlgoKey::Sssp,
-    AlgoKey::Bc,
-    AlgoKey::Radii,
-];
+fn no_runs(_: &mut Session) -> Vec<ExperimentSpec> {
+    Vec::new()
+}
+
+/// The baseline and OMEGA machines.
+const PAIR: [MachineKind; 2] = [MachineKind::Baseline, MachineKind::Omega];
+
+const LJ_PAGERANK: [(Dataset, AlgoKey); 1] = [(Dataset::Lj, AlgoKey::PageRank)];
+
+/// [`PAIR`] and one more machine.
+const fn pair_and(m: MachineKind) -> [MachineKind; 3] {
+    [MachineKind::Baseline, MachineKind::Omega, m]
+}
+
+/// Every machine of `machines` on every `(dataset, algo)` row.
+fn cross(
+    rows: impl IntoIterator<Item = (Dataset, AlgoKey)>,
+    machines: &[MachineKind],
+) -> Vec<ExperimentSpec> {
+    rows.into_iter()
+        .flat_map(|(d, a)| machines.iter().map(move |&m| ExperimentSpec::new(d, a, m)))
+        .collect()
+}
+
+/// PageRank on every sweep dataset, baseline and OMEGA (figs. 15-17, 21).
+fn sweep_pagerank(_: &mut Session) -> Vec<ExperimentSpec> {
+    cross(SWEEP.map(|d| (d, AlgoKey::PageRank)), &PAIR)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -81,47 +197,37 @@ fn main() {
         match obs.try_parse_flag(&arg, &mut it) {
             Ok(true) => continue,
             Ok(false) => {}
-            Err(e) => {
-                eprintln!("figures: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => die(&e.to_string()),
         }
         match arg.as_str() {
             "--tiny" => tiny = true,
             "--medium" => medium = true,
             "--scale" => match it.next().map(|v| v.parse::<DatasetScale>()) {
                 Some(Ok(s)) => scale_flag = Some(s),
-                Some(Err(e)) => {
-                    eprintln!("figures: {e}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("figures: --scale needs a value (tiny|small|medium)");
-                    std::process::exit(2);
-                }
+                Some(Err(e)) => die(&e.to_string()),
+                None => die("--scale needs a value (tiny|small|medium)"),
             },
             "--store" => match it.next() {
                 Some(p) => store_path = Some(p),
-                None => {
-                    eprintln!("figures: --store needs a path");
-                    std::process::exit(2);
-                }
+                None => die("--store needs a path"),
             },
             "--jobs" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => jobs = Some(n),
-                _ => {
-                    eprintln!("figures: --jobs needs a positive integer");
-                    std::process::exit(2);
-                }
+                _ => die("--jobs needs a positive integer"),
             },
             other if other.starts_with("--") => {
-                eprintln!("figures: unknown flag {other:?} (see README)");
-                std::process::exit(2);
+                die(&format!("unknown flag {other:?} (see README)"))
             }
             other => ids.push(other.to_string()),
         }
     }
-    let ids: Vec<&str> = ids.iter().map(String::as_str).collect();
+    let selected = select(&ids).unwrap_or_else(|bad| {
+        let valid: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        die(&format!(
+            "unknown experiment id `{bad}`; valid ids: {} all",
+            valid.join(" ")
+        ))
+    });
     obs.install();
     let scale = scale_flag.unwrap_or(if tiny {
         DatasetScale::Tiny
@@ -135,106 +241,24 @@ fn main() {
         session = session.jobs(n);
     }
     if let Some(path) = &store_path {
-        session = session.with_store(path).unwrap_or_else(|e| {
-            eprintln!("figures: cannot open store {path}: {e}");
-            std::process::exit(2);
-        });
+        session = session
+            .with_store(path)
+            .unwrap_or_else(|e| die(&format!("cannot open store {path}: {e}")));
     }
-    // Trace-derived figure values (shares, classified trace mixes, ablation
-    // cycle counts) bypass the session's report cache; they get their own
-    // handle on the same store.
-    let values = ValueCache::open(store_path.as_deref(), scale);
 
-    let all = [
-        "table1",
-        "table2",
-        "table3",
-        "fig3",
-        "fig4a",
-        "fig4b",
-        "fig5",
-        "fig14",
-        "fig15",
-        "fig16",
-        "fig17",
-        "fig18",
-        "fig19",
-        "fig20",
-        "table4",
-        "fig21",
-        "abl-pisc",
-        "abl-chunk",
-        "abl-svb",
-        "abl-reorder",
-        "abl-offchip",
-        "abl-slicing",
-        "abl-graphmat",
-        "abl-locked",
-        "rivals",
-        "channels",
-        "telemetry",
-    ];
-    let selected: Vec<&str> = if ids.is_empty() || ids.contains(&"all") {
-        all.to_vec()
-    } else {
-        ids
+    let runs: Vec<ExperimentSpec> = selected
+        .iter()
+        .flat_map(|e| (e.runs)(&mut session))
+        .collect();
+    session.prefetch(&runs);
+    let mut f = Figures {
+        s: session,
+        tel: None,
     };
-
-    // Warm the big sweep in parallel when the whole evaluation is requested.
-    if selected.len() > 3 {
-        let mut work = Vec::new();
-        for d in SWEEP {
-            for a in SWEEP_ALGOS {
-                for m in [MachineKind::Baseline, MachineKind::Omega] {
-                    work.push((d, a, m));
-                }
-            }
-        }
-        for a in [AlgoKey::Cc, AlgoKey::Tc] {
-            for m in [MachineKind::Baseline, MachineKind::Omega] {
-                work.push((Dataset::Ap, a, m));
-            }
-        }
-        let supported: Vec<_> = work
-            .into_iter()
-            .filter(|&(d, a, _)| session.supports((d, a)))
-            .collect();
-        session.prefetch(&supported);
-    }
-
-    for id in selected {
-        let _fig = obs::span_owned(format!("figure.{id}"));
-        match id {
-            "table1" => table1(&mut session),
-            "table2" => table2(&mut session, &values),
-            "table3" => table3(),
-            "table4" => table4(),
-            "fig3" => fig3(&mut session),
-            "fig4a" => fig4a(&mut session),
-            "fig4b" => fig4b(&mut session, &values),
-            "fig5" => fig5(&mut session, &values),
-            "fig14" => fig14(&mut session),
-            "fig15" => fig15(&mut session),
-            "fig16" => fig16(&mut session),
-            "fig17" => fig17(&mut session),
-            "fig18" => fig18(&mut session, &values),
-            "fig19" => fig19(&mut session),
-            "fig20" => fig20(&mut session),
-            "fig21" => fig21(&mut session),
-            "abl-pisc" => abl_pisc(&mut session),
-            "abl-chunk" => abl_chunk(&mut session),
-            "abl-svb" => abl_svb(&mut session),
-            "abl-reorder" => abl_reorder(&mut session, &values),
-            "abl-offchip" => abl_offchip(&mut session),
-            "abl-slicing" => abl_slicing(&mut session, &values),
-            "abl-graphmat" => abl_graphmat(&mut session, &values),
-            "abl-locked" => abl_locked(&mut session),
-            "rivals" => rivals(&mut session),
-            "channels" => channels(&mut session, &values),
-            "abl-atomics" => abl_atomics(&mut session, &values),
-            "telemetry" => telemetry(&session),
-            other => eprintln!("unknown experiment id `{other}` (see README)"),
-        }
+    for e in selected {
+        let _fig = obs::span_owned(format!("figure.{}", e.id));
+        println!("\n==== {}: {} ====", e.id, e.caption);
+        (e.render)(&mut f);
     }
 
     // One machine-greppable summary line: how much the store served and how
@@ -242,7 +266,7 @@ fn main() {
     // store shows `traces=0 replays=0`.
     if store_path.is_some() {
         let mut c = StoreCounters::default();
-        for st in [session.store(), values.store.as_ref()]
+        for st in [f.s.store(), f.tel.as_ref().and_then(Session::store)]
             .into_iter()
             .flatten()
         {
@@ -264,37 +288,47 @@ fn main() {
     }
 
     if let Err(e) = obs.finish() {
-        eprintln!("figures: cannot write obs output: {e}");
-        std::process::exit(2);
+        die(&format!("cannot write obs output: {e}"));
     }
 }
 
-/// A cache for trace-derived figure values that do not pass through
-/// [`Session::report`] (access-share fractions, trace classification mixes,
-/// ablation cycle counts). Shares the on-disk store with the session but
-/// owns a separate handle.
-struct ValueCache {
-    store: Option<ExperimentStore>,
-    scale: DatasetScale,
+fn die(msg: &str) -> ! {
+    eprintln!("figures: {msg}");
+    std::process::exit(2);
 }
 
-impl ValueCache {
-    fn open(path: Option<&str>, scale: DatasetScale) -> ValueCache {
-        let store = path.map(|p| {
-            ExperimentStore::open(p).unwrap_or_else(|e| {
-                eprintln!("figures: cannot open store {p}: {e}");
-                std::process::exit(2);
-            })
-        });
-        ValueCache { store, scale }
+/// The experiments `ids` name, in order; no id or `all` selects every
+/// `in_all` experiment. Fails with the first id the table lacks.
+fn select(ids: &[String]) -> Result<Vec<&'static Experiment>, &str> {
+    let find = |id: &str| EXPERIMENTS.iter().find(|e| e.id == id);
+    if let Some(bad) = ids.iter().find(|id| *id != "all" && find(id).is_none()) {
+        return Err(bad);
     }
+    Ok(if ids.is_empty() || ids.iter().any(|id| id == "all") {
+        EXPERIMENTS.iter().filter(|e| e.in_all).collect()
+    } else {
+        ids.iter().filter_map(|id| find(id)).collect()
+    })
+}
 
-    /// Returns the cached value under `(kind, exec, parts)` or computes,
-    /// persists, and returns it. Both paths go through `decode`, so warm
-    /// and cold runs format identical numbers; a stale or malformed payload
-    /// (impossible without a format bug, but cheap to guard) falls back to
-    /// recomputation.
-    fn get_or<T>(
+/// The context every render takes.
+struct Figures {
+    /// Memoises every session run and graph; its store, when attached,
+    /// also caches the trace-derived figure values.
+    s: Session,
+    /// The telemetry figure's session, built on first use.
+    tel: Option<Session>,
+}
+
+impl Figures {
+    /// A trace-derived figure value that does not pass through
+    /// [`Session::report`] (access-share fractions, trace classification
+    /// mixes, ablation cycle counts): the stored value under `(kind, exec,
+    /// parts)`, or computed, persisted and returned. Both paths go through
+    /// `decode`, so warm and cold runs format identical numbers; a stale or
+    /// malformed payload (impossible without a format bug, but cheap to
+    /// guard) falls back to recomputation.
+    fn value<T>(
         &self,
         kind: &str,
         label: &str,
@@ -304,10 +338,10 @@ impl ValueCache {
         compute: impl FnOnce() -> Json,
     ) -> T {
         let fresh = |v: &Json| decode(v).expect("freshly computed figure value decodes");
-        let Some(store) = &self.store else {
+        let Some(store) = self.s.store() else {
             return fresh(&compute());
         };
-        let fp = value_fingerprint(kind, self.scale.code(), exec, parts);
+        let fp = value_fingerprint(kind, self.s.scale().code(), exec, parts);
         if let Some(v) = store.load_value(fp) {
             if let Some(t) = decode(&v) {
                 return t;
@@ -319,6 +353,12 @@ impl ValueCache {
             eprintln!("  [store] warning: failed to persist {label}: {e}");
         }
         t
+    }
+
+    /// The baseline and OMEGA reports of one workload.
+    fn pair(&mut self, d: Dataset, a: AlgoKey) -> (RunReport, RunReport) {
+        let base = self.s.report((d, a, MachineKind::Baseline)).clone();
+        (base, self.s.report((d, a, MachineKind::Omega)).clone())
     }
 }
 
@@ -346,20 +386,13 @@ fn ju_get(v: &Json, key: &str) -> Option<u64> {
     v.get(key)?.as_str()?.parse().ok()
 }
 
-fn banner(id: &str, caption: &str) {
-    println!("\n==== {id}: {caption} ====");
-}
-
 fn pct(x: f64) -> String {
     format!("{:.1}", 100.0 * x)
 }
 
 /// Table I — dataset characterisation.
-fn table1(s: &mut Session) {
-    banner(
-        "table1",
-        "graph dataset characterisation (measured vs paper Table I)",
-    );
+fn table1(f: &mut Figures) {
+    let s = &mut f.s;
     let mut t = Table::new([
         "dataset",
         "#V",
@@ -399,12 +432,8 @@ fn table1(s: &mut Session) {
 }
 
 /// Table II — algorithm characterisation (static spec + measured rates).
-fn table2(s: &mut Session, vc: &ValueCache) {
-    banner(
-        "table2",
-        "graph algorithm characterisation, measured on ap (paper Table II)",
-    );
-    let g = s.graph(Dataset::Ap).clone(); // symmetric: every algorithm runs
+fn table2(f: &mut Figures) {
+    let g = f.s.graph(Dataset::Ap).clone(); // symmetric: every algorithm runs
     let exec_ser: ExecConfigSer = ExecConfig::default().into();
     let mut t = Table::new([
         "algo",
@@ -419,7 +448,7 @@ fn table2(s: &mut Session, vc: &ValueCache) {
     for key in AlgoKey::ALL {
         let algo = key.algo(&g);
         let spec = algo.spec();
-        let (atomic, random, monitored) = vc.get_or(
+        let (atomic, random, monitored) = f.value(
             "table2-trace-class",
             &format!("table2-{}-{}", key.name(), Dataset::Ap.code()),
             Some(&exec_ser),
@@ -460,11 +489,7 @@ fn table2(s: &mut Session, vc: &ValueCache) {
 }
 
 /// Table III — experimental setup dump.
-fn table3() {
-    banner(
-        "table3",
-        "experimental testbed setup (Table III, capacities at mini scale)",
-    );
+fn table3(_: &mut Figures) {
     let base = SystemConfig::mini_baseline();
     let omega = SystemConfig::mini_omega();
     let m = base.machine;
@@ -521,25 +546,25 @@ fn table3() {
     println!("{t}");
 }
 
+/// Fig. 3's workloads.
+const FIG3_ROWS: [(Dataset, AlgoKey); 5] = [
+    (Dataset::Sd, AlgoKey::PageRank),
+    (Dataset::Lj, AlgoKey::PageRank),
+    (Dataset::Lj, AlgoKey::Bfs),
+    (Dataset::Wiki, AlgoKey::Sssp),
+    (Dataset::Ap, AlgoKey::Cc),
+];
+
 /// Fig. 3 — TMAM-style execution breakdown on the baseline.
-fn fig3(s: &mut Session) {
-    banner(
-        "fig3",
-        "execution-time breakdown, baseline CMP (paper: ~71% memory bound)",
-    );
+fn fig3(f: &mut Figures) {
+    let s = &mut f.s;
     let mut t = Table::new([
         "workload",
         "memory-bound %",
         "of which atomic %",
         "compute %",
     ]);
-    for (d, a) in [
-        (Dataset::Sd, AlgoKey::PageRank),
-        (Dataset::Lj, AlgoKey::PageRank),
-        (Dataset::Lj, AlgoKey::Bfs),
-        (Dataset::Wiki, AlgoKey::Sssp),
-        (Dataset::Ap, AlgoKey::Cc),
-    ] {
+    for (d, a) in FIG3_ROWS {
         let r = s.report((d, a, MachineKind::Baseline));
         let mem = r.engine.memory_bound_fraction();
         let atomic = r.engine.atomic_bound_fraction();
@@ -553,20 +578,20 @@ fn fig3(s: &mut Session) {
     println!("{t}");
 }
 
+/// Fig. 4a's workloads.
+const FIG4A_ROWS: [(Dataset, AlgoKey); 5] = [
+    (Dataset::Sd, AlgoKey::PageRank),
+    (Dataset::Lj, AlgoKey::PageRank),
+    (Dataset::Lj, AlgoKey::Bfs),
+    (Dataset::Wiki, AlgoKey::Sssp),
+    (Dataset::Ic, AlgoKey::Bc),
+];
+
 /// Fig. 4a — baseline cache hit rates.
-fn fig4a(s: &mut Session) {
-    banner(
-        "fig4a",
-        "baseline cache hit rates (paper: L2/LLC below 50%)",
-    );
+fn fig4a(f: &mut Figures) {
+    let s = &mut f.s;
     let mut t = Table::new(["workload", "L1 hit %", "LLC (L2) hit %"]);
-    for (d, a) in [
-        (Dataset::Sd, AlgoKey::PageRank),
-        (Dataset::Lj, AlgoKey::PageRank),
-        (Dataset::Lj, AlgoKey::Bfs),
-        (Dataset::Wiki, AlgoKey::Sssp),
-        (Dataset::Ic, AlgoKey::Bc),
-    ] {
+    for (d, a) in FIG4A_ROWS {
         let r = s.report((d, a, MachineKind::Baseline));
         t.row([
             format!("{}-{}", a.name(), d.code()),
@@ -581,10 +606,10 @@ fn fig4a(s: &mut Session) {
 /// the trace-derived number behind figs. 4b, 5, and 18, cached under the
 /// shared `prop-share` kind so the three figures reuse one entry per
 /// workload.
-fn prop_share(s: &mut Session, vc: &ValueCache, d: Dataset, a: AlgoKey) -> f64 {
-    let g = s.graph(d).clone();
+fn prop_share(f: &mut Figures, d: Dataset, a: AlgoKey) -> f64 {
+    let g = f.s.graph(d).clone();
     let exec_ser: ExecConfigSer = ExecConfig::default().into();
-    vc.get_or(
+    f.value(
         "prop-share",
         &format!("prop-share-{}-{}", a.name(), d.code()),
         Some(&exec_ser),
@@ -605,11 +630,7 @@ fn prop_share(s: &mut Session, vc: &ValueCache, d: Dataset, a: AlgoKey) -> f64 {
 }
 
 /// Fig. 4b — share of vtxProp accesses hitting the top-20% vertices.
-fn fig4b(s: &mut Session, vc: &ValueCache) {
-    banner(
-        "fig4b",
-        "vtxProp accesses to the 20% most-connected vertices (paper: >75%)",
-    );
+fn fig4b(f: &mut Figures) {
     let mut t = Table::new(["workload", "top-20% access share %"]);
     for (d, a) in [
         (Dataset::Sd, AlgoKey::PageRank),
@@ -620,18 +641,14 @@ fn fig4b(s: &mut Session, vc: &ValueCache) {
     ] {
         t.row([
             format!("{}-{}", a.name(), d.code()),
-            pct(prop_share(s, vc, d, a)),
+            pct(prop_share(f, d, a)),
         ]);
     }
     println!("{t}");
 }
 
 /// Fig. 5 — heat map: vtxProp access share to top-20% vertices.
-fn fig5(s: &mut Session, vc: &ValueCache) {
-    banner(
-        "fig5",
-        "heat map: vtxProp accesses to top-20% vertices (100 = all)",
-    );
+fn fig5(f: &mut Figures) {
     let algos = [
         AlgoKey::PageRank,
         AlgoKey::Bfs,
@@ -648,11 +665,11 @@ fn fig5(s: &mut Session, vc: &ValueCache) {
     for d in SWEEP {
         let mut cells = vec![d.code().to_string()];
         for a in algos {
-            if !s.supports((d, a)) {
+            if !f.s.supports((d, a)) {
                 cells.push("-".into());
                 continue;
             }
-            cells.push(pct(prop_share(s, vc, d, a)));
+            cells.push(pct(prop_share(f, d, a)));
         }
         t.row(cells);
     }
@@ -660,22 +677,19 @@ fn fig5(s: &mut Session, vc: &ValueCache) {
 }
 
 /// Fig. 14 — the headline speedup sweep.
-fn fig14(s: &mut Session) {
-    banner(
-        "fig14",
-        "OMEGA speedup over baseline (paper: 2x average, PageRank 2.8x)",
-    );
+fn fig14(f: &mut Figures) {
+    let s = &mut f.s;
+    let sweep = paper_sweep(s);
+    let algos = SWEEP_ALGOS.into_iter().chain([AlgoKey::Cc, AlgoKey::Tc]);
     let mut t = Table::new(
-        std::iter::once("dataset".to_string())
-            .chain(SWEEP_ALGOS.iter().map(|a| a.name().to_string()))
-            .chain(["CC".to_string(), "TC".to_string()]),
+        std::iter::once("dataset".to_string()).chain(algos.clone().map(|a| a.name().to_string())),
     );
     let mut total = 0.0;
     let mut count = 0u32;
     for d in SWEEP {
         let mut cells = vec![d.code().to_string()];
-        for a in SWEEP_ALGOS {
-            if !s.supports((d, a)) {
+        for a in algos.clone() {
+            if !sweep.contains(&ExperimentSpec::new(d, a, MachineKind::Omega)) {
                 cells.push("-".into());
                 continue;
             }
@@ -683,16 +697,6 @@ fn fig14(s: &mut Session) {
             total += sp;
             count += 1;
             cells.push(format!("{sp:.2}x"));
-        }
-        for a in [AlgoKey::Cc, AlgoKey::Tc] {
-            if d == Dataset::Ap && s.supports((d, a)) {
-                let sp = s.speedup(d, a);
-                total += sp;
-                count += 1;
-                cells.push(format!("{sp:.2}x"));
-            } else {
-                cells.push("-".into());
-            }
         }
         t.row(cells);
     }
@@ -704,22 +708,13 @@ fn fig14(s: &mut Session) {
 }
 
 /// Fig. 15 — last-level storage hit rate, PageRank.
-fn fig15(s: &mut Session) {
-    banner(
-        "fig15",
-        "last-level storage hit rate, PageRank (paper: 44% -> >75%)",
-    );
+fn fig15(f: &mut Figures) {
     let mut t = Table::new(["dataset", "baseline %", "omega (L2+SP) %", "resident vtx %"]);
     let mut sums = (0.0, 0.0);
-    let mut n = 0;
     for d in SWEEP {
-        let base = s
-            .report((d, AlgoKey::PageRank, MachineKind::Baseline))
-            .clone();
-        let omega = s.report((d, AlgoKey::PageRank, MachineKind::Omega)).clone();
+        let (base, omega) = f.pair(d, AlgoKey::PageRank);
         sums.0 += base.mem.last_level_hit_rate();
         sums.1 += omega.mem.last_level_hit_rate();
-        n += 1;
         t.row([
             d.code().to_string(),
             pct(base.mem.last_level_hit_rate()),
@@ -730,30 +725,21 @@ fn fig15(s: &mut Session) {
     println!("{t}");
     println!(
         "average: baseline {}%, omega {}%",
-        pct(sums.0 / n as f64),
-        pct(sums.1 / n as f64)
+        pct(sums.0 / SWEEP.len() as f64),
+        pct(sums.1 / SWEEP.len() as f64)
     );
 }
 
 /// Fig. 16 — DRAM bandwidth utilisation, PageRank.
-fn fig16(s: &mut Session) {
-    banner(
-        "fig16",
-        "DRAM bandwidth utilisation, PageRank (paper: 2.28x better on OMEGA)",
-    );
+fn fig16(f: &mut Figures) {
     let mut t = Table::new(["dataset", "baseline util %", "omega util %", "ratio"]);
     let mut ratios = 0.0;
-    let mut n = 0;
     for d in SWEEP {
-        let base = s
-            .report((d, AlgoKey::PageRank, MachineKind::Baseline))
-            .clone();
-        let omega = s.report((d, AlgoKey::PageRank, MachineKind::Omega)).clone();
+        let (base, omega) = f.pair(d, AlgoKey::PageRank);
         let bu = base.mem.dram.utilization(base.total_cycles, 4);
         let ou = omega.mem.dram.utilization(omega.total_cycles, 4);
         let ratio = if bu > 0.0 { ou / bu } else { 0.0 };
         ratios += ratio;
-        n += 1;
         t.row([
             d.code().to_string(),
             pct(bu),
@@ -762,26 +748,20 @@ fn fig16(s: &mut Session) {
         ]);
     }
     println!("{t}");
-    println!("average utilisation improvement: {:.2}x", ratios / n as f64);
+    println!(
+        "average utilisation improvement: {:.2}x",
+        ratios / SWEEP.len() as f64
+    );
 }
 
 /// Fig. 17 — on-chip traffic, PageRank.
-fn fig17(s: &mut Session) {
-    banner(
-        "fig17",
-        "on-chip interconnect traffic, PageRank (paper: >3x reduction)",
-    );
+fn fig17(f: &mut Figures) {
     let mut t = Table::new(["dataset", "baseline MB", "omega MB", "reduction"]);
     let mut reds = 0.0;
-    let mut n = 0;
     for d in SWEEP {
-        let base = s
-            .report((d, AlgoKey::PageRank, MachineKind::Baseline))
-            .clone();
-        let omega = s.report((d, AlgoKey::PageRank, MachineKind::Omega)).clone();
+        let (base, omega) = f.pair(d, AlgoKey::PageRank);
         let red = base.mem.noc.bytes as f64 / omega.mem.noc.bytes.max(1) as f64;
         reds += red;
-        n += 1;
         t.row([
             d.code().to_string(),
             format!("{:.2}", base.mem.noc.bytes as f64 / 1e6),
@@ -790,15 +770,22 @@ fn fig17(s: &mut Session) {
         ]);
     }
     println!("{t}");
-    println!("average traffic reduction: {:.2}x", reds / n as f64);
+    println!(
+        "average traffic reduction: {:.2}x",
+        reds / SWEEP.len() as f64
+    );
 }
 
+/// Fig. 18's graphs, PageRank and BFS.
+const FIG18_ROWS: [(Dataset, AlgoKey); 4] = [
+    (Dataset::Lj, AlgoKey::PageRank),
+    (Dataset::Lj, AlgoKey::Bfs),
+    (Dataset::Usa, AlgoKey::PageRank),
+    (Dataset::Usa, AlgoKey::Bfs),
+];
+
 /// Fig. 18 — power-law vs. non-power-law.
-fn fig18(s: &mut Session, vc: &ValueCache) {
-    banner(
-        "fig18",
-        "power-law (lj) vs non-power-law (USA) (paper: USA max 1.15x)",
-    );
+fn fig18(f: &mut Figures) {
     let mut t = Table::new([
         "graph",
         "PageRank speedup",
@@ -806,43 +793,54 @@ fn fig18(s: &mut Session, vc: &ValueCache) {
         "top-20% access share %",
     ]);
     for d in [Dataset::Lj, Dataset::Usa] {
-        let share = prop_share(s, vc, d, AlgoKey::PageRank);
+        let share = prop_share(f, d, AlgoKey::PageRank);
         t.row([
             d.code().to_string(),
-            format!("{:.2}x", s.speedup(d, AlgoKey::PageRank)),
-            format!("{:.2}x", s.speedup(d, AlgoKey::Bfs)),
+            format!("{:.2}x", f.s.speedup(d, AlgoKey::PageRank)),
+            format!("{:.2}x", f.s.speedup(d, AlgoKey::Bfs)),
             pct(share),
         ]);
     }
     println!("{t}");
 }
 
+/// Fig. 19's workloads and scratchpad sizes (permille of standard).
+const FIG19_ROWS: [(Dataset, AlgoKey); 2] = [
+    (Dataset::Lj, AlgoKey::PageRank),
+    (Dataset::Lj, AlgoKey::Bfs),
+];
+const FIG19_PERMILLE: [u32; 3] = [1000, 500, 250];
+
+fn fig19_runs(_: &mut Session) -> Vec<ExperimentSpec> {
+    let sp = FIG19_PERMILLE.map(|permille| MachineKind::OmegaScaledSp { permille });
+    let mut runs = cross(FIG19_ROWS, &[MachineKind::Baseline]);
+    runs.extend(cross(FIG19_ROWS, &sp));
+    runs
+}
+
 /// Fig. 19 — scratchpad size sensitivity on lj.
-fn fig19(s: &mut Session) {
-    banner(
-        "fig19",
-        "scratchpad size sensitivity, lj (paper: 1.4-1.5x at quarter size)",
-    );
+fn fig19(f: &mut Figures) {
+    let s = &mut f.s;
     let mut t = Table::new([
         "SP size",
         "PageRank speedup",
         "BFS speedup",
         "resident vtx % (PR)",
     ]);
-    for permille in [1000u32, 500, 250] {
+    let base_pr = s
+        .report((Dataset::Lj, AlgoKey::PageRank, MachineKind::Baseline))
+        .total_cycles;
+    let base_bfs = s
+        .report((Dataset::Lj, AlgoKey::Bfs, MachineKind::Baseline))
+        .total_cycles;
+    for permille in FIG19_PERMILLE {
         let m = MachineKind::OmegaScaledSp { permille };
-        let base_pr = s
-            .report((Dataset::Lj, AlgoKey::PageRank, MachineKind::Baseline))
-            .total_cycles;
-        let base_bfs = s
-            .report((Dataset::Lj, AlgoKey::Bfs, MachineKind::Baseline))
-            .total_cycles;
         let pr = s.report((Dataset::Lj, AlgoKey::PageRank, m)).clone();
-        let bfs = s.report((Dataset::Lj, AlgoKey::Bfs, m)).clone();
+        let bfs = s.report((Dataset::Lj, AlgoKey::Bfs, m)).total_cycles;
         t.row([
             format!("{}%", permille / 10),
             format!("{:.2}x", base_pr as f64 / pr.total_cycles as f64),
-            format!("{:.2}x", base_bfs as f64 / bfs.total_cycles as f64),
+            format!("{:.2}x", base_bfs as f64 / bfs as f64),
             pct(pr.hot_count as f64 / pr.n_vertices as f64),
         ]);
     }
@@ -850,11 +848,8 @@ fn fig19(s: &mut Session) {
 }
 
 /// Fig. 20 — analytic model for very large graphs + validation.
-fn fig20(s: &mut Session) {
-    banner(
-        "fig20",
-        "large datasets via the high-level model (paper: twitter 1.68x PR)",
-    );
+fn fig20(f: &mut Figures) {
+    let s = &mut f.s;
     let detailed = s.speedup(Dataset::Lj, AlgoKey::PageRank);
     let g = s.graph(Dataset::Lj).clone();
     let profile = WorkloadProfile::from_graph(&g, Algo::PageRank { iters: 1 });
@@ -894,11 +889,7 @@ fn fig20(s: &mut Session) {
 }
 
 /// Table IV — area and peak power.
-fn table4() {
-    banner(
-        "table4",
-        "peak power and area per node (paper Table IV, 45nm, paper scale)",
-    );
+fn table4(_: &mut Figures) {
     let base = node_table(&SystemConfig::paper_baseline());
     let omega = node_table(&SystemConfig::paper_omega());
     let mut t = Table::new(["component", "baseline W / mm2", "omega W / mm2"]);
@@ -924,11 +915,7 @@ fn table4() {
 }
 
 /// Fig. 21 — memory-system energy breakdown, PageRank.
-fn fig21(s: &mut Session) {
-    banner(
-        "fig21",
-        "memory-system energy, PageRank (paper: 2.5x saving)",
-    );
+fn fig21(f: &mut Figures) {
     let mut t = Table::new([
         "dataset",
         "baseline mJ",
@@ -937,17 +924,12 @@ fn fig21(s: &mut Session) {
         "omega DRAM share %",
     ]);
     let mut savings = 0.0;
-    let mut n = 0;
     for d in SWEEP {
-        let base = s
-            .report((d, AlgoKey::PageRank, MachineKind::Baseline))
-            .clone();
-        let omega = s.report((d, AlgoKey::PageRank, MachineKind::Omega)).clone();
+        let (base, omega) = f.pair(d, AlgoKey::PageRank);
         let eb = energy_breakdown(&base, &MachineKind::Baseline.system());
         let eo = energy_breakdown(&omega, &MachineKind::Omega.system());
         let saving = eb.total_mj() / eo.total_mj();
         savings += saving;
-        n += 1;
         t.row([
             d.code().to_string(),
             format!("{:.3}", eb.total_mj()),
@@ -957,63 +939,48 @@ fn fig21(s: &mut Session) {
         ]);
     }
     println!("{t}");
-    println!("average energy saving: {:.2}x", savings / n as f64);
+    println!(
+        "average energy saving: {:.2}x",
+        savings / SWEEP.len() as f64
+    );
 
     // The stacked component breakdown of the paper's Fig. 21, for lj.
-    let base = s
-        .report((Dataset::Lj, AlgoKey::PageRank, MachineKind::Baseline))
-        .clone();
-    let omega = s
-        .report((Dataset::Lj, AlgoKey::PageRank, MachineKind::Omega))
-        .clone();
+    let (base, omega) = f.pair(Dataset::Lj, AlgoKey::PageRank);
     let eb = energy_breakdown(&base, &MachineKind::Baseline.system());
     let eo = energy_breakdown(&omega, &MachineKind::Omega.system());
     let mut t = Table::new(["component (lj, mJ)", "baseline", "omega"]);
-    let f = |x: f64| format!("{x:.3}");
-    t.row(["L1".to_string(), f(eb.l1_mj), f(eo.l1_mj)]);
-    t.row(["L2".to_string(), f(eb.l2_mj), f(eo.l2_mj)]);
-    t.row([
-        "scratchpad".to_string(),
-        f(eb.scratchpad_mj),
-        f(eo.scratchpad_mj),
-    ]);
-    t.row(["PISC".to_string(), f(eb.pisc_mj), f(eo.pisc_mj)]);
-    t.row(["interconnect".to_string(), f(eb.noc_mj), f(eo.noc_mj)]);
-    t.row(["DRAM dynamic".to_string(), f(eb.dram_mj), f(eo.dram_mj)]);
-    t.row([
-        "on-chip leakage".to_string(),
-        f(eb.leakage_mj),
-        f(eo.leakage_mj),
-    ]);
-    t.row([
-        "DRAM background".to_string(),
-        f(eb.dram_background_mj),
-        f(eo.dram_background_mj),
-    ]);
-    t.row(["total".to_string(), f(eb.total_mj()), f(eo.total_mj())]);
+    for (name, b, o) in [
+        ("L1", eb.l1_mj, eo.l1_mj),
+        ("L2", eb.l2_mj, eo.l2_mj),
+        ("scratchpad", eb.scratchpad_mj, eo.scratchpad_mj),
+        ("PISC", eb.pisc_mj, eo.pisc_mj),
+        ("interconnect", eb.noc_mj, eo.noc_mj),
+        ("DRAM dynamic", eb.dram_mj, eo.dram_mj),
+        ("on-chip leakage", eb.leakage_mj, eo.leakage_mj),
+        (
+            "DRAM background",
+            eb.dram_background_mj,
+            eo.dram_background_mj,
+        ),
+        ("total", eb.total_mj(), eo.total_mj()),
+    ] {
+        t.row([name.to_string(), format!("{b:.3}"), format!("{o:.3}")]);
+    }
     println!("{t}");
 }
 
 /// §X.A — scratchpads without PISCs.
-fn abl_pisc(s: &mut Session) {
-    banner(
-        "abl-pisc",
-        "scratchpads-as-storage ablation, PageRank lj (paper: 1.3x vs >3x)",
-    );
+fn abl_pisc(f: &mut Figures) {
+    let s = &mut f.s;
+    let full = s.speedup(Dataset::Lj, AlgoKey::PageRank);
     let base = s
         .report((Dataset::Lj, AlgoKey::PageRank, MachineKind::Baseline))
-        .total_cycles;
-    let full = s
-        .report((Dataset::Lj, AlgoKey::PageRank, MachineKind::Omega))
         .total_cycles;
     let nopisc = s
         .report((Dataset::Lj, AlgoKey::PageRank, MachineKind::OmegaNoPisc))
         .total_cycles;
     let mut t = Table::new(["machine", "speedup over baseline"]);
-    t.row([
-        "omega (SP+PISC)".to_string(),
-        format!("{:.2}x", base as f64 / full as f64),
-    ]);
+    t.row(["omega (SP+PISC)".to_string(), format!("{full:.2}x")]);
     t.row([
         "omega (SP only)".to_string(),
         format!("{:.2}x", base as f64 / nopisc as f64),
@@ -1022,11 +989,8 @@ fn abl_pisc(s: &mut Session) {
 }
 
 /// Fig. 12 — chunk-size mismatch cost.
-fn abl_chunk(s: &mut Session) {
-    banner(
-        "abl-chunk",
-        "scratchpad-mapping chunk mismatch, PageRank lj (Fig. 12)",
-    );
+fn abl_chunk(f: &mut Figures) {
+    let s = &mut f.s;
     let matched = s
         .report((Dataset::Lj, AlgoKey::PageRank, MachineKind::Omega))
         .clone();
@@ -1059,17 +1023,11 @@ fn abl_chunk(s: &mut Session) {
 }
 
 /// §V.C — source-vertex buffer ablation on SSSP.
-fn abl_svb(s: &mut Session) {
-    banner("abl-svb", "source-vertex buffer ablation, SSSP lj (§V.C)");
+fn abl_svb(f: &mut Figures) {
+    let s = &mut f.s;
     let base = s
         .report((Dataset::Lj, AlgoKey::Sssp, MachineKind::Baseline))
         .total_cycles;
-    let with = s
-        .report((Dataset::Lj, AlgoKey::Sssp, MachineKind::Omega))
-        .clone();
-    let without = s
-        .report((Dataset::Lj, AlgoKey::Sssp, MachineKind::OmegaNoSvb))
-        .clone();
     let mut t = Table::new([
         "machine",
         "speedup",
@@ -1077,30 +1035,25 @@ fn abl_svb(s: &mut Session) {
         "remote SP reads",
         "noc MB",
     ]);
-    t.row([
-        "omega (with SVB)".to_string(),
-        format!("{:.2}x", base as f64 / with.total_cycles as f64),
-        with.mem.scratchpad.svb_hits.to_string(),
-        with.mem.scratchpad.remote_accesses.to_string(),
-        format!("{:.2}", with.mem.noc.bytes as f64 / 1e6),
-    ]);
-    t.row([
-        "omega (no SVB)".to_string(),
-        format!("{:.2}x", base as f64 / without.total_cycles as f64),
-        without.mem.scratchpad.svb_hits.to_string(),
-        without.mem.scratchpad.remote_accesses.to_string(),
-        format!("{:.2}", without.mem.noc.bytes as f64 / 1e6),
-    ]);
+    for (name, m) in [
+        ("omega (with SVB)", MachineKind::Omega),
+        ("omega (no SVB)", MachineKind::OmegaNoSvb),
+    ] {
+        let r = s.report((Dataset::Lj, AlgoKey::Sssp, m));
+        t.row([
+            name.to_string(),
+            format!("{:.2}x", base as f64 / r.total_cycles as f64),
+            r.mem.scratchpad.svb_hits.to_string(),
+            r.mem.scratchpad.remote_accesses.to_string(),
+            format!("{:.2}", r.mem.noc.bytes as f64 / 1e6),
+        ]);
+    }
     println!("{t}");
 }
 
 /// §III/§VI — reordering algorithm comparison on the baseline.
-fn abl_reorder(s: &mut Session, vc: &ValueCache) {
-    banner(
-        "abl-reorder",
-        "offline reordering variants, PageRank lj baseline (paper: ~8% best)",
-    );
-    let scale = s.scale();
+fn abl_reorder(f: &mut Figures) {
+    let scale = f.s.scale();
     // Built lazily: a fully warm store never constructs the unordered graph.
     let g = std::cell::OnceCell::new();
     let system = SystemConfig::mini_baseline();
@@ -1126,7 +1079,7 @@ fn abl_reorder(s: &mut Session, vc: &ValueCache) {
             reorder::Reordering::SlashBurnLike { hubs_per_round: 64 },
         ),
     ] {
-        let (cycles, l2_hit) = vc.get_or(
+        let (cycles, l2_hit) = f.value(
             "abl-reorder",
             &format!("abl-reorder-{name}-{}", Dataset::Lj.code()),
             Some(&exec),
@@ -1163,15 +1116,20 @@ fn abl_reorder(s: &mut Session, vc: &ValueCache) {
     println!("{t}");
 }
 
+/// The off-chip ablation's workloads.
+const OFFCHIP_ROWS: [(Dataset, AlgoKey); 4] = [
+    (Dataset::Usa, AlgoKey::PageRank),
+    (Dataset::Usa, AlgoKey::Sssp),
+    (Dataset::Lj, AlgoKey::PageRank),
+    (Dataset::RoadCa, AlgoKey::PageRank),
+];
+
 /// §IX — the paper's deferred off-chip extensions (word-granularity DRAM,
 /// PIM offload, hybrid page policy), evaluated where they matter: graphs
 /// whose cold vertices dominate (the road networks and partially-resident
 /// power-law graphs).
-fn abl_offchip(s: &mut Session) {
-    banner(
-        "abl-offchip",
-        "§IX off-chip extensions: word DRAM + PIM + hybrid page policy (paper: future work)",
-    );
+fn abl_offchip(f: &mut Figures) {
+    let s = &mut f.s;
     let mut t = Table::new([
         "workload",
         "omega",
@@ -1180,18 +1138,12 @@ fn abl_offchip(s: &mut Session) {
         "word accesses",
         "DRAM row hits",
     ]);
-    for (d, a) in [
-        (Dataset::Usa, AlgoKey::PageRank),
-        (Dataset::Usa, AlgoKey::Sssp),
-        (Dataset::Lj, AlgoKey::PageRank),
-        (Dataset::RoadCa, AlgoKey::PageRank),
-    ] {
+    for (d, a) in OFFCHIP_ROWS {
         let base = s.report((d, a, MachineKind::Baseline)).total_cycles;
-        let omega = s.report((d, a, MachineKind::Omega)).total_cycles;
         let ext = s.report((d, a, MachineKind::OmegaOffchip)).clone();
         t.row([
             format!("{}-{}", a.name(), d.code()),
-            format!("{:.2}x", base as f64 / omega as f64),
+            format!("{:.2}x", s.speedup(d, a)),
             format!("{:.2}x", base as f64 / ext.total_cycles as f64),
             ext.mem.scratchpad.pim_ops.to_string(),
             ext.mem.scratchpad.word_dram_accesses.to_string(),
@@ -1205,13 +1157,9 @@ fn abl_offchip(s: &mut Session) {
 /// plain slicing (every slice's vtxProp fits) vs. the paper's
 /// power-law-aware slicing (only each slice's hot 20% must fit), which
 /// cuts the slice count "by up to 5x" and with it the per-slice overhead.
-fn abl_slicing(s: &mut Session, vc: &ValueCache) {
-    banner(
-        "abl-slicing",
-        "§VII graph slicing: plain vs power-law-aware (paper: up to 5x fewer slices)",
-    );
+fn abl_slicing(f: &mut Figures) {
     use omega_graph::slicing;
-    let g = s.graph(Dataset::Uk).clone();
+    let g = f.s.graph(Dataset::Uk).clone();
     let n = g.num_vertices();
     // A scratchpad too small for the whole hot set: 1/16 of standard.
     let system = SystemConfig::mini_omega().with_scratchpad_bytes(512);
@@ -1220,7 +1168,7 @@ fn abl_slicing(s: &mut Session, vc: &ValueCache) {
     let runner = Runner::new(system);
     let exec = runner.resolved_exec();
 
-    let unsliced = vc.get_or(
+    let unsliced = f.value(
         "abl-slicing",
         &format!("abl-slicing-unsliced-{}", Dataset::Uk.code()),
         Some(&exec),
@@ -1249,7 +1197,7 @@ fn abl_slicing(s: &mut Session, vc: &ValueCache) {
         "1.00x".into(),
     ]);
     for name in ["whole-slice fits", "hot-20% fits (§VII.3)"] {
-        let (n_slices, total) = vc.get_or(
+        let (n_slices, total) = f.value(
             "abl-slicing",
             &format!("abl-slicing-{name}-{}", Dataset::Uk.code()),
             Some(&exec),
@@ -1314,27 +1262,18 @@ fn abl_slicing(s: &mut Session, vc: &ValueCache) {
 /// help but its PISC offload has nothing to do — the speedup is smaller
 /// than under Ligra, which is exactly what makes OMEGA's
 /// framework-independence claim meaningful.
-fn abl_graphmat(s: &mut Session, vc: &ValueCache) {
-    banner(
-        "abl-graphmat",
-        "§V.F framework independence: Ligra vs GraphMat-style PageRank",
-    );
+fn abl_graphmat(f: &mut Figures) {
     use omega_ligra::trace::CollectingTracer;
     use omega_ligra::{graphmat, Ctx};
-    let g = s.graph(Dataset::Lj).clone();
+    let g = f.s.graph(Dataset::Lj).clone();
 
     // Ligra numbers come from the session cache.
-    let ligra_base = s
-        .report((Dataset::Lj, AlgoKey::PageRank, MachineKind::Baseline))
-        .clone();
-    let ligra_omega = s
-        .report((Dataset::Lj, AlgoKey::PageRank, MachineKind::Omega))
-        .clone();
+    let (ligra_base, ligra_omega) = f.pair(Dataset::Lj, AlgoKey::PageRank);
 
     // GraphMat trace, replayed on both machines (cached as one value: the
     // trace is shared, so the two replays always happen together).
     let exec_ser: ExecConfigSer = ExecConfig::default().into();
-    let (gm_base_cycles, gm_omega_cycles, gm_pisc_ops) = vc.get_or(
+    let (gm_base_cycles, gm_omega_cycles, gm_pisc_ops) = f.value(
         "abl-graphmat",
         &format!("abl-graphmat-pagerank-{}", Dataset::Lj.code()),
         Some(&exec_ser),
@@ -1397,15 +1336,19 @@ fn abl_graphmat(s: &mut Session, vc: &ValueCache) {
     println!("{t}");
 }
 
+/// The locked-cache ablation's machines, PageRank on lj.
+const LOCKED_MACHINES: [MachineKind; 3] = [
+    MachineKind::Baseline,
+    MachineKind::LockedCache,
+    MachineKind::Omega,
+];
+
 /// §IX — locked cache vs. scratchpad: pin the same hot vertices in a
 /// full-size L2 instead of carving out scratchpads. The paper predicts the
 /// locked cache recovers hit rate but keeps the line-granularity traffic
 /// and the core-executed atomics — measured here.
-fn abl_locked(s: &mut Session) {
-    banner(
-        "abl-locked",
-        "§IX locked cache vs scratchpad, PageRank (paper: locking still loses)",
-    );
+fn abl_locked(f: &mut Figures) {
+    let s = &mut f.s;
     let mut t = Table::new([
         "machine",
         "speedup (lj)",
@@ -1415,16 +1358,12 @@ fn abl_locked(s: &mut Session) {
     ]);
     let base = s
         .report((Dataset::Lj, AlgoKey::PageRank, MachineKind::Baseline))
-        .clone();
-    for m in [
-        MachineKind::Baseline,
-        MachineKind::LockedCache,
-        MachineKind::Omega,
-    ] {
-        let r = s.report((Dataset::Lj, AlgoKey::PageRank, m)).clone();
+        .total_cycles;
+    for m in LOCKED_MACHINES {
+        let r = s.report((Dataset::Lj, AlgoKey::PageRank, m));
         t.row([
             m.label(),
-            format!("{:.2}x", base.total_cycles as f64 / r.total_cycles as f64),
+            format!("{:.2}x", base as f64 / r.total_cycles as f64),
             pct(r.mem.last_level_hit_rate()),
             format!("{:.2}", r.mem.noc.bytes as f64 / 1e6),
             pct(r.engine.atomic_bound_fraction()),
@@ -1433,16 +1372,26 @@ fn abl_locked(s: &mut Session) {
     println!("{t}");
 }
 
+/// The rival comparison's workloads and machines.
+const RIVAL_ROWS: [(Dataset, AlgoKey); 3] = [
+    (Dataset::Lj, AlgoKey::PageRank),
+    (Dataset::Sd, AlgoKey::Bfs),
+    (Dataset::Usa, AlgoKey::Sssp),
+];
+const RIVAL_MACHINES: [MachineKind; 4] = [
+    MachineKind::Baseline,
+    MachineKind::Omega,
+    MachineKind::PimRank,
+    MachineKind::SpecializedCache,
+];
+
 /// §IX — the three-way rival comparison: OMEGA's scratchpad+PISC against
 /// a PIM-rank machine (reduce/apply executed at the DRAM rank) and a
 /// GRASP-style specialized cache (degree-ordered pinning in a plain L2,
 /// no scratchpad). Same trace, same hierarchy sizing — only the
 /// vertex-property path differs.
-fn rivals(s: &mut Session) {
-    banner(
-        "rivals",
-        "§IX rival subsystems: omega vs PIM ranks vs specialized cache",
-    );
+fn rivals(f: &mut Figures) {
+    let s = &mut f.s;
     let mut t = Table::new([
         "workload",
         "machine",
@@ -1452,19 +1401,10 @@ fn rivals(s: &mut Session) {
         "atomic stall %",
         "offloaded ops",
     ]);
-    for (d, a) in [
-        (Dataset::Lj, AlgoKey::PageRank),
-        (Dataset::Sd, AlgoKey::Bfs),
-        (Dataset::Usa, AlgoKey::Sssp),
-    ] {
+    for (d, a) in RIVAL_ROWS {
         let base = s.report((d, a, MachineKind::Baseline)).total_cycles;
-        for m in [
-            MachineKind::Baseline,
-            MachineKind::Omega,
-            MachineKind::PimRank,
-            MachineKind::SpecializedCache,
-        ] {
-            let r = s.report((d, a, m)).clone();
+        for m in RIVAL_MACHINES {
+            let r = s.report((d, a, m));
             // OMEGA offloads to the PISC engines behind the scratchpad;
             // the PIM machine offloads to the rank engines. One column
             // covers both rival offload paths.
@@ -1487,11 +1427,7 @@ fn rivals(s: &mut Session) {
 /// advantage is really memory-level parallelism. The PIM machine's rank
 /// count grows with the channel count, so it is the one whose standing
 /// this sweep can change.
-fn channels(s: &mut Session, vc: &ValueCache) {
-    banner(
-        "channels",
-        "§IX DRAM channel scaling, PageRank on lj (Green et al.: MLP vs compute placement)",
-    );
+fn channels(f: &mut Figures) {
     const CHANNELS: [usize; 4] = [1, 2, 4, 8];
     let systems = |ch: usize| {
         let mut out = [
@@ -1505,8 +1441,8 @@ fn channels(s: &mut Session, vc: &ValueCache) {
         out
     };
     let exec_ser: ExecConfigSer = ExecConfig::default().into();
-    let g = s.graph(Dataset::Lj).clone();
-    let cycles: Vec<u64> = vc.get_or(
+    let g = f.s.graph(Dataset::Lj).clone();
+    let cycles: Vec<u64> = f.value(
         "channels",
         &format!("channels-pagerank-{}", Dataset::Lj.code()),
         Some(&exec_ser),
@@ -1566,11 +1502,7 @@ fn channels(s: &mut Session, vc: &ValueCache) {
 /// §III — the cost of atomic instructions on the baseline, measured the
 /// paper's way: lower every atomic to a plain store and compare (the paper
 /// reports "an overhead of up to 50%" on real hardware).
-fn abl_atomics(s: &mut Session, vc: &ValueCache) {
-    banner(
-        "abl-atomics",
-        "§III atomic-instruction overhead on the baseline (paper: up to 50%)",
-    );
+fn abl_atomics(f: &mut Figures) {
     use omega_core::layout::Layout;
     use omega_core::lower::{lower, Target};
     use omega_sim::{engine, hierarchy::CacheHierarchy};
@@ -1587,8 +1519,8 @@ fn abl_atomics(s: &mut Session, vc: &ValueCache) {
         (Dataset::Wiki, AlgoKey::Sssp),
         (Dataset::Ap, AlgoKey::Cc),
     ] {
-        let g = s.graph(d).clone();
-        let (atomic, plain) = vc.get_or(
+        let g = f.s.graph(d).clone();
+        let (atomic, plain) = f.value(
             "abl-atomics",
             &format!("abl-atomics-{}-{}", a.name(), d.code()),
             Some(&exec_ser),
@@ -1644,19 +1576,19 @@ fn sparkline(series: &[f64], width: usize) -> String {
         .collect()
 }
 
-/// Telemetry deep-dive — the observability companion to Figs. 3/16/17:
-/// exact per-bucket stall attribution (every cycle lands in exactly one
-/// bucket) and DRAM bandwidth utilisation over time from the
-/// cycle-windowed sampler.
-fn telemetry(outer: &Session) {
-    use omega_sim::telemetry::TelemetryConfig;
-    banner(
-        "telemetry",
-        "stall attribution and DRAM bandwidth utilisation over time",
-    );
-    // A dedicated session: the shared one memoises telemetry-free runs.
-    // It shares the outer session's store root (telemetry settings are part
-    // of the fingerprint, so the entries never collide).
+/// The telemetry figure's workloads, each on the baseline and OMEGA.
+const TELEMETRY_ROWS: [(Dataset, AlgoKey); 4] = [
+    (Dataset::Sd, AlgoKey::PageRank),
+    (Dataset::Lj, AlgoKey::PageRank),
+    (Dataset::Lj, AlgoKey::Bfs),
+    (Dataset::Wiki, AlgoKey::Sssp),
+];
+
+/// The telemetry figure's session. It cannot use the main one, which
+/// memoises telemetry-free runs. It shares the main session's store root
+/// (telemetry settings are part of the fingerprint, so the entries never
+/// collide).
+fn telemetry_session(outer: &Session) -> Session {
     let window = match outer.scale() {
         DatasetScale::Tiny => 1 << 10,
         _ => TelemetryConfig::DEFAULT_WINDOW,
@@ -1666,14 +1598,21 @@ fn telemetry(outer: &Session) {
         .telemetry(TelemetryConfig::windowed(window))
         .jobs(outer.effective_jobs());
     if let Some(store) = outer.store() {
-        s = s.with_store(store.root()).unwrap_or_else(|e| {
-            eprintln!(
-                "figures: cannot reopen store {}: {e}",
-                store.root().display()
-            );
-            std::process::exit(2);
-        });
+        let root = store.root();
+        s = s
+            .with_store(root)
+            .unwrap_or_else(|e| die(&format!("cannot reopen store {}: {e}", root.display())));
     }
+    s
+}
+
+/// Telemetry deep-dive — the observability companion to Figs. 3/16/17:
+/// exact per-bucket stall attribution (every cycle lands in exactly one
+/// bucket) and DRAM bandwidth utilisation over time from the
+/// cycle-windowed sampler.
+fn telemetry(f: &mut Figures) {
+    let s = f.tel.get_or_insert_with(|| telemetry_session(&f.s));
+    s.prefetch(&cross(TELEMETRY_ROWS, &PAIR));
     let mut t = Table::new([
         "workload",
         "machine",
@@ -1684,15 +1623,10 @@ fn telemetry(outer: &Session) {
         "drain %",
         "DRAM util over time",
     ]);
-    for (d, a) in [
-        (Dataset::Sd, AlgoKey::PageRank),
-        (Dataset::Lj, AlgoKey::PageRank),
-        (Dataset::Lj, AlgoKey::Bfs),
-        (Dataset::Wiki, AlgoKey::Sssp),
-    ] {
-        for m in [MachineKind::Baseline, MachineKind::Omega] {
+    for (d, a) in TELEMETRY_ROWS {
+        for m in PAIR {
             let channels = m.system().machine.dram.channels;
-            let r = s.report((d, a, m)).clone();
+            let r = s.report((d, a, m));
             let mut buckets = [0u64; 5];
             let mut total = 0u64;
             for c in &r.engine.per_core {
@@ -1732,4 +1666,33 @@ fn telemetry(outer: &Session) {
         }
     }
     println!("{t}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+
+    /// The whitespace-separated ids between `start` and the next `end`.
+    fn listed<'a>(doc: &'a str, start: &str, end: &str) -> Vec<&'a str> {
+        let from = doc.find(start).expect("id list present") + start.len();
+        let list = &doc[from..from + doc[from..].find(end).expect("id list ends")];
+        let mut ids: Vec<&str> = list.split_whitespace().filter(|w| *w != "//!").collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn readme_and_usage_list_exactly_the_table_ids() {
+        let mut ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).chain(["all"]).collect();
+        ids.sort_unstable();
+        let readme = include_str!("../../../../README.md");
+        assert_eq!(
+            listed(readme, "understood by `figures`, in `all` order: `", "`"),
+            ids
+        );
+        assert_eq!(
+            listed(include_str!("figures.rs"), "//! ids:", "//! ```"),
+            ids
+        );
+    }
 }

@@ -33,6 +33,6 @@ pub use obs_report::{
     PROFILE_REPORT_SCHEMA,
 };
 pub use report_json::run_report_to_json;
-pub use session::{ExperimentSpec, MachineKind, Session};
+pub use session::{paper_sweep, ExperimentSpec, MachineKind, Session};
 pub use store::ExperimentStore;
 pub use table::Table;

@@ -14,6 +14,13 @@
 //! These numbers guard the simulator's own speed (the harness replays tens
 //! of millions of events); they are indicative, not statistically rigorous.
 
+use omega_core::config::SystemConfig;
+use omega_core::layout::Layout;
+use omega_core::lower::{lower, Target};
+use omega_core::runner::{replay, trace_algorithm, Runner};
+use omega_graph::datasets::{Dataset, DatasetScale};
+use omega_ligra::algorithms::Algo;
+use omega_ligra::ExecConfig;
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 
@@ -265,6 +272,39 @@ fn run_one(label: &str, samples: usize, f: &mut dyn FnMut(&mut Bencher)) -> Benc
         mean_ns: mean,
         stddev_ns: stddev,
     }
+}
+
+/// The trace → lower → replay pipeline on PageRank-sd (tiny), as the
+/// `pipeline/*` group: the bodies shared by `cargo bench --bench
+/// simulation` and the `bench` snapshot, which differ only in
+/// `sample_size`.
+pub fn bench_pipeline(c: &mut Criterion, sample_size: usize) {
+    let g = Dataset::Sd
+        .build(DatasetScale::Tiny)
+        .expect("registry datasets build");
+    let algo = Algo::PageRank { iters: 1 };
+    let mut grp = c.benchmark_group("pipeline");
+    grp.sample_size(sample_size);
+    grp.bench_function("trace_collect", |b| {
+        b.iter(|| black_box(trace_algorithm(&g, algo, &ExecConfig::default())))
+    });
+    let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+    grp.bench_function("lower_baseline", |b| {
+        let layout = Layout::new(&meta);
+        b.iter(|| black_box(lower(&raw, &layout, Target::Baseline)))
+    });
+    grp.bench_function("replay_baseline", |b| {
+        let sys = SystemConfig::mini_baseline();
+        b.iter(|| black_box(replay(algo.name(), checksum, &raw, &meta, &sys, None)))
+    });
+    grp.bench_function("replay_omega", |b| {
+        let sys = SystemConfig::mini_omega();
+        b.iter(|| black_box(replay(algo.name(), checksum, &raw, &meta, &sys, None)))
+    });
+    grp.bench_function("end_to_end_omega", |b| {
+        b.iter(|| black_box(Runner::new(SystemConfig::mini_omega()).run(&g, algo)))
+    });
+    grp.finish();
 }
 
 #[cfg(test)]

@@ -60,6 +60,27 @@ fn reports_round_trip_across_all_machine_kinds_and_telemetry() {
 }
 
 #[test]
+fn prefetch_simulates_machines_with_one_configuration_once() {
+    // omega-sp1000 is the standard OMEGA machine under another label: one
+    // fingerprint, so one replay and one store entry serve both specs.
+    let dir = temp_store("twins");
+    let omega = ExperimentSpec::new(Dataset::Sd, AlgoKey::Bfs, MachineKind::Omega);
+    let full_sp = ExperimentSpec {
+        machine: MachineKind::OmegaScaledSp { permille: 1000 },
+        ..omega
+    };
+    let mut s = Session::new(DatasetScale::Tiny)
+        .verbose(false)
+        .with_store(&dir)
+        .unwrap();
+    assert_eq!(s.prefetch(&[omega, full_sp]).computed(), 2);
+    assert_eq!(s.store().unwrap().counters().writes, 1);
+    let twin = s.report(full_sp).clone();
+    assert_eq!(&twin, s.report(omega));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn old_format_version_entries_are_misses_not_errors() {
     let dir = temp_store("oldversion");
     let spec = ExperimentSpec::new(Dataset::Sd, AlgoKey::Bfs, MachineKind::Baseline);

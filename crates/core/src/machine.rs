@@ -58,9 +58,7 @@ pub struct OmegaMemory {
     atomics_executed: u64,
     atomic_lock_wait: u64,
     word_dram_accesses: u64,
-    /// Window sampler taken over from the inner hierarchy, so the time
-    /// series is computed from the *combined* statistics (scratchpad and
-    /// PISC counters included). `None` when telemetry is disabled.
+    /// See [`OuterSampled`].
     sampler: Option<WindowSampler>,
 }
 
@@ -95,8 +93,6 @@ impl OmegaMemory {
             omega.sp_bytes_per_core,
         );
         let mut inner = CacheHierarchy::new(&machine);
-        // OMEGA drives the windowing itself so windows see scratchpad
-        // counters; the hierarchy keeps collecting its histograms.
         let sampler = inner.take_sampler();
         OmegaMemory {
             inner,
@@ -168,17 +164,6 @@ impl OmegaMemory {
             pim.merge_stats(&mut s);
         }
         s
-    }
-
-    /// Ticks the window sampler if `now` crossed a boundary; one compare
-    /// on the common path.
-    fn sample_if_due(&mut self, now: Cycle) {
-        if self.sampler.as_ref().is_some_and(|s| s.due(now)) {
-            let cumulative = self.stats();
-            if let Some(s) = self.sampler.as_mut() {
-                s.tick(now, &cumulative);
-            }
-        }
     }
 
     fn sp_read(
@@ -326,6 +311,58 @@ impl OmegaMemory {
     }
 }
 
+/// A model over a [`CacheHierarchy`] that adds its own counters (OMEGA,
+/// PIM-rank). It takes the hierarchy's window sampler over, so windows see
+/// the merged counters; the hierarchy keeps collecting its histograms.
+pub(crate) trait OuterSampled {
+    /// The taken-over sampler; `None` when telemetry is off.
+    fn sampler(&mut self) -> &mut Option<WindowSampler>;
+
+    /// Hierarchy counters plus the model's own.
+    fn merged_stats(&self) -> MemStats;
+
+    /// Ticks the sampler if `now` crossed a boundary; one compare on the
+    /// common path.
+    #[inline]
+    fn sample_if_due(&mut self, now: Cycle) {
+        if self.sampler().as_ref().is_some_and(|s| s.due(now)) {
+            let cumulative = self.merged_stats();
+            if let Some(s) = self.sampler() {
+                s.tick(now, &cumulative);
+            }
+        }
+    }
+
+    /// Emits the final partial window.
+    fn flush_windows(&mut self, now: Cycle) {
+        if self.sampler().is_some() {
+            let cumulative = self.merged_stats();
+            if let Some(s) = self.sampler() {
+                s.flush(now, &cumulative);
+            }
+        }
+    }
+
+    /// Replaces the hierarchy report's windows with the merged ones.
+    fn attach_windows(&mut self, report: Option<TelemetryReport>) -> Option<TelemetryReport> {
+        let mut report = report?;
+        if let Some(s) = self.sampler().take() {
+            report.windows = s.into_samples();
+        }
+        Some(report)
+    }
+}
+
+impl OuterSampled for OmegaMemory {
+    fn sampler(&mut self) -> &mut Option<WindowSampler> {
+        &mut self.sampler
+    }
+
+    fn merged_stats(&self) -> MemStats {
+        self.stats()
+    }
+}
+
 impl MemorySystem for OmegaMemory {
     fn access(&mut self, core: usize, access: MemAccess, now: Cycle) -> AccessOutcome {
         self.sample_if_due(now);
@@ -354,21 +391,13 @@ impl MemorySystem for OmegaMemory {
     }
 
     fn finish(&mut self, now: Cycle) {
-        if self.sampler.is_some() {
-            let cumulative = self.stats();
-            if let Some(s) = self.sampler.as_mut() {
-                s.flush(now, &cumulative);
-            }
-        }
+        self.flush_windows(now);
         self.inner.finish(now);
     }
 
     fn take_telemetry(&mut self) -> Option<TelemetryReport> {
-        let mut report = self.inner.take_telemetry()?;
-        if let Some(s) = self.sampler.take() {
-            report.windows = s.into_samples();
-        }
-        Some(report)
+        let report = self.inner.take_telemetry();
+        self.attach_windows(report)
     }
 
     fn audit_into(&self, out: &mut AuditReport) {

@@ -17,6 +17,7 @@
 
 use crate::config::{MemoryModel, PimRankConfig, SystemConfig};
 use crate::layout::Layout;
+use crate::machine::OuterSampled;
 use crate::pisc::{release_offloader, PiscEngine};
 use omega_ligra::trace::TraceMeta;
 use omega_sim::audit::{self, AuditReport};
@@ -142,8 +143,7 @@ pub struct PimRankMemory {
     /// registers OMEGA's controller uses, §V.A).
     monitored: Vec<bool>,
     ranks: DramPim,
-    /// Window sampler taken over from the inner hierarchy so windows see
-    /// the combined (rank-op) counters. `None` when telemetry is off.
+    /// See [`OuterSampled`].
     sampler: Option<WindowSampler>,
 }
 
@@ -183,21 +183,21 @@ impl PimRankMemory {
         s
     }
 
-    /// Ticks the window sampler if `now` crossed a boundary.
-    fn sample_if_due(&mut self, now: Cycle) {
-        if self.sampler.as_ref().is_some_and(|s| s.due(now)) {
-            let cumulative = self.stats();
-            if let Some(s) = self.sampler.as_mut() {
-                s.tick(now, &cumulative);
-            }
-        }
-    }
-
     /// Whether `addr` falls inside a monitored vtxProp region.
     fn is_monitored(&self, addr: u64) -> bool {
         self.layout
             .prop_of_addr(addr)
             .is_some_and(|(prop, _)| self.monitored[prop as usize])
+    }
+}
+
+impl OuterSampled for PimRankMemory {
+    fn sampler(&mut self) -> &mut Option<WindowSampler> {
+        &mut self.sampler
+    }
+
+    fn merged_stats(&self) -> MemStats {
+        self.stats()
     }
 }
 
@@ -217,21 +217,13 @@ impl MemorySystem for PimRankMemory {
     }
 
     fn finish(&mut self, now: Cycle) {
-        if self.sampler.is_some() {
-            let cumulative = self.stats();
-            if let Some(s) = self.sampler.as_mut() {
-                s.flush(now, &cumulative);
-            }
-        }
+        self.flush_windows(now);
         self.inner.finish(now);
     }
 
     fn take_telemetry(&mut self) -> Option<TelemetryReport> {
-        let mut report = self.inner.take_telemetry()?;
-        if let Some(s) = self.sampler.take() {
-            report.windows = s.into_samples();
-        }
-        Some(report)
+        let report = self.inner.take_telemetry();
+        self.attach_windows(report)
     }
 
     fn audit_into(&self, out: &mut AuditReport) {

@@ -86,6 +86,22 @@ case "$warm_line" in
 esac
 ./target/release/stats store verify "$store_dir/store" \
   > target/store-verify.json
+# Every session run a figure reads comes from the up-front prefetch: a
+# `[run]` line is a serial on-demand simulation that some experiment's
+# work list in figures.rs missed.
+if grep -q '\[run\]' target/figures-cold.err; then
+  echo "ci: cold sweep simulated outside the prefetch:" >&2
+  grep '\[run\]' target/figures-cold.err >&2
+  exit 1
+fi
+# The cold run's `writes=` counts every store handle it used, so it must
+# equal the number of intact entries the store now holds.
+cold_writes=$(grep '^\[store\]' target/figures-cold.err \
+  | grep -o 'writes=[0-9]*' | cut -d= -f2)
+stored=$(grep -o '"ok": [0-9]*' target/store-verify.json | grep -o '[0-9]*$')
+echo "ci: cold sweep writes=$cold_writes, store holds $stored entries"
+[ "$cold_writes" -eq "$stored" ] \
+  || { echo "ci: [store] summary missed some store writes" >&2; exit 1; }
 echo "ci: wrote target/figures-{cold,warm,small}.txt, target/profile-report.json,"
 echo "ci:   and target/store-verify.json"
 
