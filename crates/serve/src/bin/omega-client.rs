@@ -14,9 +14,9 @@
 //! failed. Batch has three wire shapes:
 //!
 //! * default — sequential calls, one at a time (the v1 discipline);
-//! * `--pipeline` — every request is written before any response is
-//!   read; the server computes them concurrently and responses are
-//!   matched back by frame id;
+//! * `--pipeline` — up to `MAX_IN_FLIGHT` requests are written ahead of
+//!   the responses read; the server computes them concurrently and
+//!   responses are matched back by frame id;
 //! * `--grouped` — one server-side `batch` request, so specs sharing
 //!   `(dataset, algo)` ride one queue slot and one functional trace.
 //!

@@ -5,7 +5,8 @@
 //! several requests can be **pipelined** on the wire ([`Client::send`]
 //! then [`Client::recv`]) and responses may arrive out of order — the
 //! client buffers whatever it reads until the id you asked for shows
-//! up. [`Client::connect_v1`] keeps the strict PR 8 one-at-a-time
+//! up; past [`MAX_IN_FLIGHT`] unanswered frames the server stops
+//! reading. [`Client::connect_v1`] keeps the strict v1 one-at-a-time
 //! protocol for compatibility testing.
 //!
 //! The optional [`RetryPolicy`] turns structured `busy` shedding into
@@ -20,6 +21,7 @@
 //! nowhere else.
 
 use crate::proto::{self, ProtoVersion, Request, RequestFrame, Response, RunRequest};
+use crate::server::MAX_IN_FLIGHT;
 use crate::wire::{self, Frame};
 use omega_bench::Json;
 use omega_core::OmegaError;
@@ -106,7 +108,7 @@ impl Client {
     /// Connects speaking the original `omega-serve/v1` protocol:
     /// unadorned frames, strictly one request in flight, responses in
     /// order. Exists so the compat tests can drive a live server the
-    /// way a PR 8 client would.
+    /// way a v1-only client would.
     pub fn connect_v1(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         Self::connect_version(addr, ProtoVersion::V1)
     }
@@ -263,15 +265,22 @@ impl Client {
         }
     }
 
-    /// Pipelines all `runs` on this connection — every request is sent
-    /// before any response is read — and returns the responses in
-    /// request order. v2 only.
+    /// Pipelines all `runs` on this connection, keeping up to
+    /// [`MAX_IN_FLIGHT`] requests sent ahead of the responses read, and
+    /// returns the responses in request order. v2 only.
     pub fn run_pipelined(&mut self, runs: &[RunRequest]) -> Result<Vec<Response>, OmegaError> {
-        let ids: Vec<u64> = runs
-            .iter()
-            .map(|run| self.send(&Request::Run(*run)))
-            .collect::<Result<_, _>>()?;
-        ids.into_iter().map(|id| self.recv(id)).collect()
+        let mut ids = Vec::with_capacity(runs.len());
+        let mut responses = Vec::with_capacity(runs.len());
+        for run in runs {
+            if ids.len() - responses.len() == MAX_IN_FLIGHT {
+                responses.push(self.recv(ids[responses.len()])?);
+            }
+            ids.push(self.send(&Request::Run(*run))?);
+        }
+        while responses.len() < ids.len() {
+            responses.push(self.recv(ids[responses.len()])?);
+        }
+        Ok(responses)
     }
 
     /// Submits all `runs` as one server-side `batch` request: the

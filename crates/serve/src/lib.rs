@@ -20,7 +20,9 @@
 //!   `figures` serves the first request of a session without replay.
 //! * **Bounded admission** — a fixed-depth queue feeds the worker
 //!   pool; when it is full the server sheds with a structured `busy`
-//!   response instead of buffering without bound or blocking accept.
+//!   response instead of buffering without bound or blocking accept;
+//!   each connection keeps at most [`server::MAX_IN_FLIGHT`] requests
+//!   in flight and stops reading past that.
 //! * **Graceful shutdown** — a `shutdown` request drains queued and
 //!   in-flight work before the process exits; every admitted request
 //!   still gets its response.

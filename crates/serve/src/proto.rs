@@ -11,13 +11,14 @@
 //!
 //! * **v1** ([`PROTO`]) is strictly sequential: no `id` field is
 //!   allowed, and the server answers each request before reading the
-//!   next, in order. Every PR 8 client keeps working unchanged.
+//!   next, in order. Every v1-only client keeps working unchanged.
 //! * **v2** ([`PROTO_V2`]) adds **pipelining**: every request frame
 //!   carries a client-chosen numeric `id`, the response echoes it, and
 //!   responses may arrive in any order — a single connection can have
-//!   many requests in flight. v2 also adds the `batch` method: one
-//!   frame carrying many run specs, grouped server-side by
-//!   `(dataset, algo)` so compatible specs share one functional trace.
+//!   up to [`MAX_IN_FLIGHT`](crate::server::MAX_IN_FLIGHT) requests in
+//!   flight (v1 is the same path with depth 1). v2 also adds `batch`:
+//!   one frame carrying up to [`MAX_BATCH_RUNS`] run specs, grouped
+//!   server-side by `(dataset, algo)` to share one functional trace.
 //!
 //! The version is per-*frame*, not per-connection: [`RequestFrame`]
 //! carries what the client spoke and the server mirrors it back, so
@@ -49,6 +50,11 @@ pub const STATS_SCHEMA: &str = "omega-serve-stats/v2";
 
 /// Schema tag of the `batch` response payload document.
 pub const BATCH_SCHEMA: &str = "omega-serve-batch/v1";
+
+/// Most runs one `batch` frame may carry. The largest result measured
+/// is 7,292 bytes (lj PageRank on pim-rank, small scale), so a full
+/// batch answers in under 7.5 MB, below [`MAX_FRAME`](crate::wire::MAX_FRAME).
+pub const MAX_BATCH_RUNS: usize = 1024;
 
 /// Which protocol revision one frame speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,6 +288,12 @@ fn request_fields_from_json(doc: &Json) -> Result<Request, OmegaError> {
                     "batch with an empty `runs` array".into(),
                 ));
             }
+            if items.len() > MAX_BATCH_RUNS {
+                return Err(OmegaError::Protocol(format!(
+                    "batch of {} runs exceeds the {MAX_BATCH_RUNS}-run cap",
+                    items.len()
+                )));
+            }
             let runs = items
                 .iter()
                 .map(run_request_from_json)
@@ -428,7 +440,7 @@ pub fn batch_results(payload: &Json) -> Result<Vec<Response>, OmegaError> {
         .collect()
 }
 
-/// Serialises a v1 request (compat wrapper for PR 8 callers).
+/// Serialises a v1 request (compat wrapper for v1-only callers).
 pub fn request_to_json(req: &Request) -> Json {
     request_frame_to_json(&RequestFrame {
         version: ProtoVersion::V1,
@@ -437,31 +449,9 @@ pub fn request_to_json(req: &Request) -> Json {
     })
 }
 
-/// Parses a request document, requiring the v1 revision — the exact
-/// behaviour of the PR 8 server, kept for compatibility tests that
+/// Parses a response document, requiring the v1 revision — the exact
+/// behaviour of a v1-only client, kept for compatibility tests that
 /// emulate a v1-only peer.
-pub fn request_from_json(doc: &Json) -> Result<Request, OmegaError> {
-    let frame = request_frame_from_json(doc)?;
-    if frame.version != ProtoVersion::V1 {
-        return Err(OmegaError::Protocol(format!(
-            "protocol `{}` is not `{PROTO}`",
-            frame.version.tag()
-        )));
-    }
-    Ok(frame.request)
-}
-
-/// Serialises a v1 response (compat wrapper for PR 8 callers).
-pub fn response_to_json(resp: &Response) -> Json {
-    response_frame_to_json(&ResponseFrame {
-        version: ProtoVersion::V1,
-        id: None,
-        response: resp.clone(),
-    })
-}
-
-/// Parses a response document, requiring the v1 revision (the inverse
-/// of [`response_to_json`]).
 pub fn response_from_json(doc: &Json) -> Result<Response, OmegaError> {
     let frame = response_frame_from_json(doc)?;
     if frame.version != ProtoVersion::V1 {
@@ -484,7 +474,7 @@ mod tests {
             scale: DatasetScale::Tiny,
         });
         let doc = request_to_json(&req);
-        assert_eq!(request_from_json(&doc).unwrap(), req);
+        assert_eq!(request_frame_from_json(&doc).unwrap().request, req);
 
         // machine and scale are optional: omega at small scale.
         let mut minimal = Json::obj();
@@ -492,7 +482,7 @@ mod tests {
         minimal.set("method", Json::Str("run".into()));
         minimal.set("dataset", Json::Str("sd".into()));
         minimal.set("algo", Json::Str("bfs".into()));
-        let Request::Run(r) = request_from_json(&minimal).unwrap() else {
+        let Request::Run(r) = request_frame_from_json(&minimal).unwrap().request else {
             panic!("expected run");
         };
         assert_eq!(r.spec.machine, MachineKind::Omega);
@@ -514,7 +504,7 @@ mod tests {
                 Some(machine.label().as_str()),
                 "wire name is the CLI label"
             );
-            assert_eq!(request_from_json(&doc).unwrap(), req);
+            assert_eq!(request_frame_from_json(&doc).unwrap().request, req);
         }
     }
 
@@ -617,10 +607,30 @@ mod tests {
     }
 
     #[test]
+    fn batches_are_capped_at_max_batch_runs() {
+        let run = RunRequest {
+            spec: ExperimentSpec::new(Dataset::Sd, AlgoKey::Bfs, MachineKind::Omega),
+            scale: DatasetScale::Tiny,
+        };
+        for (n, err) in [
+            (MAX_BATCH_RUNS, None),
+            (MAX_BATCH_RUNS + 1, Some("protocol")),
+        ] {
+            let doc = request_frame_to_json(&RequestFrame {
+                version: ProtoVersion::V2,
+                id: Some(1),
+                request: Request::Batch(vec![run; n]),
+            });
+            let got = request_frame_from_json(&doc).err().map(|e| e.code());
+            assert_eq!(got, err, "a batch of {n} runs");
+        }
+    }
+
+    #[test]
     fn unknown_names_become_structured_boundary_errors() {
         let mut doc = request_to_json(&Request::Ping);
         doc.set("method", Json::Str("explode".into()));
-        let err = request_from_json(&doc).unwrap_err();
+        let err = request_frame_from_json(&doc).unwrap_err();
         assert_eq!(err.code(), "unknown-name");
         assert!(err.to_string().contains("shutdown"), "{err}");
 
@@ -629,12 +639,12 @@ mod tests {
         doc.set("method", Json::Str("run".into()));
         doc.set("dataset", Json::Str("not-a-graph".into()));
         doc.set("algo", Json::Str("pagerank".into()));
-        let err = request_from_json(&doc).unwrap_err();
+        let err = request_frame_from_json(&doc).unwrap_err();
         assert_eq!(err.code(), "unknown-name");
 
         doc.set("dataset", Json::Str("sd".into()));
         doc.set("algo", Json::Str("dijkstra".into()));
-        let err = request_from_json(&doc).unwrap_err();
+        let err = request_frame_from_json(&doc).unwrap_err();
         assert_eq!(err.code(), "unknown-name");
         assert!(err.to_string().contains("pagerank"), "{err}");
     }
@@ -643,17 +653,20 @@ mod tests {
     fn wrong_proto_tag_is_rejected() {
         let mut doc = request_to_json(&Request::Ping);
         doc.set("proto", Json::Str("omega-serve/v0".into()));
-        assert_eq!(request_from_json(&doc).unwrap_err().code(), "protocol");
+        assert_eq!(
+            request_frame_from_json(&doc).unwrap_err().code(),
+            "protocol"
+        );
 
-        // The v1-only parsers reject v2 frames — this is exactly what a
-        // PR 8 server would do to a pipelining client: a structured
+        // The v1-only parser rejects v2 frames — this is exactly what a
+        // v1-only client would do to a pipelined reply: a structured
         // protocol error, not silent misbehaviour.
-        let doc = request_frame_to_json(&RequestFrame {
+        let doc = response_frame_to_json(&ResponseFrame {
             version: ProtoVersion::V2,
             id: Some(1),
-            request: Request::Ping,
+            response: Response::Ok(Json::obj()),
         });
-        assert_eq!(request_from_json(&doc).unwrap_err().code(), "protocol");
+        assert_eq!(response_from_json(&doc).unwrap_err().code(), "protocol");
     }
 
     #[test]
@@ -671,7 +684,11 @@ mod tests {
                 message: "unknown dataset `x`".into(),
             },
         ] {
-            let doc = response_to_json(&resp);
+            let doc = response_frame_to_json(&ResponseFrame {
+                version: ProtoVersion::V1,
+                id: None,
+                response: resp.clone(),
+            });
             assert_eq!(response_from_json(&doc).unwrap(), resp);
         }
     }

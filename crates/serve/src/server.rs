@@ -2,9 +2,10 @@
 //! worker pool, bounded caches.
 //!
 //! ```text
-//!   accept thread ──► connection threads (one per client)
-//!                          │  v1 frame: handle inline, in order
-//!                          │  v2 frame: handler thread per request ──► out-of-order responses
+//!   accept thread ──► connection threads (one per client; exited ones reaped on accept)
+//!                          │  every frame: one handler thread, at most
+//!                          │  MAX_IN_FLIGHT per connection (v1: depth 1, in order)
+//!                          │  `run` = one-member `batch`
 //!                          │  memo (bounded LRU+TTL) / store  ──► hit
 //!                          │  join single-flight table
 //!                          ▼
@@ -22,22 +23,26 @@
 //!
 //! The accept loop never does work and the queue never grows past its
 //! configured depth, so overload degrades to fast structured `busy`
-//! responses instead of memory growth or connect timeouts. Admission is
+//! responses instead of memory growth or connect timeouts. A connection
+//! at [`MAX_IN_FLIGHT`] stops reading, so TCP backpressure throttles a
+//! client that pipelines faster than the server answers. Admission is
 //! at **group** granularity: a queued job is keyed by
 //! `(dataset, algo, scale)` and a compatible request joins it instead of
 //! consuming a slot — the functional trace is shared exactly like
 //! [`Session::prefetch`](omega_bench::session::Session::prefetch)
-//! (both layers partition with [`omega_bench::session::trace_groups`]).
-//! Shutdown (`shutdown` request) closes the queue, stops accepting, and
-//! drains: every admitted request still receives its response.
+//! (both group by the `(dataset, algo)` key of
+//! [`omega_bench::session::trace_groups`]). Shutdown (`shutdown`
+//! request) closes the queue, stops accepting, and drains: every
+//! admitted request still receives its response.
 
-use crate::flight::{FlightResult, Flights, Registry, Ticket};
+use crate::flight::{Flight, FlightResult, Flights, Registry, Ticket};
 use crate::memo::Memo;
 use crate::proto::{
-    self, ProtoVersion, Request, Response, ResponseFrame, RunRequest, PROTO_V2, STATS_SCHEMA,
+    self, ProtoVersion, Request, RequestFrame, Response, ResponseFrame, RunRequest, PROTO_V2,
+    STATS_SCHEMA,
 };
 use crate::wire::{self, Frame};
-use omega_bench::session::{trace_groups, ExperimentSpec, MachineKind};
+use omega_bench::session::{ExperimentSpec, MachineKind};
 use omega_bench::{run_report_to_json, ExperimentStore, Json};
 use omega_core::config::SystemConfig;
 use omega_core::runner::{replay, trace_algorithm};
@@ -48,12 +53,12 @@ use omega_ligra::trace::{RawTrace, TraceMeta};
 use omega_ligra::ExecConfig;
 use omega_sim::obs;
 use omega_sim::telemetry::TelemetryConfig;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::thread::{JoinHandle, ThreadId};
 use std::time::Duration;
 
 /// How the server is sized and where it listens.
@@ -166,38 +171,23 @@ impl Queue {
         }
     }
 
-    /// Admits `entries` under the group key. A queued job with the same
-    /// key absorbs them without consuming a slot (even when the queue
-    /// is at capacity — coalescing never increases the job count);
-    /// otherwise a free slot starts a new group job.
-    fn try_admit(
-        &self,
-        dataset: Dataset,
-        algo: omega_bench::session::AlgoKey,
-        scale: DatasetScale,
-        entries: Vec<JobEntry>,
-    ) -> Admission {
+    /// Admits `job`. A queued job with the same key absorbs its entries
+    /// without consuming a slot (even when the queue is at capacity —
+    /// coalescing never increases the job count); otherwise a free slot
+    /// queues it as a new group job.
+    fn try_admit(&self, job: Job) -> Admission {
         let mut inner = lock(&self.inner);
         if inner.1 {
             return Admission::Closed;
         }
-        if let Some(job) = inner
-            .0
-            .iter_mut()
-            .find(|j| j.key() == (dataset, algo, scale))
-        {
-            job.entries.extend(entries);
+        if let Some(queued) = inner.0.iter_mut().find(|j| j.key() == job.key()) {
+            queued.entries.extend(job.entries);
             return Admission::Grouped;
         }
         if inner.0.len() >= self.cap {
             return Admission::Full(inner.0.len());
         }
-        inner.0.push_back(Job {
-            dataset,
-            algo,
-            scale,
-            entries,
-        });
+        inner.0.push_back(job);
         self.cv.notify_one();
         Admission::Queued
     }
@@ -300,7 +290,6 @@ pub struct ServerHandle {
     state: Arc<ServerState>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl ServerHandle {
@@ -312,15 +301,9 @@ impl ServerHandle {
     /// Blocks until the server has fully drained and every thread has
     /// exited. Only returns after a `shutdown` request was processed.
     pub fn wait(mut self) {
+        // The accept thread joins every connection thread before it exits.
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
-        }
-        // No new connection threads spawn once the accept loop exited.
-        loop {
-            let Some(conn) = lock(&self.conns).pop() else {
-                break;
-            };
-            let _ = conn.join();
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -350,53 +333,61 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, OmegaError> {
         shutting_down: AtomicBool::new(false),
         config,
     });
-
-    let workers = (0..state.config.effective_workers())
-        .map(|i| {
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name(format!("omega-serve-worker-{i}"))
-                .spawn(move || worker_loop(&state))
-                .expect("spawning a worker thread")
-        })
-        .collect();
-
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let accept = {
-        let state = Arc::clone(&state);
-        let conns = Arc::clone(&conns);
-        std::thread::Builder::new()
-            .name("omega-serve-accept".to_string())
-            .spawn(move || accept_loop(listener, &state, &conns))
-            .expect("spawning the accept thread")
-    };
-
-    Ok(ServerHandle {
+    let mut handle = ServerHandle {
         state,
-        accept: Some(accept),
-        workers,
-        conns,
-    })
+        accept: None,
+        workers: Vec::new(),
+    };
+    if let Err(e) = start(&mut handle, listener) {
+        // The workers that did start exit once the empty queue closes.
+        handle.state.queue.close();
+        handle.wait();
+        return Err(OmegaError::Io(e));
+    }
+    Ok(handle)
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    state: &Arc<ServerState>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+/// Spawns the worker pool, then the accept thread.
+fn start(handle: &mut ServerHandle, listener: TcpListener) -> std::io::Result<()> {
+    for i in 0..handle.state.config.effective_workers() {
+        let state = Arc::clone(&handle.state);
+        let worker = std::thread::Builder::new()
+            .name(format!("omega-serve-worker-{i}"))
+            .spawn(move || worker_loop(&state))?;
+        handle.workers.push(worker);
+    }
+    let state = Arc::clone(&handle.state);
+    let accept = std::thread::Builder::new()
+        .name("omega-serve-accept".to_string())
+        .spawn(move || accept_loop(listener, &state))?;
+    handle.accept = Some(accept);
+    Ok(())
+}
+
+/// Accepts until shutdown, one thread per connection. Each accept
+/// first joins the connections that ended, so their stacks go back now
+/// rather than at shutdown; the rest are joined once the loop exits.
+fn accept_loop(listener: TcpListener, state: &Arc<ServerState>) {
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if state.draining() {
             break;
         }
         let Ok(stream) = stream else { continue };
+        for ended in conns.extract_if(.., |c| c.is_finished()) {
+            let _ = ended.join();
+        }
         let state = Arc::clone(state);
         let handle = std::thread::Builder::new()
             .name("omega-serve-conn".to_string())
             .spawn(move || connection_loop(&state, stream));
         match handle {
-            Ok(h) => lock(conns).push(h),
+            Ok(h) => conns.push(h),
             Err(e) => eprintln!("omega-serve: failed to spawn connection thread: {e}"),
         }
+    }
+    for conn in conns {
+        let _ = conn.join();
     }
 }
 
@@ -427,11 +418,30 @@ fn write_response(
     wire::write_frame(&mut *lock(writer), &doc).is_ok()
 }
 
-/// One connection. v1 frames are handled inline — strictly in order,
-/// the PR 8 contract. v2 frames spawn a handler thread each and may
-/// complete out of order; the shared writer lock keeps frames whole.
-/// The scope joins every in-flight handler before the connection
-/// thread exits, so `ServerHandle::wait` still observes a full drain.
+/// Handler threads one connection may have at once. At the bound the
+/// connection stops reading, so TCP backpressure throttles a client
+/// that pipelines faster than the server answers; a well-formed request
+/// is never refused for it.
+pub const MAX_IN_FLIGHT: usize = 32;
+
+/// Reports a handler's end to its connection loop, however it ends, by
+/// the id of the thread it ran on.
+struct Done(mpsc::Sender<ThreadId>);
+
+impl Drop for Done {
+    fn drop(&mut self) {
+        let _ = self.0.send(std::thread::current().id());
+    }
+}
+
+/// One connection. Every request frame goes to a handler thread of its
+/// own, and the shared writer lock keeps response frames whole. The
+/// protocol version picks only the response envelope and the pipeline
+/// depth: a v1 frame's handler has answered before the next frame is
+/// read (the v1 in-order contract), while v2 frames keep up to
+/// [`MAX_IN_FLIGHT`] handlers alive and may complete out of order. The
+/// scope waits for every handler before the connection thread exits,
+/// so `ServerHandle::wait` still observes a full drain.
 fn connection_loop(state: &Arc<ServerState>, mut stream: TcpStream) {
     // The timeout bounds how long an idle connection takes to notice
     // shutdown; it does not bound request handling.
@@ -441,7 +451,11 @@ fn connection_loop(state: &Arc<ServerState>, mut stream: TcpStream) {
         return;
     };
     let writer = Mutex::new(write_half);
+    let (done_tx, done_rx) = mpsc::channel();
     std::thread::scope(|scope| {
+        // Unjoined handlers by thread id. They are joined, not detached,
+        // so the depth bounds threads that are still exiting.
+        let mut handlers = HashMap::new();
         loop {
             let frame = wire::read_frame(&mut stream, || state.draining());
             let doc = match frame {
@@ -450,12 +464,16 @@ fn connection_loop(state: &Arc<ServerState>, mut stream: TcpStream) {
                 Err(e) => {
                     // Tell the peer what was wrong with its bytes, then
                     // hang up: framing is unrecoverable after an error.
-                    let _ =
-                        write_response(&writer, ProtoVersion::V1, None, Response::from_error(&e));
+                    let resp = Response::from_error(&e);
+                    let _ = write_response(&writer, ProtoVersion::V1, None, resp);
                     break;
                 }
             };
-            let request = match proto::request_frame_from_json(&doc) {
+            let RequestFrame {
+                version,
+                id,
+                request,
+            } = match proto::request_frame_from_json(&doc) {
                 Ok(frame) => frame,
                 Err(e) => {
                     // The frame was well-formed JSON but not a valid
@@ -468,21 +486,38 @@ fn connection_loop(state: &Arc<ServerState>, mut stream: TcpStream) {
                     continue;
                 }
             };
-            match request.version {
-                ProtoVersion::V1 => {
+            let done = Done(done_tx.clone());
+            let writer = &writer;
+            let spawned = std::thread::Builder::new()
+                .spawn_scoped(scope, move || {
+                    let _done = done;
                     let _span = obs::span("serve.request");
-                    let resp = handle_request(state, &request.request);
-                    if !write_response(&writer, ProtoVersion::V1, None, resp) {
-                        break;
-                    }
+                    write_response(writer, version, id, handle_request(state, &request));
+                })
+                .map(|handler| handlers.insert(handler.thread().id(), handler));
+            if let Err(e) = spawned {
+                state.counters.bump("serve.errors", &state.counters.errors);
+                let resp = Response::from_error(&OmegaError::Io(e));
+                if !write_response(writer, version, id, resp) {
+                    break;
                 }
-                ProtoVersion::V2 => {
-                    let writer = &writer;
-                    scope.spawn(move || {
-                        let _span = obs::span("serve.request");
-                        let resp = handle_request(state, &request.request);
-                        write_response(writer, ProtoVersion::V2, request.id, resp);
-                    });
+            }
+            let depth = match version {
+                ProtoVersion::V1 => 1,
+                ProtoVersion::V2 => MAX_IN_FLIGHT,
+            };
+            // Join every handler that has ended; at the depth bound, wait
+            // for one to end first. A failed spawn reports this thread.
+            loop {
+                let ended = if handlers.len() >= depth {
+                    // `done_tx` is alive, so `recv` always yields.
+                    done_rx.recv().ok()
+                } else {
+                    done_rx.try_recv().ok()
+                };
+                let Some(ended) = ended else { break };
+                if let Some(handler) = handlers.remove(&ended) {
+                    let _ = handler.join();
                 }
             }
         }
@@ -505,69 +540,12 @@ fn handle_request(state: &Arc<ServerState>, request: &Request) -> Response {
             payload.set("draining", Json::Bool(true));
             Response::Ok(payload)
         }
-        Request::Run(run) => match run_request(state, *run) {
-            Ok(payload) => Response::Ok((*payload).clone()),
-            Err(e) => {
-                match *e {
-                    OmegaError::Busy { .. } => {}
-                    _ => c.bump("serve.errors", &c.errors),
-                }
-                Response::from_error(&e)
-            }
-        },
+        // A `run` is a one-member batch, answered without the batch
+        // envelope.
+        Request::Run(run) => batch_request(state, &[*run]).remove(0),
         Request::Batch(runs) => {
             c.bump("serve.batches", &c.batches);
-            Response::Ok(batch_request(state, runs))
-        }
-    }
-}
-
-/// The `run` path: memo → store → single-flight admission.
-fn run_request(state: &Arc<ServerState>, run: RunRequest) -> FlightResult {
-    let c = &state.counters;
-    let fp = run.spec.fingerprint(run.scale, ServerState::telemetry());
-
-    if let Some(cached) = lookup(state, fp, run) {
-        c.bump("serve.hits", &c.hits);
-        return Ok(cached);
-    }
-
-    match state.flights.join(fp) {
-        Ticket::Follower(flight) => {
-            c.bump("serve.coalesced", &c.coalesced);
-            flight.wait()
-        }
-        Ticket::Leader(flight) => {
-            let admission = state.queue.try_admit(
-                run.spec.dataset,
-                run.spec.algo,
-                run.scale,
-                vec![JobEntry {
-                    fp,
-                    machine: run.spec.machine,
-                }],
-            );
-            match admission {
-                Admission::Queued => flight.wait(),
-                Admission::Grouped => {
-                    c.bump("serve.grouped", &c.grouped);
-                    flight.wait()
-                }
-                Admission::Full(depth) => {
-                    c.bump("serve.shed", &c.shed);
-                    let err = Arc::new(OmegaError::Busy {
-                        queue_depth: depth,
-                        queue_limit: state.config.queue_depth,
-                    });
-                    state.flights.complete(fp, Err(Arc::clone(&err)));
-                    Err(err)
-                }
-                Admission::Closed => {
-                    let err = Arc::new(OmegaError::ShuttingDown);
-                    state.flights.complete(fp, Err(Arc::clone(&err)));
-                    Err(err)
-                }
-            }
+            Response::Ok(proto::batch_payload(&batch_request(state, runs)))
         }
     }
 }
@@ -595,19 +573,18 @@ enum BatchSlot {
     Cached(Arc<Json>),
     /// Waiting on a flight (as leader or follower); admission failures
     /// (busy/shutdown) complete the flight, so they resolve here too.
-    Waiting(u64),
+    Waiting(Arc<Flight>),
 }
 
-/// The `batch` path: resolve every member through the same
-/// memo → store → flight discipline, but admit all cold leaders as
-/// whole [`trace_groups`] so each group occupies one queue slot and
-/// shares one functional trace even on an idle server.
-fn batch_request(state: &Arc<ServerState>, runs: &[RunRequest]) -> Json {
+/// Resolves `runs` through memo → store → flight and answers one
+/// response per run, in request order. The cold leaders are admitted as
+/// whole `(dataset, algo, scale)` group jobs, in first-seen order, so
+/// each group occupies one queue slot and shares one functional trace
+/// even on an idle server.
+fn batch_request(state: &Arc<ServerState>, runs: &[RunRequest]) -> Vec<Response> {
     let c = &state.counters;
     let mut slots: Vec<BatchSlot> = Vec::with_capacity(runs.len());
-    // (spec, scale, fp) per leader, in first-seen order.
-    let mut leaders: Vec<(ExperimentSpec, DatasetScale, u64)> = Vec::new();
-    let mut flights: Vec<(u64, Arc<crate::flight::Flight>)> = Vec::new();
+    let mut jobs: Vec<Job> = Vec::new();
 
     for run in runs {
         let fp = run.spec.fingerprint(run.scale, ServerState::telemetry());
@@ -616,107 +593,79 @@ fn batch_request(state: &Arc<ServerState>, runs: &[RunRequest]) -> Json {
             slots.push(BatchSlot::Cached(cached));
             continue;
         }
-        match state.flights.join(fp) {
+        let flight = match state.flights.join(fp) {
             Ticket::Follower(flight) => {
                 c.bump("serve.coalesced", &c.coalesced);
-                flights.push((fp, flight));
-                slots.push(BatchSlot::Waiting(fp));
+                flight
             }
             Ticket::Leader(flight) => {
-                leaders.push((run.spec, run.scale, fp));
-                flights.push((fp, flight));
-                slots.push(BatchSlot::Waiting(fp));
+                let (dataset, algo, scale) = (run.spec.dataset, run.spec.algo, run.scale);
+                let entry = JobEntry {
+                    fp,
+                    machine: run.spec.machine,
+                };
+                match jobs.iter_mut().find(|j| j.key() == (dataset, algo, scale)) {
+                    Some(job) => job.entries.push(entry),
+                    None => jobs.push(Job {
+                        dataset,
+                        algo,
+                        scale,
+                        entries: vec![entry],
+                    }),
+                }
+                flight
             }
+        };
+        slots.push(BatchSlot::Waiting(flight));
+    }
+
+    for job in jobs {
+        let fps: Vec<u64> = job.entries.iter().map(|e| e.fp).collect();
+        let err = match state.queue.try_admit(job) {
+            Admission::Queued => continue,
+            Admission::Grouped => {
+                for _ in &fps {
+                    c.bump("serve.grouped", &c.grouped);
+                }
+                continue;
+            }
+            Admission::Full(depth) => {
+                for _ in &fps {
+                    c.bump("serve.shed", &c.shed);
+                }
+                OmegaError::Busy {
+                    queue_depth: depth,
+                    queue_limit: state.config.queue_depth,
+                }
+            }
+            Admission::Closed => OmegaError::ShuttingDown,
+        };
+        let err = Arc::new(err);
+        for fp in fps {
+            state.flights.complete(fp, Err(Arc::clone(&err)));
         }
     }
 
-    // Admit the cold work group-by-group. Scales are grouped separately
-    // (a group job is homogeneous in scale), machines within a group
-    // ride one queue slot and one functional trace.
-    let mut scales: Vec<DatasetScale> = Vec::new();
-    for &(_, scale, _) in &leaders {
-        if !scales.contains(&scale) {
-            scales.push(scale);
-        }
-    }
-    for scale in scales {
-        let specs = leaders
-            .iter()
-            .filter(|&&(_, s, _)| s == scale)
-            .map(|&(spec, _, _)| spec);
-        for group in trace_groups(specs) {
-            let entries: Vec<JobEntry> = group
-                .specs()
-                .map(|spec| {
-                    let fp = leaders
-                        .iter()
-                        .find(|&&(s, sc, _)| s == spec && sc == scale)
-                        .map(|&(_, _, fp)| fp)
-                        .expect("every group member came from `leaders`");
-                    JobEntry {
-                        fp,
-                        machine: spec.machine,
-                    }
-                })
-                .collect();
-            let fps: Vec<u64> = entries.iter().map(|e| e.fp).collect();
-            let admission = state
-                .queue
-                .try_admit(group.dataset, group.algo, scale, entries);
-            match admission {
-                Admission::Queued => {}
-                Admission::Grouped => {
-                    for _ in &fps {
-                        c.bump("serve.grouped", &c.grouped);
-                    }
-                }
-                Admission::Full(depth) => {
-                    let err = Arc::new(OmegaError::Busy {
-                        queue_depth: depth,
-                        queue_limit: state.config.queue_depth,
-                    });
-                    for fp in fps {
-                        c.bump("serve.shed", &c.shed);
-                        state.flights.complete(fp, Err(Arc::clone(&err)));
-                    }
-                }
-                Admission::Closed => {
-                    let err = Arc::new(OmegaError::ShuttingDown);
-                    for fp in fps {
-                        state.flights.complete(fp, Err(Arc::clone(&err)));
-                    }
-                }
-            }
-        }
-    }
-
-    // Collect: every waiting slot resolves through its flight; error
-    // outcomes (busy included) stay per-spec so one shed group does not
-    // poison the rest of the batch.
-    let results: Vec<Response> = slots
+    // Collect: error outcomes (busy included) stay per-spec so one shed
+    // group does not poison the rest of the batch.
+    slots
         .into_iter()
-        .map(|slot| match slot {
-            BatchSlot::Cached(payload) => Response::Ok((*payload).clone()),
-            BatchSlot::Waiting(fp) => {
-                let flight = flights
-                    .iter()
-                    .find(|(f, _)| *f == fp)
-                    .map(|(_, flight)| Arc::clone(flight))
-                    .expect("every waiting slot joined a flight");
-                match flight.wait() {
-                    Ok(payload) => Response::Ok((*payload).clone()),
-                    Err(e) => {
-                        match *e {
-                            OmegaError::Busy { .. } => {}
-                            _ => c.bump("serve.errors", &c.errors),
-                        }
-                        Response::from_error(&e)
+        .map(|slot| {
+            let result = match slot {
+                BatchSlot::Cached(payload) => Ok(payload),
+                BatchSlot::Waiting(flight) => flight.wait(),
+            };
+            match result {
+                Ok(payload) => Response::Ok((*payload).clone()),
+                Err(e) => {
+                    if !matches!(*e, OmegaError::Busy { .. }) {
+                        c.bump("serve.errors", &c.errors);
                     }
+                    Response::from_error(&e)
                 }
             }
         })
-        .collect();
-    proto::batch_payload(&results)
+        .collect()
 }
 
 fn worker_loop(state: &Arc<ServerState>) {

@@ -33,13 +33,22 @@ pub enum Frame {
     Cancelled,
 }
 
-/// Serialises `doc` as one frame.
-pub fn write_frame(w: &mut impl Write, doc: &Json) -> std::io::Result<()> {
+/// Serialises `doc` as one frame. A body over [`MAX_FRAME`] is refused
+/// with a `protocol` error before any byte is written: the peer would
+/// have to reject it anyway.
+pub fn write_frame(w: &mut impl Write, doc: &Json) -> Result<(), OmegaError> {
     let body = doc.dump();
+    if body.len() > MAX_FRAME {
+        return Err(OmegaError::Protocol(format!(
+            "frame body of {} bytes exceeds the {MAX_FRAME}-byte cap",
+            body.len()
+        )));
+    }
+    // Lossless: MAX_FRAME fits in the 4-byte prefix.
     let len = body.len() as u32;
     w.write_all(&len.to_be_bytes())?;
     w.write_all(body.as_bytes())?;
-    w.flush()
+    Ok(w.flush()?)
 }
 
 enum Fill {
@@ -154,6 +163,16 @@ mod tests {
         let err = read_frame(&mut Cursor::new(buf), never).unwrap_err();
         assert_eq!(err.code(), "protocol");
         assert!(err.to_string().contains("cap"), "{err}");
+    }
+
+    #[test]
+    fn oversized_body_is_refused_and_nothing_is_written() {
+        let doc = Json::Str("x".repeat(MAX_FRAME));
+        let mut buf = Vec::new();
+        let err = write_frame(&mut buf, &doc).unwrap_err();
+        assert_eq!(err.code(), "protocol");
+        assert!(err.to_string().contains("cap"), "{err}");
+        assert!(buf.is_empty(), "no byte of the refused frame was written");
     }
 
     #[test]

@@ -1,45 +1,17 @@
 //! Bounded admission and graceful shutdown against live servers.
 //!
-//! Synchronisation is by polling the `stats` method (served inline,
+//! Synchronisation is by polling the `stats` method (answered at once,
 //! never queued), not by sleeping: the suite runs deterministically on
 //! a single-core machine. The `job_delay_ms` hook holds each computed
 //! job open long enough for the polls to observe the states we need.
 
-use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind};
-use omega_bench::Json;
-use omega_graph::datasets::{Dataset, DatasetScale};
-use omega_serve::proto::RunRequest;
+mod common;
+
+use common::{await_stats, counter, expected_payload, spec, SCALE};
+use omega_bench::session::{AlgoKey, MachineKind};
+use omega_serve::proto::{Request, RunRequest};
+use omega_serve::server::MAX_IN_FLIGHT;
 use omega_serve::{serve, Client, Response, ServeConfig};
-use std::net::SocketAddr;
-use std::time::{Duration, Instant};
-
-const SCALE: DatasetScale = DatasetScale::Tiny;
-
-fn spec(algo: AlgoKey, machine: MachineKind) -> ExperimentSpec {
-    ExperimentSpec::new(Dataset::Sd, algo, machine)
-}
-
-/// Polls `stats` until `pred` holds, failing loudly after 30s.
-fn await_stats(addr: SocketAddr, what: &str, pred: impl Fn(&Json) -> bool) -> Json {
-    let mut client = Client::connect(addr).expect("connect for polling");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = client.stats().expect("stats poll");
-        if pred(&stats) {
-            return stats;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for {what}; last stats: {}",
-            stats.dump()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn counter(stats: &Json, key: &str) -> u64 {
-    stats.get(key).and_then(|v| v.as_u64()).expect("counter")
-}
 
 #[test]
 fn full_queue_sheds_with_a_structured_busy_response() {
@@ -188,6 +160,64 @@ fn compatible_request_joins_a_queued_group_instead_of_shedding() {
         .expect("connect")
         .shutdown()
         .expect("shutdown ack");
+    handle.wait();
+}
+
+/// One connection pipelining far past the in-flight bound: the server
+/// takes `MAX_IN_FLIGHT` frames, stops reading while they wait on the
+/// one flight, and answers every frame once the flight lands.
+#[test]
+fn a_connection_keeps_at_most_max_in_flight_handlers() {
+    let hot = spec(AlgoKey::PageRank, MachineKind::Omega);
+    let want = expected_payload(hot);
+    let handle = serve(ServeConfig {
+        jobs: 1,
+        job_delay_ms: 1500,
+        ..ServeConfig::default()
+    })
+    .expect("server binds");
+    let addr = handle.addr();
+
+    let mut client = Client::connect(addr).expect("connect");
+    let ids: Vec<u64> = (0..3 * MAX_IN_FLIGHT)
+        .map(|_| {
+            client
+                .send(&Request::Run(RunRequest {
+                    spec: hot,
+                    scale: SCALE,
+                }))
+                .expect("pipelined send")
+        })
+        .collect();
+
+    // One leader and MAX_IN_FLIGHT - 1 followers; the frames past the
+    // bound stay unread until the flight lands.
+    await_stats(addr, "the connection to fill its in-flight bound", |st| {
+        counter(st, "coalesced") >= MAX_IN_FLIGHT as u64 - 1
+    });
+    let stats = Client::connect(addr)
+        .expect("connect")
+        .stats()
+        .expect("stats");
+    assert_eq!(
+        counter(&stats, "open_flights"),
+        1,
+        "the flight is in the air"
+    );
+    assert_eq!(counter(&stats, "coalesced"), MAX_IN_FLIGHT as u64 - 1);
+
+    for (pos, id) in ids.into_iter().enumerate() {
+        match client.recv(id).expect("every frame is answered") {
+            Response::Ok(payload) => assert_eq!(payload.dump(), want, "response {pos}"),
+            other => panic!("request {pos} failed: {other:?}"),
+        }
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(counter(&stats, "misses"), 1, "one replay for every frame");
+    assert_eq!(counter(&stats, "shed"), 0);
+    assert_eq!(counter(&stats, "errors"), 0);
+
+    client.shutdown().expect("shutdown ack");
     handle.wait();
 }
 

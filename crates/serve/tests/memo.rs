@@ -9,27 +9,13 @@
 //! tests via the manual clock — an integration TTL test would need real
 //! sleeps.)
 
-use omega_bench::run_report_to_json;
-use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind};
-use omega_core::runner::{timing_replay_count, Runner};
-use omega_graph::datasets::{Dataset, DatasetScale};
+mod common;
+
+use common::{expected_payload, spec, SCALE};
+use omega_bench::session::{AlgoKey, MachineKind};
+use omega_core::runner::timing_replay_count;
 use omega_serve::proto::RunRequest;
 use omega_serve::{serve, Client, ServeConfig};
-use omega_sim::telemetry::TelemetryConfig;
-
-const SCALE: DatasetScale = DatasetScale::Tiny;
-
-fn spec(algo: AlgoKey, machine: MachineKind) -> ExperimentSpec {
-    ExperimentSpec::new(Dataset::Sd, algo, machine)
-}
-
-fn expected_payload(spec: ExperimentSpec) -> String {
-    let g = spec.dataset.build(SCALE).expect("registry dataset builds");
-    let mut sys = spec.machine.system();
-    sys.machine.telemetry = TelemetryConfig::off();
-    let report = Runner::new(sys).run(&g, spec.algo.algo(&g));
-    run_report_to_json(&report, &sys).dump()
-}
 
 #[test]
 fn evicted_memo_entries_reload_byte_identically_from_the_store() {

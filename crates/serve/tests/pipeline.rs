@@ -13,51 +13,13 @@
 //! is still busy with the blocker, which makes the grouping counters
 //! exact rather than racy.
 
-use omega_bench::run_report_to_json;
+mod common;
+
+use common::{await_stats, counter, expected_payload, spec, SCALE};
 use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind};
-use omega_bench::Json;
-use omega_core::runner::{functional_trace_count, timing_replay_count, Runner};
-use omega_graph::datasets::{Dataset, DatasetScale};
+use omega_core::runner::{functional_trace_count, timing_replay_count};
 use omega_serve::proto::{Request, RunRequest};
 use omega_serve::{serve, Client, Response, ServeConfig};
-use omega_sim::telemetry::TelemetryConfig;
-use std::net::SocketAddr;
-use std::time::{Duration, Instant};
-
-const SCALE: DatasetScale = DatasetScale::Tiny;
-
-fn spec(algo: AlgoKey, machine: MachineKind) -> ExperimentSpec {
-    ExperimentSpec::new(Dataset::Sd, algo, machine)
-}
-
-fn expected_payload(spec: ExperimentSpec) -> String {
-    let g = spec.dataset.build(SCALE).expect("registry dataset builds");
-    let mut sys = spec.machine.system();
-    sys.machine.telemetry = TelemetryConfig::off();
-    let report = Runner::new(sys).run(&g, spec.algo.algo(&g));
-    run_report_to_json(&report, &sys).dump()
-}
-
-fn await_stats(addr: SocketAddr, what: &str, pred: impl Fn(&Json) -> bool) -> Json {
-    let mut client = Client::connect(addr).expect("connect for polling");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let stats = client.stats().expect("stats poll");
-        if pred(&stats) {
-            return stats;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for {what}; last stats: {}",
-            stats.dump()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn counter(stats: &Json, key: &str) -> u64 {
-    stats.get(key).and_then(|v| v.as_u64()).expect("counter")
-}
 
 #[test]
 fn pipelined_and_batched_requests_group_replays_and_answer_byte_identically() {

@@ -6,34 +6,26 @@
 //! workers inside this test process, so any sibling test computing
 //! reports would perturb the deltas asserted here.
 
-use omega_bench::run_report_to_json;
+mod common;
+
+use common::{expected_payload, spec, SCALE};
 use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind};
-use omega_core::runner::{functional_trace_count, timing_replay_count, Runner};
-use omega_graph::datasets::{Dataset, DatasetScale};
+use omega_core::runner::{functional_trace_count, timing_replay_count};
 use omega_serve::proto::RunRequest;
 use omega_serve::{serve, Client, ServeConfig};
-use omega_sim::telemetry::TelemetryConfig;
-
-fn expected_payload(spec: ExperimentSpec, scale: DatasetScale) -> String {
-    let g = spec.dataset.build(scale).expect("registry dataset builds");
-    let mut sys = spec.machine.system();
-    sys.machine.telemetry = TelemetryConfig::off();
-    let report = Runner::new(sys).run(&g, spec.algo.algo(&g));
-    run_report_to_json(&report, &sys).dump()
-}
 
 #[test]
 fn concurrent_identical_requests_replay_once_and_answer_byte_identically() {
-    let scale = DatasetScale::Tiny;
-    let hot = ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, MachineKind::Omega);
-    let cold_a = ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, MachineKind::Baseline);
-    let cold_b = ExperimentSpec::new(Dataset::Sd, AlgoKey::Bfs, MachineKind::Omega);
+    let scale = SCALE;
+    let hot = spec(AlgoKey::PageRank, MachineKind::Omega);
+    let cold_a = spec(AlgoKey::PageRank, MachineKind::Baseline);
+    let cold_b = spec(AlgoKey::Bfs, MachineKind::Omega);
 
     // Ground truth from the plain Runner, computed *before* the probe
     // baselines so its own replays don't pollute the deltas.
-    let want_hot = expected_payload(hot, scale);
-    let want_a = expected_payload(cold_a, scale);
-    let want_b = expected_payload(cold_b, scale);
+    let want_hot = expected_payload(hot);
+    let want_a = expected_payload(cold_a);
+    let want_b = expected_payload(cold_b);
 
     let replays0 = timing_replay_count();
     let traces0 = functional_trace_count();
