@@ -38,10 +38,6 @@ const USAGE: &str = "usage:
 [--scale tiny|small|medium] [--window N] [--store PATH] [--out PATH] \
 [--profile] [--profile-out FILE] [--trace FILE]
   stats diff A.json B.json
-  stats bench-diff OLD.json NEW.json [--fail-on-regress PCT]
-                           compare two BENCH_sim.json snapshots; with
-                           --fail-on-regress, exit 1 when any matched sweep
-                           regresses by more than PCT percent
   stats trace-check FILE   validate a Chrome Trace Event file (--trace output)
   stats store ls PATH      list every entry of a persistent store
   stats store verify PATH  check fingerprints + checksums (JSON to stdout)
@@ -52,7 +48,7 @@ dump defaults: --dataset sd --algo pagerank --machine baseline \
 dump --store reuses/persists the run in a content-addressed store
 dump --profile/--profile-out/--trace enable host self-profiling (stderr/files)
 machines: baseline, omega, omega-nopisc, omega-nosvb, omega-chunkmis, \
-omega-offchip, locked-cache, omega-spNNN
+omega-offchip, locked-cache, pim-rank, specialized-cache, omega-spNNN
 algos: pagerank, bfs, sssp, bc, radii, cc, tc, kcore";
 
 fn usage_error(msg: &str) -> ExitCode {
@@ -336,67 +332,6 @@ fn diff(path_a: &str, path_b: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `stats bench-diff OLD NEW [--fail-on-regress PCT]` — the CI
-/// perf-trajectory step: tabulate per-benchmark median and per-sweep
-/// wall-clock deltas between two `omega-bench-report/v1` snapshots.
-/// Informational by default; with `--fail-on-regress PCT`, any matched
-/// end-to-end sweep that slowed down by more than PCT percent fails the
-/// command (median micro-benchmarks stay informational — their noise is
-/// reported in the table's ±2σ column instead).
-fn bench_diff(args: &[String]) -> ExitCode {
-    use omega_bench::bench_report::{bench_delta_table, bench_report_from_json};
-    use omega_bench::sweep_regressions;
-    let mut paths: Vec<&str> = Vec::new();
-    let mut fail_on: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--fail-on-regress" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(pct) if pct > 0.0 => fail_on = Some(pct),
-                _ => return usage_error("--fail-on-regress needs a positive percentage"),
-            },
-            other if other.starts_with("--") => {
-                return usage_error(&format!("unknown flag {other:?}"))
-            }
-            other => paths.push(other),
-        }
-    }
-    let [path_old, path_new] = paths[..] else {
-        return usage_error("bench-diff takes exactly two snapshot paths");
-    };
-    let parse = |path: &str| {
-        load(path).and_then(|j| bench_report_from_json(&j).map_err(|e| format!("{path}: {e}")))
-    };
-    let (old, new) = match (parse(path_old), parse(path_new)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("stats: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let nproc = |r: &omega_bench::BenchReport| r.nproc.map_or("unknown".into(), |n| n.to_string());
-    println!("perf trajectory: {path_old} -> {path_new}");
-    println!("host nproc: {} -> {}\n", nproc(&old), nproc(&new));
-    println!("{}", bench_delta_table(&old, &new).render());
-    if let Some(s) = new.sweep_speedup("figures_all_cold", 4) {
-        println!("parallel sweep speedup at 4 jobs (new snapshot): {s:.2}x");
-    }
-    if let Some(threshold) = fail_on {
-        let regressions = sweep_regressions(&old, &new, threshold);
-        if !regressions.is_empty() {
-            for (label, old_ms, new_ms, pct) in &regressions {
-                eprintln!(
-                    "stats: REGRESSION {label}: {old_ms:.1} ms -> {new_ms:.1} ms (+{pct:.1}%, \
-                     threshold {threshold}%)"
-                );
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("no sweep regression beyond {threshold}%");
-    }
-    ExitCode::SUCCESS
-}
-
 /// `stats trace-check FILE` — validate a Chrome Trace Event document
 /// produced by `--trace`: well-formed JSON, a `traceEvents` array whose
 /// complete events carry finite ts/dur/pid/tid, and no span left open.
@@ -438,7 +373,6 @@ fn main() -> ExitCode {
         Some("dump") => dump(&args[1..]),
         Some("diff") if args.len() == 3 => diff(&args[1], &args[2]),
         Some("diff") => usage_error("diff takes exactly two report paths"),
-        Some("bench-diff") => bench_diff(&args[1..]),
         Some("trace-check") if args.len() == 2 => trace_check(&args[1]),
         Some("trace-check") => usage_error("trace-check takes exactly one trace path"),
         Some("store") => store_cmd(&args[1..]),

@@ -486,7 +486,7 @@ pub const SWEEP_ALGOS: [AlgoKey; 5] = [
 
 /// The paper sweep: every supported [`SWEEP`] × [`SWEEP_ALGOS`] pair, plus
 /// CC and TC on ap, each on the baseline and on OMEGA. Fig. 14 reads
-/// exactly these runs, and the `bench` snapshot times them cold.
+/// exactly these runs, and CI times `figures fig14` cold.
 pub fn paper_sweep(session: &mut Session) -> Vec<ExperimentSpec> {
     let undirected = [AlgoKey::Cc, AlgoKey::Tc].map(|a| (Dataset::Ap, a));
     SWEEP

@@ -705,12 +705,18 @@ fn run_job(state: &Arc<ServerState>, job: Job) {
             return;
         }
     };
+    // `prepare` vetted both; a mismatch fails the group, not the worker.
+    let (Ok(g), Ok(bundle)) = (shared.graph.as_ref(), shared.bundle.as_ref()) else {
+        let err = format!("prepared inputs of {} are missing", job.label());
+        fail_entries(state, &job.entries, 0, Arc::new(OmegaError::Internal(err)));
+        return;
+    };
     for i in 0..job.entries.len() {
         let entry = &job.entries[i];
         let spec = ExperimentSpec::new(job.dataset, job.algo, entry.machine);
         let _span = obs::span_owned(format!("serve.compute:{}", spec.label()));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            compute_one(state, &shared, spec, entry.fp)
+            compute_one(state, g, bundle, spec, entry.fp)
         }));
         match outcome {
             Ok(result) => {
@@ -807,23 +813,14 @@ fn prepare(state: &Arc<ServerState>, job: &Job) -> Result<SharedInputs, Arc<Omeg
 /// memoises the serialised payload.
 fn compute_one(
     state: &Arc<ServerState>,
-    shared: &SharedInputs,
+    g: &CsrGraph,
+    bundle: &TraceBundle,
     spec: ExperimentSpec,
     fp: u64,
 ) -> FlightResult {
     if state.config.job_delay_ms > 0 {
         std::thread::sleep(Duration::from_millis(state.config.job_delay_ms));
     }
-    let g = shared
-        .graph
-        .as_ref()
-        .as_ref()
-        .expect("prepare() vetted the graph");
-    let bundle = shared
-        .bundle
-        .as_ref()
-        .as_ref()
-        .expect("prepare() vetted the trace");
     let algo = spec.algo.algo(g);
     let system = ServerState::system_for(spec);
     let report = replay(

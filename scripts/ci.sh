@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Local mirror of the CI pipeline: build, test, format, lint.
-# The workspace is hermetic (no external crates), so everything runs offline.
+# The CI pipeline (.github/workflows/ci.yml runs this script): build, test,
+# format, lint, then the model, golden, sweep wall-clock, store and serve
+# gates. The workspace is hermetic (no external crates), so everything runs
+# offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,19 +28,26 @@ cargo run --release -q -p omega-bench --bin audit -- \
   --quick --seed 658711 --out target/audit-report.json
 echo "ci: wrote target/audit-report.json"
 
-# Performance snapshot (omega-bench-report/v1): microbench distributions
-# plus the cold figures-all sweep wall-clock at jobs=1 and jobs=4 — the
-# parallel-sweep speedup and the host's CPU count are recorded in the same
-# file. The full diff against the committed snapshot prints the perf
-# trajectory (informational); the enforced pass re-checks only the
-# end-to-end sweep wall-clocks and fails the build past a generous 50%
-# regression — wide enough for shared-runner noise, tight enough to catch
-# a prefetch pool that stopped running experiments side by side.
-./target/release/bench --out target/BENCH_sim.json
-./target/release/stats bench-diff BENCH_sim.json target/BENCH_sim.json || true
-./target/release/stats bench-diff BENCH_sim.json target/BENCH_sim.json \
-  --fail-on-regress 50
-echo "ci: wrote target/BENCH_sim.json"
+# Sweep wall-clock gate: a cold, store-less `figures fig14` at small
+# scale (it reads exactly the paper sweep) at --jobs 1 and --jobs 4. The
+# two outputs must match byte for byte, and each run fails past 1.5x its
+# reference in results/fig14_wall_ms.txt (medians on the host named
+# there) — wide enough for shared-runner noise, tight enough to catch a
+# prefetch pool that stopped running experiments side by side.
+for jobs in 1 4; do
+  ref_ms=$(awk -v j="$jobs" '$1 == j { print $2 }' results/fig14_wall_ms.txt)
+  [ -n "$ref_ms" ] \
+    || { echo "ci: no --jobs $jobs reference in results/fig14_wall_ms.txt" >&2; exit 1; }
+  limit_ms=$(( ref_ms * 3 / 2 ))
+  start_ns=$(date +%s%N)
+  ./target/release/figures fig14 --jobs "$jobs" \
+    > "target/fig14-jobs$jobs.txt" 2> "target/fig14-jobs$jobs.err"
+  ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+  echo "ci: figures fig14 --jobs $jobs: $ms ms (reference $ref_ms ms, limit $limit_ms ms)"
+  [ "$ms" -le "$limit_ms" ] \
+    || { echo "ci: fig14 sweep at --jobs $jobs is past 1.5x its reference" >&2; exit 1; }
+done
+cmp target/fig14-jobs1.txt target/fig14-jobs4.txt
 
 # Observability gate, part 1: a small traced workload. The trace must be
 # valid Chrome Trace Event JSON (Perfetto-loadable, every span closed,

@@ -2,7 +2,9 @@
 //! §V.F): dynamic graphs, off-chip extensions, slicing, and the
 //! GraphMat-style execution mode, all through the public APIs.
 
-use omega_repro::core::config::{OffchipExtensions, OmegaConfig, SystemConfig};
+use omega_repro::core::config::{
+    MemoryModel, OffchipExtensions, OmegaConfig, PinOrder, SystemConfig,
+};
 use omega_repro::core::runner::{replay, trace_algorithm, RunReport, Runner};
 use omega_repro::graph::datasets::{Dataset, DatasetScale};
 use omega_repro::graph::dynamic::DynamicGraph;
@@ -76,6 +78,37 @@ fn offchip_extensions_change_activity_not_results() {
         b.mem.dram.row_hits > 0,
         "hybrid policy opens rows for streams"
     );
+}
+
+/// Metamorphic oracle for the pinned rivals: with no byte budget nothing
+/// is pinned, so either pin order degenerates to the baseline's plain LRU
+/// hierarchy, cycle for cycle and counter for counter.
+#[test]
+fn zero_budget_pinned_machine_is_the_baseline() {
+    for ds in [Dataset::Sd, Dataset::Lj] {
+        let g = ds.build(DatasetScale::Tiny).unwrap();
+        for algo in [Algo::PageRank { iters: 1 }, Algo::Bfs { root: 0 }] {
+            let algo = algo.with_default_root(&g);
+            let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+            let replay_on =
+                |sys: SystemConfig| replay(algo.name(), checksum, &raw, &meta, &sys, None);
+            let base = replay_on(SystemConfig::mini_baseline());
+            for order in [PinOrder::ScratchpadPrefix, PinOrder::VertexMajor] {
+                let pinned = replay_on(SystemConfig {
+                    model: MemoryModel::Pinned {
+                        bytes_per_core: 0,
+                        order,
+                    },
+                    ..SystemConfig::mini_baseline()
+                });
+                let case = format!("{} {} {order:?}", ds.code(), algo.name());
+                assert_eq!(pinned.total_cycles, base.total_cycles, "{case}");
+                assert_eq!(pinned.engine, base.engine, "{case}");
+                assert_eq!(pinned.mem, base.mem, "{case}");
+                assert_eq!(pinned.checksum.to_bits(), base.checksum.to_bits(), "{case}");
+            }
+        }
+    }
 }
 
 #[test]
