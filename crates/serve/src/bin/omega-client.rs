@@ -13,7 +13,7 @@
 //! spec plus a summary; it exits non-zero if any request was shed or
 //! failed. Batch has three wire shapes:
 //!
-//! * default — sequential calls, one at a time (the v1 discipline);
+//! * default — sequential calls, one at a time;
 //! * `--pipeline` — up to `MAX_IN_FLIGHT` requests are written ahead of
 //!   the responses read; the server computes them concurrently and
 //!   responses are matched back by frame id;
@@ -21,8 +21,7 @@
 //!   `(dataset, algo)` ride one queue slot and one functional trace.
 //!
 //! `--retry N` retries `busy` responses up to N times with capped
-//! jittered backoff (deterministic per `--seed`); `--v1` forces the
-//! original protocol.
+//! jittered backoff (deterministic per `--seed`).
 
 use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind};
 use omega_graph::datasets::{Dataset, DatasetScale};
@@ -31,7 +30,7 @@ use omega_serve::{Client, Response, RetryPolicy};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: omega-client <run|batch|stats|ping|shutdown> --addr HOST:PORT \
-[--scale S] [--retry N] [--seed S] [--v1] [--pipeline|--grouped] [args...]";
+[--scale S] [--retry N] [--seed S] [--pipeline|--grouped] [args...]";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("omega-client: {msg}");
@@ -39,7 +38,6 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-#[derive(PartialEq)]
 enum BatchMode {
     Sequential,
     Pipelined,
@@ -51,7 +49,6 @@ struct Cli {
     scale: DatasetScale,
     retries: u32,
     seed: u64,
-    v1: bool,
     mode: BatchMode,
     rest: Vec<String>,
 }
@@ -62,7 +59,6 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<Cli, String> {
         scale: DatasetScale::Small,
         retries: 0,
         seed: 0xC0FFEE,
-        v1: false,
         mode: BatchMode::Sequential,
         rest: Vec::new(),
     };
@@ -82,14 +78,10 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<Cli, String> {
                 let v = it.next().ok_or("--seed needs a value")?;
                 cli.seed = v.parse().map_err(|e| format!("--seed: {e}"))?;
             }
-            "--v1" => cli.v1 = true,
             "--pipeline" => cli.mode = BatchMode::Pipelined,
             "--grouped" => cli.mode = BatchMode::Grouped,
             _ => cli.rest.push(arg),
         }
-    }
-    if cli.v1 && cli.mode != BatchMode::Sequential {
-        return Err("--v1 cannot pipeline (ids need omega-serve/v2)".into());
     }
     Ok(cli)
 }
@@ -113,12 +105,7 @@ fn parse_spec(text: &str) -> Result<ExperimentSpec, String> {
 
 fn connect(cli: &Cli) -> Result<Client, String> {
     let addr = cli.addr.as_deref().ok_or("missing --addr HOST:PORT")?;
-    let client = if cli.v1 {
-        Client::connect_v1(addr)
-    } else {
-        Client::connect(addr)
-    };
-    let client = client.map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let client = Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     Ok(if cli.retries > 0 {
         client.with_retry(RetryPolicy::new(cli.retries, cli.seed))
     } else {

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! omega-serve [--addr HOST:PORT] [--port-file PATH] [--store DIR]
-//!             [--jobs N] [--queue-depth N]
-//!             [--memo-entries N] [--memo-ttl-ms N] [--job-delay-ms N]
+//!             [--jobs N] [--queue-depth N] [--memo-entries N]
 //!             [--profile] [--profile-out FILE] [--trace FILE]
 //! ```
 //!
@@ -16,8 +15,8 @@ use omega_serve::{serve, ServeConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: omega-serve [--addr HOST:PORT] [--port-file PATH] [--store DIR] \
-[--jobs N] [--queue-depth N] [--memo-entries N] [--memo-ttl-ms N] \
-[--job-delay-ms N] [--profile] [--profile-out FILE] [--trace FILE]";
+[--jobs N] [--queue-depth N] [--memo-entries N] [--profile] [--profile-out FILE] \
+[--trace FILE]";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("omega-serve: {msg}");
@@ -59,14 +58,6 @@ fn main() -> ExitCode {
             "--memo-entries" => match value!().parse() {
                 Ok(n) => config.memo_entries = n,
                 Err(e) => return fail(&format!("--memo-entries: {e}")),
-            },
-            "--memo-ttl-ms" => match value!().parse() {
-                Ok(n) => config.memo_ttl_ms = n,
-                Err(e) => return fail(&format!("--memo-ttl-ms: {e}")),
-            },
-            "--job-delay-ms" => match value!().parse() {
-                Ok(n) => config.job_delay_ms = n,
-                Err(e) => return fail(&format!("--job-delay-ms: {e}")),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");

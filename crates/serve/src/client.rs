@@ -1,13 +1,11 @@
 //! A small blocking client for the `omega-serve` protocol.
 //!
-//! One [`Client`] wraps one TCP connection. By default it speaks
-//! `omega-serve/v2`: every request frame carries a numeric id, so
-//! several requests can be **pipelined** on the wire ([`Client::send`]
-//! then [`Client::recv`]) and responses may arrive out of order — the
-//! client buffers whatever it reads until the id you asked for shows
-//! up; past [`MAX_IN_FLIGHT`] unanswered frames the server stops
-//! reading. [`Client::connect_v1`] keeps the strict v1 one-at-a-time
-//! protocol for compatibility testing.
+//! One [`Client`] wraps one TCP connection speaking `omega-serve/v2`:
+//! every request frame carries a numeric id, so several requests can be
+//! **pipelined** on the wire ([`Client::send`] then [`Client::recv`])
+//! and responses may arrive out of order — the client buffers whatever
+//! it reads until the id you asked for shows up; past [`MAX_IN_FLIGHT`]
+//! unanswered frames the server stops reading.
 //!
 //! The optional [`RetryPolicy`] turns structured `busy` shedding into
 //! capped, jittered backoff: the delay window grows exponentially per
@@ -20,7 +18,7 @@
 //! The wire encoding lives in exactly two places: [`crate::proto`] and
 //! nowhere else.
 
-use crate::proto::{self, ProtoVersion, Request, RequestFrame, Response, RunRequest};
+use crate::proto::{self, Request, RequestFrame, Response, RunRequest};
 use crate::server::MAX_IN_FLIGHT;
 use crate::wire::{self, Frame};
 use omega_bench::Json;
@@ -30,6 +28,12 @@ use std::collections::HashMap;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+/// Delay window of the first retry, in milliseconds; doubles every
+/// attempt.
+const BASE_DELAY_MS: u64 = 10;
+/// Upper bound on the delay window, in milliseconds.
+const CAP_DELAY_MS: u64 = 500;
+
 /// Backoff discipline for `busy` responses. Delays are in milliseconds
 /// and fully determined by `(seed, attempt, queue_depth, queue_limit)`.
 #[derive(Debug, Clone)]
@@ -37,23 +41,14 @@ pub struct RetryPolicy {
     /// How many times to retry after the first `busy` (so a request is
     /// attempted at most `max_retries + 1` times).
     pub max_retries: u32,
-    /// Delay window for attempt 0; doubles every attempt.
-    pub base_delay_ms: u64,
-    /// Upper bound on the delay window.
-    pub cap_delay_ms: u64,
     /// Seed for the jitter stream.
     pub seed: u64,
 }
 
 impl RetryPolicy {
-    /// A policy with the default window (10 ms base, 500 ms cap).
+    /// A policy retrying up to `max_retries` times, jittered by `seed`.
     pub fn new(max_retries: u32, seed: u64) -> RetryPolicy {
-        RetryPolicy {
-            max_retries,
-            base_delay_ms: 10,
-            cap_delay_ms: 500,
-            seed,
-        }
+        RetryPolicy { max_retries, seed }
     }
 
     /// The backoff before retry number `attempt` (0-based), given the
@@ -72,11 +67,7 @@ impl RetryPolicy {
         rng: &mut SmallRng,
     ) -> u64 {
         let exp = attempt.min(16);
-        let window = self
-            .base_delay_ms
-            .saturating_mul(1u64 << exp)
-            .min(self.cap_delay_ms)
-            .max(1);
+        let window = BASE_DELAY_MS.saturating_mul(1u64 << exp).min(CAP_DELAY_MS);
         let limit = queue_limit.max(1) as u64;
         let depth = (queue_depth as u64).min(limit);
         let floor = window * depth / limit;
@@ -92,9 +83,8 @@ struct RetryState {
 /// A connected client.
 pub struct Client {
     stream: TcpStream,
-    version: ProtoVersion,
     next_id: u64,
-    /// Out-of-order v2 responses read while waiting for a different id.
+    /// Out-of-order responses read while waiting for a different id.
     pending: HashMap<u64, Response>,
     retry: Option<RetryState>,
 }
@@ -102,32 +92,14 @@ pub struct Client {
 impl Client {
     /// Connects to a running server, speaking `omega-serve/v2`.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        Self::connect_version(addr, ProtoVersion::V2)
-    }
-
-    /// Connects speaking the original `omega-serve/v1` protocol:
-    /// unadorned frames, strictly one request in flight, responses in
-    /// order. Exists so the compat tests can drive a live server the
-    /// way a v1-only client would.
-    pub fn connect_v1(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        Self::connect_version(addr, ProtoVersion::V1)
-    }
-
-    fn connect_version(addr: impl ToSocketAddrs, version: ProtoVersion) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         Ok(Client {
             stream,
-            version,
             next_id: 0,
             pending: HashMap::new(),
             retry: None,
         })
-    }
-
-    /// Which protocol version this client speaks.
-    pub fn version(&self) -> ProtoVersion {
-        self.version
     }
 
     /// Installs a retry policy: [`Client::run`], [`Client::run_payload`]
@@ -141,19 +113,12 @@ impl Client {
     }
 
     /// Sends one request without waiting for its response and returns
-    /// the frame id to [`Client::recv`] on. v2 only — pipelining needs
-    /// ids to correlate out-of-order responses.
+    /// the frame id to [`Client::recv`] on.
     pub fn send(&mut self, req: &Request) -> Result<u64, OmegaError> {
-        if self.version != ProtoVersion::V2 {
-            return Err(OmegaError::Protocol(
-                "pipelining requires omega-serve/v2 (use Client::connect)".into(),
-            ));
-        }
         let id = self.next_id;
         self.next_id += 1;
         let frame = RequestFrame {
-            version: ProtoVersion::V2,
-            id: Some(id),
+            id,
             request: req.clone(),
         };
         wire::write_frame(&mut self.stream, &proto::request_frame_to_json(&frame))?;
@@ -183,9 +148,10 @@ impl Client {
                     self.pending.insert(got, frame.response);
                 }
                 None => {
-                    return Err(OmegaError::Protocol(
-                        "v2 response frame is missing its id".into(),
-                    ))
+                    return Err(OmegaError::Protocol(format!(
+                        "response frame without an id: {:?}",
+                        frame.response
+                    )))
                 }
             }
         }
@@ -193,21 +159,8 @@ impl Client {
 
     /// Sends one request and blocks for its response.
     pub fn call(&mut self, req: &Request) -> Result<Response, OmegaError> {
-        match self.version {
-            ProtoVersion::V1 => {
-                wire::write_frame(&mut self.stream, &proto::request_to_json(req))?;
-                match wire::read_frame(&mut self.stream, || false)? {
-                    Frame::Doc(doc) => proto::response_from_json(&doc),
-                    Frame::Eof | Frame::Cancelled => Err(OmegaError::Protocol(
-                        "server closed the connection before responding".into(),
-                    )),
-                }
-            }
-            ProtoVersion::V2 => {
-                let id = self.send(req)?;
-                self.recv(id)
-            }
-        }
+        let id = self.send(req)?;
+        self.recv(id)
     }
 
     /// `call` with the installed [`RetryPolicy`] applied to top-level
@@ -267,7 +220,7 @@ impl Client {
 
     /// Pipelines all `runs` on this connection, keeping up to
     /// [`MAX_IN_FLIGHT`] requests sent ahead of the responses read, and
-    /// returns the responses in request order. v2 only.
+    /// returns the responses in request order.
     pub fn run_pipelined(&mut self, runs: &[RunRequest]) -> Result<Vec<Response>, OmegaError> {
         let mut ids = Vec::with_capacity(runs.len());
         let mut responses = Vec::with_capacity(runs.len());
@@ -354,16 +307,11 @@ mod tests {
 
     #[test]
     fn backoff_window_grows_and_caps() {
-        let policy = RetryPolicy {
-            max_retries: 10,
-            base_delay_ms: 10,
-            cap_delay_ms: 100,
-            seed: 7,
-        };
+        let policy = RetryPolicy::new(10, 7);
         let mut rng = SmallRng::seed_from_u64(policy.seed);
         for attempt in 0..20 {
             let d = policy.delay_ms(attempt, 0, 1, &mut rng);
-            let window = (10u64 << attempt.min(16)).min(100);
+            let window = (BASE_DELAY_MS << attempt.min(16)).min(CAP_DELAY_MS);
             assert!(d <= window, "attempt {attempt}: {d} > {window}");
         }
         // An over-reported depth (stale by the time the client reads

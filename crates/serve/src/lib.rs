@@ -44,5 +44,5 @@ pub mod wire;
 
 pub use client::{Client, RetryPolicy};
 pub use memo::{Memo, MemoCounters};
-pub use proto::{Request, Response, RunRequest, PROTO, PROTO_V2};
+pub use proto::{Request, Response, RunRequest, PROTO_V2};
 pub use server::{serve, ServeConfig, ServerHandle};

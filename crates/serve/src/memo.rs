@@ -1,18 +1,12 @@
-//! The bounded in-process response memo: LRU + TTL over serialised
+//! The bounded in-process response memo: an LRU over serialised
 //! payloads.
 //!
-//! PR 8's memo was a plain `HashMap` — correct, but unbounded: a
-//! long-lived server scanning a large spec space would hold every
-//! response it ever produced. This module bounds it on two axes:
+//! At most `entries` payloads are retained; an insert past capacity
+//! evicts the least-recently-*touched* entry. Entries never go stale:
+//! a payload is a deterministic function of its fingerprint, so age
+//! alone is no reason to drop one.
 //!
-//! * **Capacity (LRU)** — at most `entries` payloads are retained; an
-//!   insert past capacity evicts the least-recently-*touched* entry.
-//! * **Age (TTL)** — an entry older than `ttl_ms` (measured from
-//!   insertion) is treated as absent and dropped on next contact;
-//!   `ttl_ms = 0` disables the age bound.
-//!
-//! Eviction is **safe by construction**: payloads are deterministic
-//! functions of their fingerprint, and every computed payload is also
+//! Eviction is **safe by construction**: every computed payload is also
 //! persisted to the content-addressed store before it is memoised — so
 //! an evicted entry recomputes (or re-loads) byte-identically, and the
 //! memo is purely a latency optimisation, never a correctness layer.
@@ -26,9 +20,7 @@
 use omega_bench::Json;
 use omega_sim::obs;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -36,22 +28,17 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Cumulative memo event counters (this handle only).
 ///
-/// `hits + misses` equals the number of [`Memo::get`] calls; `expired`
-/// counts entries dropped because of age (whether discovered by a `get`
-/// or an insert-time sweep) and `evictions` counts capacity evictions
-/// only, so the two never double-count one removal.
+/// `hits + misses` equals the number of [`Memo::get`] calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoCounters {
     /// Lookups that returned a payload.
     pub hits: u64,
-    /// Lookups that found nothing (including expired entries).
+    /// Lookups that found nothing.
     pub misses: u64,
     /// Payloads inserted.
     pub inserts: u64,
     /// Entries removed by the LRU capacity bound.
     pub evictions: u64,
-    /// Entries removed by the TTL age bound.
-    pub expired: u64,
 }
 
 struct Entry {
@@ -61,8 +48,6 @@ struct Entry {
     /// Last-touch sequence number; recency is resolved lazily against
     /// the queue below.
     tick: u64,
-    /// Insertion timestamp in clock milliseconds (TTL base).
-    born_ms: u64,
 }
 
 struct Inner {
@@ -76,26 +61,15 @@ struct Inner {
     counters: MemoCounters,
 }
 
-/// The clock TTL ages against. Real for servers; manual for
-/// deterministic tests (no sleeps).
-enum Clock {
-    Real(Instant),
-    Manual(AtomicU64),
-}
-
 /// A bounded, thread-safe payload memo. See the module docs.
 pub struct Memo {
     inner: Mutex<Inner>,
     cap: usize,
-    ttl_ms: u64,
-    clock: Clock,
 }
 
 impl Memo {
-    /// A memo holding at most `entries` payloads (floored at 1), each
-    /// for at most `ttl_ms` milliseconds (`0` = forever), aged against
-    /// the real monotonic clock.
-    pub fn new(entries: usize, ttl_ms: u64) -> Memo {
+    /// A memo holding at most `entries` payloads (floored at 1).
+    pub fn new(entries: usize) -> Memo {
         Memo {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
@@ -105,43 +79,12 @@ impl Memo {
                 counters: MemoCounters::default(),
             }),
             cap: entries.max(1),
-            ttl_ms,
-            clock: Clock::Real(Instant::now()),
-        }
-    }
-
-    /// Test hook: like [`Memo::new`] but time only moves when
-    /// [`Memo::advance_ms`] is called, so TTL behaviour is provable
-    /// without sleeping.
-    pub fn with_manual_clock(entries: usize, ttl_ms: u64) -> Memo {
-        let mut memo = Memo::new(entries, ttl_ms);
-        memo.clock = Clock::Manual(AtomicU64::new(0));
-        memo
-    }
-
-    /// Test hook: advances a manual clock by `ms`. No-op on a real
-    /// clock.
-    pub fn advance_ms(&self, ms: u64) {
-        if let Clock::Manual(t) = &self.clock {
-            t.fetch_add(ms, Ordering::Relaxed);
-        }
-    }
-
-    fn now_ms(&self) -> u64 {
-        match &self.clock {
-            Clock::Real(epoch) => epoch.elapsed().as_millis() as u64,
-            Clock::Manual(t) => t.load(Ordering::Relaxed),
         }
     }
 
     /// The configured capacity in entries.
     pub fn capacity(&self) -> usize {
         self.cap
-    }
-
-    /// The configured TTL in milliseconds (`0` = disabled).
-    pub fn ttl_ms(&self) -> u64 {
-        self.ttl_ms
     }
 
     /// Current entry count.
@@ -164,10 +107,6 @@ impl Memo {
         lock(&self.inner).counters
     }
 
-    fn expired(&self, e: &Entry, now_ms: u64) -> bool {
-        self.ttl_ms > 0 && now_ms.saturating_sub(e.born_ms) >= self.ttl_ms
-    }
-
     fn remove(inner: &mut Inner, key: u64) {
         if let Some(e) = inner.map.remove(&key) {
             inner.bytes -= e.bytes;
@@ -188,21 +127,11 @@ impl Memo {
         obs::counter_set("serve.memo_bytes", inner.bytes as u64);
     }
 
-    /// Looks up `key`, refreshing its recency on a hit. An entry past
-    /// its TTL is dropped and reported as a miss.
+    /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: u64) -> Option<Arc<Json>> {
-        let now = self.now_ms();
         let mut inner = lock(&self.inner);
         let inner = &mut *inner;
         match inner.map.get(&key) {
-            Some(e) if self.expired(e, now) => {
-                Self::remove(inner, key);
-                inner.counters.expired += 1;
-                inner.counters.misses += 1;
-                obs::counter_add("serve.memo_expired", 1);
-                Self::mirror_gauges(inner);
-                None
-            }
             Some(e) => {
                 let payload = Arc::clone(&e.payload);
                 inner.counters.hits += 1;
@@ -217,12 +146,10 @@ impl Memo {
         }
     }
 
-    /// Inserts (or replaces) `key`'s payload, then enforces the TTL and
-    /// the capacity bound — expired entries are swept first so they
-    /// never count as capacity evictions.
+    /// Inserts (or replaces) `key`'s payload, then evicts down to the
+    /// capacity bound.
     pub fn insert(&self, key: u64, payload: Arc<Json>) {
         let bytes = payload.dump().len();
-        let now = self.now_ms();
         let mut inner = lock(&self.inner);
         let inner = &mut *inner;
         Self::remove(inner, key);
@@ -232,28 +159,12 @@ impl Memo {
                 payload,
                 bytes,
                 tick: 0, // set by touch below
-                born_ms: now,
             },
         );
         inner.bytes += bytes;
         inner.counters.inserts += 1;
         obs::counter_add("serve.memo_inserts", 1);
         Self::touch(inner, key);
-
-        // TTL sweep (only worth the scan when a TTL is configured).
-        if self.ttl_ms > 0 {
-            let dead: Vec<u64> = inner
-                .map
-                .iter()
-                .filter(|(_, e)| self.expired(e, now))
-                .map(|(&k, _)| k)
-                .collect();
-            for k in dead {
-                Self::remove(inner, k);
-                inner.counters.expired += 1;
-                obs::counter_add("serve.memo_expired", 1);
-            }
-        }
 
         // LRU eviction down to capacity.
         while inner.map.len() > self.cap {
@@ -296,7 +207,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_touched() {
-        let memo = Memo::new(2, 0);
+        let memo = Memo::new(2);
         memo.insert(1, payload(1, 0));
         memo.insert(2, payload(2, 0));
         assert!(memo.get(1).is_some(), "touch 1 so 2 is the LRU");
@@ -304,56 +215,19 @@ mod tests {
         assert_eq!(memo.len(), 2);
         assert!(memo.get(2).is_none(), "2 was evicted");
         assert!(memo.get(1).is_some() && memo.get(3).is_some());
-        let c = memo.counters();
-        assert_eq!(c.evictions, 1);
-        assert_eq!(c.expired, 0);
+        assert_eq!(memo.counters().evictions, 1);
     }
 
-    #[test]
-    fn ttl_expires_entries_without_sleeping() {
-        let memo = Memo::with_manual_clock(8, 100);
-        memo.insert(1, payload(1, 0));
-        memo.advance_ms(99);
-        assert!(memo.get(1).is_some(), "young entries survive");
-        memo.advance_ms(1);
-        assert!(memo.get(1).is_none(), "exactly-TTL-old entries expire");
-        let c = memo.counters();
-        assert_eq!(c.expired, 1);
-        assert_eq!(c.evictions, 0, "age removals are not capacity evictions");
-        assert_eq!(memo.len(), 0);
-        assert_eq!(memo.bytes(), 0);
-
-        // An insert-time sweep also collects the dead.
-        memo.insert(2, payload(2, 0));
-        memo.insert(3, payload(3, 0));
-        memo.advance_ms(100);
-        memo.insert(4, payload(4, 0));
-        assert_eq!(memo.len(), 1, "only the fresh insert survives the sweep");
-        assert_eq!(memo.counters().expired, 3);
-    }
-
-    /// Reference model: exact LRU + TTL over a Vec, most-recent last.
+    /// Reference model: exact LRU over a Vec, most-recent last.
     struct Model {
         cap: usize,
-        ttl_ms: u64,
-        now_ms: u64,
-        entries: Vec<(u64, usize, u64)>, // (key, bytes, born_ms)
+        entries: Vec<(u64, usize)>, // (key, bytes)
         counters: MemoCounters,
     }
 
     impl Model {
-        fn expired(&self, born: u64) -> bool {
-            self.ttl_ms > 0 && self.now_ms.saturating_sub(born) >= self.ttl_ms
-        }
-
         fn get(&mut self, key: u64) -> bool {
-            match self.entries.iter().position(|&(k, _, _)| k == key) {
-                Some(i) if self.expired(self.entries[i].2) => {
-                    self.entries.remove(i);
-                    self.counters.expired += 1;
-                    self.counters.misses += 1;
-                    false
-                }
+            match self.entries.iter().position(|&(k, _)| k == key) {
                 Some(i) => {
                     let e = self.entries.remove(i);
                     self.entries.push(e);
@@ -368,17 +242,9 @@ mod tests {
         }
 
         fn insert(&mut self, key: u64, bytes: usize) {
-            self.entries.retain(|&(k, _, _)| k != key);
-            self.entries.push((key, bytes, self.now_ms));
+            self.entries.retain(|&(k, _)| k != key);
+            self.entries.push((key, bytes));
             self.counters.inserts += 1;
-            if self.ttl_ms > 0 {
-                let now = self.now_ms;
-                let ttl = self.ttl_ms;
-                let before = self.entries.len();
-                self.entries
-                    .retain(|&(_, _, born)| !(ttl > 0 && now.saturating_sub(born) >= ttl));
-                self.counters.expired += (before - self.entries.len()) as u64;
-            }
             while self.entries.len() > self.cap {
                 self.entries.remove(0);
                 self.counters.evictions += 1;
@@ -386,46 +252,34 @@ mod tests {
         }
 
         fn bytes(&self) -> usize {
-            self.entries.iter().map(|&(_, b, _)| b).sum()
+            self.entries.iter().map(|&(_, b)| b).sum()
         }
     }
 
     /// Seeded property loop: the lazy-recency implementation must agree
     /// with the exact reference model on every observable — presence,
-    /// length, byte total, and all five counters — across thousands of
-    /// interleaved inserts, gets, and clock advances.
+    /// length, byte total, and all four counters — across thousands of
+    /// interleaved inserts and gets.
     #[test]
     fn memo_matches_the_reference_model_under_random_ops() {
         for seed in [7u64, 42, 1001] {
             let mut rng = SmallRng::seed_from_u64(seed);
             let cap = rng.gen_range(1usize..6);
-            let ttl = [0u64, 50, 200][rng.gen_range(0usize..3)];
-            let memo = Memo::with_manual_clock(cap, ttl);
+            let memo = Memo::new(cap);
             let mut model = Model {
                 cap,
-                ttl_ms: ttl,
-                now_ms: 0,
                 entries: Vec::new(),
                 counters: MemoCounters::default(),
             };
             for _ in 0..4_000 {
-                match rng.gen_range(0u32..10) {
-                    0..=3 => {
-                        let key = rng.gen_range(0u64..12);
-                        let len = rng.gen_range(0usize..40);
-                        let bytes = payload(key, len).dump().len();
-                        memo.insert(key, payload(key, len));
-                        model.insert(key, bytes);
-                    }
-                    4..=8 => {
-                        let key = rng.gen_range(0u64..12);
-                        assert_eq!(memo.get(key).is_some(), model.get(key), "seed {seed}");
-                    }
-                    _ => {
-                        let ms = rng.gen_range(1u64..40);
-                        memo.advance_ms(ms);
-                        model.now_ms += ms;
-                    }
+                let key = rng.gen_range(0u64..12);
+                if rng.gen_range(0u32..9) <= 3 {
+                    let len = rng.gen_range(0usize..40);
+                    let bytes = payload(key, len).dump().len();
+                    memo.insert(key, payload(key, len));
+                    model.insert(key, bytes);
+                } else {
+                    assert_eq!(memo.get(key).is_some(), model.get(key), "seed {seed}");
                 }
                 assert_eq!(memo.len(), model.entries.len(), "seed {seed}");
                 assert_eq!(memo.bytes(), model.bytes(), "seed {seed}");

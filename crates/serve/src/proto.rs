@@ -1,28 +1,23 @@
-//! The `omega-serve/v1` + `omega-serve/v2` request/response vocabulary.
+//! The `omega-serve/v2` request/response vocabulary.
 //!
-//! Requests are flat JSON objects carrying a `proto` tag, a `method`,
-//! and (for `run`) the experiment coordinates as the same names the
-//! CLI tools accept — parsing goes through the typed [`FromStr`]
-//! surface ([`Dataset`], [`AlgoKey`], [`MachineKind`],
+//! Requests are flat JSON objects carrying the `proto` tag, a numeric
+//! `id` and a `method`, plus (for `run`) the experiment coordinates as
+//! the same names the CLI tools accept — parsing goes through the typed
+//! [`FromStr`] surface ([`Dataset`], [`AlgoKey`], [`MachineKind`],
 //! [`DatasetScale`]), so an unknown name becomes a structured
 //! `unknown-name` error on the wire instead of a stringly refusal.
 //!
-//! ## Two protocol revisions, one connection
+//! ## One protocol revision
 //!
-//! * **v1** ([`PROTO`]) is strictly sequential: no `id` field is
-//!   allowed, and the server answers each request before reading the
-//!   next, in order. Every v1-only client keeps working unchanged.
-//! * **v2** ([`PROTO_V2`]) adds **pipelining**: every request frame
-//!   carries a client-chosen numeric `id`, the response echoes it, and
-//!   responses may arrive in any order — a single connection can have
-//!   up to [`MAX_IN_FLIGHT`](crate::server::MAX_IN_FLIGHT) requests in
-//!   flight (v1 is the same path with depth 1). v2 also adds `batch`:
-//!   one frame carrying up to [`MAX_BATCH_RUNS`] run specs, grouped
-//!   server-side by `(dataset, algo)` to share one functional trace.
-//!
-//! The version is per-*frame*, not per-connection: [`RequestFrame`]
-//! carries what the client spoke and the server mirrors it back, so
-//! mixed traffic (a v1 probe against a v2 session) just works.
+//! Every frame is tagged [`PROTO_V2`]. Every request frame carries a
+//! client-chosen numeric `id`, the response echoes it, and responses may
+//! arrive in any order, so one connection can have up to
+//! [`MAX_IN_FLIGHT`](crate::server::MAX_IN_FLIGHT) requests in flight.
+//! `batch` carries up to [`MAX_BATCH_RUNS`] run specs in one frame,
+//! grouped server-side by `(dataset, algo)` to share one functional
+//! trace. A frame with any other tag (the retired sequential
+//! `omega-serve/v1` included) or without an `id` is a `protocol` error.
+//! An error reply to a frame whose id could not be read carries no `id`.
 //!
 //! Responses share one envelope: `status` is `"ok"` (with a `payload`
 //! document), `"busy"` (with the queue depth/limit that caused the
@@ -39,10 +34,7 @@ use omega_bench::Json;
 use omega_core::OmegaError;
 use omega_graph::datasets::{Dataset, DatasetScale};
 
-/// The sequential v1 protocol tag.
-pub const PROTO: &str = "omega-serve/v1";
-
-/// The pipelined v2 protocol tag (per-frame request ids, `batch`).
+/// The protocol tag every frame carries.
 pub const PROTO_V2: &str = "omega-serve/v2";
 
 /// Schema tag of the `stats` payload document.
@@ -55,25 +47,6 @@ pub const BATCH_SCHEMA: &str = "omega-serve-batch/v1";
 /// is 7,292 bytes (lj PageRank on pim-rank, small scale), so a full
 /// batch answers in under 7.5 MB, below [`MAX_FRAME`](crate::wire::MAX_FRAME).
 pub const MAX_BATCH_RUNS: usize = 1024;
-
-/// Which protocol revision one frame speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtoVersion {
-    /// `omega-serve/v1`: no ids, strictly in-order responses.
-    V1,
-    /// `omega-serve/v2`: per-frame ids, out-of-order responses allowed.
-    V2,
-}
-
-impl ProtoVersion {
-    /// The wire tag for this revision.
-    pub fn tag(self) -> &'static str {
-        match self {
-            ProtoVersion::V1 => PROTO,
-            ProtoVersion::V2 => PROTO_V2,
-        }
-    }
-}
 
 /// One `run` request: which experiment, at which scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +86,7 @@ pub enum Response {
     Busy {
         /// Queue occupancy observed at rejection time.
         queue_depth: u64,
-        /// The configured queue capacity.
+        /// The queue capacity (the configured depth, at least one).
         queue_limit: u64,
     },
     /// The request failed; `code` is the stable [`OmegaError::code`].
@@ -145,33 +118,28 @@ impl Response {
     }
 }
 
-/// One request frame: the revision it spoke, its id (v2 only), and the
-/// parsed request body.
+/// One request frame: its id and the parsed request body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestFrame {
-    /// The protocol revision of the frame.
-    pub version: ProtoVersion,
-    /// The client-chosen request id; present exactly on v2 frames.
-    pub id: Option<u64>,
+    /// The client-chosen request id.
+    pub id: u64,
     /// The request body.
     pub request: Request,
 }
 
-/// One response frame: the revision mirrored back, the echoed id (v2
-/// only), and the response body.
+/// One response frame: the echoed id and the response body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResponseFrame {
-    /// The protocol revision of the frame (mirrors the request's).
-    pub version: ProtoVersion,
-    /// The echoed request id; present exactly on v2 frames.
+    /// The echoed request id; `None` only on an error reply to a frame
+    /// whose id could not be read (a framing error or a bad tag).
     pub id: Option<u64>,
     /// The response body.
     pub response: Response,
 }
 
-fn envelope(version: ProtoVersion, id: Option<u64>) -> Json {
+fn envelope(id: Option<u64>) -> Json {
     let mut o = Json::obj();
-    o.set("proto", Json::Str(version.tag().to_string()));
+    o.set("proto", Json::Str(PROTO_V2.to_string()));
     if let Some(id) = id {
         o.set("id", Json::Num(id as f64));
     }
@@ -184,34 +152,21 @@ fn str_field<'a>(doc: &'a Json, key: &'static str) -> Result<&'a str, OmegaError
         .ok_or_else(|| OmegaError::Protocol(format!("missing or non-string `{key}` field")))
 }
 
-/// Parses and validates the `proto` + `id` pair: v1 frames must not
-/// carry an id, v2 frames must.
-fn check_envelope(doc: &Json) -> Result<(ProtoVersion, Option<u64>), OmegaError> {
+/// Checks the `proto` tag and reads the optional `id`.
+fn check_envelope(doc: &Json) -> Result<Option<u64>, OmegaError> {
     let tag = str_field(doc, "proto")?;
-    let version = if tag == PROTO {
-        ProtoVersion::V1
-    } else if tag == PROTO_V2 {
-        ProtoVersion::V2
-    } else {
+    if tag != PROTO_V2 {
         return Err(OmegaError::Protocol(format!(
-            "protocol `{tag}` is neither `{PROTO}` nor `{PROTO_V2}`"
+            "protocol `{tag}` is not `{PROTO_V2}`"
         )));
-    };
-    let id = match doc.get("id") {
-        None => None,
-        Some(v) => Some(v.as_u64().ok_or_else(|| {
-            OmegaError::Protocol("`id` must be a non-negative integer".to_string())
-        })?),
-    };
-    match (version, id) {
-        (ProtoVersion::V1, Some(_)) => Err(OmegaError::Protocol(format!(
-            "`{PROTO}` frames must not carry an `id` (pipelining is `{PROTO_V2}`)"
-        ))),
-        (ProtoVersion::V2, None) => Err(OmegaError::Protocol(format!(
-            "`{PROTO_V2}` frames must carry a numeric `id`"
-        ))),
-        pair => Ok(pair),
     }
+    doc.get("id")
+        .map(|v| {
+            v.as_u64().ok_or_else(|| {
+                OmegaError::Protocol("`id` must be a non-negative integer".to_string())
+            })
+        })
+        .transpose()
 }
 
 /// Writes `r`'s experiment coordinates into `o` (the flat `run` form).
@@ -313,19 +268,22 @@ fn request_fields_from_json(doc: &Json) -> Result<Request, OmegaError> {
 
 /// Serialises a request frame for the wire.
 pub fn request_frame_to_json(frame: &RequestFrame) -> Json {
-    let mut o = envelope(frame.version, frame.id);
+    let mut o = envelope(Some(frame.id));
     set_request_fields(&mut o, &frame.request);
     o
 }
 
-/// Parses a request frame of either protocol revision. Unknown methods
-/// and unknown experiment coordinates surface as structured
-/// [`OmegaError::UnknownName`] boundary errors; malformed envelopes
-/// (bad tag, v1-with-id, v2-without-id) as `protocol` errors.
+/// Parses a request frame. Unknown methods and unknown experiment
+/// coordinates surface as structured [`OmegaError::UnknownName`]
+/// boundary errors; malformed envelopes (bad tag, missing or
+/// non-integer id) as `protocol` errors.
 pub fn request_frame_from_json(doc: &Json) -> Result<RequestFrame, OmegaError> {
-    let (version, id) = check_envelope(doc)?;
+    let id = check_envelope(doc)?.ok_or_else(|| {
+        OmegaError::Protocol(format!(
+            "`{PROTO_V2}` request frames must carry a numeric `id`"
+        ))
+    })?;
     Ok(RequestFrame {
-        version,
         id,
         request: request_fields_from_json(doc)?,
     })
@@ -391,18 +349,15 @@ pub fn response_fields_from_json(doc: &Json) -> Result<Response, OmegaError> {
 
 /// Serialises a response frame for the wire.
 pub fn response_frame_to_json(frame: &ResponseFrame) -> Json {
-    let mut o = envelope(frame.version, frame.id);
+    let mut o = envelope(frame.id);
     set_response_fields(&mut o, &frame.response);
     o
 }
 
-/// Parses a response frame of either protocol revision (the client side
-/// of the wire).
+/// Parses a response frame (the client side of the wire).
 pub fn response_frame_from_json(doc: &Json) -> Result<ResponseFrame, OmegaError> {
-    let (version, id) = check_envelope(doc)?;
     Ok(ResponseFrame {
-        version,
-        id,
+        id: check_envelope(doc)?,
         response: response_fields_from_json(doc)?,
     })
 }
@@ -440,32 +395,13 @@ pub fn batch_results(payload: &Json) -> Result<Vec<Response>, OmegaError> {
         .collect()
 }
 
-/// Serialises a v1 request (compat wrapper for v1-only callers).
-pub fn request_to_json(req: &Request) -> Json {
-    request_frame_to_json(&RequestFrame {
-        version: ProtoVersion::V1,
-        id: None,
-        request: req.clone(),
-    })
-}
-
-/// Parses a response document, requiring the v1 revision — the exact
-/// behaviour of a v1-only client, kept for compatibility tests that
-/// emulate a v1-only peer.
-pub fn response_from_json(doc: &Json) -> Result<Response, OmegaError> {
-    let frame = response_frame_from_json(doc)?;
-    if frame.version != ProtoVersion::V1 {
-        return Err(OmegaError::Protocol(format!(
-            "protocol `{}` is not `{PROTO}`",
-            frame.version.tag()
-        )));
-    }
-    Ok(frame.response)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn request_doc(request: Request) -> Json {
+        request_frame_to_json(&RequestFrame { id: 0, request })
+    }
 
     #[test]
     fn run_requests_roundtrip_with_defaults() {
@@ -473,12 +409,13 @@ mod tests {
             spec: ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, MachineKind::Omega),
             scale: DatasetScale::Tiny,
         });
-        let doc = request_to_json(&req);
+        let doc = request_doc(req.clone());
         assert_eq!(request_frame_from_json(&doc).unwrap().request, req);
 
         // machine and scale are optional: omega at small scale.
         let mut minimal = Json::obj();
-        minimal.set("proto", Json::Str(PROTO.into()));
+        minimal.set("proto", Json::Str(PROTO_V2.into()));
+        minimal.set("id", Json::Num(0.0));
         minimal.set("method", Json::Str("run".into()));
         minimal.set("dataset", Json::Str("sd".into()));
         minimal.set("algo", Json::Str("bfs".into()));
@@ -498,7 +435,7 @@ mod tests {
                 spec: ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, machine),
                 scale: DatasetScale::Tiny,
             });
-            let doc = request_to_json(&req);
+            let doc = request_doc(req.clone());
             assert_eq!(
                 doc.get("machine").and_then(Json::as_str),
                 Some(machine.label().as_str()),
@@ -509,14 +446,13 @@ mod tests {
     }
 
     #[test]
-    fn v2_frames_roundtrip_and_echo_ids() {
+    fn frames_roundtrip_and_echo_ids() {
         let run = RunRequest {
             spec: ExperimentSpec::new(Dataset::Sd, AlgoKey::Bfs, MachineKind::Baseline),
             scale: DatasetScale::Tiny,
         };
         let frame = RequestFrame {
-            version: ProtoVersion::V2,
-            id: Some(17),
+            id: 17,
             request: Request::Batch(vec![run, run]),
         };
         let doc = request_frame_to_json(&frame);
@@ -525,7 +461,6 @@ mod tests {
         assert_eq!(request_frame_from_json(&doc).unwrap(), frame);
 
         let resp = ResponseFrame {
-            version: ProtoVersion::V2,
             id: Some(17),
             response: Response::Busy {
                 queue_depth: 2,
@@ -537,38 +472,32 @@ mod tests {
     }
 
     #[test]
-    fn id_discipline_is_enforced_per_revision() {
-        // v2 without an id is malformed…
-        let mut doc = request_frame_to_json(&RequestFrame {
-            version: ProtoVersion::V2,
-            id: Some(3),
-            request: Request::Ping,
-        });
+    fn request_frames_must_carry_an_integer_id() {
+        // A request without an id is malformed…
+        let mut doc = request_doc(Request::Ping);
         doc.set("id", Json::Null);
         assert_eq!(
             request_frame_from_json(&doc).unwrap_err().code(),
             "protocol"
         );
 
-        // …and so is a v1 frame that smuggles one in.
-        let mut doc = request_to_json(&Request::Ping);
-        doc.set("id", Json::Num(1.0));
+        // …a v1-tagged frame is refused even with one…
+        let mut doc = request_doc(Request::Ping);
+        doc.set("proto", Json::Str("omega-serve/v1".into()));
         assert_eq!(
             request_frame_from_json(&doc).unwrap_err().code(),
             "protocol"
         );
 
-        // Fractional and negative ids are rejected, not truncated.
-        let mut doc = request_frame_to_json(&RequestFrame {
-            version: ProtoVersion::V2,
-            id: Some(3),
-            request: Request::Ping,
-        });
-        doc.set("id", Json::Num(1.5));
-        assert_eq!(
-            request_frame_from_json(&doc).unwrap_err().code(),
-            "protocol"
-        );
+        // …and fractional and negative ids are rejected, not truncated.
+        for bad in [1.5, -1.0] {
+            let mut doc = request_doc(Request::Ping);
+            doc.set("id", Json::Num(bad));
+            assert_eq!(
+                request_frame_from_json(&doc).unwrap_err().code(),
+                "protocol"
+            );
+        }
     }
 
     #[test]
@@ -594,11 +523,7 @@ mod tests {
         assert_eq!(batch_results(&payload).unwrap(), results);
 
         // An empty batch request is malformed.
-        let mut doc = request_frame_to_json(&RequestFrame {
-            version: ProtoVersion::V2,
-            id: Some(1),
-            request: Request::Batch(vec![]),
-        });
+        let mut doc = request_doc(Request::Batch(vec![]));
         doc.set("runs", Json::Arr(vec![]));
         assert_eq!(
             request_frame_from_json(&doc).unwrap_err().code(),
@@ -616,11 +541,7 @@ mod tests {
             (MAX_BATCH_RUNS, None),
             (MAX_BATCH_RUNS + 1, Some("protocol")),
         ] {
-            let doc = request_frame_to_json(&RequestFrame {
-                version: ProtoVersion::V2,
-                id: Some(1),
-                request: Request::Batch(vec![run; n]),
-            });
+            let doc = request_doc(Request::Batch(vec![run; n]));
             let got = request_frame_from_json(&doc).err().map(|e| e.code());
             assert_eq!(got, err, "a batch of {n} runs");
         }
@@ -628,14 +549,13 @@ mod tests {
 
     #[test]
     fn unknown_names_become_structured_boundary_errors() {
-        let mut doc = request_to_json(&Request::Ping);
+        let mut doc = request_doc(Request::Ping);
         doc.set("method", Json::Str("explode".into()));
         let err = request_frame_from_json(&doc).unwrap_err();
         assert_eq!(err.code(), "unknown-name");
         assert!(err.to_string().contains("shutdown"), "{err}");
 
-        let mut doc = Json::obj();
-        doc.set("proto", Json::Str(PROTO.into()));
+        let mut doc = request_doc(Request::Ping);
         doc.set("method", Json::Str("run".into()));
         doc.set("dataset", Json::Str("not-a-graph".into()));
         doc.set("algo", Json::Str("pagerank".into()));
@@ -651,45 +571,42 @@ mod tests {
 
     #[test]
     fn wrong_proto_tag_is_rejected() {
-        let mut doc = request_to_json(&Request::Ping);
-        doc.set("proto", Json::Str("omega-serve/v0".into()));
-        assert_eq!(
-            request_frame_from_json(&doc).unwrap_err().code(),
-            "protocol"
-        );
-
-        // The v1-only parser rejects v2 frames — this is exactly what a
-        // v1-only client would do to a pipelined reply: a structured
-        // protocol error, not silent misbehaviour.
-        let doc = response_frame_to_json(&ResponseFrame {
-            version: ProtoVersion::V2,
-            id: Some(1),
-            response: Response::Ok(Json::obj()),
-        });
-        assert_eq!(response_from_json(&doc).unwrap_err().code(), "protocol");
+        // Any tag but v2 is refused, the retired v1 included, and the
+        // error names the one revision that is served.
+        for tag in ["omega-serve/v0", "omega-serve/v1"] {
+            let mut doc = request_doc(Request::Ping);
+            doc.set("proto", Json::Str(tag.into()));
+            let err = request_frame_from_json(&doc).unwrap_err();
+            assert_eq!(err.code(), "protocol");
+            assert!(err.to_string().contains(PROTO_V2), "{err}");
+        }
     }
 
     #[test]
     fn responses_roundtrip() {
         let mut payload = Json::obj();
         payload.set("pong", Json::Bool(true));
-        for resp in [
-            Response::Ok(payload),
-            Response::Busy {
-                queue_depth: 4,
-                queue_limit: 4,
-            },
-            Response::Error {
-                code: "unknown-name".into(),
-                message: "unknown dataset `x`".into(),
-            },
+        for (id, response) in [
+            (Some(3), Response::Ok(payload)),
+            (
+                Some(4),
+                Response::Busy {
+                    queue_depth: 4,
+                    queue_limit: 4,
+                },
+            ),
+            (
+                None,
+                Response::Error {
+                    code: "unknown-name".into(),
+                    message: "unknown dataset `x`".into(),
+                },
+            ),
         ] {
-            let doc = response_frame_to_json(&ResponseFrame {
-                version: ProtoVersion::V1,
-                id: None,
-                response: resp.clone(),
-            });
-            assert_eq!(response_from_json(&doc).unwrap(), resp);
+            let frame = ResponseFrame { id, response };
+            let doc = response_frame_to_json(&frame);
+            assert_eq!(doc.get("id").is_some(), id.is_some());
+            assert_eq!(response_frame_from_json(&doc).unwrap(), frame);
         }
     }
 

@@ -4,9 +4,9 @@
 //! ```text
 //!   accept thread ──► connection threads (one per client; exited ones reaped on accept)
 //!                          │  every frame: one handler thread, at most
-//!                          │  MAX_IN_FLIGHT per connection (v1: depth 1, in order)
+//!                          │  MAX_IN_FLIGHT per connection
 //!                          │  `run` = one-member `batch`
-//!                          │  memo (bounded LRU+TTL) / store  ──► hit
+//!                          │  memo (bounded LRU) / store  ──► hit
 //!                          │  join single-flight table
 //!                          ▼
 //!                    bounded queue of (dataset, algo, scale) GROUP jobs
@@ -25,7 +25,9 @@
 //! configured depth, so overload degrades to fast structured `busy`
 //! responses instead of memory growth or connect timeouts. A connection
 //! at [`MAX_IN_FLIGHT`] stops reading, so TCP backpressure throttles a
-//! client that pipelines faster than the server answers. Admission is
+//! client that pipelines faster than the server answers, and a client
+//! that stops reading is dropped once a response write has made no
+//! progress for [`WRITE_TIMEOUT`]. Admission is
 //! at **group** granularity: a queued job is keyed by
 //! `(dataset, algo, scale)` and a compatible request joins it instead of
 //! consuming a slot — the functional trace is shared exactly like
@@ -38,8 +40,7 @@
 use crate::flight::{Flight, FlightResult, Flights, Registry, Ticket};
 use crate::memo::Memo;
 use crate::proto::{
-    self, ProtoVersion, Request, RequestFrame, Response, ResponseFrame, RunRequest, PROTO_V2,
-    STATS_SCHEMA,
+    self, Request, RequestFrame, Response, ResponseFrame, RunRequest, PROTO_V2, STATS_SCHEMA,
 };
 use crate::wire::{self, Frame};
 use omega_bench::session::{ExperimentSpec, MachineKind};
@@ -54,7 +55,7 @@ use omega_ligra::ExecConfig;
 use omega_sim::obs;
 use omega_sim::telemetry::TelemetryConfig;
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
@@ -77,8 +78,6 @@ pub struct ServeConfig {
     /// Response-memo capacity in entries (bounded LRU; evicted entries
     /// recompute byte-identically from the store).
     pub memo_entries: usize,
-    /// Response-memo TTL in milliseconds; 0 disables the age bound.
-    pub memo_ttl_ms: u64,
     /// Persistent experiment store shared with the batch tools.
     pub store: Option<PathBuf>,
     /// Test hook: artificial delay inside each computed replay, to make
@@ -94,7 +93,6 @@ impl Default for ServeConfig {
             jobs: 1,
             queue_depth: 8,
             memo_entries: 256,
-            memo_ttl_ms: 0,
             store: None,
             job_delay_ms: 0,
         }
@@ -159,6 +157,8 @@ enum Admission {
 struct Queue {
     inner: Mutex<(VecDeque<Job>, bool)>,
     cv: Condvar,
+    /// The effective capacity (the configured depth, at least one): what
+    /// `busy` and `stats` report as the limit.
     cap: usize,
 }
 
@@ -320,7 +320,7 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, OmegaError> {
         None => None,
     };
     let queue = Queue::new(config.queue_depth);
-    let memo = Memo::new(config.memo_entries, config.memo_ttl_ms);
+    let memo = Memo::new(config.memo_entries);
     let state = Arc::new(ServerState {
         addr,
         store,
@@ -391,31 +391,32 @@ fn accept_loop(listener: TcpListener, state: &Arc<ServerState>) {
     }
 }
 
-/// Best-effort envelope echo for frames whose body failed to parse: if
-/// the peer spoke recognisable v2 (tag + integer id), mirror both so it
-/// can correlate the error; otherwise fall back to a bare v1 envelope.
-fn error_envelope_for(doc: &Json) -> (ProtoVersion, Option<u64>) {
-    if doc.get("proto").and_then(Json::as_str) == Some(PROTO_V2) {
-        if let Some(id) = doc.get("id").and_then(Json::as_u64) {
-            return (ProtoVersion::V2, Some(id));
-        }
+/// The id to echo on the error reply to a frame that failed to parse,
+/// so the peer can correlate it; `None` when the tag is wrong or the id
+/// is unreadable.
+fn error_id(doc: &Json) -> Option<u64> {
+    if doc.get("proto").and_then(Json::as_str) != Some(PROTO_V2) {
+        return None;
     }
-    (ProtoVersion::V1, None)
+    doc.get("id").and_then(Json::as_u64)
 }
 
-fn write_response(
-    writer: &Mutex<TcpStream>,
-    version: ProtoVersion,
-    id: Option<u64>,
-    response: Response,
-) -> bool {
-    let frame = ResponseFrame {
-        version,
-        id,
-        response,
-    };
-    let doc = proto::response_frame_to_json(&frame);
-    wire::write_frame(&mut *lock(writer), &doc).is_ok()
+/// How long a response write may go without the peer accepting a byte.
+/// Past it the connection is shut down, so a client that stops reading
+/// cannot hold its handlers, or a drain, for longer.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Writes one response frame. A failed write shuts the socket down both
+/// ways: the handlers still queued on the writer then fail at once
+/// instead of each waiting out [`WRITE_TIMEOUT`], and the read loop ends.
+fn write_response(writer: &Mutex<TcpStream>, id: Option<u64>, response: Response) -> bool {
+    let doc = proto::response_frame_to_json(&ResponseFrame { id, response });
+    let mut stream = lock(writer);
+    let written = wire::write_frame(&mut *stream, &doc).is_ok();
+    if !written {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    written
 }
 
 /// Handler threads one connection may have at once. At the bound the
@@ -435,17 +436,15 @@ impl Drop for Done {
 }
 
 /// One connection. Every request frame goes to a handler thread of its
-/// own, and the shared writer lock keeps response frames whole. The
-/// protocol version picks only the response envelope and the pipeline
-/// depth: a v1 frame's handler has answered before the next frame is
-/// read (the v1 in-order contract), while v2 frames keep up to
-/// [`MAX_IN_FLIGHT`] handlers alive and may complete out of order. The
-/// scope waits for every handler before the connection thread exits,
-/// so `ServerHandle::wait` still observes a full drain.
+/// own, and the shared writer lock keeps response frames whole. Up to
+/// [`MAX_IN_FLIGHT`] handlers stay alive and may complete out of order.
+/// The scope waits for every handler before the connection thread
+/// exits, so `ServerHandle::wait` still observes a full drain.
 fn connection_loop(state: &Arc<ServerState>, mut stream: TcpStream) {
-    // The timeout bounds how long an idle connection takes to notice
-    // shutdown; it does not bound request handling.
+    // The read timeout bounds how long an idle connection takes to
+    // notice shutdown; it does not bound request handling.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -465,22 +464,17 @@ fn connection_loop(state: &Arc<ServerState>, mut stream: TcpStream) {
                     // Tell the peer what was wrong with its bytes, then
                     // hang up: framing is unrecoverable after an error.
                     let resp = Response::from_error(&e);
-                    let _ = write_response(&writer, ProtoVersion::V1, None, resp);
+                    let _ = write_response(&writer, None, resp);
                     break;
                 }
             };
-            let RequestFrame {
-                version,
-                id,
-                request,
-            } = match proto::request_frame_from_json(&doc) {
+            let RequestFrame { id, request } = match proto::request_frame_from_json(&doc) {
                 Ok(frame) => frame,
                 Err(e) => {
                     // The frame was well-formed JSON but not a valid
                     // request — answer the error and keep reading.
                     state.counters.bump("serve.errors", &state.counters.errors);
-                    let (version, id) = error_envelope_for(&doc);
-                    if !write_response(&writer, version, id, Response::from_error(&e)) {
+                    if !write_response(&writer, error_id(&doc), Response::from_error(&e)) {
                         break;
                     }
                     continue;
@@ -492,24 +486,20 @@ fn connection_loop(state: &Arc<ServerState>, mut stream: TcpStream) {
                 .spawn_scoped(scope, move || {
                     let _done = done;
                     let _span = obs::span("serve.request");
-                    write_response(writer, version, id, handle_request(state, &request));
+                    write_response(writer, Some(id), handle_request(state, &request));
                 })
                 .map(|handler| handlers.insert(handler.thread().id(), handler));
             if let Err(e) = spawned {
                 state.counters.bump("serve.errors", &state.counters.errors);
                 let resp = Response::from_error(&OmegaError::Io(e));
-                if !write_response(writer, version, id, resp) {
+                if !write_response(writer, Some(id), resp) {
                     break;
                 }
             }
-            let depth = match version {
-                ProtoVersion::V1 => 1,
-                ProtoVersion::V2 => MAX_IN_FLIGHT,
-            };
-            // Join every handler that has ended; at the depth bound, wait
-            // for one to end first. A failed spawn reports this thread.
+            // Join every handler that has ended; at the bound, wait for
+            // one to end first. A failed spawn reports this thread.
             loop {
-                let ended = if handlers.len() >= depth {
+                let ended = if handlers.len() >= MAX_IN_FLIGHT {
                     // `done_tx` is alive, so `recv` always yields.
                     done_rx.recv().ok()
                 } else {
@@ -635,7 +625,7 @@ fn batch_request(state: &Arc<ServerState>, runs: &[RunRequest]) -> Vec<Response>
                 }
                 OmegaError::Busy {
                     queue_depth: depth,
-                    queue_limit: state.config.queue_depth,
+                    queue_limit: state.queue.cap,
                 }
             }
             Admission::Closed => OmegaError::ShuttingDown,
@@ -872,7 +862,7 @@ fn stats_payload(state: &Arc<ServerState>) -> Json {
     o.set("errors", num(c.errors.load(Ordering::Relaxed)));
     o.set("inflight", num(c.inflight.load(Ordering::Relaxed)));
     o.set("queue_depth", num(state.queue.depth() as u64));
-    o.set("queue_limit", num(state.config.queue_depth as u64));
+    o.set("queue_limit", num(state.queue.cap as u64));
     o.set("open_flights", num(state.flights.open() as u64));
     o.set("workers", num(state.config.effective_workers() as u64));
     o.set("draining", Json::Bool(state.draining()));
@@ -882,12 +872,10 @@ fn stats_payload(state: &Arc<ServerState>) -> Json {
     m.set("entries", num(state.memo.len() as u64));
     m.set("bytes", num(state.memo.bytes() as u64));
     m.set("capacity", num(state.memo.capacity() as u64));
-    m.set("ttl_ms", num(state.memo.ttl_ms()));
     m.set("hits", num(mc.hits));
     m.set("misses", num(mc.misses));
     m.set("inserts", num(mc.inserts));
     m.set("evictions", num(mc.evictions));
-    m.set("expired", num(mc.expired));
     o.set("memo", m);
     if let Some(store) = &state.store {
         let sc = store.counters();

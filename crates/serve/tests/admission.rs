@@ -91,6 +91,72 @@ fn full_queue_sheds_with_a_structured_busy_response() {
     handle.wait();
 }
 
+/// A configured depth of 0 still queues one job, and both `busy` and
+/// `stats` report that effective limit, never a limit below the depth.
+#[test]
+fn zero_queue_depth_reports_its_effective_limit_of_one() {
+    let handle = serve(ServeConfig {
+        jobs: 1,
+        queue_depth: 0,
+        job_delay_ms: 1500,
+        ..ServeConfig::default()
+    })
+    .expect("server binds");
+    let addr = handle.addr();
+
+    std::thread::scope(|s| {
+        // Occupy the worker, then the one queue slot...
+        let first = s.spawn(move || {
+            let mut c = Client::connect(addr).expect("connect");
+            c.run_payload(RunRequest {
+                spec: spec(AlgoKey::PageRank, MachineKind::Baseline),
+                scale: SCALE,
+            })
+        });
+        await_stats(addr, "the worker to go busy", |st| {
+            counter(st, "inflight") == 1
+        });
+        let second = s.spawn(move || {
+            let mut c = Client::connect(addr).expect("connect");
+            c.run_payload(RunRequest {
+                spec: spec(AlgoKey::Bfs, MachineKind::Omega),
+                scale: SCALE,
+            })
+        });
+        let stats = await_stats(addr, "the queue to fill", |st| {
+            counter(st, "queue_depth") == 1
+        });
+        assert_eq!(counter(&stats, "queue_limit"), 1, "stats limit");
+
+        // ...and draw one `busy`.
+        let mut c = Client::connect(addr).expect("connect");
+        let resp = c
+            .run(RunRequest {
+                spec: spec(AlgoKey::Sssp, MachineKind::OmegaNoPisc),
+                scale: SCALE,
+            })
+            .expect("call completes");
+        let Response::Busy {
+            queue_depth,
+            queue_limit,
+        } = resp
+        else {
+            panic!("expected busy, got {resp:?}");
+        };
+        assert_eq!(queue_limit, 1, "busy limit");
+        assert!(queue_depth <= queue_limit, "{queue_depth} > {queue_limit}");
+
+        assert!(first.join().unwrap().is_ok(), "first request completes");
+        assert!(second.join().unwrap().is_ok(), "second request completes");
+    });
+
+    Client::connect(addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown ack");
+    handle.wait();
+}
+
 /// A request compatible with an already-queued group rides its slot:
 /// even a full queue answers it (grouping never consumes a slot), and
 /// it completes with a real payload instead of `busy`.

@@ -1,29 +1,21 @@
-//! Wire compatibility between protocol revisions, against a live
-//! server and at the raw-frame level.
+//! The wire at the raw-frame level, against a live server.
 //!
-//! Direction 1 (old client, new server): unadorned `omega-serve/v1`
-//! frames keep working — the server answers them in order, without ids.
-//! Direction 2 (new client, old parser): the server's replies to v1
-//! frames still parse with the strict v1 parser, and v2 frames are
-//! rejected by it with a structured protocol error (exercised in
-//! `proto`'s unit tests at the parser level, and here over a socket).
-//! Plus robustness: a malformed body gets an error response and the
+//! `omega-serve/v2` is the one protocol revision. A frame tagged with
+//! the retired `omega-serve/v1` draws a v2-tagged `protocol` error that
+//! names the served revision, and the connection keeps working. Plus
+//! robustness: a malformed body gets an error response and the
 //! connection survives; a torn frame gets an error response and a
 //! hang-up.
 //!
 //! No test in this file asserts the process-global replay probes, so
 //! the file can hold several tests.
 
-use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind};
 use omega_bench::Json;
-use omega_graph::datasets::{Dataset, DatasetScale};
-use omega_serve::proto::{self, ProtoVersion, Request, RunRequest, PROTO_V2};
+use omega_serve::proto::{self, Request, RequestFrame, PROTO_V2};
 use omega_serve::wire::{self, Frame};
 use omega_serve::{serve, Client, Response, ServeConfig};
 use std::io::Write;
 use std::net::TcpStream;
-
-const SCALE: DatasetScale = DatasetScale::Tiny;
 
 fn tiny_server() -> omega_serve::ServerHandle {
     serve(ServeConfig {
@@ -34,79 +26,59 @@ fn tiny_server() -> omega_serve::ServerHandle {
     .expect("server binds")
 }
 
+fn read(stream: &mut TcpStream) -> Json {
+    match wire::read_frame(stream, || false).expect("read frame") {
+        Frame::Doc(doc) => doc,
+        other => panic!("expected a document, got {other:?}"),
+    }
+}
+
+fn ping(id: u64) -> Json {
+    proto::request_frame_to_json(&RequestFrame {
+        id,
+        request: Request::Ping,
+    })
+}
+
 #[test]
-fn v1_clients_keep_working_against_a_v2_server() {
+fn v1_frames_get_a_v2_protocol_error_and_the_connection_survives() {
     let handle = tiny_server();
     let addr = handle.addr();
-    let spec = ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, MachineKind::Omega);
+    let mut stream = TcpStream::connect(addr).expect("connect raw");
 
-    // A pure v1 session: ping, run, stats, all over unadorned frames.
-    let mut v1 = Client::connect_v1(addr).expect("connect v1");
-    assert_eq!(v1.version(), ProtoVersion::V1);
-    v1.ping().expect("v1 ping");
-    let v1_payload = v1
-        .run_payload(RunRequest { spec, scale: SCALE })
-        .expect("v1 run")
-        .dump();
-    let stats = v1.stats().expect("v1 stats");
-    assert!(stats.get("evictions").is_some(), "v2 stats over v1 frames");
+    // A v1 ping: unadorned, no id.
+    let mut v1 = Json::obj();
+    v1.set("proto", Json::Str("omega-serve/v1".to_string()));
+    v1.set("method", Json::Str("ping".to_string()));
+    wire::write_frame(&mut stream, &v1).expect("write v1");
+    let doc = read(&mut stream);
+    assert_eq!(doc.get("proto").and_then(Json::as_str), Some(PROTO_V2));
+    assert!(doc.get("id").is_none(), "the refused frame had no id");
+    let Response::Error { code, message } = proto::response_frame_from_json(&doc)
+        .expect("a well-formed v2 reply")
+        .response
+    else {
+        panic!("expected an error reply, got {}", doc.dump());
+    };
+    assert_eq!(code, "protocol");
+    assert!(message.contains(PROTO_V2), "{message}");
 
-    // The same request over v2 pipelined frames answers byte-identically
-    // (it is a memo hit of the very same payload object).
-    let mut v2 = Client::connect(addr).expect("connect v2");
-    let v2_payload = v2
-        .run_payload(RunRequest { spec, scale: SCALE })
-        .expect("v2 run")
-        .dump();
-    assert_eq!(v1_payload, v2_payload, "same bytes across revisions");
+    // The same connection then answers a v2 ping, echoing its id.
+    wire::write_frame(&mut stream, &ping(7)).expect("write v2");
+    let frame = proto::response_frame_from_json(&read(&mut stream)).expect("v2 reply");
+    assert_eq!(frame.id, Some(7));
+    assert!(matches!(frame.response, Response::Ok(_)));
 
-    // Pipelining on a v1 connection is refused client-side: without ids
-    // there is nothing to correlate out-of-order responses with.
-    let err = v1
-        .send(&Request::Ping)
-        .expect_err("v1 cannot pipeline")
-        .to_string();
-    assert!(err.contains("v2"), "{err}");
-
-    v2.shutdown().expect("shutdown ack");
+    let mut client = Client::connect(addr).expect("connect");
+    client.shutdown().expect("shutdown ack");
     handle.wait();
 }
 
 #[test]
-fn raw_frames_roundtrip_both_revisions_and_survive_malformed_bodies() {
+fn raw_frames_survive_malformed_bodies_and_hang_up_on_torn_ones() {
     let handle = tiny_server();
     let addr = handle.addr();
-
     let mut stream = TcpStream::connect(addr).expect("connect raw");
-    let read = |stream: &mut TcpStream| -> Json {
-        match wire::read_frame(stream, || false).expect("read frame") {
-            Frame::Doc(doc) => doc,
-            other => panic!("expected a document, got {other:?}"),
-        }
-    };
-
-    // v1 ping → a v1-shaped reply: no id, parseable by the strict v1
-    // parser.
-    wire::write_frame(&mut stream, &proto::request_to_json(&Request::Ping)).expect("write v1");
-    let doc = read(&mut stream);
-    assert!(doc.get("id").is_none(), "v1 replies carry no id");
-    let resp = proto::response_from_json(&doc).expect("strict v1 parser accepts the reply");
-    assert!(matches!(resp, Response::Ok(_)));
-
-    // v2 ping with id 7 → the reply echoes the revision and the id.
-    let frame = proto::RequestFrame {
-        version: ProtoVersion::V2,
-        id: Some(7),
-        request: Request::Ping,
-    };
-    wire::write_frame(&mut stream, &proto::request_frame_to_json(&frame)).expect("write v2");
-    let doc = read(&mut stream);
-    assert_eq!(doc.get("proto").and_then(Json::as_str), Some(PROTO_V2));
-    assert_eq!(doc.get("id").and_then(Json::as_u64), Some(7));
-    // ...and that v2 reply is exactly what the strict v1 parser must
-    // reject (direction 2, over a live socket).
-    let err = proto::response_from_json(&doc).expect_err("v1 parser rejects v2 frames");
-    assert_eq!(err.code(), "protocol");
 
     // A malformed body (valid JSON, bogus proto tag) draws an error
     // response — and the connection is still usable afterwards.
@@ -117,10 +89,9 @@ fn raw_frames_roundtrip_both_revisions_and_survive_malformed_bodies() {
     let doc = read(&mut stream);
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("error"));
     assert_eq!(doc.get("code").and_then(Json::as_str), Some("protocol"));
-    wire::write_frame(&mut stream, &proto::request_to_json(&Request::Ping))
-        .expect("write after error");
-    let resp = proto::response_from_json(&read(&mut stream)).expect("connection survived");
-    assert!(matches!(resp, Response::Ok(_)));
+    wire::write_frame(&mut stream, &ping(8)).expect("write after error");
+    let frame = proto::response_frame_from_json(&read(&mut stream)).expect("connection survived");
+    assert!(matches!(frame.response, Response::Ok(_)));
 
     // A torn frame (length prefix promising more bytes than follow,
     // then EOF on the write side) is unrecoverable: the server answers

@@ -12,9 +12,9 @@ use omega_bench::Json;
 use omega_core::runner::timing_replay_count;
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::rng::SmallRng;
-use omega_serve::proto::{self, ProtoVersion, Request, RequestFrame, RunRequest, MAX_BATCH_RUNS};
+use omega_serve::proto::{self, Request, RequestFrame, RunRequest, MAX_BATCH_RUNS};
 use omega_serve::wire::{self, Frame, MAX_FRAME};
-use omega_serve::{serve, Client, ServeConfig};
+use omega_serve::{serve, Client, Response, ServeConfig};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -25,17 +25,13 @@ fn framed(doc: &Json) -> Vec<u8> {
     bytes
 }
 
-fn frame(version: ProtoVersion, id: Option<u64>, request: Request) -> Json {
-    proto::request_frame_to_json(&RequestFrame {
-        version,
-        id,
-        request,
-    })
+fn frame(id: u64, request: Request) -> Json {
+    proto::request_frame_to_json(&RequestFrame { id, request })
 }
 
 /// Writes `bytes`, half-closes, and reads until the server hangs up.
-/// Returns how many response frames came back.
-fn exchange(addr: SocketAddr, bytes: &[u8], round: usize) -> usize {
+/// Returns the responses that came back.
+fn exchange(addr: SocketAddr, bytes: &[u8], round: usize) -> Vec<Response> {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
@@ -45,14 +41,14 @@ fn exchange(addr: SocketAddr, bytes: &[u8], round: usize) -> usize {
     let _ = stream.write_all(bytes);
     let _ = stream.shutdown(Shutdown::Write);
     let deadline = Instant::now() + Duration::from_secs(30);
-    let mut answered = 0;
+    let mut answered = Vec::new();
     loop {
         match wire::read_frame(&mut stream, || Instant::now() > deadline) {
             Ok(Frame::Doc(doc)) => {
-                proto::response_frame_from_json(&doc).unwrap_or_else(|e| {
+                let frame = proto::response_frame_from_json(&doc).unwrap_or_else(|e| {
                     panic!("round {round}: malformed response {}: {e}", doc.dump())
                 });
-                answered += 1;
+                answered.push(frame.response);
             }
             Ok(Frame::Eof) => return answered,
             Ok(Frame::Cancelled) => panic!("round {round}: the server neither answered nor closed"),
@@ -71,16 +67,12 @@ fn malformed_streams_get_well_formed_answers_and_a_hang_up() {
     let replays0 = timing_replay_count();
     let mut rng = SmallRng::seed_from_u64(0x5EED_F0CA);
 
-    let ping = framed(&frame(ProtoVersion::V2, Some(7), Request::Ping));
+    let ping = framed(&frame(7, Request::Ping));
     let run = RunRequest {
         spec: ExperimentSpec::new(Dataset::Sd, AlgoKey::Bfs, MachineKind::Omega),
         scale: DatasetScale::Tiny,
     };
-    let over_cap = framed(&frame(
-        ProtoVersion::V2,
-        Some(9),
-        Request::Batch(vec![run; MAX_BATCH_RUNS + 1]),
-    ));
+    let over_cap = framed(&frame(9, Request::Batch(vec![run; MAX_BATCH_RUNS + 1])));
 
     let mut answered = 0;
     for round in 0..270usize {
@@ -113,27 +105,38 @@ fn malformed_streams_get_well_formed_answers_and_a_hang_up() {
                 b.extend_from_slice(&[b'"', 0xff, 0xfe, b'"']);
                 b
             }
-            // A v1 frame with an id, then a v2 frame without one.
+            // A v1-tagged frame, then a v2 frame without an id.
             5 => {
-                let mut v1 = frame(ProtoVersion::V1, None, Request::Ping);
-                v1.set("id", Json::Num(1.0));
-                let mut v2 = Json::obj();
+                let mut v1 = Json::obj();
+                v1.set("proto", Json::Str("omega-serve/v1".into()));
+                v1.set("method", Json::Str("ping".into()));
+                let mut v2 = v1.clone();
                 v2.set("proto", Json::Str(proto::PROTO_V2.into()));
-                v2.set("method", Json::Str("ping".into()));
                 [framed(&v1), framed(&v2)].concat()
             }
             // A fractional id.
             6 => {
-                let mut doc = frame(ProtoVersion::V2, Some(1), Request::Ping);
+                let mut doc = frame(1, Request::Ping);
                 doc.set("id", Json::Num(1.5));
                 framed(&doc)
             }
             // An empty batch.
-            7 => framed(&frame(ProtoVersion::V2, Some(8), Request::Batch(vec![]))),
+            7 => framed(&frame(8, Request::Batch(vec![]))),
             // A batch one run over the cap.
             _ => over_cap.clone(),
         };
-        answered += exchange(addr, &bytes, round);
+        let responses = exchange(addr, &bytes, round);
+        if round % 9 == 5 {
+            let codes: Vec<_> = responses
+                .iter()
+                .map(|r| match r {
+                    Response::Error { code, .. } => code.as_str(),
+                    _ => "not an error",
+                })
+                .collect();
+            assert_eq!(codes, ["protocol", "protocol"], "round {round}");
+        }
+        answered += responses.len();
     }
     assert!(
         answered > 0,

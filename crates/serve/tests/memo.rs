@@ -5,9 +5,6 @@
 //!
 //! This file contains exactly one test: `timing_replay_count` is
 //! process-wide, and the zero-recompute claim is asserted through it.
-//! (TTL expiry is covered deterministically in the `memo` module's unit
-//! tests via the manual clock — an integration TTL test would need real
-//! sleeps.)
 
 mod common;
 
@@ -116,7 +113,6 @@ fn evicted_memo_entries_reload_byte_identically_from_the_store() {
     assert_eq!(nested("memo", "hits"), 1);
     assert_eq!(nested("memo", "inserts"), 5);
     assert_eq!(nested("memo", "evictions"), 3);
-    assert_eq!(nested("memo", "expired"), 0);
     assert_eq!(top("evictions"), nested("memo", "evictions"));
 
     // Store layer: one write per computed report; one load attempt per

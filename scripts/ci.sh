@@ -117,12 +117,13 @@ echo "ci:   and target/store-verify.json"
 # Service smoke: boot omega-serve (--jobs 4, memo capped at 2 entries so
 # the 4-spec batch *must* evict) against the store the figure sweep just
 # warmed, then drive the same batch through all four wire shapes —
-# pipelined v2 frames twice, one server-side grouped batch, then
-# sequential v1 frames — and require (a) all four outputs byte-identical (flight-, memo-, store-
-# and eviction-reloaded responses all match), (b) zero shed, a non-zero
-# hit count, and a non-zero `evictions` counter in the v2 stats payload,
-# and (c) a clean drain on shutdown. The server self-profiles for the
-# whole lifetime; the profile and v2 stats reports are CI artifacts.
+# pipelined frames twice, one server-side grouped batch, then sequential
+# calls one at a time — and require (a) all four outputs byte-identical
+# (flight-, memo-, store- and eviction-reloaded responses all match),
+# (b) zero shed, a non-zero hit count, and a non-zero `evictions`
+# counter in the v2 stats payload, and (c) a clean drain on shutdown.
+# The server self-profiles for the whole lifetime; the profile and v2
+# stats reports are CI artifacts.
 rm -f target/serve-port
 ./target/release/omega-serve --addr 127.0.0.1:0 --port-file target/serve-port \
   --store "$store_dir/store" --jobs 4 --queue-depth 8 --memo-entries 2 \
@@ -145,11 +146,11 @@ batch="sd:pagerank:baseline sd:pagerank:omega sd:bfs:omega sd:bfs:baseline"
 ./target/release/omega-client batch --grouped --addr "$serve_addr" \
   --scale tiny $batch > target/serve-batch-grouped.txt
 # shellcheck disable=SC2086
-./target/release/omega-client batch --v1 --addr "$serve_addr" \
-  --scale tiny $batch > target/serve-batch-v1.txt
+./target/release/omega-client batch --addr "$serve_addr" \
+  --scale tiny $batch > target/serve-batch-seq.txt
 cmp target/serve-batch-cold.txt target/serve-batch-warm.txt
 cmp target/serve-batch-cold.txt target/serve-batch-grouped.txt
-cmp target/serve-batch-cold.txt target/serve-batch-v1.txt
+cmp target/serve-batch-cold.txt target/serve-batch-seq.txt
 ./target/release/omega-client stats --addr "$serve_addr" \
   > target/serve-stats.json
 grep -q '"schema": "omega-serve-stats/v2"' target/serve-stats.json \
@@ -169,7 +170,7 @@ echo "ci: serve smoke hits=$hits shed=$shed evictions=$evictions"
 wait "$serve_pid"
 serve_pid=""
 [ -s target/serve-profile.json ] || { echo "ci: missing serve profile artifact" >&2; exit 1; }
-echo "ci: wrote target/serve-batch-{cold,warm,grouped,v1}.txt,"
+echo "ci: wrote target/serve-batch-{cold,warm,grouped,seq}.txt,"
 echo "ci:   target/serve-stats.json, and target/serve-profile.json"
 
 echo "ci: all checks passed"
