@@ -25,11 +25,10 @@
 use crate::session::{AlgoKey, ExperimentSpec, MachineKind};
 use crate::store::codec;
 use omega_core::config::SystemConfig;
-use omega_core::runner::{replay, trace_algorithm};
+use omega_core::runner::{exec_for, replay, trace_algorithm};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::rng::SmallRng;
 use omega_graph::CsrGraph;
-use omega_ligra::ExecConfig;
 use omega_sim::audit::AuditReport;
 use omega_sim::dram::RowMode;
 use omega_sim::obs;
@@ -62,15 +61,14 @@ impl FuzzCase {
 
     /// The fully resolved machine configuration this case simulates.
     pub fn system(&self) -> SystemConfig {
-        let mut sys = self.machine.system();
-        if self.open_page {
-            sys.machine.dram.default_mode = RowMode::OpenPage;
-        }
-        sys.machine.telemetry = if self.telemetry {
+        let mut sys = self.spec().system(if self.telemetry {
             TelemetryConfig::windowed(1024)
         } else {
             TelemetryConfig::off()
-        };
+        });
+        if self.open_page {
+            sys.machine.dram.default_mode = RowMode::OpenPage;
+        }
         sys
     }
 }
@@ -218,11 +216,7 @@ impl Fuzzer {
             return (0, Vec::new());
         }
         let sys = case.system();
-        let exec = ExecConfig {
-            n_cores: sys.machine.core.n_cores,
-            ..ExecConfig::default()
-        };
-        let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec);
+        let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec_for(&sys));
         let mut checks = 0u64;
         let mut failures: Vec<(String, String)> = Vec::new();
 

@@ -42,7 +42,7 @@ use omega_bench::{ExperimentSpec, ObsOptions, Table};
 use omega_core::analytic::{estimate, WorkloadProfile};
 use omega_core::config::SystemConfig;
 use omega_core::runner::{
-    functional_trace_count, replay, timing_replay_count, trace_algorithm, ExecConfigSer, RunReport,
+    exec_for, functional_trace_count, replay, timing_replay_count, trace_algorithm, RunReport,
     Runner,
 };
 use omega_energy::{energy_breakdown, node_table};
@@ -332,7 +332,7 @@ impl Figures {
         &self,
         kind: &str,
         label: &str,
-        exec: Option<&ExecConfigSer>,
+        exec: &ExecConfig,
         parts: impl Fn(&mut Fnv64),
         decode: impl Fn(&Json) -> Option<T>,
         compute: impl FnOnce() -> Json,
@@ -434,7 +434,6 @@ fn table1(f: &mut Figures) {
 /// Table II — algorithm characterisation (static spec + measured rates).
 fn table2(f: &mut Figures) {
     let g = f.s.graph(Dataset::Ap).clone(); // symmetric: every algorithm runs
-    let exec_ser: ExecConfigSer = ExecConfig::default().into();
     let mut t = Table::new([
         "algo",
         "atomic op",
@@ -451,7 +450,7 @@ fn table2(f: &mut Figures) {
         let (atomic, random, monitored) = f.value(
             "table2-trace-class",
             &format!("table2-{}-{}", key.name(), Dataset::Ap.code()),
-            Some(&exec_ser),
+            &ExecConfig::default(),
             |h| {
                 h.write_str(Dataset::Ap.code());
                 h.write_str(key.name());
@@ -608,11 +607,10 @@ fn fig4a(f: &mut Figures) {
 /// workload.
 fn prop_share(f: &mut Figures, d: Dataset, a: AlgoKey) -> f64 {
     let g = f.s.graph(d).clone();
-    let exec_ser: ExecConfigSer = ExecConfig::default().into();
     f.value(
         "prop-share",
         &format!("prop-share-{}-{}", a.name(), d.code()),
-        Some(&exec_ser),
+        &ExecConfig::default(),
         |h| {
             h.write_str(d.code());
             h.write_str(a.name());
@@ -1058,7 +1056,7 @@ fn abl_reorder(f: &mut Figures) {
     let g = std::cell::OnceCell::new();
     let system = SystemConfig::mini_baseline();
     let runner = Runner::new(system);
-    let exec = runner.resolved_exec();
+    let exec = exec_for(&system);
     let mut t = Table::new([
         "ordering",
         "baseline cycles",
@@ -1082,7 +1080,7 @@ fn abl_reorder(f: &mut Figures) {
         let (cycles, l2_hit) = f.value(
             "abl-reorder",
             &format!("abl-reorder-{name}-{}", Dataset::Lj.code()),
-            Some(&exec),
+            &exec,
             |h| {
                 h.write_str(Dataset::Lj.code());
                 h.write_str("unordered");
@@ -1166,12 +1164,12 @@ fn abl_slicing(f: &mut Figures) {
     let slot = 9u64; // PageRank: 8-byte entry + flag byte
     let budget_entries = (512 * 16 / slot) as usize;
     let runner = Runner::new(system);
-    let exec = runner.resolved_exec();
+    let exec = exec_for(&system);
 
     let unsliced = f.value(
         "abl-slicing",
         &format!("abl-slicing-unsliced-{}", Dataset::Uk.code()),
-        Some(&exec),
+        &exec,
         |h| {
             h.write_str(Dataset::Uk.code());
             h.write_str("unsliced");
@@ -1200,7 +1198,7 @@ fn abl_slicing(f: &mut Figures) {
         let (n_slices, total) = f.value(
             "abl-slicing",
             &format!("abl-slicing-{name}-{}", Dataset::Uk.code()),
-            Some(&exec),
+            &exec,
             |h| {
                 h.write_str(Dataset::Uk.code());
                 h.write_str(name);
@@ -1272,11 +1270,10 @@ fn abl_graphmat(f: &mut Figures) {
 
     // GraphMat trace, replayed on both machines (cached as one value: the
     // trace is shared, so the two replays always happen together).
-    let exec_ser: ExecConfigSer = ExecConfig::default().into();
     let (gm_base_cycles, gm_omega_cycles, gm_pisc_ops) = f.value(
         "abl-graphmat",
         &format!("abl-graphmat-pagerank-{}", Dataset::Lj.code()),
-        Some(&exec_ser),
+        &ExecConfig::default(),
         |h| {
             h.write_str(Dataset::Lj.code());
             h.write_str("graphmat-pagerank");
@@ -1440,12 +1437,11 @@ fn channels(f: &mut Figures) {
         }
         out
     };
-    let exec_ser: ExecConfigSer = ExecConfig::default().into();
     let g = f.s.graph(Dataset::Lj).clone();
     let cycles: Vec<u64> = f.value(
         "channels",
         &format!("channels-pagerank-{}", Dataset::Lj.code()),
-        Some(&exec_ser),
+        &ExecConfig::default(),
         |h| {
             h.write_str(Dataset::Lj.code());
             h.write_str("pagerank");
@@ -1506,7 +1502,6 @@ fn abl_atomics(f: &mut Figures) {
     use omega_core::layout::Layout;
     use omega_core::lower::{lower, Target};
     use omega_sim::{engine, hierarchy::CacheHierarchy};
-    let exec_ser: ExecConfigSer = ExecConfig::default().into();
     let mut t = Table::new([
         "workload",
         "with atomics",
@@ -1523,7 +1518,7 @@ fn abl_atomics(f: &mut Figures) {
         let (atomic, plain) = f.value(
             "abl-atomics",
             &format!("abl-atomics-{}-{}", a.name(), d.code()),
-            Some(&exec_ser),
+            &ExecConfig::default(),
             |h| {
                 h.write_str(d.code());
                 h.write_str(a.name());

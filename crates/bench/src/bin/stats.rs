@@ -102,9 +102,8 @@ fn dump(args: &[String]) -> ExitCode {
         }
     }
     obs.install();
-    let mut session = Session::new(scale)
-        .verbose(false)
-        .telemetry(TelemetryConfig::windowed(window));
+    let telemetry = TelemetryConfig::windowed(window);
+    let mut session = Session::new(scale).verbose(false).telemetry(telemetry);
     if let Some(path) = &store_path {
         session = match session.with_store(path) {
             Ok(s) => s,
@@ -121,12 +120,9 @@ fn dump(args: &[String]) -> ExitCode {
             dataset.code()
         ));
     }
-    let report = session
-        .report(ExperimentSpec::new(dataset, algo, machine))
-        .clone();
-    let mut system = machine.system();
-    system.machine.telemetry = session.telemetry_config();
-    let mut doc = run_report_to_json(&report, &system);
+    let spec = ExperimentSpec::new(dataset, algo, machine);
+    let report = session.report(spec).clone();
+    let mut doc = run_report_to_json(&report, &spec.system(telemetry));
     doc.set("dataset", Json::Str(dataset.code().into()));
     if let Some(store) = session.store() {
         doc.set("store", store_counters_json(store));

@@ -1,13 +1,18 @@
 //! Memoising experiment runner shared by all figures.
+//!
+//! [`Session`] resolves every spec through the in-memory memo, then the
+//! persistent store, then one compute path: specs are grouped by
+//! `(dataset, algorithm)`, each group is traced once and every machine in
+//! it replays the shared trace. [`Session::prefetch`] feeds that path a
+//! batch; [`Session::report`] feeds it the one spec it misses.
 
 use crate::store::ExperimentStore;
 use omega_core::config::{OffchipExtensions, OmegaConfig, SystemConfig};
-use omega_core::runner::{replay, trace_algorithm, RunReport, Runner};
+use omega_core::runner::{exec_for, replay, trace_algorithm, RunReport};
 use omega_core::OmegaError;
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::CsrGraph;
 use omega_ligra::algorithms::Algo;
-use omega_ligra::ExecConfig;
 use omega_sim::obs;
 use omega_sim::telemetry::TelemetryConfig;
 use omega_sim::MachineConfig;
@@ -370,18 +375,25 @@ impl ExperimentSpec {
         )
     }
 
+    /// The machine this experiment runs on, with `telemetry` applied.
+    pub fn system(self, telemetry: TelemetryConfig) -> SystemConfig {
+        let mut sys = self.machine.system();
+        sys.machine.telemetry = telemetry;
+        sys
+    }
+
     /// The store fingerprint of this experiment at a given scale and
     /// telemetry setting: dataset + scale + algorithm + the *complete*
     /// resolved [`SystemConfig`] and execution configuration, so any
     /// machine-parameter change invalidates the cached entry.
     pub fn fingerprint(&self, scale: DatasetScale, telemetry: TelemetryConfig) -> u64 {
-        let system = Session::system_for(telemetry, self.machine);
+        let system = self.system(telemetry);
         crate::store::run_fingerprint(
             self.dataset.code(),
             scale.code(),
             self.algo.name(),
             &system,
-            &Runner::new(system).resolved_exec(),
+            &exec_for(&system),
         )
     }
 }
@@ -437,8 +449,7 @@ impl TraceGroup {
 /// Partitions `specs` into [`TraceGroup`]s by `(dataset, algo)`, in
 /// first-seen order, deduplicating machines within each group. All
 /// machine configurations share one core count, so one functional trace
-/// serves every replay in a group (the same assumption
-/// [`Runner::run_many`] makes).
+/// serves every replay in a group (see [`exec_for`]).
 pub fn trace_groups(specs: impl IntoIterator<Item = ExperimentSpec>) -> Vec<TraceGroup> {
     let mut groups: Vec<TraceGroup> = Vec::new();
     for spec in specs {
@@ -498,54 +509,6 @@ pub fn paper_sweep(session: &mut Session) -> Vec<ExperimentSpec> {
             [MachineKind::Baseline, MachineKind::Omega].map(|m| ExperimentSpec::new(d, a, m))
         })
         .collect()
-}
-
-/// Where a report came from — the per-request cache outcome that a serving
-/// layer needs to keep exact hit/miss counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RunOrigin {
-    /// Served from the session's in-memory memo cache.
-    Memo,
-    /// Loaded from the persistent [`ExperimentStore`] (a store hit: no
-    /// trace, no replay).
-    Store,
-    /// Freshly simulated (a store miss; persisted on the way out when a
-    /// store is attached).
-    Computed,
-}
-
-/// Per-spec outcomes of one [`Session::prefetch`] call: exactly one entry
-/// per *distinct* requested spec, in first-seen order. Callers that only
-/// want the side effect (a warm cache) can ignore it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PrefetchReport {
-    /// `(spec, origin)` per distinct requested spec.
-    pub outcomes: Vec<(ExperimentSpec, RunOrigin)>,
-}
-
-impl PrefetchReport {
-    /// How many specs resolved with the given origin.
-    pub fn count(&self, origin: RunOrigin) -> usize {
-        self.outcomes.iter().filter(|(_, o)| *o == origin).count()
-    }
-
-    /// Store hits (served with no trace and no replay).
-    pub fn store_hits(&self) -> usize {
-        self.count(RunOrigin::Store)
-    }
-
-    /// Fresh simulations.
-    pub fn computed(&self) -> usize {
-        self.count(RunOrigin::Computed)
-    }
-
-    /// The origin recorded for `spec`, if it was part of the call.
-    pub fn origin_of(&self, spec: ExperimentSpec) -> Option<RunOrigin> {
-        self.outcomes
-            .iter()
-            .find(|(s, _)| *s == spec)
-            .map(|(_, o)| *o)
-    }
 }
 
 /// Memoising experiment session.
@@ -626,19 +589,6 @@ impl Session {
         self.store.as_ref()
     }
 
-    /// The session's telemetry configuration.
-    pub fn telemetry_config(&self) -> TelemetryConfig {
-        self.telemetry
-    }
-
-    /// The machine configuration for `m` with the given telemetry setting
-    /// applied.
-    fn system_for(telemetry: TelemetryConfig, m: MachineKind) -> SystemConfig {
-        let mut sys = m.system();
-        sys.machine.telemetry = telemetry;
-        sys
-    }
-
     /// The session's dataset scale.
     pub fn scale(&self) -> DatasetScale {
         self.scale
@@ -701,12 +651,26 @@ impl Session {
 
     /// Runs every experiment in `work` that is not already cached and
     /// stores the reports. Subsequent [`Session::report`] calls are cache
-    /// hits. Returns a [`PrefetchReport`] naming where every distinct spec
-    /// came from (memo / store / computed), so callers with their own
-    /// hit-rate accounting — the `omega-serve` counters — stay exact.
+    /// hits. Duplicates collapse, memo hits touch nothing, and store hits
+    /// are drained first (no trace, no replay); the rest are simulated
+    /// together, one functional trace per `(dataset, algo)` group.
+    pub fn prefetch<S: Into<ExperimentSpec> + Copy>(&mut self, work: &[S]) {
+        let _span = obs::span("session.prefetch");
+        let mut seen = std::collections::HashSet::new();
+        let pending: Vec<ExperimentSpec> = work
+            .iter()
+            .map(|&s| s.into())
+            .filter(|&spec| {
+                seen.insert(spec) && !self.runs.contains_key(&spec) && !self.load_from_store(spec)
+            })
+            .collect();
+        self.compute(pending);
+    }
+
+    /// Simulates `pending`, distinct specs found in neither the memo nor
+    /// the store, and memoises the reports.
     ///
-    /// Store hits are drained first (no trace, no replay). The remaining
-    /// experiments are grouped by `(dataset, algo)`: the functional
+    /// The specs are grouped by `(dataset, algo)`: the functional
     /// (tracing) phase runs **once** per group and every requested
     /// [`MachineKind`] replays the shared trace through the streaming
     /// lowering path. `min(jobs, groups)` workers (see [`Session::jobs`])
@@ -715,30 +679,9 @@ impl Session {
     /// and independent, so parallel execution changes nothing but
     /// wall-clock time. Fresh results are persisted from the worker
     /// threads (the store is `Sync`; writes are atomic).
-    pub fn prefetch<S: Into<ExperimentSpec> + Copy>(&mut self, work: &[S]) -> PrefetchReport {
-        let _span = obs::span("session.prefetch");
-        let candidates: Vec<ExperimentSpec> = {
-            let mut seen = std::collections::HashSet::new();
-            work.iter()
-                .map(|&s| s.into())
-                .filter(|spec| seen.insert(*spec))
-                .collect()
-        };
-        let mut outcomes: Vec<(ExperimentSpec, RunOrigin)> = Vec::new();
-        let mut pending: Vec<ExperimentSpec> = Vec::new();
-        for spec in candidates {
-            if self.runs.contains_key(&spec) {
-                outcomes.push((spec, RunOrigin::Memo));
-            } else if self.load_from_store(spec) {
-                outcomes.push((spec, RunOrigin::Store));
-            } else {
-                pending.push(spec);
-            }
-        }
-        outcomes.extend(pending.iter().map(|&spec| (spec, RunOrigin::Computed)));
-        let outcome_report = PrefetchReport { outcomes };
+    fn compute(&mut self, mut pending: Vec<ExperimentSpec>) {
         if pending.is_empty() {
-            return outcome_report;
+            return;
         }
         // Specs whose machines resolve to one configuration (omega and
         // omega-sp1000) share a fingerprint: simulate the first, copy it to
@@ -779,41 +722,34 @@ impl Session {
                     let Some(group) = groups.get(i) else {
                         break;
                     };
-                    let (d, a, machines) = (&group.dataset, &group.algo, &group.machines);
+                    let (d, a) = (group.dataset, group.algo);
                     let _group =
                         obs::span_owned(format!("session.group:{}/{}", d.code(), a.name()));
-                    let g = &graphs[d];
+                    let g = &graphs[&d];
                     let algo = a.algo(g);
                     if verbose {
                         eprintln!(
                             "  [trace] {} on {} (×{} machines)",
                             a.name(),
                             d.code(),
-                            machines.len()
+                            group.machines.len()
                         );
                     }
-                    // All machine configurations share one core count, so
-                    // one functional trace serves every replay (the same
-                    // assumption `Runner::run_many` makes).
-                    let exec = ExecConfig {
-                        n_cores: machines[0].system().machine.core.n_cores,
-                        ..ExecConfig::default()
-                    };
+                    let specs: Vec<ExperimentSpec> = group.specs().collect();
+                    let exec = exec_for(&specs[0].system(telemetry));
                     let (checksum, raw, meta) = trace_algorithm(g, algo, &exec);
-                    let mut batch = Vec::with_capacity(machines.len());
-                    for &m in machines {
+                    let mut batch = Vec::with_capacity(specs.len());
+                    for spec in specs {
                         if verbose {
-                            eprintln!("  [replay] {} on {} ({})", a.name(), d.code(), m.label());
+                            eprintln!(
+                                "  [replay] {} on {} ({})",
+                                a.name(),
+                                d.code(),
+                                spec.machine.label()
+                            );
                         }
-                        let report = replay(
-                            algo.name(),
-                            checksum,
-                            &raw,
-                            &meta,
-                            &Self::system_for(telemetry, m),
-                            None,
-                        );
-                        let spec = ExperimentSpec::new(*d, *a, m);
+                        let system = spec.system(telemetry);
+                        let report = replay(algo.name(), checksum, &raw, &meta, &system, None);
                         Self::persist(store, scale, telemetry, spec, &report);
                         batch.push((spec, report));
                     }
@@ -830,31 +766,17 @@ impl Session {
             let report = self.runs[&of].clone();
             self.runs.insert(twin, report);
         }
-        outcome_report
     }
 
     /// Runs (or fetches) one experiment. Lookup order: in-memory memo
     /// cache, then the persistent store (if attached), then a fresh
-    /// simulation (persisted on the way out).
+    /// simulation through the same grouped path as [`Session::prefetch`]
+    /// (persisted on the way out).
     pub fn report(&mut self, spec: impl Into<ExperimentSpec>) -> &RunReport {
-        self.report_with_origin(spec).0
-    }
-
-    /// [`Session::report`], additionally naming where the report came from
-    /// (memo hit / store hit / fresh simulation).
-    pub fn report_with_origin(
-        &mut self,
-        spec: impl Into<ExperimentSpec>,
-    ) -> (&RunReport, RunOrigin) {
         let spec = spec.into();
-        let origin = if self.runs.contains_key(&spec) {
-            RunOrigin::Memo
-        } else if self.load_from_store(spec) {
-            RunOrigin::Store
-        } else {
-            let g = self.graph(spec.dataset).clone();
-            let algo = spec.algo.algo(&g);
+        if !self.runs.contains_key(&spec) && !self.load_from_store(spec) {
             if self.verbose {
+                let g = self.graph(spec.dataset);
                 eprintln!(
                     "  [run] {} on {} ({}) — {} vertices, {} arcs",
                     spec.algo.name(),
@@ -864,18 +786,9 @@ impl Session {
                     g.num_arcs()
                 );
             }
-            let report = Runner::new(Self::system_for(self.telemetry, spec.machine)).run(&g, algo);
-            Self::persist(
-                self.store.as_ref(),
-                self.scale,
-                self.telemetry,
-                spec,
-                &report,
-            );
-            self.runs.insert(spec, report);
-            RunOrigin::Computed
-        };
-        (&self.runs[&spec], origin)
+            self.compute(vec![spec]);
+        }
+        &self.runs[&spec]
     }
 
     /// OMEGA-over-baseline speedup for one experiment.
@@ -894,6 +807,7 @@ impl Session {
 mod tests {
     use super::*;
     use omega_core::config::{MemoryModel, PinOrder};
+    use omega_core::runner::Runner;
 
     #[test]
     fn session_memoises_runs() {
@@ -1051,35 +965,50 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_reports_per_spec_origins() {
+    fn prefetch_and_report_tick_the_store_once_per_distinct_spec() {
+        use crate::store::StoreCounters;
         let dir =
-            std::env::temp_dir().join(format!("omega-prefetch-origin-{}", std::process::id()));
+            std::env::temp_dir().join(format!("omega-prefetch-counters-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let memo_spec = ExperimentSpec::new(Dataset::Sd, AlgoKey::Bfs, MachineKind::Baseline);
         let fresh_spec = ExperimentSpec::new(Dataset::Sd, AlgoKey::Bfs, MachineKind::Omega);
+        let counters = |s: &Session| s.store().unwrap().counters();
         let mut s = Session::new(DatasetScale::Tiny)
             .verbose(false)
             .with_store(&dir)
             .unwrap();
         s.report(memo_spec);
-        let r = s.prefetch(&[memo_spec, fresh_spec, fresh_spec]);
-        assert_eq!(r.outcomes.len(), 2, "duplicates collapse");
-        assert_eq!(r.origin_of(memo_spec), Some(RunOrigin::Memo));
-        assert_eq!(r.origin_of(fresh_spec), Some(RunOrigin::Computed));
-        assert_eq!(r.computed(), 1);
-        assert_eq!(r.store_hits(), 0);
-        // A second session over the same store sees the persisted result.
+        let computed_one = StoreCounters {
+            misses: 1,
+            writes: 1,
+            ..StoreCounters::default()
+        };
+        assert_eq!(counters(&s), computed_one);
+        // The memo hit touches no counter; the duplicates collapse into one
+        // miss and one write.
+        s.prefetch(&[memo_spec, fresh_spec, fresh_spec]);
+        let computed_two = StoreCounters {
+            misses: 2,
+            writes: 2,
+            ..StoreCounters::default()
+        };
+        assert_eq!(counters(&s), computed_two);
+        assert_eq!(s.runs.len(), 2);
+        // A second session over the same store sees the persisted results,
+        // through either entry point, and then serves them from its memo.
         let mut s2 = Session::new(DatasetScale::Tiny)
             .verbose(false)
             .with_store(&dir)
             .unwrap();
-        let r2 = s2.prefetch(&[fresh_spec]);
-        assert_eq!(r2.origin_of(fresh_spec), Some(RunOrigin::Store));
-        assert_eq!(r2.store_hits(), 1);
-        let (_, origin) = s2.report_with_origin(memo_spec);
-        assert_eq!(origin, RunOrigin::Store);
-        let (_, origin) = s2.report_with_origin(memo_spec);
-        assert_eq!(origin, RunOrigin::Memo);
+        s2.prefetch(&[fresh_spec, fresh_spec]);
+        s2.report(memo_spec);
+        s2.report(memo_spec);
+        s2.prefetch(&[memo_spec, fresh_spec]);
+        let hits_only = StoreCounters {
+            hits: 2,
+            ..StoreCounters::default()
+        };
+        assert_eq!(counters(&s2), hits_only);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1130,15 +1059,13 @@ mod tests {
         ];
         s.prefetch(&work);
         assert_eq!(s.runs.len(), 3);
-        // Prefetched results are identical to sequential ones.
-        let cached = s
-            .report((Dataset::Sd, AlgoKey::Bfs, MachineKind::Baseline))
-            .clone();
-        let mut fresh_session = Session::new(DatasetScale::Tiny).verbose(false);
-        let fresh = fresh_session
-            .report((Dataset::Sd, AlgoKey::Bfs, MachineKind::Baseline))
-            .clone();
-        assert_eq!(cached, fresh);
+        // Prefetched results are identical to an independent `Runner` run.
+        for spec in work.map(ExperimentSpec::from) {
+            let g = s.graph(spec.dataset).clone();
+            let fresh =
+                Runner::new(spec.system(TelemetryConfig::off())).run(&g, spec.algo.algo(&g));
+            assert_eq!(s.report(spec), &fresh, "{}", spec.label());
+        }
     }
 
     #[test]
@@ -1158,7 +1085,7 @@ mod tests {
         let mut s = Session::new(DatasetScale::Tiny)
             .verbose(false)
             .telemetry(TelemetryConfig::windowed(4096));
-        // Both run paths: the direct `report` miss and the prefetch pool.
+        // Both entry points: a `report` miss and a prefetch.
         let direct = s
             .report((Dataset::Sd, AlgoKey::PageRank, MachineKind::Omega))
             .clone();

@@ -3,7 +3,7 @@
 //! Every simulated [`RunReport`] (and every trace-derived figure value) is
 //! keyed by a stable 64-bit fingerprint of everything that determines it:
 //! dataset + scale, algorithm, the complete [`SystemConfig`] and
-//! [`ExecConfigSer`], and the store format version (see
+//! [`ExecConfig`], and the store format version (see
 //! [`crate::session::ExperimentSpec::fingerprint`] and the canonicalisation
 //! machinery in `omega_sim::fingerprint`). Entries live under the store
 //! root sharded by fingerprint prefix:
@@ -29,9 +29,10 @@
 
 use crate::json::Json;
 use omega_core::config::SystemConfig;
-use omega_core::runner::{ExecConfigSer, RunReport};
+use omega_core::runner::RunReport;
 use omega_core::OmegaError;
-use omega_sim::fingerprint::Fnv64;
+use omega_ligra::ExecConfig;
+use omega_sim::fingerprint::{Canonicalize, Fnv64};
 use omega_sim::obs;
 use std::fs;
 use std::io;
@@ -75,22 +76,17 @@ fn payload_checksum(payload: &Json) -> u64 {
 pub fn value_fingerprint(
     kind: &str,
     scale_code: &str,
-    exec: Option<&ExecConfigSer>,
+    exec: &ExecConfig,
     parts: impl FnOnce(&mut Fnv64),
 ) -> u64 {
-    use omega_sim::fingerprint::Canonicalize;
     let mut h = Fnv64::new();
     h.write_u32(STORE_FORMAT_VERSION);
     h.write_str(KIND_VALUE);
     h.write_str(kind);
     h.write_str(scale_code);
-    match exec {
-        None => h.write_u8(0),
-        Some(e) => {
-            h.write_u8(1);
-            e.canonicalize(&mut h);
-        }
-    }
+    // Once the tag of an optional exec; kept so value keys do not move.
+    h.write_u8(1);
+    exec.canonicalize(&mut h);
     parts(&mut h);
     h.finish()
 }
@@ -102,9 +98,8 @@ pub fn run_fingerprint(
     scale_code: &str,
     algo_name: &str,
     system: &SystemConfig,
-    exec: &ExecConfigSer,
+    exec: &ExecConfig,
 ) -> u64 {
-    use omega_sim::fingerprint::Canonicalize;
     let mut h = Fnv64::new();
     h.write_u32(STORE_FORMAT_VERSION);
     h.write_str(KIND_RUN_REPORT);
@@ -123,9 +118,8 @@ pub fn run_fingerprint(
 /// [`ExperimentStore::load_value`] call increments exactly one of `hits`
 /// or `misses` (plus `corrupt` when the miss was a damaged entry), and
 /// every successful persist increments `writes`. Layers with their own
-/// accounting — [`crate::session::Session::prefetch`]'s
-/// [`crate::session::PrefetchReport`] and the `omega-serve` hit/miss
-/// counters — can therefore reconcile against these totals.
+/// accounting, such as the `omega-serve` hit/miss counters, can therefore
+/// reconcile against these totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
     /// Loads served from disk.

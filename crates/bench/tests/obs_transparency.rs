@@ -11,9 +11,8 @@
 use omega_bench::report_json::run_report_to_json;
 use omega_bench::session::{AlgoKey, MachineKind, Session};
 use omega_bench::{check_chrome_trace, chrome_trace_to_json, Json};
-use omega_core::runner::{replay, trace_algorithm};
+use omega_core::runner::{exec_for, replay, trace_algorithm};
 use omega_graph::datasets::{Dataset, DatasetScale};
-use omega_ligra::ExecConfig;
 use omega_sim::obs;
 use std::path::Path;
 use std::sync::Mutex;
@@ -28,12 +27,8 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
 fn replay_once() -> omega_core::runner::RunReport {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     let sys = MachineKind::Omega.system();
-    let exec = ExecConfig {
-        n_cores: sys.machine.core.n_cores,
-        ..ExecConfig::default()
-    };
     let algo = AlgoKey::PageRank.algo(&g);
-    let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec);
+    let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec_for(&sys));
     replay("pagerank", checksum, &raw, &meta, &sys, None)
 }
 

@@ -4,9 +4,13 @@
 
 use omega_bench::json::Json;
 use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind, Session};
+use omega_bench::store::value_fingerprint;
 use omega_bench::ExperimentStore;
-use omega_core::runner::Runner;
+use omega_core::config::SystemConfig;
+use omega_core::runner::{exec_for, Runner};
 use omega_graph::datasets::{Dataset, DatasetScale};
+use omega_ligra::ExecConfig;
+use omega_sim::fingerprint::Canonicalize;
 use omega_sim::telemetry::TelemetryConfig;
 use std::path::PathBuf;
 
@@ -73,7 +77,7 @@ fn prefetch_simulates_machines_with_one_configuration_once() {
         .verbose(false)
         .with_store(&dir)
         .unwrap();
-    assert_eq!(s.prefetch(&[omega, full_sp]).computed(), 2);
+    s.prefetch(&[omega, full_sp]);
     assert_eq!(s.store().unwrap().counters().writes, 1);
     let twin = s.report(full_sp).clone();
     assert_eq!(&twin, s.report(omega));
@@ -258,4 +262,31 @@ fn store_fingerprints_are_pinned() {
         let fp = spec.fingerprint(DatasetScale::Tiny, TelemetryConfig::off());
         assert_eq!(fp, want, "{}: got {fp:#018x}", spec.label());
     }
+}
+
+/// Pinned store fingerprints of two trace-derived figure values at tiny
+/// scale: a `prop-share` key (default execution parameters) and an
+/// `abl-reorder` key (the baseline machine's execution parameters). Like
+/// the run keys above, a change here moves every stored value.
+#[test]
+fn value_fingerprints_are_pinned() {
+    let scale = DatasetScale::Tiny.code();
+    let prop_share = value_fingerprint("prop-share", scale, &ExecConfig::default(), |h| {
+        h.write_str(Dataset::Sd.code());
+        h.write_str(AlgoKey::PageRank.name());
+        h.write_u32(200);
+    });
+    assert_eq!(prop_share, 0xd775_8772_f466_bf70, "got {prop_share:#018x}");
+    let system = SystemConfig::mini_baseline();
+    let abl_reorder = value_fingerprint("abl-reorder", scale, &exec_for(&system), |h| {
+        h.write_str(Dataset::Lj.code());
+        h.write_str("unordered");
+        h.write_str("identity");
+        h.write_str(AlgoKey::PageRank.name());
+        system.canonicalize(h);
+    });
+    assert_eq!(
+        abl_reorder, 0xfc5f_54f3_819f_660d,
+        "got {abl_reorder:#018x}"
+    );
 }

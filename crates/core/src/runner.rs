@@ -1,15 +1,17 @@
 //! One-call experiment execution: functional run → trace → lowering →
 //! timing replay → report.
 //!
-//! [`Runner`] is the entry point used by the figure harness, the examples,
-//! and the integration tests. It executes an algorithm functionally under
-//! the tracing framework, lowers the trace for the requested machine(s),
-//! and replays it cycle-accurately, returning a [`RunReport`] per machine
-//! with the functional checksum (identical across machines — the
-//! architecture must not change results) and all timing/memory statistics.
-//! The free function [`replay`] is the one replay path underneath: it
-//! replays an already-collected trace on one machine, serially, and is what
-//! the builder and the benchmark session's grouped prefetch call.
+//! [`Runner`] is the entry point used by the examples, the integration
+//! tests, the audit and the figure harness's one-off ablations. It
+//! executes an algorithm functionally under the tracing framework, lowers
+//! the trace for the requested machine(s), and replays it cycle-accurately,
+//! returning a [`RunReport`] per machine with the functional checksum
+//! (identical across machines — the architecture must not change results)
+//! and all timing/memory statistics. The free function [`replay`] is the
+//! one replay path underneath: it replays an already-collected trace on
+//! one machine, serially, and is what the builder, the benchmark session's
+//! grouped compute and the service call. [`exec_for`] is the one rule for
+//! the execution parameters a trace is collected with.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -24,56 +26,19 @@ use omega_ligra::algorithms::Algo;
 use omega_ligra::trace::{CollectingTracer, RawTrace, TraceMeta};
 use omega_ligra::{Ctx, ExecConfig};
 use omega_sim::audit::{self, AuditReport};
-use omega_sim::fingerprint::{Canonicalize, Fnv64};
 use omega_sim::hierarchy::CacheHierarchy;
 use omega_sim::obs;
 use omega_sim::stats::MemStats;
 use omega_sim::telemetry::{TelemetryConfig, TelemetryReport};
 use omega_sim::{engine, AccessOutcome, Cycle, EngineReport, MemAccess, MemorySystem};
 
-/// Serialisable mirror of [`ExecConfig`] (which lives in `omega-ligra` and
-/// stays serde-free).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct ExecConfigSer {
-    pub n_cores: usize,
-    pub chunk_size: usize,
-    pub dense_threshold_div: u64,
-    pub compute_per_edge_x100: u32,
-    pub compute_per_vertex_x100: u32,
-}
-
-impl From<ExecConfig> for ExecConfigSer {
-    fn from(e: ExecConfig) -> Self {
-        ExecConfigSer {
-            n_cores: e.n_cores,
-            chunk_size: e.chunk_size,
-            dense_threshold_div: e.dense_threshold_div,
-            compute_per_edge_x100: e.compute_per_edge_x100,
-            compute_per_vertex_x100: e.compute_per_vertex_x100,
-        }
-    }
-}
-
-impl From<ExecConfigSer> for ExecConfig {
-    fn from(e: ExecConfigSer) -> Self {
-        ExecConfig {
-            n_cores: e.n_cores,
-            chunk_size: e.chunk_size,
-            dense_threshold_div: e.dense_threshold_div,
-            compute_per_edge_x100: e.compute_per_edge_x100,
-            compute_per_vertex_x100: e.compute_per_vertex_x100,
-        }
-    }
-}
-
-impl Canonicalize for ExecConfigSer {
-    fn canonicalize(&self, h: &mut Fnv64) {
-        h.write_usize(self.n_cores);
-        h.write_usize(self.chunk_size);
-        h.write_u64(self.dense_threshold_div);
-        h.write_u32(self.compute_per_edge_x100);
-        h.write_u32(self.compute_per_vertex_x100);
+/// The framework execution parameters a trace for `system` uses: the
+/// default [`ExecConfig`] with the machine's core count. Every machine
+/// kind shares one core count, so one trace serves them all.
+pub fn exec_for(system: &SystemConfig) -> ExecConfig {
+    ExecConfig {
+        n_cores: system.machine.core.n_cores,
+        ..ExecConfig::default()
     }
 }
 
@@ -95,23 +60,16 @@ impl Canonicalize for ExecConfigSer {
 #[derive(Debug, Clone)]
 pub struct Runner {
     systems: Vec<SystemConfig>,
-    exec: Option<ExecConfigSer>,
-    chunk_size: Option<usize>,
     telemetry: Option<TelemetryConfig>,
-    audit: bool,
 }
 
 impl Runner {
-    /// A runner targeting one machine. Framework execution parameters
-    /// default to [`ExecConfig::default`] with the core count taken from
-    /// this (first) machine.
+    /// A runner targeting one machine. It traces with [`exec_for`] this
+    /// (first) machine.
     pub fn new(system: SystemConfig) -> Self {
         Runner {
             systems: vec![system],
-            exec: None,
-            chunk_size: None,
             telemetry: None,
-            audit: false,
         }
     }
 
@@ -123,49 +81,11 @@ impl Runner {
         self
     }
 
-    /// Overrides the framework execution parameters.
-    pub fn exec(mut self, exec: impl Into<ExecConfigSer>) -> Self {
-        self.exec = Some(exec.into());
-        self
-    }
-
-    /// Overrides the framework's OpenMP-style chunk size (applied on top of
-    /// whatever [`Runner::exec`] set).
-    pub fn chunk_size(mut self, chunk: usize) -> Self {
-        self.chunk_size = Some(chunk);
-        self
-    }
-
     /// Enables telemetry collection on every target machine, overriding
     /// each machine's own `machine.telemetry` setting.
     pub fn telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = Some(telemetry);
         self
-    }
-
-    /// Audit mode: every replay is followed by the model-conservation
-    /// audit ([`omega_sim::audit`]), and [`Runner::run_many`] panics with
-    /// the full violation report if any invariant fails. Use
-    /// [`Runner::run_many_audited`] to collect the report instead of
-    /// panicking.
-    pub fn audit(mut self, on: bool) -> Self {
-        self.audit = on;
-        self
-    }
-
-    /// The effective execution parameters this runner will trace with.
-    pub fn resolved_exec(&self) -> ExecConfigSer {
-        let mut exec = self.exec.unwrap_or_else(|| {
-            ExecConfig {
-                n_cores: self.systems[0].machine.core.n_cores,
-                ..ExecConfig::default()
-            }
-            .into()
-        });
-        if let Some(chunk) = self.chunk_size {
-            exec.chunk_size = chunk;
-        }
-        exec
     }
 
     /// The effective system configurations, with any [`Runner::telemetry`]
@@ -186,29 +106,8 @@ impl Runner {
     /// Traces `algo` on `g` once and replays it on every target machine,
     /// returning one report per [`Runner::new`]/[`Runner::also`] machine in
     /// order.
-    ///
-    /// # Panics
-    ///
-    /// In [`Runner::audit`] mode, panics if any replay violates a model
-    /// conservation invariant.
     pub fn run_many(&self, g: &CsrGraph, algo: Algo) -> Vec<RunReport> {
-        if self.audit {
-            return self
-                .run_many_audited(g, algo)
-                .into_iter()
-                .map(|(report, audit)| {
-                    assert!(
-                        audit.is_clean(),
-                        "model audit failed for {} on {}:\n{audit}",
-                        report.algo,
-                        report.machine
-                    );
-                    report
-                })
-                .collect();
-        }
-        let exec: ExecConfig = self.resolved_exec().into();
-        let (checksum, raw, meta) = trace_algorithm(g, algo, &exec);
+        let (checksum, raw, meta) = trace_algorithm(g, algo, &exec_for(&self.systems[0]));
         self.resolved_systems()
             .iter()
             .map(|sys| replay(algo.name(), checksum, &raw, &meta, sys, None))
@@ -217,10 +116,9 @@ impl Runner {
 
     /// Like [`Runner::run_many`], but runs the model-conservation audit
     /// after each replay and returns the audit report alongside each run
-    /// report instead of panicking — the `audit` binary's collection path.
+    /// report — the `audit` binary's collection path.
     pub fn run_many_audited(&self, g: &CsrGraph, algo: Algo) -> Vec<(RunReport, AuditReport)> {
-        let exec: ExecConfig = self.resolved_exec().into();
-        let (checksum, raw, meta) = trace_algorithm(g, algo, &exec);
+        let (checksum, raw, meta) = trace_algorithm(g, algo, &exec_for(&self.systems[0]));
         self.resolved_systems()
             .iter()
             .map(|sys| {
@@ -273,13 +171,6 @@ impl RunReport {
             return 0.0;
         }
         other.total_cycles as f64 / self.total_cycles as f64
-    }
-
-    /// DRAM bandwidth utilisation over the run (Fig. 16 metric).
-    pub fn dram_utilization(&self, system: &SystemConfig) -> f64 {
-        self.mem
-            .dram
-            .utilization(self.total_cycles, system.machine.dram.channels)
     }
 }
 
@@ -527,7 +418,7 @@ mod tests {
         let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
         let algo = Algo::PageRank { iters: 1 };
         let runner = Runner::new(SystemConfig::mini_baseline()).also(SystemConfig::mini_omega());
-        let exec: ExecConfig = runner.resolved_exec().into();
+        let exec = exec_for(&SystemConfig::mini_baseline());
         let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec);
         let free: Vec<RunReport> = runner
             .resolved_systems()
@@ -540,12 +431,21 @@ mod tests {
     #[test]
     fn builder_applies_telemetry_and_chunk_overrides() {
         let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
+        let algo = Algo::PageRank { iters: 1 };
         let runner = Runner::new(SystemConfig::mini_baseline())
-            .chunk_size(8)
             .telemetry(omega_sim::telemetry::TelemetryConfig::windowed(4096));
-        assert_eq!(runner.resolved_exec().chunk_size, 8);
-        assert!(runner.resolved_systems()[0].machine.telemetry.enabled);
-        let r = runner.run(&g, Algo::PageRank { iters: 1 });
+        let [sys]: [SystemConfig; 1] = runner.resolved_systems().try_into().unwrap();
+        assert!(sys.machine.telemetry.enabled);
+        assert!(runner.run(&g, algo).telemetry.is_some());
+        // The chunk is set on the trace's execution parameters.
+        let exec = ExecConfig {
+            chunk_size: 8,
+            ..exec_for(&sys)
+        };
+        assert_eq!(exec.chunk_size, 8);
+        assert_eq!(exec.n_cores, sys.machine.core.n_cores);
+        let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec);
+        let r = replay(algo.name(), checksum, &raw, &meta, &sys, None);
         assert!(r.telemetry.is_some());
     }
 
@@ -580,10 +480,14 @@ mod tests {
             .also(SystemConfig::mini_pim_rank())
             .also(SystemConfig::mini_specialized_cache())
             .telemetry(omega_sim::telemetry::TelemetryConfig::windowed(4096));
-        let audited = runner.clone().audit(true).run_many(&g, algo);
-        let plain = runner.run_many(&g, algo);
-        assert_eq!(audited, plain, "auditing must not perturb the model");
-        for (report, audit) in Runner::new(SystemConfig::mini_omega()).run_many_audited(&g, algo) {
+        let (audited, audits): (Vec<RunReport>, Vec<AuditReport>) =
+            runner.run_many_audited(&g, algo).into_iter().unzip();
+        assert_eq!(
+            audited,
+            runner.run_many(&g, algo),
+            "auditing must not perturb the model"
+        );
+        for (report, audit) in audited.iter().zip(&audits) {
             assert!(audit.checks_run() > 0);
             assert!(
                 audit.is_clean(),
@@ -604,10 +508,7 @@ mod tests {
         // ledgers.
         use crate::config::{OffchipExtensions, OmegaConfig};
         let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
-        let exec = ExecConfig {
-            n_cores: SystemConfig::mini_omega().machine.core.n_cores,
-            ..ExecConfig::default()
-        };
+        let exec = exec_for(&SystemConfig::mini_omega());
         let (_, raw, meta) = trace_algorithm(&g, Algo::PageRank { iters: 1 }, &exec);
         for sp_bytes_per_core in [OmegaConfig::default().sp_bytes_per_core, 64] {
             let machine = |ext| {

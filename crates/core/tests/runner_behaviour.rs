@@ -4,7 +4,7 @@
 use omega_core::config::{OmegaConfig, SystemConfig};
 use omega_core::layout::Layout;
 use omega_core::lower::{lower, Target};
-use omega_core::runner::{replay, trace_algorithm, Runner};
+use omega_core::runner::{exec_for, replay, trace_algorithm, Runner};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_ligra::algorithms::Algo;
 use omega_ligra::ExecConfig;
@@ -104,10 +104,14 @@ fn radii_and_sssp_flush_svb_each_iteration() {
 fn chunk_size_override_changes_scheduling() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     let algo = Algo::PageRank { iters: 1 };
-    let default_run = Runner::new(SystemConfig::mini_omega()).run(&g, algo);
-    let coarse = Runner::new(SystemConfig::mini_omega())
-        .chunk_size(256)
-        .run(&g, algo);
+    let sys = SystemConfig::mini_omega();
+    let default_run = Runner::new(sys).run(&g, algo);
+    let exec = ExecConfig {
+        chunk_size: 256,
+        ..exec_for(&sys)
+    };
+    let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec);
+    let coarse = replay(algo.name(), checksum, &raw, &meta, &sys, None);
     assert_eq!(default_run.checksum, coarse.checksum);
     assert_ne!(
         default_run.total_cycles, coarse.total_cycles,

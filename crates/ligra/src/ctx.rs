@@ -3,6 +3,7 @@
 
 use crate::props::{PropId, PropStorage, PropType};
 use crate::trace::{PropSpec, RawPropId, TraceEvent, TraceMeta, Tracer};
+use omega_sim::fingerprint::{Canonicalize, Fnv64};
 use omega_sim::AtomicKind;
 use std::marker::PhantomData;
 
@@ -42,6 +43,18 @@ impl ExecConfig {
     /// loop.
     pub fn core_of(&self, i: usize) -> usize {
         (i / self.chunk_size.max(1)) % self.n_cores
+    }
+}
+
+/// Every field, in declaration order. These bytes are part of every store
+/// key, so changing them moves every stored entry.
+impl Canonicalize for ExecConfig {
+    fn canonicalize(&self, h: &mut Fnv64) {
+        h.write_usize(self.n_cores);
+        h.write_usize(self.chunk_size);
+        h.write_u64(self.dense_threshold_div);
+        h.write_u32(self.compute_per_edge_x100);
+        h.write_u32(self.compute_per_vertex_x100);
     }
 }
 

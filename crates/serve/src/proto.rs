@@ -291,25 +291,26 @@ pub fn request_frame_from_json(doc: &Json) -> Result<RequestFrame, OmegaError> {
 
 /// Writes `resp`'s body fields (`status` + status-specific fields) into
 /// `o`. Shared by the top-level response envelope and the per-spec
-/// result objects inside a [`BATCH_SCHEMA`] payload.
-pub fn set_response_fields(o: &mut Json, resp: &Response) {
+/// result objects inside a [`BATCH_SCHEMA`] payload. The payload moves
+/// into `o`, so a large response is never held twice.
+pub fn set_response_fields(o: &mut Json, resp: Response) {
     match resp {
         Response::Ok(payload) => {
             o.set("status", Json::Str("ok".to_string()));
-            o.set("payload", payload.clone());
+            o.set("payload", payload);
         }
         Response::Busy {
             queue_depth,
             queue_limit,
         } => {
             o.set("status", Json::Str("busy".to_string()));
-            o.set("queue_depth", Json::Num(*queue_depth as f64));
-            o.set("queue_limit", Json::Num(*queue_limit as f64));
+            o.set("queue_depth", Json::Num(queue_depth as f64));
+            o.set("queue_limit", Json::Num(queue_limit as f64));
         }
         Response::Error { code, message } => {
             o.set("status", Json::Str("error".to_string()));
-            o.set("code", Json::Str(code.clone()));
-            o.set("message", Json::Str(message.clone()));
+            o.set("code", Json::Str(code));
+            o.set("message", Json::Str(message));
         }
     }
 }
@@ -348,9 +349,9 @@ pub fn response_fields_from_json(doc: &Json) -> Result<Response, OmegaError> {
 }
 
 /// Serialises a response frame for the wire.
-pub fn response_frame_to_json(frame: &ResponseFrame) -> Json {
+pub fn response_frame_to_json(frame: ResponseFrame) -> Json {
     let mut o = envelope(frame.id);
-    set_response_fields(&mut o, &frame.response);
+    set_response_fields(&mut o, frame.response);
     o
 }
 
@@ -364,11 +365,11 @@ pub fn response_frame_from_json(doc: &Json) -> Result<ResponseFrame, OmegaError>
 
 /// Builds the [`BATCH_SCHEMA`] payload from per-spec responses, in
 /// request order.
-pub fn batch_payload(results: &[Response]) -> Json {
+pub fn batch_payload(results: Vec<Response>) -> Json {
     let mut o = Json::obj();
     o.set("schema", Json::Str(BATCH_SCHEMA.to_string()));
     let items = results
-        .iter()
+        .into_iter()
         .map(|r| {
             let mut item = Json::obj();
             set_response_fields(&mut item, r);
@@ -467,7 +468,7 @@ mod tests {
                 queue_limit: 4,
             },
         };
-        let doc = response_frame_to_json(&resp);
+        let doc = response_frame_to_json(resp.clone());
         assert_eq!(response_frame_from_json(&doc).unwrap(), resp);
     }
 
@@ -515,7 +516,7 @@ mod tests {
                 message: "no such dataset".into(),
             },
         ];
-        let payload = batch_payload(&results);
+        let payload = batch_payload(results.clone());
         assert_eq!(
             payload.get("schema").and_then(Json::as_str),
             Some(BATCH_SCHEMA)
@@ -604,7 +605,7 @@ mod tests {
             ),
         ] {
             let frame = ResponseFrame { id, response };
-            let doc = response_frame_to_json(&frame);
+            let doc = response_frame_to_json(frame.clone());
             assert_eq!(doc.get("id").is_some(), id.is_some());
             assert_eq!(response_frame_from_json(&doc).unwrap(), frame);
         }

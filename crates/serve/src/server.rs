@@ -45,16 +45,15 @@ use crate::proto::{
 use crate::wire::{self, Frame};
 use omega_bench::session::{ExperimentSpec, MachineKind};
 use omega_bench::{run_report_to_json, ExperimentStore, Json};
-use omega_core::config::SystemConfig;
-use omega_core::runner::{replay, trace_algorithm};
+use omega_core::runner::{exec_for, replay, trace_algorithm};
 use omega_core::OmegaError;
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::CsrGraph;
 use omega_ligra::trace::{RawTrace, TraceMeta};
-use omega_ligra::ExecConfig;
 use omega_sim::obs;
 use omega_sim::telemetry::TelemetryConfig;
 use std::collections::{HashMap, VecDeque};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -262,20 +261,12 @@ struct ServerState {
     shutting_down: AtomicBool,
 }
 
+/// The service collects no telemetry, like a default `Session`, so
+/// fingerprints (and therefore store entries) are shared with the batch
+/// tools.
+const TELEMETRY: TelemetryConfig = TelemetryConfig::off();
+
 impl ServerState {
-    fn telemetry() -> TelemetryConfig {
-        TelemetryConfig::off()
-    }
-
-    /// Mirrors `Session::system_for`: the machine with the service's
-    /// telemetry setting applied, so fingerprints (and therefore store
-    /// entries) are shared with the batch tools.
-    fn system_for(spec: ExperimentSpec) -> SystemConfig {
-        let mut sys = spec.machine.system();
-        sys.machine.telemetry = Self::telemetry();
-        sys
-    }
-
     fn draining(&self) -> bool {
         self.shutting_down.load(Ordering::Relaxed)
     }
@@ -406,13 +397,24 @@ fn error_id(doc: &Json) -> Option<u64> {
 /// cannot hold its handlers, or a drain, for longer.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Writes one response frame. A failed write shuts the socket down both
-/// ways: the handlers still queued on the writer then fail at once
-/// instead of each waiting out [`WRITE_TIMEOUT`], and the read loop ends.
+/// Writes one response frame. It is encoded before the writer lock is
+/// taken, so a handler queued behind a slow reader holds its response as
+/// bytes, not as a JSON tree. A failed encode or write shuts the socket
+/// down both ways: the handlers still queued on the writer then fail at
+/// once instead of each waiting out [`WRITE_TIMEOUT`], and the read loop
+/// ends.
 fn write_response(writer: &Mutex<TcpStream>, id: Option<u64>, response: Response) -> bool {
-    let doc = proto::response_frame_to_json(&ResponseFrame { id, response });
+    let frame = wire::encode_frame(&proto::response_frame_to_json(ResponseFrame {
+        id,
+        response,
+    }));
     let mut stream = lock(writer);
-    let written = wire::write_frame(&mut *stream, &doc).is_ok();
+    let written = frame.is_ok_and(|bytes| {
+        stream
+            .write_all(&bytes)
+            .and_then(|()| stream.flush())
+            .is_ok()
+    });
     if !written {
         let _ = stream.shutdown(Shutdown::Both);
     }
@@ -535,7 +537,7 @@ fn handle_request(state: &Arc<ServerState>, request: &Request) -> Response {
         Request::Run(run) => batch_request(state, &[*run]).remove(0),
         Request::Batch(runs) => {
             c.bump("serve.batches", &c.batches);
-            Response::Ok(proto::batch_payload(&batch_request(state, runs)))
+            Response::Ok(proto::batch_payload(batch_request(state, runs)))
         }
     }
 }
@@ -549,10 +551,7 @@ fn lookup(state: &Arc<ServerState>, fp: u64, run: RunRequest) -> Option<Arc<Json
     }
     let store = state.store.as_ref()?;
     let report = store.load_report(fp)?;
-    let payload = Arc::new(run_report_to_json(
-        &report,
-        &ServerState::system_for(run.spec),
-    ));
+    let payload = Arc::new(run_report_to_json(&report, &run.spec.system(TELEMETRY)));
     state.memo.insert(fp, Arc::clone(&payload));
     Some(payload)
 }
@@ -577,7 +576,7 @@ fn batch_request(state: &Arc<ServerState>, runs: &[RunRequest]) -> Vec<Response>
     let mut jobs: Vec<Job> = Vec::new();
 
     for run in runs {
-        let fp = run.spec.fingerprint(run.scale, ServerState::telemetry());
+        let fp = run.spec.fingerprint(run.scale, TELEMETRY);
         if let Some(cached) = lookup(state, fp, *run) {
             c.bump("serve.hits", &c.hits);
             slots.push(BatchSlot::Cached(cached));
@@ -779,10 +778,8 @@ fn prepare(state: &Arc<ServerState>, job: &Job) -> Result<SharedInputs, Arc<Omeg
     let bundle = state
         .traces
         .get_or_build((d, job.algo.name(), job.scale), || {
-            let exec = ExecConfig {
-                n_cores: job.entries[0].machine.system().machine.core.n_cores,
-                ..ExecConfig::default()
-            };
+            let first = ExperimentSpec::new(d, job.algo, job.entries[0].machine);
+            let exec = exec_for(&first.system(TELEMETRY));
             let (checksum, raw, meta) = trace_algorithm(g, algo, &exec);
             Ok(TraceBundle {
                 checksum,
@@ -812,7 +809,7 @@ fn compute_one(
         std::thread::sleep(Duration::from_millis(state.config.job_delay_ms));
     }
     let algo = spec.algo.algo(g);
-    let system = ServerState::system_for(spec);
+    let system = spec.system(TELEMETRY);
     let report = replay(
         algo.name(),
         bundle.checksum,

@@ -33,10 +33,10 @@ pub enum Frame {
     Cancelled,
 }
 
-/// Serialises `doc` as one frame. A body over [`MAX_FRAME`] is refused
-/// with a `protocol` error before any byte is written: the peer would
-/// have to reject it anyway.
-pub fn write_frame(w: &mut impl Write, doc: &Json) -> Result<(), OmegaError> {
+/// Encodes `doc` as one frame: the 4-byte length prefix, then the body.
+/// A body over [`MAX_FRAME`] is refused with a `protocol` error: the peer
+/// would have to reject it anyway.
+pub fn encode_frame(doc: &Json) -> Result<Vec<u8>, OmegaError> {
     let body = doc.dump();
     if body.len() > MAX_FRAME {
         return Err(OmegaError::Protocol(format!(
@@ -46,8 +46,16 @@ pub fn write_frame(w: &mut impl Write, doc: &Json) -> Result<(), OmegaError> {
     }
     // Lossless: MAX_FRAME fits in the 4-byte prefix.
     let len = body.len() as u32;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(body.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(body.as_bytes());
+    Ok(frame)
+}
+
+/// Writes `doc` as one frame ([`encode_frame`]). A refused body writes no
+/// byte.
+pub fn write_frame(w: &mut impl Write, doc: &Json) -> Result<(), OmegaError> {
+    w.write_all(&encode_frame(doc)?)?;
     Ok(w.flush()?)
 }
 

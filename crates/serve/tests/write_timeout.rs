@@ -17,8 +17,11 @@ use std::net::TcpStream;
 use std::sync::mpsc;
 use std::time::Duration;
 
-/// Runs per batch. Each handler holds its whole response while it waits
-/// for the writer, so larger batches only cost the test memory.
+/// Runs per batch. A handler waits for the writer holding its response as
+/// encoded bytes, but every handler builds the response's JSON tree first,
+/// and they do so at about the same time: at 1,024 copies (about 5 MB of
+/// response each) the test process peaked near 700 MB on a 2-vCPU host.
+/// Larger batches only cost the test memory.
 const COPIES: usize = 64;
 
 #[test]

@@ -38,7 +38,7 @@ impl TelemetryConfig {
     pub const DEFAULT_WINDOW: Cycle = 1 << 16;
 
     /// Telemetry disabled (the default): zero per-op cost.
-    pub fn off() -> Self {
+    pub const fn off() -> Self {
         TelemetryConfig {
             enabled: false,
             window_cycles: Self::DEFAULT_WINDOW,

@@ -97,12 +97,15 @@ esac
   > target/store-verify.json
 # Every session run a figure reads comes from the up-front prefetch: a
 # `[run]` line is a serial on-demand simulation that some experiment's
-# work list in figures.rs missed.
-if grep -q '\[run\]' target/figures-cold.err; then
-  echo "ci: cold sweep simulated outside the prefetch:" >&2
-  grep '\[run\]' target/figures-cold.err >&2
-  exit 1
-fi
+# work list in figures.rs missed. Both the stored tiny sweep and the
+# store-less small sweep are checked.
+for err in target/figures-cold.err target/figures-small.err; do
+  if grep -q '\[run\]' "$err"; then
+    echo "ci: $err simulated outside the prefetch:" >&2
+    grep '\[run\]' "$err" >&2
+    exit 1
+  fi
+done
 # The cold run's `writes=` counts every store handle it used, so it must
 # equal the number of intact entries the store now holds.
 cold_writes=$(grep '^\[store\]' target/figures-cold.err \
