@@ -40,7 +40,8 @@ const USAGE: &str = "usage:
   stats diff A.json B.json
   stats trace-check FILE   validate a Chrome Trace Event file (--trace output)
   stats store ls PATH      list every entry of a persistent store
-  stats store verify PATH  check fingerprints + checksums (JSON to stdout)
+  stats store verify PATH  check fingerprints + checksums (JSON to stdout;
+                           exit status 1 if any entry is corrupt)
   stats store gc PATH      drop corrupt entries and leftover temp files
 
 dump defaults: --dataset sd --algo pagerank --machine baseline \

@@ -8,8 +8,23 @@
 //! schemas diff cleanly under `git diff`), numbers are `f64` (every
 //! counter we emit is far below 2^53), and strings support the standard
 //! escapes including `\uXXXX` surrogate pairs.
+//!
+//! The parser reads bytes from outside the process (wire frames, store
+//! files), so its recursion is bounded: a document nested deeper than
+//! [`MAX_DEPTH`] is a [`JsonError`], never a stack overflow.
 
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+///
+/// The deepest documents the workspace writes are an `omega-serve` batch
+/// response (8 levels: envelope, batch payload, `results`, one result,
+/// then a run report's `engine.per_core[i]`) and a store entry wrapping a
+/// telemetry-carrying run report (7 levels: entry, payload, `telemetry`,
+/// `windows`, one window, its `delta`, one component). The bound is four
+/// times the deeper of the two, and still keeps the parser's recursion to
+/// a few KiB of stack on any thread.
+pub const MAX_DEPTH: usize = 32;
 
 /// A JSON value. Object keys keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,6 +182,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -234,6 +250,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -278,8 +296,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -522,6 +551,22 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"abc", "{1:2}"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1) + "0" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // Far past the bound: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&nested(100_000)).is_err());
     }
 
     #[test]

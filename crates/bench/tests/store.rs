@@ -1,8 +1,9 @@
 //! Persistent-store integration tests: report round-trips across every
-//! machine kind (with and without telemetry), corruption injection, and
-//! cross-process determinism through the `stats` binary.
+//! machine kind (with and without telemetry), corruption injection
+//! (including nesting past the JSON parser's bound), and cross-process
+//! determinism through the `stats` binary.
 
-use omega_bench::json::Json;
+use omega_bench::json::{Json, MAX_DEPTH};
 use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind, Session};
 use omega_bench::store::value_fingerprint;
 use omega_bench::ExperimentStore;
@@ -174,6 +175,73 @@ fn corrupted_entries_are_a_silent_miss_and_heal() {
         .expect("gc");
     assert_eq!(outcome.kept, 1);
     assert!(outcome.removed.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Nesting depth of a document: 0 for a scalar, else one more than its
+/// deepest member.
+fn depth(v: &Json) -> usize {
+    match v {
+        Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+        Json::Obj(entries) => 1 + entries.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// Pins the depth of the deepest entry the store writes — a
+/// telemetry-carrying run report — that `json::MAX_DEPTH` is derived
+/// from. A schema change that nests deeper fails here first.
+#[test]
+fn deepest_entry_nests_within_the_json_bound() {
+    let dir = temp_store("deepest");
+    let store = ExperimentStore::open(&dir).expect("store opens");
+    let g = Dataset::Sd
+        .build(DatasetScale::Tiny)
+        .expect("dataset builds");
+    let telemetry = TelemetryConfig::windowed(2048);
+    let spec = ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, MachineKind::Omega);
+    let mut system = spec.machine.system();
+    system.machine.telemetry = telemetry;
+    let report = Runner::new(system).run(&g, spec.algo.algo(&g));
+    assert!(report.telemetry.is_some());
+    let fp = spec.fingerprint(DatasetScale::Tiny, telemetry);
+    store
+        .store_report(fp, &spec.label(), &report)
+        .expect("persist");
+    let text = std::fs::read_to_string(store.entry_path(fp)).expect("entry readable");
+    let doc = Json::parse(&text).expect("the entry parses");
+    assert_eq!(depth(&doc), 7);
+    assert!(depth(&doc) <= MAX_DEPTH);
+    assert_eq!(store.load_report(fp), Some(report));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An entry nested far past `json::MAX_DEPTH` is one more corrupt entry:
+/// a counted miss on load, listed by `verify`, removed by `gc`. It must
+/// never overflow the reader's stack.
+#[test]
+fn deeply_nested_entry_is_a_corrupt_miss() {
+    let dir = temp_store("deep");
+    let spec = ExperimentSpec::new(Dataset::Sd, AlgoKey::Bfs, MachineKind::Baseline);
+    let mut s = Session::new(DatasetScale::Tiny)
+        .verbose(false)
+        .with_store(&dir)
+        .expect("store opens");
+    s.report(spec);
+    let fp = spec.fingerprint(DatasetScale::Tiny, TelemetryConfig::off());
+    let path = s.store().expect("attached").entry_path(fp);
+    drop(s);
+    std::fs::write(&path, "[".repeat(100_000)).expect("overwrite");
+
+    let store = ExperimentStore::open(&dir).expect("reopen");
+    assert!(store.load_report(fp).is_none(), "deep entry must miss");
+    let counters = store.counters();
+    assert_eq!((counters.misses, counters.corrupt), (1, 1));
+    let verified = store.verify().expect("verify");
+    assert_eq!((verified.ok, verified.corrupt), (0, vec![path.clone()]));
+    let collected = store.gc().expect("gc");
+    assert_eq!((collected.kept, collected.removed), (0, vec![path.clone()]));
+    assert!(!path.exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

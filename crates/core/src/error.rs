@@ -142,7 +142,6 @@ impl From<GraphError> for OmegaError {
                 given,
                 expected: String::new(),
             },
-            GraphError::Io(e) => OmegaError::Io(e),
             other => OmegaError::Graph(other),
         }
     }

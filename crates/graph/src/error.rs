@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// Errors produced while constructing, generating, or loading graphs.
+/// Errors produced while constructing, generating, or looking up graphs.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum GraphError {
@@ -15,15 +15,6 @@ pub enum GraphError {
     InvalidParameter(String),
     /// A permutation passed to [`crate::reorder`] was not a bijection on `0..n`.
     InvalidPermutation(String),
-    /// An I/O error while reading or writing a graph file.
-    Io(std::io::Error),
-    /// A parse error in a graph file, with 1-based line number.
-    Parse {
-        /// Line at which parsing failed.
-        line: usize,
-        /// What was wrong with the line.
-        message: String,
-    },
     /// A name-keyed lookup (dataset code, scale name, …) matched nothing.
     /// Produced by the `FromStr` impls so bad names become boundary errors
     /// instead of panics inside the registry.
@@ -46,10 +37,6 @@ impl fmt::Display for GraphError {
             }
             GraphError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             GraphError::InvalidPermutation(msg) => write!(f, "invalid permutation: {msg}"),
-            GraphError::Io(e) => write!(f, "i/o error: {e}"),
-            GraphError::Parse { line, message } => {
-                write!(f, "parse error at line {line}: {message}")
-            }
             GraphError::UnknownName { kind, given } => {
                 write!(f, "unknown {kind} `{given}`")
             }
@@ -57,20 +44,7 @@ impl fmt::Display for GraphError {
     }
 }
 
-impl std::error::Error for GraphError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            GraphError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for GraphError {
-    fn from(e: std::io::Error) -> Self {
-        GraphError::Io(e)
-    }
-}
+impl std::error::Error for GraphError {}
 
 #[cfg(test)]
 mod tests {
@@ -82,21 +56,5 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("9") && s.contains("4"));
         assert!(s.chars().next().unwrap().is_lowercase());
-    }
-
-    #[test]
-    fn io_error_preserves_source() {
-        use std::error::Error;
-        let e = GraphError::from(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"));
-        assert!(e.source().is_some());
-    }
-
-    #[test]
-    fn parse_error_reports_line() {
-        let e = GraphError::Parse {
-            line: 3,
-            message: "bad token".into(),
-        };
-        assert!(e.to_string().contains("line 3"));
     }
 }

@@ -19,7 +19,6 @@
 //!   SlashBurn-like hub ordering).
 //! * [`slicing`] — the graph slicing schemes of §VII for graphs whose hot
 //!   vertex set exceeds on-chip storage.
-//! * [`io`] — plain-text and binary edge-list readers/writers.
 //! * [`dynamic`] — evolving graphs with incremental hot-set drift tracking
 //!   (the paper's §IX dynamic-graph extension).
 //! * [`datasets`] — a registry of scaled-down synthetic equivalents of the
@@ -48,7 +47,6 @@ mod error;
 pub mod datasets;
 pub mod dynamic;
 pub mod generators;
-pub mod io;
 pub mod reorder;
 pub mod rng;
 pub mod slicing;

@@ -128,40 +128,6 @@ impl DegreeStats {
     }
 }
 
-impl DegreeStats {
-    /// In-degree histogram as `(degree, count)` pairs, ascending by degree.
-    /// The raw material for the log-log degree plots used to eyeball power
-    /// laws.
-    pub fn in_degree_histogram(&self) -> Vec<(u32, u64)> {
-        let mut hist: Vec<(u32, u64)> = Vec::new();
-        // in_sorted is descending; walk it backwards for ascending degrees.
-        for &d in self.in_sorted.iter().rev() {
-            match hist.last_mut() {
-                Some((deg, count)) if *deg == d => *count += 1,
-                _ => hist.push((d, 1)),
-            }
-        }
-        hist
-    }
-
-    /// Complementary CDF of the in-degree distribution:
-    /// `(degree, P[D >= degree])` pairs, ascending. A power law appears as
-    /// a straight line on log-log axes with slope `1 - α`.
-    pub fn in_degree_ccdf(&self) -> Vec<(u32, f64)> {
-        let n = self.in_sorted.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let mut remaining = n as u64;
-        for (d, count) in self.in_degree_histogram() {
-            out.push((d, remaining as f64 / n as f64));
-            remaining -= count;
-        }
-        out
-    }
-}
-
 /// Computes [`DegreeStats`] for a graph. `O(n log n)`.
 ///
 /// # Example
@@ -292,30 +258,6 @@ mod tests {
         assert_eq!(s.max_in_degree(), 0);
         assert_eq!(s.mean_degree(), 0.0);
         assert_eq!(s.in_connectivity(0.5), 0.0);
-    }
-
-    #[test]
-    fn histogram_counts_every_vertex_once() {
-        let g = generators::rmat(8, 6, generators::RmatParams::default(), 4).unwrap();
-        let s = degree_stats(&g);
-        let hist = s.in_degree_histogram();
-        let total: u64 = hist.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, g.num_vertices() as u64);
-        for w in hist.windows(2) {
-            assert!(w[0].0 < w[1].0, "histogram must be ascending and deduped");
-        }
-    }
-
-    #[test]
-    fn ccdf_is_monotone_decreasing_from_one() {
-        let g = generators::rmat(8, 6, generators::RmatParams::default(), 4).unwrap();
-        let s = degree_stats(&g);
-        let ccdf = s.in_degree_ccdf();
-        assert!((ccdf[0].1 - 1.0).abs() < 1e-12, "P[D >= d_min] = 1");
-        for w in ccdf.windows(2) {
-            assert!(w[1].1 <= w[0].1 + 1e-12);
-        }
-        assert!(ccdf.last().unwrap().1 > 0.0);
     }
 
     #[test]

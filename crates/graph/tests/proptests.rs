@@ -1,6 +1,6 @@
 //! Randomized property tests of the graph substrate: builder invariants,
-//! I/O roundtrips, reordering bijections, and dynamic-graph bookkeeping,
-//! over arbitrary edge lists.
+//! reordering bijections, and dynamic-graph bookkeeping, over arbitrary
+//! edge lists.
 //!
 //! Cases are drawn from the crate's own deterministic [`SmallRng`] (the
 //! hermetic build has no proptest); the failing case index is in the
@@ -8,7 +8,7 @@
 
 use omega_graph::dynamic::DynamicGraph;
 use omega_graph::rng::SmallRng;
-use omega_graph::{io, reorder, stats, GraphBuilder, VertexId};
+use omega_graph::{reorder, stats, GraphBuilder, VertexId};
 
 const CASES: u64 = 64;
 
@@ -79,26 +79,6 @@ fn undirected_builder_is_symmetric() {
         for (u, v) in g.arcs() {
             assert!(g.has_edge(v, u));
         }
-    });
-}
-
-/// Text and binary I/O roundtrip arbitrary graphs exactly.
-#[test]
-fn io_roundtrips() {
-    for_each_edges(0xC5A0_0003, |n, edges, _| {
-        let mut b = GraphBuilder::directed(n);
-        for &(u, v) in edges {
-            b.add_edge(u, v).unwrap();
-        }
-        let g = b.build();
-        let mut text = Vec::new();
-        io::write_edge_list(&g, &mut text).unwrap();
-        let g2 = io::read_edge_list(&text[..], true, n).unwrap();
-        assert_eq!(&g, &g2);
-        let mut bin = Vec::new();
-        io::write_binary(&g, &mut bin).unwrap();
-        let g3 = io::read_binary(&bin[..]).unwrap();
-        assert_eq!(&g, &g3);
     });
 }
 

@@ -344,11 +344,6 @@ impl RawTrace {
         self.per_core[core].get(idx).map(|p| p.unpack())
     }
 
-    /// Iterates `core`'s stream in order.
-    pub fn core_events(&self, core: usize) -> impl Iterator<Item = TraceEvent> + '_ {
-        self.per_core[core].iter().map(|p| p.unpack())
-    }
-
     /// Iterates every event of every core (core-major order).
     pub fn iter_events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
         self.per_core.iter().flatten().map(|p| p.unpack())

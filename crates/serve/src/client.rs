@@ -135,6 +135,7 @@ impl Client {
         loop {
             let doc = match wire::read_frame(&mut self.stream, || false)? {
                 Frame::Doc(doc) => doc,
+                Frame::Malformed(e) => return Err(e),
                 Frame::Eof | Frame::Cancelled => {
                     return Err(OmegaError::Protocol(
                         "server closed the connection before responding".into(),

@@ -131,7 +131,8 @@ pub struct RequestFrame {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResponseFrame {
     /// The echoed request id; `None` only on an error reply to a frame
-    /// whose id could not be read (a framing error or a bad tag).
+    /// whose id could not be read (a framing error, a body that is not
+    /// JSON, or a bad tag).
     pub id: Option<u64>,
     /// The response body.
     pub response: Response,

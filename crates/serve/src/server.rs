@@ -462,6 +462,15 @@ fn connection_loop(state: &Arc<ServerState>, mut stream: TcpStream) {
             let doc = match frame {
                 Ok(Frame::Doc(doc)) => doc,
                 Ok(Frame::Eof) | Ok(Frame::Cancelled) => break,
+                Ok(Frame::Malformed(e)) => {
+                    // The body is not a document, but the framing held:
+                    // answer the error and keep reading.
+                    state.counters.bump("serve.errors", &state.counters.errors);
+                    if !write_response(&writer, None, Response::from_error(&e)) {
+                        break;
+                    }
+                    continue;
+                }
                 Err(e) => {
                     // Tell the peer what was wrong with its bytes, then
                     // hang up: framing is unrecoverable after an error.

@@ -12,6 +12,10 @@
 //! The predicate is only consulted when the underlying stream yields
 //! timeout-flavoured errors, so sockets must have a read timeout set
 //! for cancellation to be responsive.
+//!
+//! A whole frame whose body is not a JSON document is
+//! [`Frame::Malformed`], not an error: the length prefix still marks
+//! where the next frame starts, so a reader can answer it and go on.
 
 use omega_bench::Json;
 use omega_core::OmegaError;
@@ -27,6 +31,10 @@ pub const MAX_FRAME: usize = 16 << 20;
 pub enum Frame {
     /// A complete JSON document.
     Doc(Json),
+    /// A complete frame whose body is not UTF-8 JSON (or nests past
+    /// [`omega_bench::json::MAX_DEPTH`]), as a `protocol` error. The
+    /// stream is still on a frame boundary.
+    Malformed(OmegaError),
     /// The stream ended cleanly on a frame boundary.
     Eof,
     /// The cancel predicate tripped while idle between frames.
@@ -127,11 +135,15 @@ pub fn read_frame(r: &mut impl Read, cancel: impl Fn() -> bool) -> Result<Frame,
             return Err(OmegaError::Protocol("stream ended mid-frame".into()))
         }
     }
-    let text = String::from_utf8(body)
-        .map_err(|_| OmegaError::Protocol("frame body is not UTF-8".into()))?;
-    let doc = Json::parse(&text)
-        .map_err(|e| OmegaError::Protocol(format!("frame body is not JSON: {e}")))?;
-    Ok(Frame::Doc(doc))
+    let Ok(text) = String::from_utf8(body) else {
+        return Ok(Frame::Malformed(OmegaError::Protocol(
+            "frame body is not UTF-8".into(),
+        )));
+    };
+    Ok(match Json::parse(&text) {
+        Ok(doc) => Frame::Doc(doc),
+        Err(e) => Frame::Malformed(OmegaError::Protocol(format!("frame body is not JSON: {e}"))),
+    })
 }
 
 #[cfg(test)]
@@ -184,7 +196,7 @@ mod tests {
     }
 
     #[test]
-    fn truncation_and_garbage_are_protocol_errors() {
+    fn truncation_is_an_error_and_garbage_a_malformed_frame() {
         // Header promises 8 bytes, stream has 3.
         let mut buf = Vec::new();
         buf.extend_from_slice(&8u32.to_be_bytes());
@@ -192,12 +204,27 @@ mod tests {
         let err = read_frame(&mut Cursor::new(buf), never).unwrap_err();
         assert_eq!(err.code(), "protocol");
 
-        // Correct length, body is not JSON.
+        // Correct length, body is not JSON, then nested past the parser's
+        // bound: each is one malformed frame, and the next frame still
+        // reads.
+        let deep = "[".repeat(100_000);
         let mut buf = Vec::new();
-        buf.extend_from_slice(&3u32.to_be_bytes());
-        buf.extend_from_slice(b"{{{");
-        let err = read_frame(&mut Cursor::new(buf), never).unwrap_err();
-        assert_eq!(err.code(), "protocol");
+        for body in [b"{{{".as_slice(), deep.as_bytes()] {
+            buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
+            buf.extend_from_slice(body);
+        }
+        write_frame(&mut buf, &Json::Null).unwrap();
+        let mut r = Cursor::new(buf);
+        for _ in 0..2 {
+            let Frame::Malformed(err) = read_frame(&mut r, never).unwrap() else {
+                panic!("expected a malformed frame");
+            };
+            assert_eq!(err.code(), "protocol");
+        }
+        assert!(matches!(
+            read_frame(&mut r, never),
+            Ok(Frame::Doc(Json::Null))
+        ));
     }
 
     /// Seeded fuzz over the codec: random garbage, bit-flipped valid
@@ -244,7 +271,7 @@ mod tests {
                     // cursor is finite so this terminates.
                     Ok(Frame::Doc(_)) => continue,
                     Ok(Frame::Eof) | Ok(Frame::Cancelled) => break,
-                    Err(e) => {
+                    Ok(Frame::Malformed(e)) | Err(e) => {
                         let code = e.code();
                         assert!(
                             code == "protocol" || code == "io",

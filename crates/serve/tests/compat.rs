@@ -3,15 +3,20 @@
 //! `omega-serve/v2` is the one protocol revision. A frame tagged with
 //! the retired `omega-serve/v1` draws a v2-tagged `protocol` error that
 //! names the served revision, and the connection keeps working. Plus
-//! robustness: a malformed body gets an error response and the
-//! connection survives; a torn frame gets an error response and a
-//! hang-up.
+//! robustness: a malformed body, including one nested past the JSON
+//! parser's bound, gets an error response and the connection survives;
+//! a torn frame gets an error response and a hang-up. The deepest
+//! response the server writes, a batch carrying a run report, is pinned
+//! within that bound.
 //!
 //! No test in this file asserts the process-global replay probes, so
 //! the file can hold several tests.
 
+use omega_bench::json::MAX_DEPTH;
+use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind};
 use omega_bench::Json;
-use omega_serve::proto::{self, Request, RequestFrame, PROTO_V2};
+use omega_graph::datasets::{Dataset, DatasetScale};
+use omega_serve::proto::{self, Request, RequestFrame, RunRequest, PROTO_V2};
 use omega_serve::wire::{self, Frame};
 use omega_serve::{serve, Client, Response, ServeConfig};
 use std::io::Write;
@@ -108,6 +113,88 @@ fn raw_frames_survive_malformed_bodies_and_hang_up_on_torn_ones() {
         matches!(wire::read_frame(&mut torn, || false), Ok(Frame::Eof)),
         "the server hung up after the framing error"
     );
+
+    let mut client = Client::connect(addr).expect("connect");
+    client.shutdown().expect("shutdown ack");
+    handle.wait();
+}
+
+#[test]
+fn deeply_nested_frame_gets_a_protocol_error_and_the_connection_survives() {
+    let handle = tiny_server();
+    let addr = handle.addr();
+    let mut stream = TcpStream::connect(addr).expect("connect raw");
+
+    // 100,000 levels of `[`: far under the frame cap, far past the
+    // parser's nesting bound.
+    let body = "[".repeat(100_000);
+    stream
+        .write_all(&(body.len() as u32).to_be_bytes())
+        .expect("write header");
+    stream.write_all(body.as_bytes()).expect("write body");
+    let doc = read(&mut stream);
+    assert!(doc.get("id").is_none(), "the refused frame had no id");
+    let Response::Error { code, message } = proto::response_frame_from_json(&doc)
+        .expect("a well-formed reply")
+        .response
+    else {
+        panic!("expected an error reply, got {}", doc.dump());
+    };
+    assert_eq!(code, "protocol");
+    assert!(message.contains("nesting"), "{message}");
+
+    wire::write_frame(&mut stream, &ping(3)).expect("write after error");
+    let frame = proto::response_frame_from_json(&read(&mut stream)).expect("connection survived");
+    assert_eq!(frame.id, Some(3));
+    assert!(matches!(frame.response, Response::Ok(_)));
+
+    let mut client = Client::connect(addr).expect("connect");
+    client.shutdown().expect("shutdown ack");
+    handle.wait();
+}
+
+/// Nesting depth of a document: 0 for a scalar, else one more than its
+/// deepest member.
+fn depth(v: &Json) -> usize {
+    match v {
+        Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+        Json::Obj(entries) => 1 + entries.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// Pins the depth of the deepest response the server writes — a batch
+/// result carrying a run report — that `json::MAX_DEPTH` is derived
+/// from. A schema change that nests deeper fails here first.
+#[test]
+fn batch_response_nests_within_the_json_bound() {
+    let handle = tiny_server();
+    let addr = handle.addr();
+    let mut stream = TcpStream::connect(addr).expect("connect raw");
+    let run = RunRequest {
+        spec: ExperimentSpec::new(Dataset::Sd, AlgoKey::Bfs, MachineKind::Omega),
+        scale: DatasetScale::Tiny,
+    };
+    let request = proto::request_frame_to_json(&RequestFrame {
+        id: 1,
+        request: Request::Batch(vec![run]),
+    });
+    wire::write_frame(&mut stream, &request).expect("write batch");
+    let doc = read(&mut stream);
+    let Response::Ok(payload) = proto::response_frame_from_json(&doc)
+        .expect("a well-formed reply")
+        .response
+    else {
+        panic!("expected an ok reply, got {}", doc.dump());
+    };
+    assert!(matches!(
+        proto::batch_results(&payload)
+            .expect("batch payload")
+            .as_slice(),
+        [Response::Ok(_)]
+    ));
+    assert_eq!(depth(&doc), 8);
+    assert!(depth(&doc) <= MAX_DEPTH);
 
     let mut client = Client::connect(addr).expect("connect");
     client.shutdown().expect("shutdown ack");

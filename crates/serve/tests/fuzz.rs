@@ -50,6 +50,7 @@ fn exchange(addr: SocketAddr, bytes: &[u8], round: usize) -> Vec<Response> {
                 });
                 answered.push(frame.response);
             }
+            Ok(Frame::Malformed(e)) => panic!("round {round}: malformed response frame: {e}"),
             Ok(Frame::Eof) => return answered,
             Ok(Frame::Cancelled) => panic!("round {round}: the server neither answered nor closed"),
             // A server that closes with unread input resets the

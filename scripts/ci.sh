@@ -117,6 +117,30 @@ echo "ci: cold sweep writes=$cold_writes, store holds $stored entries"
 echo "ci: wrote target/figures-{cold,warm,small}.txt, target/profile-report.json,"
 echo "ci:   and target/store-verify.json"
 
+# Store contract gate: a corrupt entry is a counted miss, never a crash.
+# In a copy of the warmed store (the serve smoke below reads the
+# original), one entry becomes 100,000 `[` bytes, nested far past the
+# JSON parser's bound. `verify` must finish, exit 1 (its status for a
+# corrupt store) and list exactly that file; `gc` must remove it; a
+# second `verify` must come back clean.
+cp -r "$store_dir/store" "$store_dir/deep"
+deep_entry=$(find "$store_dir/deep" -type f -name '*.json' | sort | head -1)
+head -c 100000 /dev/zero | tr '\0' '[' > "$deep_entry"
+deep_status=0
+./target/release/stats store verify "$store_dir/deep" \
+  > target/store-verify-deep.json || deep_status=$?
+[ "$deep_status" -eq 1 ] \
+  || { echo "ci: verify of a store with one deep entry exited $deep_status, expected 1" >&2; exit 1; }
+grep -q "\"ok\": $(( stored - 1 ))," target/store-verify-deep.json \
+  && grep -qF "\"$deep_entry\"" target/store-verify-deep.json \
+  || { echo "ci: verify did not list exactly the deep entry as corrupt" >&2; exit 1; }
+gc_out=$(./target/release/stats store gc "$store_dir/deep" 2>/dev/null)
+[ "$gc_out" = "kept $(( stored - 1 )) entries, removed 1 files" ] && [ ! -e "$deep_entry" ] \
+  || { echo "ci: gc did not remove exactly the deep entry: $gc_out" >&2; exit 1; }
+./target/release/stats store verify "$store_dir/deep" > /dev/null \
+  || { echo "ci: the store is still corrupt after gc" >&2; exit 1; }
+echo "ci: store gate: a 100,000-deep entry was verified corrupt and collected"
+
 # Service smoke: boot omega-serve (--jobs 4, memo capped at 2 entries so
 # the 4-spec batch *must* evict) against the store the figure sweep just
 # warmed, then drive the same batch through all four wire shapes —
