@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! figures <id>... [--tiny|--medium|--scale S] [--store PATH] [--jobs N]
+//! figures <id>... [--tiny|--scale S] [--store PATH] [--jobs N]
 //!                 [--profile] [--profile-out FILE] [--trace FILE]
 //! ids: table1 table2 table3 fig3 fig4a fig4b fig5 fig14 fig15 fig16 fig17
 //!      fig18 fig19 fig20 table4 fig21 abl-pisc abl-chunk abl-svb
@@ -186,7 +186,6 @@ fn sweep_pagerank(_: &mut Session) -> Vec<ExperimentSpec> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut tiny = false;
-    let mut medium = false;
     let mut scale_flag: Option<DatasetScale> = None;
     let mut store_path: Option<String> = None;
     let mut jobs: Option<usize> = None;
@@ -201,7 +200,6 @@ fn main() {
         }
         match arg.as_str() {
             "--tiny" => tiny = true,
-            "--medium" => medium = true,
             "--scale" => match it.next().map(|v| v.parse::<DatasetScale>()) {
                 Some(Ok(s)) => scale_flag = Some(s),
                 Some(Err(e)) => die(&e.to_string()),
@@ -231,8 +229,6 @@ fn main() {
     obs.install();
     let scale = scale_flag.unwrap_or(if tiny {
         DatasetScale::Tiny
-    } else if medium {
-        DatasetScale::Medium
     } else {
         DatasetScale::Small
     });

@@ -418,9 +418,10 @@ type KeyedReport = (ExperimentSpec, RunReport);
 /// One `(dataset, algorithm)` trace group: the unit of functional-trace
 /// sharing. Every machine in the group replays the *same* functional
 /// trace, so a batch of specs costs one trace per group, not one per
-/// spec. [`Session::prefetch`] and the `omega-serve` batch path both
-/// partition work with [`trace_groups`], so the two layers agree on what
-/// "compatible" means.
+/// spec. [`Session::prefetch`] partitions its pending specs with
+/// [`trace_groups`]. `omega-serve` does not call it: its admission queue
+/// keys each job by `(dataset, algo, scale)`, because one server answers
+/// every scale, and a worker traces each job once for all its machines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceGroup {
     /// The shared input graph.

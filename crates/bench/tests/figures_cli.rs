@@ -37,3 +37,13 @@ fn known_ids_render_in_the_order_given() {
     let t4 = stdout.find("==== table4:").expect("table4 banner");
     assert!(t3 < t4, "{stdout}");
 }
+
+#[test]
+fn unknown_flag_exits_2_before_any_output() {
+    // `--scale medium` is the one spelling of the medium scale.
+    let out = figures(&["table3", "--medium"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag \"--medium\""), "{err}");
+}

@@ -182,9 +182,10 @@ impl OpSource for LoweringStream<'_> {
 /// Lowers a collected trace into fully materialised per-core operation
 /// streams.
 ///
-/// Thin collecting wrapper over [`LoweringStream`] — kept for the trace
-/// tooling and the equivalence tests; the simulation paths replay the
-/// stream directly without materialising.
+/// Thin collecting wrapper over [`LoweringStream`] — kept for `figures
+/// abl-atomics`, which rewrites the lowered ops before replaying them, and
+/// for the equivalence tests; the simulation paths replay the stream
+/// directly without materialising.
 pub fn lower(raw: &RawTrace, layout: &Layout, target: Target) -> Vec<Trace> {
     let mut stream = LoweringStream::new(raw, layout, target);
     (0..stream.n_cores())

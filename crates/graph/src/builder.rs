@@ -4,8 +4,9 @@ use crate::{CsrGraph, GraphError, VertexId, Weight};
 ///
 /// The builder accepts edges in any order, optionally with weights, and on
 /// [`build`](GraphBuilder::build) sorts each adjacency list, removes
-/// duplicate arcs and self-loops (configurable), and constructs both the
-/// outgoing and incoming CSR views.
+/// duplicate arcs and (unless [`keep_self_loops`](GraphBuilder::keep_self_loops)
+/// is set) self-loops, and constructs both the outgoing and incoming CSR
+/// views.
 ///
 /// For an *undirected* builder every added edge `{u, v}` is materialised as
 /// the two arcs `u→v` and `v→u`, but counted once in
@@ -29,7 +30,6 @@ pub struct GraphBuilder {
     n: usize,
     directed: bool,
     keep_self_loops: bool,
-    keep_duplicates: bool,
     edges: Vec<(VertexId, VertexId)>,
     weights: Vec<Weight>,
     weighted: bool,
@@ -51,7 +51,6 @@ impl GraphBuilder {
             n,
             directed,
             keep_self_loops: false,
-            keep_duplicates: false,
             edges: Vec::new(),
             weights: Vec::new(),
             weighted: false,
@@ -64,20 +63,9 @@ impl GraphBuilder {
         self
     }
 
-    /// Keep parallel (duplicate) arcs instead of deduplicating at build time.
-    pub fn keep_duplicates(&mut self, keep: bool) -> &mut Self {
-        self.keep_duplicates = keep;
-        self
-    }
-
     /// Number of vertices the builder was created with.
     pub fn num_vertices(&self) -> usize {
         self.n
-    }
-
-    /// Number of edges added so far (before dedup).
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Adds an unweighted edge.
@@ -171,9 +159,7 @@ impl GraphBuilder {
             }
         }
         arcs.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        if !self.keep_duplicates {
-            arcs.dedup_by_key(|&mut (u, v, _)| (u, v));
-        }
+        arcs.dedup_by_key(|&mut (u, v, _)| (u, v));
 
         let (out_off, out_dst, out_wt) = Self::csr_from_sorted(self.n, &arcs, self.weighted);
 
@@ -241,15 +227,6 @@ mod tests {
         b.add_edge(0, 1).unwrap();
         b.add_edge(0, 1).unwrap();
         assert_eq!(b.build().num_edges(), 1);
-    }
-
-    #[test]
-    fn keeps_parallel_edges_when_asked() {
-        let mut b = GraphBuilder::directed(2);
-        b.keep_duplicates(true);
-        b.add_edge(0, 1).unwrap();
-        b.add_edge(0, 1).unwrap();
-        assert_eq!(b.build().num_edges(), 2);
     }
 
     #[test]

@@ -246,35 +246,6 @@ impl CsrGraph {
             .binary_search(&w)
             .is_ok()
     }
-
-    /// Decomposes the graph into its raw CSR parts
-    /// `(n, m, directed, out_off, out_dst, out_wt, in_off, in_src, in_wt)`.
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(
-        self,
-    ) -> (
-        usize,
-        u64,
-        bool,
-        Vec<u64>,
-        Vec<VertexId>,
-        Option<Vec<Weight>>,
-        Vec<u64>,
-        Vec<VertexId>,
-        Option<Vec<Weight>>,
-    ) {
-        (
-            self.n,
-            self.m,
-            self.directed,
-            self.out_off,
-            self.out_dst,
-            self.out_wt,
-            self.in_off,
-            self.in_src,
-            self.in_wt,
-        )
-    }
 }
 
 /// Iterator over the neighbors of a vertex, created by
@@ -448,13 +419,5 @@ mod tests {
             None,
         );
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn into_parts_roundtrips() {
-        let g = diamond();
-        let (n, m, d, oo, od, ow, io_, is_, iw) = g.clone().into_parts();
-        let g2 = CsrGraph::from_parts(n, m, d, oo, od, ow, io_, is_, iw).unwrap();
-        assert_eq!(g, g2);
     }
 }

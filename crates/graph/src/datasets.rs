@@ -38,7 +38,7 @@ pub enum DatasetScale {
     #[default]
     Small,
     /// Four times the Small vertex counts, for patient validation runs
-    /// (`figures --medium`). On-chip budgets are *not* rescaled, so hot
+    /// (`figures --scale medium`). On-chip budgets are *not* rescaled, so hot
     /// residency fractions drop accordingly — closer to the paper's large
     /// datasets.
     Medium,

@@ -12,7 +12,7 @@
 //! * [`grid_road`] — a 2-D lattice with random perturbation, matching the
 //!   flat degree distribution of the paper's roadNet-PA/CA and Western-USA
 //!   datasets (degree ≈ 2–4 everywhere, no hubs).
-//! * [`erdos_renyi`], [`star`], [`path`], [`complete`] — corner-case
+//! * [`star`], [`path`], [`complete`] — corner-case
 //!   structures used by the test suite.
 
 use crate::rng::SmallRng;
@@ -318,27 +318,6 @@ pub fn barabasi_albert(n: usize, m_per_vertex: u32, seed: u64) -> Result<CsrGrap
     Ok(b.build())
 }
 
-/// Generates a directed Erdős–Rényi `G(n, m)` graph with unit weights.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] if `n == 0`.
-pub fn erdos_renyi(n: usize, m: u64, seed: u64) -> Result<CsrGraph, GraphError> {
-    if n == 0 {
-        return Err(GraphError::InvalidParameter(
-            "erdos_renyi needs n > 0".into(),
-        ));
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::directed(n);
-    for _ in 0..m {
-        let u = rng.gen_range(0..n) as VertexId;
-        let v = rng.gen_range(0..n) as VertexId;
-        b.add_edge(u, v)?;
-    }
-    Ok(b.build())
-}
-
 /// A star: vertex 0 is connected to every other vertex (undirected).
 /// The most extreme possible degree skew.
 ///
@@ -473,13 +452,6 @@ mod tests {
         for v in 0..6 {
             assert_eq!(g.out_degree(v), 5);
         }
-    }
-
-    #[test]
-    fn erdos_renyi_samples_requested_edges() {
-        let g = erdos_renyi(100, 500, 1).unwrap();
-        assert!(g.num_edges() <= 500);
-        assert!(g.num_edges() > 400); // few collisions at this density
     }
 
     #[test]

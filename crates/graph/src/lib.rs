@@ -19,8 +19,6 @@
 //!   SlashBurn-like hub ordering).
 //! * [`slicing`] — the graph slicing schemes of §VII for graphs whose hot
 //!   vertex set exceeds on-chip storage.
-//! * [`dynamic`] — evolving graphs with incremental hot-set drift tracking
-//!   (the paper's §IX dynamic-graph extension).
 //! * [`datasets`] — a registry of scaled-down synthetic equivalents of the
 //!   twelve datasets in Table I.
 //!
@@ -45,7 +43,6 @@ mod csr;
 mod error;
 
 pub mod datasets;
-pub mod dynamic;
 pub mod generators;
 pub mod reorder;
 pub mod rng;

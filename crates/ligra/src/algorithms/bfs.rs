@@ -55,90 +55,6 @@ pub fn bfs(g: &CsrGraph, ctx: &mut Ctx<'_>, root: VertexId) -> Vec<u32> {
     ctx.extract(parent)
 }
 
-/// Direction-optimised BFS (Beamer's hybrid, which Ligra popularised):
-/// sparse frontiers push with check-then-CAS; dense frontiers switch to a
-/// *bottom-up* sweep in which every unvisited vertex scans its in-edges and
-/// stops at the first frontier parent — the early exit that makes the
-/// hybrid win on low-diameter natural graphs. Returns the same reachable
-/// set as [`bfs`]; parent choice may differ (any BFS parent is valid).
-///
-/// # Panics
-///
-/// Panics if `root` is out of range.
-pub fn bfs_auto(g: &CsrGraph, ctx: &mut Ctx<'_>, root: VertexId) -> Vec<u32> {
-    let n = g.num_vertices();
-    assert!((root as usize) < n, "root {root} out of range {n}");
-    let parent = ctx.new_prop::<u32>(n, NO_PARENT);
-    ctx.poke(parent, root, root);
-    let mut frontier = VertexSubset::single(n, root);
-    let threshold = g.num_arcs() / ctx.config().dense_threshold_div.max(1);
-    let per_vertex = ctx.config().compute_per_vertex_x100;
-    let per_edge = ctx.config().compute_per_edge_x100;
-    while !frontier.is_empty() {
-        let ids = frontier.to_ids();
-        let out_edges: u64 = ids.iter().map(|&u| g.out_degree(u) as u64).sum();
-        if frontier.len() as u64 + out_edges <= threshold {
-            // Top-down (push) step, as in `bfs`.
-            frontier = edge_map(
-                g,
-                ctx,
-                &frontier,
-                Direction::Push,
-                &mut |ctx, core, u, v, _w, _pull| {
-                    if ctx.read(core, parent, v) != NO_PARENT {
-                        return Activation::None;
-                    }
-                    let (old, _) =
-                        ctx.atomic(core, parent, v, AtomicKind::UnsignedCompareSet, |p| {
-                            if p == NO_PARENT {
-                                u
-                            } else {
-                                p
-                            }
-                        });
-                    if old == NO_PARENT {
-                        Activation::ActivatedFused
-                    } else {
-                        Activation::None
-                    }
-                },
-                None,
-            );
-        } else {
-            // Bottom-up step with early exit: every *unvisited* vertex scans
-            // its in-edges for a frontier member.
-            let mut dense = frontier.clone();
-            dense.densify();
-            let mut flags = vec![false; n];
-            let mut count = 0usize;
-            for v in 0..n as VertexId {
-                let core = ctx.config().core_of(v as usize);
-                ctx.trace_compute(core, per_vertex);
-                if ctx.read(core, parent, v) != NO_PARENT {
-                    continue;
-                }
-                let first_arc = g.in_offset(v);
-                for (k, u) in g.in_neighbors(v).enumerate() {
-                    ctx.trace_edge(core, first_arc + k as u64);
-                    ctx.trace_compute(core, per_edge);
-                    ctx.trace_frontier_read(core, u as u64 / 64, true);
-                    if dense.contains(u) {
-                        // Single-writer in bottom-up: a plain store suffices.
-                        ctx.write(core, parent, v, u);
-                        ctx.trace_frontier_write(core, v, true, false);
-                        flags[v as usize] = true;
-                        count += 1;
-                        break; // early exit — the hybrid's whole point
-                    }
-                }
-            }
-            frontier = VertexSubset::Dense { flags, count };
-        }
-        ctx.barrier();
-    }
-    ctx.extract(parent)
-}
-
 /// Reference BFS depths for validation (`u32::MAX` = unreached).
 pub fn bfs_depths_reference(g: &CsrGraph, root: VertexId) -> Vec<u32> {
     let n = g.num_vertices();
@@ -231,42 +147,6 @@ mod tests {
         // so atomics == discovered vertices − 1 at most; far below reads.
         assert!(c.prop_atomics < c.prop_reads / 2, "{c:?}");
         assert!(c.prop_atomics <= g.num_vertices() as u64);
-    }
-
-    #[test]
-    fn auto_bfs_reaches_the_same_set_with_valid_parents() {
-        let g = generators::rmat(8, 10, generators::RmatParams::default(), 6).unwrap();
-        let root = (0..g.num_vertices() as u32)
-            .max_by_key(|&v| g.out_degree(v))
-            .unwrap();
-        let mut t = NullTracer;
-        let mut ctx = Ctx::new(ExecConfig::default(), &mut t);
-        let parents = bfs_auto(&g, &mut ctx, root);
-        assert_valid_parents(&g, root, &parents);
-    }
-
-    #[test]
-    fn auto_bfs_switches_to_bottom_up_on_dense_frontiers() {
-        // A hub-dominated graph makes the second frontier huge: the hybrid
-        // must take the bottom-up branch, whose trace has *no* atomics.
-        let g = generators::rmat(8, 10, generators::RmatParams::default(), 6).unwrap();
-        let root = (0..g.num_vertices() as u32)
-            .max_by_key(|&v| g.out_degree(v))
-            .unwrap();
-        let mut t = CollectingTracer::new(16);
-        let mut ctx = Ctx::new(ExecConfig::default(), &mut t);
-        bfs_auto(&g, &mut ctx, root);
-        let c = t.finish().classify();
-        let mut t2 = CollectingTracer::new(16);
-        let mut ctx2 = Ctx::new(ExecConfig::default(), &mut t2);
-        bfs(&g, &mut ctx2, root);
-        let c2 = t2.finish().classify();
-        assert!(
-            c.prop_atomics < c2.prop_atomics,
-            "hybrid must replace CAS discoveries with bottom-up stores: {} vs {}",
-            c.prop_atomics,
-            c2.prop_atomics
-        );
     }
 
     #[test]

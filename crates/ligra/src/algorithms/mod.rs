@@ -16,7 +16,7 @@ mod sssp;
 mod tc;
 
 pub use bc::{bc, bc_reference};
-pub use bfs::{bfs, bfs_auto, bfs_depths_reference, NO_PARENT};
+pub use bfs::{bfs, bfs_depths_reference, NO_PARENT};
 pub use cc::{cc, cc_reference};
 pub use kcore::{kcore, kcore_reference};
 pub use pagerank::{pagerank, pagerank_pull, pagerank_reference, DAMPING};

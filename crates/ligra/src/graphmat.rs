@@ -63,43 +63,6 @@ pub fn pagerank_graphmat(g: &CsrGraph, ctx: &mut Ctx<'_>, iters: u32) -> Vec<f64
     ctx.extract(rank)
 }
 
-/// GraphMat-style SSSP: rounds of gather-direction relaxation with
-/// destination partitioning (no atomics; every vertex re-gathers its
-/// in-edges each round until no distance changes).
-pub fn sssp_graphmat(g: &CsrGraph, ctx: &mut Ctx<'_>, root: VertexId) -> Vec<i32> {
-    let n = g.num_vertices();
-    assert!((root as usize) < n, "root {root} out of range {n}");
-    let dist = ctx.new_prop::<i32>(n, i32::MAX);
-    ctx.poke(dist, root, 0);
-    let per_edge = ctx.config().compute_per_edge_x100;
-    for _ in 0..n {
-        let mut changed = false;
-        for v in 0..n as VertexId {
-            let core = ctx.config().core_of(v as usize);
-            ctx.trace_ngraph(core);
-            let first_arc = g.in_offset(v);
-            let mut best = ctx.read(core, dist, v);
-            for (k, (u, w)) in g.in_neighbors_weighted(v).enumerate() {
-                ctx.trace_edge(core, first_arc + k as u64);
-                ctx.trace_compute(core, per_edge);
-                let du = ctx.read_src(core, dist, u);
-                if du != i32::MAX {
-                    best = best.min(du.saturating_add(w as i32));
-                }
-            }
-            if best < ctx.peek(dist, v) {
-                ctx.write(core, dist, v, best);
-                changed = true;
-            }
-        }
-        ctx.barrier();
-        if !changed {
-            break;
-        }
-    }
-    ctx.extract(dist)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,24 +93,6 @@ mod tests {
         assert_eq!(c.prop_atomics, 0, "GraphMat partitions instead of locking");
         assert!(c.prop_reads > 0);
         assert!(c.edge_reads > 0);
-    }
-
-    #[test]
-    fn graphmat_sssp_matches_dijkstra() {
-        let g = generators::grid_road(7, 7, 0.1, 20, 4).unwrap();
-        let mut t = NullTracer;
-        let mut ctx = Ctx::new(ExecConfig::default(), &mut t);
-        let gm = sssp_graphmat(&g, &mut ctx, 0);
-        assert_eq!(gm, algorithms::sssp_reference(&g, 0));
-    }
-
-    #[test]
-    fn graphmat_sssp_on_directed_graph() {
-        let g = generators::rmat(6, 6, generators::RmatParams::default(), 8).unwrap();
-        let mut t = NullTracer;
-        let mut ctx = Ctx::new(ExecConfig::default(), &mut t);
-        let gm = sssp_graphmat(&g, &mut ctx, 0);
-        assert_eq!(gm, algorithms::sssp_reference(&g, 0));
     }
 
     #[test]

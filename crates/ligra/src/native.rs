@@ -2,11 +2,11 @@
 //! CMP, rather than as a workload generator for the simulated one.
 //!
 //! These implementations mirror the traced algorithms' structure (push-style
-//! scatter with atomic updates, level-synchronous frontiers) but run on
-//! host threads with real `std::sync::atomic` operations — including the
-//! same atomic kinds Table II lists: CAS-loops for floating-point add,
-//! `fetch_min` for distances, compare-exchange for BFS parents. They are
-//! validated against the sequential reference implementations.
+//! scatter with atomic updates, frontier rounds) but run on host threads
+//! with real `std::sync::atomic` operations — including the atomic kinds
+//! Table II lists: CAS-loops for floating-point add and `fetch_min` for
+//! distances. They are validated against the sequential reference
+//! implementations.
 //!
 //! Work partitioning matches the simulated framework's OpenMP-style static
 //! chunking, so the native path is also a sanity check that the partitioned
@@ -16,7 +16,7 @@
 
 use crate::algorithms::DAMPING;
 use omega_graph::{CsrGraph, VertexId};
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
 
 /// Chunk size for static work partitioning (matches
 /// [`crate::ExecConfig::chunk_size`]'s role).
@@ -99,41 +99,6 @@ pub fn pagerank_parallel(g: &CsrGraph, iters: u32, threads: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Parallel level-synchronous BFS; returns a valid parent array
-/// (`u32::MAX` = unreached). Parent *choice* may differ from the sequential
-/// run (any shortest-path parent is valid), depths always agree.
-pub fn bfs_parallel(g: &CsrGraph, root: VertexId, threads: usize) -> Vec<u32> {
-    let n = g.num_vertices();
-    assert!((root as usize) < n, "root {root} out of range {n}");
-    let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
-    parent[root as usize].store(root, Ordering::Relaxed);
-    let mut frontier = vec![root];
-    while !frontier.is_empty() {
-        let next: std::sync::Mutex<Vec<VertexId>> = std::sync::Mutex::new(Vec::new());
-        let frontier_ref = &frontier;
-        let parent_ref = &parent;
-        let next_ref = &next;
-        parallel_for(threads, frontier.len(), move |range| {
-            let mut local = Vec::new();
-            for &u in &frontier_ref[range] {
-                for v in g.out_neighbors(u) {
-                    if parent_ref[v as usize].load(Ordering::Relaxed) == u32::MAX
-                        && parent_ref[v as usize]
-                            .compare_exchange(u32::MAX, u, Ordering::AcqRel, Ordering::Relaxed)
-                            .is_ok()
-                    {
-                        local.push(v);
-                    }
-                }
-            }
-            next_ref.lock().expect("no poisoned frontier").extend(local);
-        });
-        frontier = next.into_inner().expect("no poisoned frontier");
-        frontier.sort_unstable();
-    }
-    parent.into_iter().map(AtomicU32::into_inner).collect()
-}
-
 /// Parallel SSSP (Bellman-Ford over frontiers) with `fetch_min` relaxation;
 /// exact distances, identical to the sequential result.
 pub fn sssp_parallel(g: &CsrGraph, root: VertexId, threads: usize) -> Vec<i32> {
@@ -179,35 +144,6 @@ pub fn sssp_parallel(g: &CsrGraph, root: VertexId, threads: usize) -> Vec<i32> {
     dist.into_iter().map(AtomicI32::into_inner).collect()
 }
 
-/// Parallel connected components by label propagation (`fetch_min` on
-/// labels); exact, equal to the sequential result.
-///
-/// # Panics
-///
-/// Panics if `g` is directed.
-pub fn cc_parallel(g: &CsrGraph, threads: usize) -> Vec<u32> {
-    assert!(!g.is_directed(), "cc requires an undirected graph");
-    let n = g.num_vertices();
-    let labels: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    let changed = AtomicBool::new(true);
-    while changed.swap(false, Ordering::AcqRel) {
-        let labels_ref = &labels;
-        let changed_ref = &changed;
-        parallel_for(threads, n, move |range| {
-            for u in range {
-                let lu = labels_ref[u].load(Ordering::Relaxed);
-                for v in g.out_neighbors(u as VertexId) {
-                    let old = labels_ref[v as usize].fetch_min(lu, Ordering::AcqRel);
-                    if lu < old {
-                        changed_ref.store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-        });
-    }
-    labels.into_iter().map(AtomicU32::into_inner).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,37 +169,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_bfs_depths_match_reference() {
-        let g = rmat();
-        let root = (0..g.num_vertices() as u32)
-            .max_by_key(|&v| g.out_degree(v))
-            .unwrap();
-        let parents = bfs_parallel(&g, root, 8);
-        let depths = algorithms::bfs_depths_reference(&g, root);
-        for v in 0..g.num_vertices() {
-            let p = parents[v];
-            if v as u32 == root {
-                assert_eq!(p, root);
-            } else if depths[v] == u32::MAX {
-                assert_eq!(p, u32::MAX);
-            } else {
-                assert!(g.has_edge(p, v as u32), "parent edge must exist");
-                assert_eq!(depths[v], depths[p as usize] + 1, "parent one level up");
-            }
-        }
-    }
-
-    #[test]
     fn parallel_sssp_equals_dijkstra() {
         let g = generators::grid_road(16, 16, 0.2, 50, 9).unwrap();
         let par = sssp_parallel(&g, 0, 8);
         assert_eq!(par, algorithms::sssp_reference(&g, 0));
-    }
-
-    #[test]
-    fn parallel_cc_equals_union_find() {
-        let g = generators::rmat_undirected(8, 4, generators::RmatParams::default(), 6).unwrap();
-        assert_eq!(cc_parallel(&g, 8), algorithms::cc_reference(&g));
     }
 
     #[test]
@@ -296,7 +205,7 @@ mod tests {
         let g = omega_graph::GraphBuilder::directed(0).build();
         assert!(pagerank_parallel(&g, 1, 4).is_empty());
         let g = generators::path(3).unwrap();
-        let r = std::panic::catch_unwind(|| bfs_parallel(&g, 9, 2));
+        let r = std::panic::catch_unwind(|| sssp_parallel(&g, 9, 2));
         assert!(r.is_err(), "out-of-range root must panic");
     }
 }

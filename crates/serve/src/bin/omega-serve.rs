@@ -11,6 +11,7 @@
 //! drains and exits. Obs flags profile the whole server lifetime: the
 //! profile/trace is written after the drain completes.
 
+use omega_core::OmegaError;
 use omega_serve::{serve, ServeConfig};
 use std::process::ExitCode;
 
@@ -72,6 +73,7 @@ fn main() -> ExitCode {
     let queue = config.queue_depth;
     let handle = match serve(config) {
         Ok(h) => h,
+        Err(e @ OmegaError::InvalidConfig(_)) => return fail(&e.to_string()),
         Err(e) => {
             eprintln!("omega-serve: {e}");
             return ExitCode::FAILURE;

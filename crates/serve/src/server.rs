@@ -28,14 +28,15 @@
 //! client that pipelines faster than the server answers, and a client
 //! that stops reading is dropped once a response write has made no
 //! progress for [`WRITE_TIMEOUT`]. Admission is
-//! at **group** granularity: a queued job is keyed by
-//! `(dataset, algo, scale)` and a compatible request joins it instead of
-//! consuming a slot — the functional trace is shared exactly like
-//! [`Session::prefetch`](omega_bench::session::Session::prefetch)
-//! (both group by the `(dataset, algo)` key of
-//! [`omega_bench::session::trace_groups`]). Shutdown (`shutdown`
-//! request) closes the queue, stops accepting, and drains: every
-//! admitted request still receives its response.
+//! at **group** granularity: `batch_request` gathers a batch's cold runs
+//! into jobs keyed by `(dataset, algo, scale)`, and the queue merges a job
+//! into a queued one with the same key instead of giving it a slot. A
+//! worker builds the job's graph and functional trace once and replays
+//! every member on it, as
+//! [`Session::prefetch`](omega_bench::session::Session::prefetch) does
+//! for each `(dataset, algo)` group of its single scale. Shutdown
+//! (`shutdown` request) closes the queue, stops accepting, and drains:
+//! every admitted request still receives its response.
 
 use crate::flight::{Flight, FlightResult, Flights, Registry, Ticket};
 use crate::memo::Memo;
@@ -68,7 +69,7 @@ pub struct ServeConfig {
     /// [`ServerHandle::addr`] for the actual one).
     pub addr: String,
     /// Worker-pool size: how many group jobs compute at once, like
-    /// `Session::jobs`. Each replay is serial.
+    /// `Session::jobs`. Each replay is serial. At most [`MAX_WORKERS`].
     pub jobs: usize,
     /// Admission-queue capacity, in **group jobs**. A full queue sheds
     /// with `busy`; a request compatible with an already-queued group
@@ -97,6 +98,12 @@ impl Default for ServeConfig {
         }
     }
 }
+
+/// Largest `jobs` that [`serve`] accepts. The pool's threads start up
+/// front and each replay is serial, so this sits far above any host's
+/// `available_parallelism()`; a larger request is refused rather than
+/// asked of the OS.
+pub const MAX_WORKERS: usize = 256;
 
 impl ServeConfig {
     /// Actual worker-pool size: `jobs`, at least one.
@@ -303,7 +310,19 @@ impl ServerHandle {
 }
 
 /// Binds, spawns the accept loop and worker pool, and returns.
+///
+/// # Errors
+///
+/// [`OmegaError::InvalidConfig`] if `jobs` exceeds [`MAX_WORKERS`],
+/// before anything is bound or spawned; otherwise the bind or store
+/// error, or a failed thread spawn.
 pub fn serve(config: ServeConfig) -> Result<ServerHandle, OmegaError> {
+    if config.jobs > MAX_WORKERS {
+        return Err(OmegaError::InvalidConfig(format!(
+            "jobs {} exceeds the worker-pool bound of {MAX_WORKERS}",
+            config.jobs
+        )));
+    }
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let store = match &config.store {

@@ -9,8 +9,9 @@ mod common;
 
 use common::{await_stats, counter, expected_payload, spec, SCALE};
 use omega_bench::session::{AlgoKey, MachineKind};
+use omega_core::OmegaError;
 use omega_serve::proto::{Request, RunRequest};
-use omega_serve::server::MAX_IN_FLIGHT;
+use omega_serve::server::{MAX_IN_FLIGHT, MAX_WORKERS};
 use omega_serve::{serve, Client, Response, ServeConfig};
 
 #[test]
@@ -327,4 +328,33 @@ fn shutdown_drains_inflight_work_then_refuses_connections() {
         Client::connect(addr).is_err(),
         "the listener is gone after the drain"
     );
+}
+
+/// A worker pool past `MAX_WORKERS` is refused before the server binds
+/// or spawns anything: the address below is already taken, so a server
+/// that tried to bind would fail with an I/O error instead.
+#[test]
+fn oversized_worker_pool_is_refused_before_binding() {
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = taken.local_addr().expect("addr").to_string();
+    let refused = serve(ServeConfig {
+        addr: addr.clone(),
+        jobs: MAX_WORKERS + 1,
+        ..ServeConfig::default()
+    });
+    match refused {
+        Err(OmegaError::InvalidConfig(msg)) => {
+            assert!(msg.contains(&MAX_WORKERS.to_string()), "{msg}")
+        }
+        Err(e) => panic!("expected invalid-config, got {e}"),
+        Ok(_) => panic!("an oversized pool must be refused"),
+    }
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_omega-serve"))
+        .args(["--addr", &addr, "--jobs", &(MAX_WORKERS + 1).to_string()])
+        .output()
+        .expect("run omega-serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("worker-pool bound"), "{stderr}");
 }

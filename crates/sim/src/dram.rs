@@ -128,13 +128,6 @@ impl DramModel {
         )
     }
 
-    /// Issues an access of `bytes` under the configured default row policy
-    /// (word-granularity DRAM access is one of the paper's §IX future-work
-    /// extensions; the model supports it so the ablation can explore it).
-    pub fn access_bytes(&mut self, addr: u64, bytes: u32, is_write: bool, now: Cycle) -> Cycle {
-        self.access(addr, bytes, is_write, self.cfg.default_mode, now)
-    }
-
     /// Issues an access with an explicit row-buffer policy — the hook for
     /// the paper's §IX.3 hybrid page policy (close-page for cold vtxProp,
     /// open-page for streamed structures).
@@ -351,7 +344,7 @@ mod tests {
     #[test]
     fn word_access_occupies_less() {
         let mut d = model();
-        let base = d.access_bytes(0, 8, false, 0);
+        let base = d.access(0, 8, false, RowMode::ClosePage, 0);
         assert_eq!(base, 100 + 2); // ceil(8/6.4)=2
         assert_eq!(d.stats().bytes, 8);
     }

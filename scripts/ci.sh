@@ -11,6 +11,14 @@ cargo test -q --workspace
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Examples gate: the build above compiles every example, and each must also
+# run to exit 0, so an example that panics fails CI.
+for src in examples/*.rs; do
+  example=$(basename "$src" .rs)
+  ./target/release/examples/"$example" > "target/example-$example.txt"
+  echo "ci: example $example ran"
+done
+
 # Machine-readable smoke artifacts: the validation report and one telemetry
 # dump (exercises the --json path and the stats binary end to end).
 cargo run --release -q -p omega-bench --bin validate -- --json \
@@ -124,7 +132,9 @@ echo "ci:   and target/store-verify.json"
 # corrupt store) and list exactly that file; `gc` must remove it; a
 # second `verify` must come back clean.
 cp -r "$store_dir/store" "$store_dir/deep"
-deep_entry=$(find "$store_dir/deep" -type f -name '*.json' | sort | head -1)
+# `sed -n 1p` reads all its input: `head -1` could exit while `sort` is
+# still writing, and the SIGPIPE then fails the script under pipefail.
+deep_entry=$(find "$store_dir/deep" -type f -name '*.json' | sort | sed -n 1p)
 head -c 100000 /dev/zero | tr '\0' '[' > "$deep_entry"
 deep_status=0
 ./target/release/stats store verify "$store_dir/deep" \

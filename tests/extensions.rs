@@ -1,13 +1,12 @@
 //! Integration tests for the implemented future-work extensions (§IX, §VII,
-//! §V.F): dynamic graphs, off-chip extensions, slicing, and the
-//! GraphMat-style execution mode, all through the public APIs.
+//! §V.F): off-chip extensions, slicing, and the GraphMat-style execution
+//! mode, all through the public APIs.
 
 use omega_repro::core::config::{
     MemoryModel, OffchipExtensions, OmegaConfig, PinOrder, SystemConfig,
 };
 use omega_repro::core::runner::{replay, trace_algorithm, RunReport, Runner};
 use omega_repro::graph::datasets::{Dataset, DatasetScale};
-use omega_repro::graph::dynamic::DynamicGraph;
 use omega_repro::graph::{reorder, slicing};
 use omega_repro::ligra::algorithms::Algo;
 use omega_repro::ligra::trace::CollectingTracer;
@@ -109,33 +108,6 @@ fn zero_budget_pinned_machine_is_the_baseline() {
             }
         }
     }
-}
-
-#[test]
-fn dynamic_graph_roundtrips_through_the_simulator() {
-    let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
-    let hot = g.num_vertices() / 5;
-    let mut dyn_g = DynamicGraph::from_graph(&g, hot);
-    // Stream in edges toward cold vertices until re-ordering is warranted.
-    let n = dyn_g.num_vertices() as u32;
-    let mut inserted = 0;
-    for u in 0..n {
-        if dyn_g.needs_reorder(0.02) {
-            break;
-        }
-        dyn_g.insert_edge(u, n - 1 - (u % 8)).unwrap();
-        inserted += 1;
-    }
-    assert!(inserted > 0);
-    let (snapshot, _) = dyn_g.snapshot();
-    assert!(
-        !dyn_g.needs_reorder(0.02),
-        "snapshot re-identifies the hot set"
-    );
-    // The re-reordered snapshot is a valid simulation input.
-    let r = Runner::new(SystemConfig::mini_omega()).run(&snapshot, Algo::PageRank { iters: 1 });
-    assert!(r.total_cycles > 0);
-    assert!(r.hot_count > 0);
 }
 
 #[test]
