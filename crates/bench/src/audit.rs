@@ -53,19 +53,22 @@ pub struct FuzzCase {
 }
 
 impl FuzzCase {
-    /// The experiment coordinates of this case (telemetry and row policy
-    /// are machine-configuration overlays, not spec coordinates).
+    /// The experiment coordinates of this case, telemetry included (the
+    /// row policy is a machine-configuration overlay, not a coordinate).
     pub fn spec(&self) -> ExperimentSpec {
-        ExperimentSpec::new(self.dataset, self.algo, self.machine)
+        ExperimentSpec {
+            telemetry: if self.telemetry {
+                TelemetryConfig::windowed(1024)
+            } else {
+                TelemetryConfig::off()
+            },
+            ..ExperimentSpec::new(self.dataset, self.algo, self.machine)
+        }
     }
 
     /// The fully resolved machine configuration this case simulates.
     pub fn system(&self) -> SystemConfig {
-        let mut sys = self.spec().system(if self.telemetry {
-            TelemetryConfig::windowed(1024)
-        } else {
-            TelemetryConfig::off()
-        });
+        let mut sys = self.spec().system();
         if self.open_page {
             sys.machine.dram.default_mode = RowMode::OpenPage;
         }

@@ -17,7 +17,7 @@
 
 use omega_bench::audit::Fuzzer;
 use omega_bench::json::Json;
-use omega_bench::session::{AlgoKey, MachineKind, Session};
+use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind, Session};
 use omega_bench::ObsOptions;
 use omega_core::runner::{timing_replay_count, Runner};
 use omega_graph::datasets::{Dataset, DatasetScale};
@@ -95,12 +95,13 @@ const MACHINES: [MachineKind; 10] = [
 fn warm_store_check() -> Check {
     let dir = std::env::temp_dir().join(format!("omega-audit-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let spec = (Dataset::Sd, AlgoKey::PageRank, MachineKind::Omega);
+    let spec = ExperimentSpec {
+        telemetry: TelemetryConfig::windowed(1024),
+        ..ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, MachineKind::Omega)
+    };
     let result = (|| -> Result<(bool, String), String> {
-        let telemetry = TelemetryConfig::windowed(1024);
         let cold = Session::new(DatasetScale::Tiny)
             .verbose(false)
-            .telemetry(telemetry)
             .with_store(&dir)
             .map_err(|e| e.to_string())?
             .report(spec)
@@ -108,7 +109,6 @@ fn warm_store_check() -> Check {
         let replays_cold = timing_replay_count();
         let warm = Session::new(DatasetScale::Tiny)
             .verbose(false)
-            .telemetry(telemetry)
             .with_store(&dir)
             .map_err(|e| e.to_string())?
             .report(spec)
@@ -161,17 +161,20 @@ fn main() -> ExitCode {
         AlgoKey::ALL.to_vec()
     };
     let g = session.graph(Dataset::Sd).clone();
+    let observed = |m: MachineKind| {
+        let mut sys = m.system();
+        sys.machine.telemetry = TelemetryConfig::windowed(1024);
+        sys
+    };
     for algo in sweep_algos {
         if !algo.algo(&g).supports(&g) {
             continue;
         }
-        let mut runner = Runner::new(MACHINES[0].system());
-        for m in &MACHINES[1..] {
-            runner = runner.also(m.system());
+        let mut runner = Runner::new(observed(MACHINES[0]));
+        for &m in &MACHINES[1..] {
+            runner = runner.also(observed(m));
         }
-        let audited = runner
-            .telemetry(TelemetryConfig::windowed(1024))
-            .run_many_audited(&g, algo.algo(&g));
+        let audited = runner.run_many_audited(&g, algo.algo(&g));
         for ((report, audit), machine) in audited.into_iter().zip(MACHINES) {
             checks.push(Check {
                 name: format!("{} on sd@{} conserves", algo.name(), machine.label()),

@@ -37,7 +37,7 @@
 
 use omega_bench::json::Json;
 use omega_bench::session::{paper_sweep, AlgoKey, MachineKind, Session, SWEEP, SWEEP_ALGOS};
-use omega_bench::store::{value_fingerprint, StoreCounters};
+use omega_bench::store::value_fingerprint;
 use omega_bench::{ExperimentSpec, ObsOptions, Table};
 use omega_core::analytic::{estimate, WorkloadProfile};
 use omega_core::config::SystemConfig;
@@ -57,7 +57,7 @@ use omega_sim::telemetry::TelemetryConfig;
 /// One experiment of the evaluation.
 struct Experiment {
     id: &'static str,
-    render: fn(&mut Figures),
+    render: fn(&mut Session),
     /// The session runs `render` reads. `main` prefetches them for every
     /// selected experiment at once, so each report a render asks for is
     /// already memoised.
@@ -70,7 +70,7 @@ struct Experiment {
 impl Experiment {
     const fn new(
         id: &'static str,
-        render: fn(&mut Figures),
+        render: fn(&mut Session),
         runs: fn(&mut Session) -> Vec<ExperimentSpec>,
         caption: &'static str,
     ) -> Self {
@@ -148,9 +148,7 @@ const EXPERIMENTS: [Experiment; 28] = [
     // includes it, and `all` must keep reproducing both.
     Experiment { in_all: false, ..Experiment::new("abl-atomics", abl_atomics, no_runs,
         "§III atomic-instruction overhead on the baseline (paper: up to 50%)") },
-    // Its runs carry telemetry, so they come from the figure's own
-    // session, which prefetches them itself.
-    Experiment::new("telemetry", telemetry, no_runs,
+    Experiment::new("telemetry", telemetry, telemetry_runs,
         "stall attribution and DRAM bandwidth utilisation over time"),
 ];
 
@@ -247,31 +245,17 @@ fn main() {
         .flat_map(|e| (e.runs)(&mut session))
         .collect();
     session.prefetch(&runs);
-    let mut f = Figures {
-        s: session,
-        tel: None,
-    };
     for e in selected {
         let _fig = obs::span_owned(format!("figure.{}", e.id));
         println!("\n==== {}: {} ====", e.id, e.caption);
-        (e.render)(&mut f);
+        (e.render)(&mut session);
     }
 
     // One machine-greppable summary line: how much the store served and how
     // much tracing/replaying this process still had to do. A fully warm
     // store shows `traces=0 replays=0`.
-    if store_path.is_some() {
-        let mut c = StoreCounters::default();
-        for st in [f.s.store(), f.tel.as_ref().and_then(Session::store)]
-            .into_iter()
-            .flatten()
-        {
-            let k = st.counters();
-            c.hits += k.hits;
-            c.misses += k.misses;
-            c.corrupt += k.corrupt;
-            c.writes += k.writes;
-        }
+    if let Some(store) = session.store() {
+        let c = store.counters();
         eprintln!(
             "[store] hits={} misses={} corrupt={} writes={} traces={} replays={}",
             c.hits,
@@ -307,55 +291,44 @@ fn select(ids: &[String]) -> Result<Vec<&'static Experiment>, &str> {
     })
 }
 
-/// The context every render takes.
-struct Figures {
-    /// Memoises every session run and graph; its store, when attached,
-    /// also caches the trace-derived figure values.
-    s: Session,
-    /// The telemetry figure's session, built on first use.
-    tel: Option<Session>,
+/// A trace-derived figure value that does not pass through
+/// [`Session::report`] (access-share fractions, trace classification
+/// mixes, ablation cycle counts): the value `s`'s store holds under
+/// `(kind, exec, parts)`, or computed, persisted and returned. Both paths
+/// go through `decode`, so warm and cold runs format identical numbers; a
+/// stale or malformed payload (impossible without a format bug, but cheap
+/// to guard) falls back to recomputation.
+fn value<T>(
+    s: &Session,
+    kind: &str,
+    label: &str,
+    exec: &ExecConfig,
+    parts: impl Fn(&mut Fnv64),
+    decode: impl Fn(&Json) -> Option<T>,
+    compute: impl FnOnce() -> Json,
+) -> T {
+    let fresh = |v: &Json| decode(v).expect("freshly computed figure value decodes");
+    let Some(store) = s.store() else {
+        return fresh(&compute());
+    };
+    let fp = value_fingerprint(kind, s.scale().code(), exec, parts);
+    if let Some(v) = store.load_value(fp) {
+        if let Some(t) = decode(&v) {
+            return t;
+        }
+    }
+    let v = compute();
+    let t = fresh(&v);
+    if let Err(e) = store.store_value(fp, label, v) {
+        eprintln!("  [store] warning: failed to persist {label}: {e}");
+    }
+    t
 }
 
-impl Figures {
-    /// A trace-derived figure value that does not pass through
-    /// [`Session::report`] (access-share fractions, trace classification
-    /// mixes, ablation cycle counts): the stored value under `(kind, exec,
-    /// parts)`, or computed, persisted and returned. Both paths go through
-    /// `decode`, so warm and cold runs format identical numbers; a stale or
-    /// malformed payload (impossible without a format bug, but cheap to
-    /// guard) falls back to recomputation.
-    fn value<T>(
-        &self,
-        kind: &str,
-        label: &str,
-        exec: &ExecConfig,
-        parts: impl Fn(&mut Fnv64),
-        decode: impl Fn(&Json) -> Option<T>,
-        compute: impl FnOnce() -> Json,
-    ) -> T {
-        let fresh = |v: &Json| decode(v).expect("freshly computed figure value decodes");
-        let Some(store) = self.s.store() else {
-            return fresh(&compute());
-        };
-        let fp = value_fingerprint(kind, self.s.scale().code(), exec, parts);
-        if let Some(v) = store.load_value(fp) {
-            if let Some(t) = decode(&v) {
-                return t;
-            }
-        }
-        let v = compute();
-        let t = fresh(&v);
-        if let Err(e) = store.store_value(fp, label, v) {
-            eprintln!("  [store] warning: failed to persist {label}: {e}");
-        }
-        t
-    }
-
-    /// The baseline and OMEGA reports of one workload.
-    fn pair(&mut self, d: Dataset, a: AlgoKey) -> (RunReport, RunReport) {
-        let base = self.s.report((d, a, MachineKind::Baseline)).clone();
-        (base, self.s.report((d, a, MachineKind::Omega)).clone())
-    }
+/// The baseline and OMEGA reports of one workload.
+fn pair(s: &mut Session, d: Dataset, a: AlgoKey) -> (RunReport, RunReport) {
+    let base = s.report((d, a, MachineKind::Baseline)).clone();
+    (base, s.report((d, a, MachineKind::Omega)).clone())
 }
 
 /// Lossless f64 encoding for cached figure values (bit-pattern hex, same
@@ -387,8 +360,7 @@ fn pct(x: f64) -> String {
 }
 
 /// Table I — dataset characterisation.
-fn table1(f: &mut Figures) {
-    let s = &mut f.s;
+fn table1(s: &mut Session) {
     let mut t = Table::new([
         "dataset",
         "#V",
@@ -428,8 +400,8 @@ fn table1(f: &mut Figures) {
 }
 
 /// Table II — algorithm characterisation (static spec + measured rates).
-fn table2(f: &mut Figures) {
-    let g = f.s.graph(Dataset::Ap).clone(); // symmetric: every algorithm runs
+fn table2(s: &mut Session) {
+    let g = s.graph(Dataset::Ap).clone(); // symmetric: every algorithm runs
     let mut t = Table::new([
         "algo",
         "atomic op",
@@ -443,7 +415,8 @@ fn table2(f: &mut Figures) {
     for key in AlgoKey::ALL {
         let algo = key.algo(&g);
         let spec = algo.spec();
-        let (atomic, random, monitored) = f.value(
+        let (atomic, random, monitored) = value(
+            s,
             "table2-trace-class",
             &format!("table2-{}-{}", key.name(), Dataset::Ap.code()),
             &ExecConfig::default(),
@@ -484,7 +457,7 @@ fn table2(f: &mut Figures) {
 }
 
 /// Table III — experimental setup dump.
-fn table3(_: &mut Figures) {
+fn table3(_: &mut Session) {
     let base = SystemConfig::mini_baseline();
     let omega = SystemConfig::mini_omega();
     let m = base.machine;
@@ -551,8 +524,7 @@ const FIG3_ROWS: [(Dataset, AlgoKey); 5] = [
 ];
 
 /// Fig. 3 — TMAM-style execution breakdown on the baseline.
-fn fig3(f: &mut Figures) {
-    let s = &mut f.s;
+fn fig3(s: &mut Session) {
     let mut t = Table::new([
         "workload",
         "memory-bound %",
@@ -583,8 +555,7 @@ const FIG4A_ROWS: [(Dataset, AlgoKey); 5] = [
 ];
 
 /// Fig. 4a — baseline cache hit rates.
-fn fig4a(f: &mut Figures) {
-    let s = &mut f.s;
+fn fig4a(s: &mut Session) {
     let mut t = Table::new(["workload", "L1 hit %", "LLC (L2) hit %"]);
     for (d, a) in FIG4A_ROWS {
         let r = s.report((d, a, MachineKind::Baseline));
@@ -601,9 +572,10 @@ fn fig4a(f: &mut Figures) {
 /// the trace-derived number behind figs. 4b, 5, and 18, cached under the
 /// shared `prop-share` kind so the three figures reuse one entry per
 /// workload.
-fn prop_share(f: &mut Figures, d: Dataset, a: AlgoKey) -> f64 {
-    let g = f.s.graph(d).clone();
-    f.value(
+fn prop_share(s: &mut Session, d: Dataset, a: AlgoKey) -> f64 {
+    let g = s.graph(d).clone();
+    value(
+        s,
         "prop-share",
         &format!("prop-share-{}-{}", a.name(), d.code()),
         &ExecConfig::default(),
@@ -624,7 +596,7 @@ fn prop_share(f: &mut Figures, d: Dataset, a: AlgoKey) -> f64 {
 }
 
 /// Fig. 4b — share of vtxProp accesses hitting the top-20% vertices.
-fn fig4b(f: &mut Figures) {
+fn fig4b(s: &mut Session) {
     let mut t = Table::new(["workload", "top-20% access share %"]);
     for (d, a) in [
         (Dataset::Sd, AlgoKey::PageRank),
@@ -635,14 +607,14 @@ fn fig4b(f: &mut Figures) {
     ] {
         t.row([
             format!("{}-{}", a.name(), d.code()),
-            pct(prop_share(f, d, a)),
+            pct(prop_share(s, d, a)),
         ]);
     }
     println!("{t}");
 }
 
 /// Fig. 5 — heat map: vtxProp access share to top-20% vertices.
-fn fig5(f: &mut Figures) {
+fn fig5(s: &mut Session) {
     let algos = [
         AlgoKey::PageRank,
         AlgoKey::Bfs,
@@ -659,11 +631,11 @@ fn fig5(f: &mut Figures) {
     for d in SWEEP {
         let mut cells = vec![d.code().to_string()];
         for a in algos {
-            if !f.s.supports((d, a)) {
+            if !s.supports((d, a)) {
                 cells.push("-".into());
                 continue;
             }
-            cells.push(pct(prop_share(f, d, a)));
+            cells.push(pct(prop_share(s, d, a)));
         }
         t.row(cells);
     }
@@ -671,8 +643,7 @@ fn fig5(f: &mut Figures) {
 }
 
 /// Fig. 14 — the headline speedup sweep.
-fn fig14(f: &mut Figures) {
-    let s = &mut f.s;
+fn fig14(s: &mut Session) {
     let sweep = paper_sweep(s);
     let algos = SWEEP_ALGOS.into_iter().chain([AlgoKey::Cc, AlgoKey::Tc]);
     let mut t = Table::new(
@@ -702,11 +673,11 @@ fn fig14(f: &mut Figures) {
 }
 
 /// Fig. 15 — last-level storage hit rate, PageRank.
-fn fig15(f: &mut Figures) {
+fn fig15(s: &mut Session) {
     let mut t = Table::new(["dataset", "baseline %", "omega (L2+SP) %", "resident vtx %"]);
     let mut sums = (0.0, 0.0);
     for d in SWEEP {
-        let (base, omega) = f.pair(d, AlgoKey::PageRank);
+        let (base, omega) = pair(s, d, AlgoKey::PageRank);
         sums.0 += base.mem.last_level_hit_rate();
         sums.1 += omega.mem.last_level_hit_rate();
         t.row([
@@ -725,11 +696,11 @@ fn fig15(f: &mut Figures) {
 }
 
 /// Fig. 16 — DRAM bandwidth utilisation, PageRank.
-fn fig16(f: &mut Figures) {
+fn fig16(s: &mut Session) {
     let mut t = Table::new(["dataset", "baseline util %", "omega util %", "ratio"]);
     let mut ratios = 0.0;
     for d in SWEEP {
-        let (base, omega) = f.pair(d, AlgoKey::PageRank);
+        let (base, omega) = pair(s, d, AlgoKey::PageRank);
         let bu = base.mem.dram.utilization(base.total_cycles, 4);
         let ou = omega.mem.dram.utilization(omega.total_cycles, 4);
         let ratio = if bu > 0.0 { ou / bu } else { 0.0 };
@@ -749,11 +720,11 @@ fn fig16(f: &mut Figures) {
 }
 
 /// Fig. 17 — on-chip traffic, PageRank.
-fn fig17(f: &mut Figures) {
+fn fig17(s: &mut Session) {
     let mut t = Table::new(["dataset", "baseline MB", "omega MB", "reduction"]);
     let mut reds = 0.0;
     for d in SWEEP {
-        let (base, omega) = f.pair(d, AlgoKey::PageRank);
+        let (base, omega) = pair(s, d, AlgoKey::PageRank);
         let red = base.mem.noc.bytes as f64 / omega.mem.noc.bytes.max(1) as f64;
         reds += red;
         t.row([
@@ -779,7 +750,7 @@ const FIG18_ROWS: [(Dataset, AlgoKey); 4] = [
 ];
 
 /// Fig. 18 — power-law vs. non-power-law.
-fn fig18(f: &mut Figures) {
+fn fig18(s: &mut Session) {
     let mut t = Table::new([
         "graph",
         "PageRank speedup",
@@ -787,11 +758,11 @@ fn fig18(f: &mut Figures) {
         "top-20% access share %",
     ]);
     for d in [Dataset::Lj, Dataset::Usa] {
-        let share = prop_share(f, d, AlgoKey::PageRank);
+        let share = prop_share(s, d, AlgoKey::PageRank);
         t.row([
             d.code().to_string(),
-            format!("{:.2}x", f.s.speedup(d, AlgoKey::PageRank)),
-            format!("{:.2}x", f.s.speedup(d, AlgoKey::Bfs)),
+            format!("{:.2}x", s.speedup(d, AlgoKey::PageRank)),
+            format!("{:.2}x", s.speedup(d, AlgoKey::Bfs)),
             pct(share),
         ]);
     }
@@ -813,8 +784,7 @@ fn fig19_runs(_: &mut Session) -> Vec<ExperimentSpec> {
 }
 
 /// Fig. 19 — scratchpad size sensitivity on lj.
-fn fig19(f: &mut Figures) {
-    let s = &mut f.s;
+fn fig19(s: &mut Session) {
     let mut t = Table::new([
         "SP size",
         "PageRank speedup",
@@ -842,8 +812,7 @@ fn fig19(f: &mut Figures) {
 }
 
 /// Fig. 20 — analytic model for very large graphs + validation.
-fn fig20(f: &mut Figures) {
-    let s = &mut f.s;
+fn fig20(s: &mut Session) {
     let detailed = s.speedup(Dataset::Lj, AlgoKey::PageRank);
     let g = s.graph(Dataset::Lj).clone();
     let profile = WorkloadProfile::from_graph(&g, Algo::PageRank { iters: 1 });
@@ -883,7 +852,7 @@ fn fig20(f: &mut Figures) {
 }
 
 /// Table IV — area and peak power.
-fn table4(_: &mut Figures) {
+fn table4(_: &mut Session) {
     let base = node_table(&SystemConfig::paper_baseline());
     let omega = node_table(&SystemConfig::paper_omega());
     let mut t = Table::new(["component", "baseline W / mm2", "omega W / mm2"]);
@@ -909,7 +878,7 @@ fn table4(_: &mut Figures) {
 }
 
 /// Fig. 21 — memory-system energy breakdown, PageRank.
-fn fig21(f: &mut Figures) {
+fn fig21(s: &mut Session) {
     let mut t = Table::new([
         "dataset",
         "baseline mJ",
@@ -919,7 +888,7 @@ fn fig21(f: &mut Figures) {
     ]);
     let mut savings = 0.0;
     for d in SWEEP {
-        let (base, omega) = f.pair(d, AlgoKey::PageRank);
+        let (base, omega) = pair(s, d, AlgoKey::PageRank);
         let eb = energy_breakdown(&base, &MachineKind::Baseline.system());
         let eo = energy_breakdown(&omega, &MachineKind::Omega.system());
         let saving = eb.total_mj() / eo.total_mj();
@@ -939,7 +908,7 @@ fn fig21(f: &mut Figures) {
     );
 
     // The stacked component breakdown of the paper's Fig. 21, for lj.
-    let (base, omega) = f.pair(Dataset::Lj, AlgoKey::PageRank);
+    let (base, omega) = pair(s, Dataset::Lj, AlgoKey::PageRank);
     let eb = energy_breakdown(&base, &MachineKind::Baseline.system());
     let eo = energy_breakdown(&omega, &MachineKind::Omega.system());
     let mut t = Table::new(["component (lj, mJ)", "baseline", "omega"]);
@@ -964,8 +933,7 @@ fn fig21(f: &mut Figures) {
 }
 
 /// §X.A — scratchpads without PISCs.
-fn abl_pisc(f: &mut Figures) {
-    let s = &mut f.s;
+fn abl_pisc(s: &mut Session) {
     let full = s.speedup(Dataset::Lj, AlgoKey::PageRank);
     let base = s
         .report((Dataset::Lj, AlgoKey::PageRank, MachineKind::Baseline))
@@ -983,8 +951,7 @@ fn abl_pisc(f: &mut Figures) {
 }
 
 /// Fig. 12 — chunk-size mismatch cost.
-fn abl_chunk(f: &mut Figures) {
-    let s = &mut f.s;
+fn abl_chunk(s: &mut Session) {
     let matched = s
         .report((Dataset::Lj, AlgoKey::PageRank, MachineKind::Omega))
         .clone();
@@ -1017,8 +984,7 @@ fn abl_chunk(f: &mut Figures) {
 }
 
 /// §V.C — source-vertex buffer ablation on SSSP.
-fn abl_svb(f: &mut Figures) {
-    let s = &mut f.s;
+fn abl_svb(s: &mut Session) {
     let base = s
         .report((Dataset::Lj, AlgoKey::Sssp, MachineKind::Baseline))
         .total_cycles;
@@ -1046,8 +1012,8 @@ fn abl_svb(f: &mut Figures) {
 }
 
 /// §III/§VI — reordering algorithm comparison on the baseline.
-fn abl_reorder(f: &mut Figures) {
-    let scale = f.s.scale();
+fn abl_reorder(s: &mut Session) {
+    let scale = s.scale();
     // Built lazily: a fully warm store never constructs the unordered graph.
     let g = std::cell::OnceCell::new();
     let system = SystemConfig::mini_baseline();
@@ -1073,7 +1039,8 @@ fn abl_reorder(f: &mut Figures) {
             reorder::Reordering::SlashBurnLike { hubs_per_round: 64 },
         ),
     ] {
-        let (cycles, l2_hit) = f.value(
+        let (cycles, l2_hit) = value(
+            s,
             "abl-reorder",
             &format!("abl-reorder-{name}-{}", Dataset::Lj.code()),
             &exec,
@@ -1122,8 +1089,7 @@ const OFFCHIP_ROWS: [(Dataset, AlgoKey); 4] = [
 /// PIM offload, hybrid page policy), evaluated where they matter: graphs
 /// whose cold vertices dominate (the road networks and partially-resident
 /// power-law graphs).
-fn abl_offchip(f: &mut Figures) {
-    let s = &mut f.s;
+fn abl_offchip(s: &mut Session) {
     let mut t = Table::new([
         "workload",
         "omega",
@@ -1151,9 +1117,9 @@ fn abl_offchip(f: &mut Figures) {
 /// plain slicing (every slice's vtxProp fits) vs. the paper's
 /// power-law-aware slicing (only each slice's hot 20% must fit), which
 /// cuts the slice count "by up to 5x" and with it the per-slice overhead.
-fn abl_slicing(f: &mut Figures) {
+fn abl_slicing(s: &mut Session) {
     use omega_graph::slicing;
-    let g = f.s.graph(Dataset::Uk).clone();
+    let g = s.graph(Dataset::Uk).clone();
     let n = g.num_vertices();
     // A scratchpad too small for the whole hot set: 1/16 of standard.
     let system = SystemConfig::mini_omega().with_scratchpad_bytes(512);
@@ -1162,7 +1128,8 @@ fn abl_slicing(f: &mut Figures) {
     let runner = Runner::new(system);
     let exec = exec_for(&system);
 
-    let unsliced = f.value(
+    let unsliced = value(
+        s,
         "abl-slicing",
         &format!("abl-slicing-unsliced-{}", Dataset::Uk.code()),
         &exec,
@@ -1191,7 +1158,8 @@ fn abl_slicing(f: &mut Figures) {
         "1.00x".into(),
     ]);
     for name in ["whole-slice fits", "hot-20% fits (§VII.3)"] {
-        let (n_slices, total) = f.value(
+        let (n_slices, total) = value(
+            s,
             "abl-slicing",
             &format!("abl-slicing-{name}-{}", Dataset::Uk.code()),
             &exec,
@@ -1256,17 +1224,18 @@ fn abl_slicing(f: &mut Figures) {
 /// help but its PISC offload has nothing to do — the speedup is smaller
 /// than under Ligra, which is exactly what makes OMEGA's
 /// framework-independence claim meaningful.
-fn abl_graphmat(f: &mut Figures) {
+fn abl_graphmat(s: &mut Session) {
     use omega_ligra::trace::CollectingTracer;
     use omega_ligra::{graphmat, Ctx};
-    let g = f.s.graph(Dataset::Lj).clone();
+    let g = s.graph(Dataset::Lj).clone();
 
     // Ligra numbers come from the session cache.
-    let (ligra_base, ligra_omega) = f.pair(Dataset::Lj, AlgoKey::PageRank);
+    let (ligra_base, ligra_omega) = pair(s, Dataset::Lj, AlgoKey::PageRank);
 
     // GraphMat trace, replayed on both machines (cached as one value: the
     // trace is shared, so the two replays always happen together).
-    let (gm_base_cycles, gm_omega_cycles, gm_pisc_ops) = f.value(
+    let (gm_base_cycles, gm_omega_cycles, gm_pisc_ops) = value(
+        s,
         "abl-graphmat",
         &format!("abl-graphmat-pagerank-{}", Dataset::Lj.code()),
         &ExecConfig::default(),
@@ -1340,8 +1309,7 @@ const LOCKED_MACHINES: [MachineKind; 3] = [
 /// full-size L2 instead of carving out scratchpads. The paper predicts the
 /// locked cache recovers hit rate but keeps the line-granularity traffic
 /// and the core-executed atomics — measured here.
-fn abl_locked(f: &mut Figures) {
-    let s = &mut f.s;
+fn abl_locked(s: &mut Session) {
     let mut t = Table::new([
         "machine",
         "speedup (lj)",
@@ -1383,8 +1351,7 @@ const RIVAL_MACHINES: [MachineKind; 4] = [
 /// GRASP-style specialized cache (degree-ordered pinning in a plain L2,
 /// no scratchpad). Same trace, same hierarchy sizing — only the
 /// vertex-property path differs.
-fn rivals(f: &mut Figures) {
-    let s = &mut f.s;
+fn rivals(s: &mut Session) {
     let mut t = Table::new([
         "workload",
         "machine",
@@ -1420,7 +1387,7 @@ fn rivals(f: &mut Figures) {
 /// advantage is really memory-level parallelism. The PIM machine's rank
 /// count grows with the channel count, so it is the one whose standing
 /// this sweep can change.
-fn channels(f: &mut Figures) {
+fn channels(s: &mut Session) {
     const CHANNELS: [usize; 4] = [1, 2, 4, 8];
     let systems = |ch: usize| {
         let mut out = [
@@ -1433,8 +1400,9 @@ fn channels(f: &mut Figures) {
         }
         out
     };
-    let g = f.s.graph(Dataset::Lj).clone();
-    let cycles: Vec<u64> = f.value(
+    let g = s.graph(Dataset::Lj).clone();
+    let cycles: Vec<u64> = value(
+        s,
         "channels",
         &format!("channels-pagerank-{}", Dataset::Lj.code()),
         &ExecConfig::default(),
@@ -1494,7 +1462,7 @@ fn channels(f: &mut Figures) {
 /// §III — the cost of atomic instructions on the baseline, measured the
 /// paper's way: lower every atomic to a plain store and compare (the paper
 /// reports "an overhead of up to 50%" on real hardware).
-fn abl_atomics(f: &mut Figures) {
+fn abl_atomics(s: &mut Session) {
     use omega_core::layout::Layout;
     use omega_core::lower::{lower, Target};
     use omega_sim::{engine, hierarchy::CacheHierarchy};
@@ -1510,8 +1478,9 @@ fn abl_atomics(f: &mut Figures) {
         (Dataset::Wiki, AlgoKey::Sssp),
         (Dataset::Ap, AlgoKey::Cc),
     ] {
-        let g = f.s.graph(d).clone();
-        let (atomic, plain) = f.value(
+        let g = s.graph(d).clone();
+        let (atomic, plain) = value(
+            s,
             "abl-atomics",
             &format!("abl-atomics-{}-{}", a.name(), d.code()),
             &ExecConfig::default(),
@@ -1575,35 +1544,26 @@ const TELEMETRY_ROWS: [(Dataset, AlgoKey); 4] = [
     (Dataset::Wiki, AlgoKey::Sssp),
 ];
 
-/// The telemetry figure's session. It cannot use the main one, which
-/// memoises telemetry-free runs. It shares the main session's store root
-/// (telemetry settings are part of the fingerprint, so the entries never
-/// collide).
-fn telemetry_session(outer: &Session) -> Session {
-    let window = match outer.scale() {
+/// The telemetry figure's runs: [`TELEMETRY_ROWS`] × [`PAIR`], sampled
+/// in 1,024-cycle windows at tiny scale and the default window otherwise.
+/// They join the trace groups of the same workloads' plain runs.
+fn telemetry_runs(s: &mut Session) -> Vec<ExperimentSpec> {
+    let window = match s.scale() {
         DatasetScale::Tiny => 1 << 10,
         _ => TelemetryConfig::DEFAULT_WINDOW,
     };
-    let mut s = Session::new(outer.scale())
-        .verbose(false)
-        .telemetry(TelemetryConfig::windowed(window))
-        .jobs(outer.effective_jobs());
-    if let Some(store) = outer.store() {
-        let root = store.root();
-        s = s
-            .with_store(root)
-            .unwrap_or_else(|e| die(&format!("cannot reopen store {}: {e}", root.display())));
-    }
-    s
+    let telemetry = TelemetryConfig::windowed(window);
+    cross(TELEMETRY_ROWS, &PAIR)
+        .into_iter()
+        .map(|spec| ExperimentSpec { telemetry, ..spec })
+        .collect()
 }
 
 /// Telemetry deep-dive — the observability companion to Figs. 3/16/17:
 /// exact per-bucket stall attribution (every cycle lands in exactly one
 /// bucket) and DRAM bandwidth utilisation over time from the
 /// cycle-windowed sampler.
-fn telemetry(f: &mut Figures) {
-    let s = f.tel.get_or_insert_with(|| telemetry_session(&f.s));
-    s.prefetch(&cross(TELEMETRY_ROWS, &PAIR));
+fn telemetry(s: &mut Session) {
     let mut t = Table::new([
         "workload",
         "machine",
@@ -1614,47 +1574,45 @@ fn telemetry(f: &mut Figures) {
         "drain %",
         "DRAM util over time",
     ]);
-    for (d, a) in TELEMETRY_ROWS {
-        for m in PAIR {
-            let channels = m.system().machine.dram.channels;
-            let r = s.report((d, a, m));
-            let mut buckets = [0u64; 5];
-            let mut total = 0u64;
-            for c in &r.engine.per_core {
-                buckets[0] += c.compute_cycles;
-                buckets[1] += c.memory_stall_cycles;
-                buckets[2] += c.atomic_stall_cycles;
-                buckets[3] += c.barrier_cycles;
-                buckets[4] += c.drain_cycles;
-                total += c.finish_time;
-            }
-            let share = |b: u64| pct(b as f64 / total.max(1) as f64);
-            let series: Vec<f64> = r
-                .telemetry
-                .as_ref()
-                .map(|tel| {
-                    let mut prev = 0u64;
-                    tel.windows
-                        .iter()
-                        .map(|w| {
-                            let len = w.end.saturating_sub(prev);
-                            prev = w.end;
-                            w.delta.dram.utilization(len, channels)
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            t.row([
-                format!("{}-{}", a.name(), d.code()),
-                m.label(),
-                share(buckets[0]),
-                share(buckets[1]),
-                share(buckets[2]),
-                share(buckets[3]),
-                share(buckets[4]),
-                sparkline(&series, 24),
-            ]);
+    for spec in telemetry_runs(s) {
+        let channels = spec.machine.system().machine.dram.channels;
+        let r = s.report(spec);
+        let mut buckets = [0u64; 5];
+        let mut total = 0u64;
+        for c in &r.engine.per_core {
+            buckets[0] += c.compute_cycles;
+            buckets[1] += c.memory_stall_cycles;
+            buckets[2] += c.atomic_stall_cycles;
+            buckets[3] += c.barrier_cycles;
+            buckets[4] += c.drain_cycles;
+            total += c.finish_time;
         }
+        let share = |b: u64| pct(b as f64 / total.max(1) as f64);
+        let series: Vec<f64> = r
+            .telemetry
+            .as_ref()
+            .map(|tel| {
+                let mut prev = 0u64;
+                tel.windows
+                    .iter()
+                    .map(|w| {
+                        let len = w.end.saturating_sub(prev);
+                        prev = w.end;
+                        w.delta.dram.utilization(len, channels)
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+        t.row([
+            format!("{}-{}", spec.algo.name(), spec.dataset.code()),
+            spec.machine.label(),
+            share(buckets[0]),
+            share(buckets[1]),
+            share(buckets[2]),
+            share(buckets[3]),
+            share(buckets[4]),
+            sparkline(&series, 24),
+        ]);
     }
     println!("{t}");
 }

@@ -33,6 +33,12 @@ use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_sim::telemetry::TelemetryConfig;
 use std::process::ExitCode;
 
+/// Smallest `--window` `dump` accepts, in cycles. Every window keeps a
+/// full `MemStats` delta, so one window per cycle exhausts memory on a
+/// small-scale run; 1,024 is the smallest window the figure and audit
+/// harnesses sample with.
+const MIN_WINDOW: u64 = 1024;
+
 const USAGE: &str = "usage:
   stats dump [--dataset CODE] [--algo NAME] [--machine KIND] \
 [--scale tiny|small|medium] [--window N] [--store PATH] [--out PATH] \
@@ -45,7 +51,7 @@ const USAGE: &str = "usage:
   stats store gc PATH      drop corrupt entries and leftover temp files
 
 dump defaults: --dataset sd --algo pagerank --machine baseline \
---scale tiny --window 65536 (stdout)
+--scale tiny --window 65536 (stdout); --window is at least 1024
 dump --store reuses/persists the run in a content-addressed store
 dump --profile/--profile-out/--trace enable host self-profiling (stderr/files)
 machines: baseline, omega, omega-nopisc, omega-nosvb, omega-chunkmis, \
@@ -94,8 +100,12 @@ fn dump(args: &[String]) -> ExitCode {
                 Err(e) => return usage_error(&e.to_string()),
             },
             "--window" => match value.parse::<u64>() {
-                Ok(n) if n > 0 => window = n,
-                _ => return usage_error(&format!("bad window {value:?}")),
+                Ok(n) if n >= MIN_WINDOW => window = n,
+                _ => {
+                    return usage_error(&format!(
+                        "bad window {value:?}: need an integer of at least {MIN_WINDOW} cycles"
+                    ))
+                }
             },
             "--out" => out = Some(value.clone()),
             "--store" => store_path = Some(value.clone()),
@@ -103,8 +113,7 @@ fn dump(args: &[String]) -> ExitCode {
         }
     }
     obs.install();
-    let telemetry = TelemetryConfig::windowed(window);
-    let mut session = Session::new(scale).verbose(false).telemetry(telemetry);
+    let mut session = Session::new(scale).verbose(false);
     if let Some(path) = &store_path {
         session = match session.with_store(path) {
             Ok(s) => s,
@@ -121,9 +130,12 @@ fn dump(args: &[String]) -> ExitCode {
             dataset.code()
         ));
     }
-    let spec = ExperimentSpec::new(dataset, algo, machine);
+    let spec = ExperimentSpec {
+        telemetry: TelemetryConfig::windowed(window),
+        ..ExperimentSpec::new(dataset, algo, machine)
+    };
     let report = session.report(spec).clone();
-    let mut doc = run_report_to_json(&report, &spec.system(telemetry));
+    let mut doc = run_report_to_json(&report, &spec.system());
     doc.set("dataset", Json::Str(dataset.code().into()));
     if let Some(store) = session.store() {
         doc.set("store", store_counters_json(store));

@@ -45,8 +45,7 @@ fn main() -> ExitCode {
     // Check 6 compares power-law and road graphs on a capacity-constrained
     // scratchpad (~6% of standard): at tiny scale both graphs fit the
     // standard scratchpads whole.
-    let constrained = MachineKind::scaled_sp(MachineKind::Omega, 63)
-        .expect("63‰ keeps the scratchpad above the floor");
+    let constrained = MachineKind::scaled_sp(63).expect("63‰ keeps the scratchpad above the floor");
     // Every run the checks read, simulated up front: one functional trace
     // per graph.
     s.prefetch(&[

@@ -79,21 +79,13 @@ impl MachineKind {
         MachineKind::SpecializedCache,
     ];
 
-    /// Checked constructor for [`MachineKind::OmegaScaledSp`], applying
-    /// the Fig. 19 scratchpad scale to `base`. Rejects a permille whose
+    /// Checked constructor for [`MachineKind::OmegaScaledSp`]: the
+    /// standard OMEGA machine with its scratchpad scaled to
+    /// `permille/1000` (the Fig. 19 sweep). Rejects a permille whose
     /// scaled scratchpad would fall below [`MachineKind::MIN_SP_BYTES`]
-    /// (instead of silently simulating a larger machine than the label
-    /// claims), and rejects scaling on a machine with no scratchpad —
-    /// previously `with_scratchpad_bytes` would silently ignore the scale
-    /// and simulate the unscaled machine under the scaled label.
-    pub fn scaled_sp(base: MachineKind, permille: u32) -> Result<MachineKind, OmegaError> {
-        let Some(omega) = base.system().omega() else {
-            return Err(OmegaError::InvalidConfig(format!(
-                "machine '{}' has no scratchpad to scale",
-                base.label()
-            )));
-        };
-        let standard = omega.sp_bytes_per_core;
+    /// instead of simulating a larger machine than the label claims.
+    pub fn scaled_sp(permille: u32) -> Result<MachineKind, OmegaError> {
+        let standard = OmegaConfig::default().sp_bytes_per_core;
         let sp = standard * permille as u64 / 1000;
         if sp < Self::MIN_SP_BYTES {
             return Err(OmegaError::InvalidConfig(format!(
@@ -102,16 +94,7 @@ impl MachineKind {
                 Self::MIN_SP_BYTES
             )));
         }
-        match base {
-            MachineKind::Omega | MachineKind::OmegaScaledSp { .. } => {
-                Ok(MachineKind::OmegaScaledSp { permille })
-            }
-            _ => Err(OmegaError::InvalidConfig(format!(
-                "the Fig. 19 scratchpad sweep is only modelled on the standard \
-                 omega machine, not '{}'",
-                base.label()
-            ))),
-        }
+        Ok(MachineKind::OmegaScaledSp { permille })
     }
 
     /// Looks a machine up by its [`MachineKind::label`] (case-insensitive).
@@ -131,7 +114,7 @@ impl MachineKind {
             let permille: u32 = digits
                 .parse()
                 .map_err(|_| OmegaError::unknown_name("machine", name, Self::expected_names()))?;
-            return MachineKind::scaled_sp(MachineKind::Omega, permille);
+            return MachineKind::scaled_sp(permille);
         }
         Err(OmegaError::unknown_name(
             "machine",
@@ -341,10 +324,10 @@ impl std::str::FromStr for AlgoKey {
 }
 
 /// One fully keyed experiment: which dataset, which algorithm, which
-/// machine. The first-class replacement for the bare
-/// `(Dataset, AlgoKey, MachineKind)` tuples previously threaded through
-/// [`Session`] and the figure/stats bins; tuples still convert via `From`,
-/// so `session.report((d, a, m))` keeps compiling.
+/// machine, and what telemetry that machine collects. Together with the
+/// session's scale these are every input of the store fingerprint, so a
+/// spec is the memo key. Tuples convert via `From` with telemetry off, so
+/// `session.report((d, a, m))` keeps compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExperimentSpec {
     /// The input graph.
@@ -353,15 +336,19 @@ pub struct ExperimentSpec {
     pub algo: AlgoKey,
     /// The machine it runs on.
     pub machine: MachineKind,
+    /// The telemetry the machine collects; an observer only, so every
+    /// simulated number equals the telemetry-free run's.
+    pub telemetry: TelemetryConfig,
 }
 
 impl ExperimentSpec {
-    /// Builds a spec from its three coordinates.
+    /// Builds a spec from its first three coordinates, telemetry off.
     pub fn new(dataset: Dataset, algo: AlgoKey, machine: MachineKind) -> Self {
         ExperimentSpec {
             dataset,
             algo,
             machine,
+            telemetry: TelemetryConfig::off(),
         }
     }
 
@@ -375,19 +362,19 @@ impl ExperimentSpec {
         )
     }
 
-    /// The machine this experiment runs on, with `telemetry` applied.
-    pub fn system(self, telemetry: TelemetryConfig) -> SystemConfig {
+    /// The machine this experiment runs on, with its telemetry applied.
+    pub fn system(self) -> SystemConfig {
         let mut sys = self.machine.system();
-        sys.machine.telemetry = telemetry;
+        sys.machine.telemetry = self.telemetry;
         sys
     }
 
-    /// The store fingerprint of this experiment at a given scale and
-    /// telemetry setting: dataset + scale + algorithm + the *complete*
-    /// resolved [`SystemConfig`] and execution configuration, so any
-    /// machine-parameter change invalidates the cached entry.
-    pub fn fingerprint(&self, scale: DatasetScale, telemetry: TelemetryConfig) -> u64 {
-        let system = self.system(telemetry);
+    /// The store fingerprint of this experiment at a given scale:
+    /// dataset + scale + algorithm + the *complete* resolved
+    /// [`SystemConfig`] (telemetry included) and execution configuration,
+    /// so any machine-parameter change invalidates the cached entry.
+    pub fn fingerprint(&self, scale: DatasetScale) -> u64 {
+        let system = self.system();
         crate::store::run_fingerprint(
             self.dataset.code(),
             scale.code(),
@@ -416,9 +403,10 @@ impl From<(Dataset, AlgoKey)> for ExperimentSpec {
 type KeyedReport = (ExperimentSpec, RunReport);
 
 /// One `(dataset, algorithm)` trace group: the unit of functional-trace
-/// sharing. Every machine in the group replays the *same* functional
-/// trace, so a batch of specs costs one trace per group, not one per
-/// spec. [`Session::prefetch`] partitions its pending specs with
+/// sharing. Every spec in the group replays the *same* functional trace,
+/// so a batch of specs costs one trace per group, not one per spec: a
+/// machine with telemetry and the same machine without it share it too.
+/// [`Session::prefetch`] partitions its pending specs with
 /// [`trace_groups`]. `omega-serve` does not call it: its admission queue
 /// keys each job by `(dataset, algo, scale)`, because one server answers
 /// every scale, and a worker traces each job once for all its machines.
@@ -428,45 +416,37 @@ pub struct TraceGroup {
     pub dataset: Dataset,
     /// The shared workload (traced once).
     pub algo: AlgoKey,
-    /// The machines that replay the shared trace, first-seen order,
-    /// deduplicated.
-    pub machines: Vec<MachineKind>,
+    /// The member specs, first-seen order, deduplicated.
+    specs: Vec<ExperimentSpec>,
 }
 
 impl TraceGroup {
-    /// The group's key.
-    pub fn key(&self) -> (Dataset, AlgoKey) {
-        (self.dataset, self.algo)
-    }
-
-    /// The group's member specs, in machine order.
+    /// The group's member specs, in first-seen order.
     pub fn specs(&self) -> impl Iterator<Item = ExperimentSpec> + '_ {
-        self.machines
-            .iter()
-            .map(move |&m| ExperimentSpec::new(self.dataset, self.algo, m))
+        self.specs.iter().copied()
     }
 }
 
 /// Partitions `specs` into [`TraceGroup`]s by `(dataset, algo)`, in
-/// first-seen order, deduplicating machines within each group. All
-/// machine configurations share one core count, so one functional trace
-/// serves every replay in a group (see [`exec_for`]).
+/// first-seen order, deduplicating specs within each group. All machine
+/// configurations share one core count, so one functional trace serves
+/// every replay in a group (see [`exec_for`]).
 pub fn trace_groups(specs: impl IntoIterator<Item = ExperimentSpec>) -> Vec<TraceGroup> {
     let mut groups: Vec<TraceGroup> = Vec::new();
     for spec in specs {
         match groups
             .iter_mut()
-            .find(|g| g.key() == (spec.dataset, spec.algo))
+            .find(|g| (g.dataset, g.algo) == (spec.dataset, spec.algo))
         {
             Some(g) => {
-                if !g.machines.contains(&spec.machine) {
-                    g.machines.push(spec.machine);
+                if !g.specs.contains(&spec) {
+                    g.specs.push(spec);
                 }
             }
             None => groups.push(TraceGroup {
                 dataset: spec.dataset,
                 algo: spec.algo,
-                machines: vec![spec.machine],
+                specs: vec![spec],
             }),
         }
     }
@@ -514,32 +494,32 @@ pub fn paper_sweep(session: &mut Session) -> Vec<ExperimentSpec> {
 
 /// Memoising experiment session.
 ///
-/// Construction is builder-style — `Session::new(scale).verbose(false)
-/// .telemetry(...)` — so the old "set `telemetry` before the first run"
-/// footgun is enforced by the type: both knobs are fixed before any
-/// experiment can execute. [`Session::with_store`] additionally backs the
-/// in-memory memo cache with a persistent on-disk [`ExperimentStore`].
+/// The memo is keyed by [`ExperimentSpec`], whose coordinates (telemetry
+/// included) and the session's scale are every input of the store
+/// fingerprint, so one session holds telemetry and plain runs side by
+/// side, in the same trace groups. Construction is builder-style
+/// (`Session::new(scale).verbose(false).jobs(n)`);
+/// [`Session::with_store`] additionally backs the in-memory memo with a
+/// persistent on-disk [`ExperimentStore`].
 #[derive(Debug)]
 pub struct Session {
     scale: DatasetScale,
     graphs: HashMap<Dataset, CsrGraph>,
     runs: HashMap<ExperimentSpec, RunReport>,
     verbose: bool,
-    telemetry: TelemetryConfig,
     store: Option<ExperimentStore>,
     jobs: Option<usize>,
 }
 
 impl Session {
-    /// Creates a session at the given dataset scale, verbose, with
-    /// telemetry off and no persistent store.
+    /// Creates a session at the given dataset scale, verbose, with no
+    /// persistent store.
     pub fn new(scale: DatasetScale) -> Self {
         Session {
             scale,
             graphs: HashMap::new(),
             runs: HashMap::new(),
             verbose: true,
-            telemetry: TelemetryConfig::off(),
             store: None,
             jobs: None,
         }
@@ -553,26 +533,9 @@ impl Session {
         self
     }
 
-    /// The effective prefetch worker count: the [`Session::jobs`] override,
-    /// or [`std::thread::available_parallelism`].
-    pub fn effective_jobs(&self) -> usize {
-        self.jobs.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-    }
-
     /// Sets whether progress lines are printed to stderr while running.
     pub fn verbose(mut self, verbose: bool) -> Self {
         self.verbose = verbose;
-        self
-    }
-
-    /// Sets the telemetry configuration applied to every machine this
-    /// session builds.
-    pub fn telemetry(mut self, telemetry: TelemetryConfig) -> Self {
-        self.telemetry = telemetry;
         self
     }
 
@@ -618,7 +581,7 @@ impl Session {
         let Some(store) = &self.store else {
             return false;
         };
-        let Some(report) = store.load_report(spec.fingerprint(self.scale, self.telemetry)) else {
+        let Some(report) = store.load_report(spec.fingerprint(self.scale)) else {
             return false;
         };
         if self.verbose {
@@ -638,12 +601,11 @@ impl Session {
     fn persist(
         store: Option<&ExperimentStore>,
         scale: DatasetScale,
-        telemetry: TelemetryConfig,
         spec: ExperimentSpec,
         report: &RunReport,
     ) {
         if let Some(store) = store {
-            let fp = spec.fingerprint(scale, telemetry);
+            let fp = spec.fingerprint(scale);
             if let Err(e) = store.store_report(fp, &spec.label(), report) {
                 eprintln!("  [store] warning: failed to persist {}: {e}", spec.label());
             }
@@ -672,10 +634,10 @@ impl Session {
     /// the store, and memoises the reports.
     ///
     /// The specs are grouped by `(dataset, algo)`: the functional
-    /// (tracing) phase runs **once** per group and every requested
-    /// [`MachineKind`] replays the shared trace through the streaming
-    /// lowering path. `min(jobs, groups)` workers (see [`Session::jobs`])
-    /// take groups in turn, and each replays its group's machines serially
+    /// (tracing) phase runs **once** per group and every spec in it
+    /// replays the shared trace through the streaming lowering path.
+    /// `min(jobs, groups)` workers (see [`Session::jobs`]) take groups in
+    /// turn, and each replays its group's specs serially
     /// with [`omega_core::runner::replay`]. Simulations are deterministic
     /// and independent, so parallel execution changes nothing but
     /// wall-clock time. Fresh results are persisted from the worker
@@ -684,13 +646,12 @@ impl Session {
         if pending.is_empty() {
             return;
         }
-        // Specs whose machines resolve to one configuration (omega and
-        // omega-sp1000) share a fingerprint: simulate the first, copy it to
-        // its twins.
+        // Specs that resolve to one configuration (omega and omega-sp1000)
+        // share a fingerprint: simulate the first, copy it to its twins.
         let mut first = HashMap::new();
         let mut twins = Vec::new();
         pending.retain(|&spec| {
-            let fp = spec.fingerprint(self.scale, self.telemetry);
+            let fp = spec.fingerprint(self.scale);
             let of = *first.entry(fp).or_insert(spec);
             if of != spec {
                 twins.push((spec, of));
@@ -706,14 +667,18 @@ impl Session {
             }
         }
         // One group per (dataset, algorithm), in first-seen order: the
-        // functional trace is shared by all of the group's machines.
+        // functional trace is shared by all of the group's specs.
         let groups = trace_groups(pending.iter().copied());
         let graphs = &self.graphs;
         let verbose = self.verbose;
-        let telemetry = self.telemetry;
         let scale = self.scale;
         let store = self.store.as_ref();
-        let workers = self.effective_jobs().min(groups.len()).max(1);
+        let jobs = self.jobs.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
+        let workers = jobs.min(groups.len()).max(1);
         let next_group = AtomicUsize::new(0);
         let results: Mutex<Vec<KeyedReport>> = Mutex::new(Vec::with_capacity(pending.len()));
         std::thread::scope(|scope| {
@@ -730,14 +695,14 @@ impl Session {
                     let algo = a.algo(g);
                     if verbose {
                         eprintln!(
-                            "  [trace] {} on {} (×{} machines)",
+                            "  [trace] {} on {} (×{} runs)",
                             a.name(),
                             d.code(),
-                            group.machines.len()
+                            group.specs.len()
                         );
                     }
                     let specs: Vec<ExperimentSpec> = group.specs().collect();
-                    let exec = exec_for(&specs[0].system(telemetry));
+                    let exec = exec_for(&specs[0].system());
                     let (checksum, raw, meta) = trace_algorithm(g, algo, &exec);
                     let mut batch = Vec::with_capacity(specs.len());
                     for spec in specs {
@@ -749,9 +714,9 @@ impl Session {
                                 spec.machine.label()
                             );
                         }
-                        let system = spec.system(telemetry);
+                        let system = spec.system();
                         let report = replay(algo.name(), checksum, &raw, &meta, &system, None);
-                        Self::persist(store, scale, telemetry, spec, &report);
+                        Self::persist(store, scale, spec, &report);
                         batch.push((spec, report));
                     }
                     results
@@ -882,38 +847,14 @@ mod tests {
     fn scaled_sp_validates_the_permille() {
         // 8 ‰ of 8 KiB is 65 B, just above the 64 B floor; 7 ‰ (57 B)
         // falls below it.
-        assert!(MachineKind::scaled_sp(MachineKind::Omega, 8).is_ok());
-        assert!(MachineKind::scaled_sp(MachineKind::Omega, 1000).is_ok());
-        let err = MachineKind::scaled_sp(MachineKind::Omega, 7).unwrap_err();
+        assert!(MachineKind::scaled_sp(8).is_ok());
+        assert!(MachineKind::scaled_sp(1000).is_ok());
+        let err = MachineKind::scaled_sp(7).unwrap_err();
         assert!(err.to_string().contains("below"), "{err}");
         assert_eq!(err.code(), "invalid-config");
         // The validated instance builds the size its label claims.
-        let sys = MachineKind::scaled_sp(MachineKind::Omega, 8)
-            .unwrap()
-            .system();
+        let sys = MachineKind::scaled_sp(8).unwrap().system();
         assert_eq!(sys.omega().unwrap().sp_bytes_per_core, 65);
-    }
-
-    #[test]
-    fn scaled_sp_rejects_scratchpad_less_machines() {
-        // The scratchpad-less kinds have nothing to scale; rejecting is
-        // better than the old behaviour, where `with_scratchpad_bytes`
-        // silently no-opped and the unscaled machine ran under a scaled
-        // label.
-        for m in [
-            MachineKind::PimRank,
-            MachineKind::SpecializedCache,
-            MachineKind::Baseline,
-            MachineKind::LockedCache,
-        ] {
-            let err = MachineKind::scaled_sp(m, 500).unwrap_err();
-            assert_eq!(err.code(), "invalid-config", "{m:?}");
-            assert!(err.to_string().contains("no scratchpad"), "{m:?}: {err}");
-        }
-        // The omega ablations do have scratchpads, but the sweep is only
-        // modelled on the standard machine — still a loud error.
-        let err = MachineKind::scaled_sp(MachineKind::OmegaNoPisc, 500).unwrap_err();
-        assert_eq!(err.code(), "invalid-config");
     }
 
     #[test]
@@ -1028,7 +969,7 @@ mod tests {
     #[test]
     fn spec_fingerprints_separate_every_coordinate() {
         let base = ExperimentSpec::new(Dataset::Sd, AlgoKey::Bfs, MachineKind::Baseline);
-        let fp = |s: ExperimentSpec| s.fingerprint(DatasetScale::Tiny, TelemetryConfig::off());
+        let fp = |s: ExperimentSpec| s.fingerprint(DatasetScale::Tiny);
         assert_eq!(fp(base), fp(base));
         let mut other = base;
         other.dataset = Dataset::Ap;
@@ -1039,15 +980,11 @@ mod tests {
         let mut other = base;
         other.machine = MachineKind::Omega;
         assert_ne!(fp(base), fp(other));
-        // Scale and telemetry also key the store.
-        assert_ne!(
-            base.fingerprint(DatasetScale::Tiny, TelemetryConfig::off()),
-            base.fingerprint(DatasetScale::Small, TelemetryConfig::off())
-        );
-        assert_ne!(
-            base.fingerprint(DatasetScale::Tiny, TelemetryConfig::off()),
-            base.fingerprint(DatasetScale::Tiny, TelemetryConfig::windowed(4096))
-        );
+        let mut other = base;
+        other.telemetry = TelemetryConfig::windowed(4096);
+        assert_ne!(fp(base), fp(other));
+        // The scale also keys the store.
+        assert_ne!(fp(base), base.fingerprint(DatasetScale::Small));
     }
 
     #[test]
@@ -1063,8 +1000,7 @@ mod tests {
         // Prefetched results are identical to an independent `Runner` run.
         for spec in work.map(ExperimentSpec::from) {
             let g = s.graph(spec.dataset).clone();
-            let fresh =
-                Runner::new(spec.system(TelemetryConfig::off())).run(&g, spec.algo.algo(&g));
+            let fresh = Runner::new(spec.system()).run(&g, spec.algo.algo(&g));
             assert_eq!(s.report(spec), &fresh, "{}", spec.label());
         }
     }
@@ -1081,21 +1017,45 @@ mod tests {
         assert_eq!(s.runs.len(), 1);
     }
 
+    /// `spec` with windowed telemetry.
+    fn observed(spec: (Dataset, AlgoKey, MachineKind)) -> ExperimentSpec {
+        ExperimentSpec {
+            telemetry: TelemetryConfig::windowed(4096),
+            ..spec.into()
+        }
+    }
+
     #[test]
     fn session_telemetry_setting_reaches_the_reports() {
-        let mut s = Session::new(DatasetScale::Tiny)
-            .verbose(false)
-            .telemetry(TelemetryConfig::windowed(4096));
+        let mut s = Session::new(DatasetScale::Tiny).verbose(false);
         // Both entry points: a `report` miss and a prefetch.
         let direct = s
-            .report((Dataset::Sd, AlgoKey::PageRank, MachineKind::Omega))
+            .report(observed((
+                Dataset::Sd,
+                AlgoKey::PageRank,
+                MachineKind::Omega,
+            )))
             .clone();
         assert!(direct.telemetry.is_some());
-        s.prefetch(&[(Dataset::Sd, AlgoKey::Bfs, MachineKind::Baseline)]);
-        assert!(s
-            .report((Dataset::Sd, AlgoKey::Bfs, MachineKind::Baseline))
-            .telemetry
-            .is_some());
+        let bfs = observed((Dataset::Sd, AlgoKey::Bfs, MachineKind::Baseline));
+        s.prefetch(&[bfs]);
+        assert!(s.report(bfs).telemetry.is_some());
+    }
+
+    #[test]
+    fn telemetry_and_plain_runs_share_one_session_and_one_trace_group() {
+        let plain = ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, MachineKind::Omega);
+        let tel = observed((Dataset::Sd, AlgoKey::PageRank, MachineKind::Omega));
+        let groups = trace_groups([plain, tel]);
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].specs().collect::<Vec<_>>(), [plain, tel]);
+        let mut s = Session::new(DatasetScale::Tiny).verbose(false);
+        s.prefetch(&[plain, tel]);
+        assert_eq!(s.runs.len(), 2);
+        let (p, t) = (s.runs[&plain].clone(), &s.runs[&tel]);
+        assert!(p.telemetry.is_none() && t.telemetry.is_some());
+        // Telemetry observes; it changes no simulated number.
+        assert_eq!((p.total_cycles, &p.mem), (t.total_cycles, &t.mem));
     }
 
     #[test]

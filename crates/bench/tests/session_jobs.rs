@@ -3,7 +3,7 @@
 //! `(dataset, algo)` groups or exceeds the number of groups.
 
 use omega_bench::report_json::run_report_to_json;
-use omega_bench::session::{AlgoKey, MachineKind, Session};
+use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind, Session};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_sim::telemetry::TelemetryConfig;
 
@@ -46,23 +46,18 @@ fn one_group_sweeps_are_byte_identical_at_any_jobs_setting() {
         MachineKind::PimRank,
         MachineKind::SpecializedCache,
     ];
-    let telemetry = TelemetryConfig::windowed(1024);
-    let work: Vec<_> = machines
+    let work: Vec<ExperimentSpec> = machines
         .iter()
-        .map(|&m| (Dataset::Sd, AlgoKey::PageRank, m))
+        .map(|&m| ExperimentSpec {
+            telemetry: TelemetryConfig::windowed(1024),
+            ..ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, m)
+        })
         .collect();
     let documents = |jobs: usize| -> Vec<String> {
-        let mut s = Session::new(DatasetScale::Tiny)
-            .verbose(false)
-            .telemetry(telemetry)
-            .jobs(jobs);
+        let mut s = Session::new(DatasetScale::Tiny).verbose(false).jobs(jobs);
         s.prefetch(&work);
         work.iter()
-            .map(|&spec| {
-                let mut sys = spec.2.system();
-                sys.machine.telemetry = telemetry;
-                run_report_to_json(s.report(spec), &sys).dump()
-            })
+            .map(|&spec| run_report_to_json(s.report(spec), &spec.system()).dump())
             .collect()
     };
     let reference = documents(1);

@@ -44,11 +44,12 @@ fn reports_round_trip_across_all_machine_kinds_and_telemetry() {
         .expect("dataset builds");
     for telemetry in [TelemetryConfig::off(), TelemetryConfig::windowed(2048)] {
         for m in ALL_MACHINES {
-            let spec = ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, m);
-            let mut system = m.system();
-            system.machine.telemetry = telemetry;
-            let report = Runner::new(system).run(&g, spec.algo.algo(&g));
-            let fp = spec.fingerprint(DatasetScale::Tiny, telemetry);
+            let spec = ExperimentSpec {
+                telemetry,
+                ..ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, m)
+            };
+            let report = Runner::new(spec.system()).run(&g, spec.algo.algo(&g));
+            let fp = spec.fingerprint(DatasetScale::Tiny);
             store
                 .store_report(fp, &spec.label(), &report)
                 .expect("persist");
@@ -94,7 +95,7 @@ fn old_format_version_entries_are_misses_not_errors() {
         .with_store(&dir)
         .expect("store opens");
     s.report(spec);
-    let fp = spec.fingerprint(DatasetScale::Tiny, TelemetryConfig::off());
+    let fp = spec.fingerprint(DatasetScale::Tiny);
     let path = s.store().expect("attached").entry_path(fp);
     drop(s);
 
@@ -135,7 +136,7 @@ fn corrupted_entries_are_a_silent_miss_and_heal() {
         .with_store(&dir)
         .expect("store opens");
     let original = s.report(spec).clone();
-    let fp = spec.fingerprint(DatasetScale::Tiny, TelemetryConfig::off());
+    let fp = spec.fingerprint(DatasetScale::Tiny);
     let path = s.store().expect("attached").entry_path(fp);
     assert!(path.is_file(), "entry persisted at {}", path.display());
     let intact = std::fs::read(&path).expect("entry readable");
@@ -198,13 +199,13 @@ fn deepest_entry_nests_within_the_json_bound() {
     let g = Dataset::Sd
         .build(DatasetScale::Tiny)
         .expect("dataset builds");
-    let telemetry = TelemetryConfig::windowed(2048);
-    let spec = ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, MachineKind::Omega);
-    let mut system = spec.machine.system();
-    system.machine.telemetry = telemetry;
-    let report = Runner::new(system).run(&g, spec.algo.algo(&g));
+    let spec = ExperimentSpec {
+        telemetry: TelemetryConfig::windowed(2048),
+        ..ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, MachineKind::Omega)
+    };
+    let report = Runner::new(spec.system()).run(&g, spec.algo.algo(&g));
     assert!(report.telemetry.is_some());
-    let fp = spec.fingerprint(DatasetScale::Tiny, telemetry);
+    let fp = spec.fingerprint(DatasetScale::Tiny);
     store
         .store_report(fp, &spec.label(), &report)
         .expect("persist");
@@ -228,7 +229,7 @@ fn deeply_nested_entry_is_a_corrupt_miss() {
         .with_store(&dir)
         .expect("store opens");
     s.report(spec);
-    let fp = spec.fingerprint(DatasetScale::Tiny, TelemetryConfig::off());
+    let fp = spec.fingerprint(DatasetScale::Tiny);
     let path = s.store().expect("attached").entry_path(fp);
     drop(s);
     std::fs::write(&path, "[".repeat(100_000)).expect("overwrite");
@@ -327,7 +328,7 @@ fn store_fingerprints_are_pinned() {
     ];
     for (m, want) in pinned {
         let spec = ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, m);
-        let fp = spec.fingerprint(DatasetScale::Tiny, TelemetryConfig::off());
+        let fp = spec.fingerprint(DatasetScale::Tiny);
         assert_eq!(fp, want, "{}: got {fp:#018x}", spec.label());
     }
 }

@@ -73,11 +73,6 @@ impl Layout {
         self.prop_strides[id as usize]
     }
 
-    /// Number of registered property arrays.
-    pub fn num_props(&self) -> usize {
-        self.prop_bases.len()
-    }
-
     /// The monitor-unit lookup: if `addr` falls inside a registered vtxProp
     /// region, returns `(property, vertex)`.
     pub fn prop_of_addr(&self, addr: u64) -> Option<(RawPropId, u32)> {

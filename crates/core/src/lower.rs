@@ -182,10 +182,11 @@ impl OpSource for LoweringStream<'_> {
 /// Lowers a collected trace into fully materialised per-core operation
 /// streams.
 ///
-/// Thin collecting wrapper over [`LoweringStream`] — kept for `figures
-/// abl-atomics`, which rewrites the lowered ops before replaying them, and
-/// for the equivalence tests; the simulation paths replay the stream
-/// directly without materialising.
+/// Thin collecting wrapper over [`LoweringStream`]: the materialising
+/// reference that the `streaming_equivalence` tests check the stream
+/// against. `figures abl-atomics` also replays its output, lowered once
+/// with [`Target::Baseline`] and once with [`Target::BaselinePlainAtomics`];
+/// the simulation paths replay the stream directly.
 pub fn lower(raw: &RawTrace, layout: &Layout, target: Target) -> Vec<Trace> {
     let mut stream = LoweringStream::new(raw, layout, target);
     (0..stream.n_cores())

@@ -29,7 +29,7 @@ use omega_sim::audit::{self, AuditReport};
 use omega_sim::hierarchy::CacheHierarchy;
 use omega_sim::obs;
 use omega_sim::stats::MemStats;
-use omega_sim::telemetry::{TelemetryConfig, TelemetryReport};
+use omega_sim::telemetry::TelemetryReport;
 use omega_sim::{engine, AccessOutcome, Cycle, EngineReport, MemAccess, MemorySystem};
 
 /// The framework execution parameters a trace for `system` uses: the
@@ -60,7 +60,6 @@ pub fn exec_for(system: &SystemConfig) -> ExecConfig {
 #[derive(Debug, Clone)]
 pub struct Runner {
     systems: Vec<SystemConfig>,
-    telemetry: Option<TelemetryConfig>,
 }
 
 impl Runner {
@@ -69,7 +68,6 @@ impl Runner {
     pub fn new(system: SystemConfig) -> Self {
         Runner {
             systems: vec![system],
-            telemetry: None,
         }
     }
 
@@ -81,34 +79,12 @@ impl Runner {
         self
     }
 
-    /// Enables telemetry collection on every target machine, overriding
-    /// each machine's own `machine.telemetry` setting.
-    pub fn telemetry(mut self, telemetry: TelemetryConfig) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// The effective system configurations, with any [`Runner::telemetry`]
-    /// override applied.
-    pub fn resolved_systems(&self) -> Vec<SystemConfig> {
-        self.systems
-            .iter()
-            .map(|sys| {
-                let mut sys = *sys;
-                if let Some(t) = self.telemetry {
-                    sys.machine.telemetry = t;
-                }
-                sys
-            })
-            .collect()
-    }
-
     /// Traces `algo` on `g` once and replays it on every target machine,
     /// returning one report per [`Runner::new`]/[`Runner::also`] machine in
     /// order.
     pub fn run_many(&self, g: &CsrGraph, algo: Algo) -> Vec<RunReport> {
         let (checksum, raw, meta) = trace_algorithm(g, algo, &exec_for(&self.systems[0]));
-        self.resolved_systems()
+        self.systems
             .iter()
             .map(|sys| replay(algo.name(), checksum, &raw, &meta, sys, None))
             .collect()
@@ -119,7 +95,7 @@ impl Runner {
     /// report — the `audit` binary's collection path.
     pub fn run_many_audited(&self, g: &CsrGraph, algo: Algo) -> Vec<(RunReport, AuditReport)> {
         let (checksum, raw, meta) = trace_algorithm(g, algo, &exec_for(&self.systems[0]));
-        self.resolved_systems()
+        self.systems
             .iter()
             .map(|sys| {
                 let mut audit = AuditReport::new();
@@ -421,7 +397,7 @@ mod tests {
         let exec = exec_for(&SystemConfig::mini_baseline());
         let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec);
         let free: Vec<RunReport> = runner
-            .resolved_systems()
+            .systems
             .iter()
             .map(|sys| replay(algo.name(), checksum, &raw, &meta, sys, None))
             .collect();
@@ -432,11 +408,9 @@ mod tests {
     fn builder_applies_telemetry_and_chunk_overrides() {
         let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
         let algo = Algo::PageRank { iters: 1 };
-        let runner = Runner::new(SystemConfig::mini_baseline())
-            .telemetry(omega_sim::telemetry::TelemetryConfig::windowed(4096));
-        let [sys]: [SystemConfig; 1] = runner.resolved_systems().try_into().unwrap();
-        assert!(sys.machine.telemetry.enabled);
-        assert!(runner.run(&g, algo).telemetry.is_some());
+        let mut sys = SystemConfig::mini_baseline();
+        sys.machine.telemetry = omega_sim::telemetry::TelemetryConfig::windowed(4096);
+        assert!(Runner::new(sys).run(&g, algo).telemetry.is_some());
         // The chunk is set on the trace's execution parameters.
         let exec = ExecConfig {
             chunk_size: 8,
@@ -474,12 +448,15 @@ mod tests {
     fn audited_runs_are_clean_and_match_unaudited_reports() {
         let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
         let algo = Algo::PageRank { iters: 1 };
-        let runner = Runner::new(SystemConfig::mini_baseline())
-            .also(SystemConfig::mini_omega())
-            .also(SystemConfig::mini_locked_cache())
-            .also(SystemConfig::mini_pim_rank())
-            .also(SystemConfig::mini_specialized_cache())
-            .telemetry(omega_sim::telemetry::TelemetryConfig::windowed(4096));
+        let observed = |mut sys: SystemConfig| {
+            sys.machine.telemetry = omega_sim::telemetry::TelemetryConfig::windowed(4096);
+            sys
+        };
+        let runner = Runner::new(observed(SystemConfig::mini_baseline()))
+            .also(observed(SystemConfig::mini_omega()))
+            .also(observed(SystemConfig::mini_locked_cache()))
+            .also(observed(SystemConfig::mini_pim_rank()))
+            .also(observed(SystemConfig::mini_specialized_cache()));
         let (audited, audits): (Vec<RunReport>, Vec<AuditReport>) =
             runner.run_many_audited(&g, algo).into_iter().unzip();
         assert_eq!(

@@ -68,11 +68,6 @@ impl EnergyBreakdown {
             + self.leakage_mj
             + self.dram_background_mj
     }
-
-    /// On-chip (non-DRAM) energy in millijoules.
-    pub fn onchip_mj(&self) -> f64 {
-        self.total_mj() - self.dram_mj - self.dram_background_mj
-    }
 }
 
 fn l2_access_pj(slice_bytes: u64) -> f64 {
@@ -187,7 +182,6 @@ mod tests {
             + e.leakage_mj
             + e.dram_background_mj;
         assert!((e.total_mj() - manual).abs() < 1e-12);
-        assert!(e.onchip_mj() < e.total_mj());
     }
 
     #[test]

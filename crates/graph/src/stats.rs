@@ -65,20 +65,6 @@ impl DegreeStats {
         self.in_sorted.first().copied().unwrap_or(0)
     }
 
-    /// Maximum out-degree.
-    pub fn max_out_degree(&self) -> u32 {
-        self.out_sorted.first().copied().unwrap_or(0)
-    }
-
-    /// Mean degree (arcs / vertices); 0 for an empty graph.
-    pub fn mean_degree(&self) -> f64 {
-        if self.in_sorted.is_empty() {
-            0.0
-        } else {
-            self.total_arcs as f64 / self.in_sorted.len() as f64
-        }
-    }
-
     /// Gini coefficient of the in-degree distribution — an alternative skew
     /// measure (0 = perfectly uniform, →1 = all edges on one vertex). Used by
     /// tests to sanity-check the generators.
@@ -256,7 +242,6 @@ mod tests {
         let g = crate::GraphBuilder::directed(0).build();
         let s = degree_stats(&g);
         assert_eq!(s.max_in_degree(), 0);
-        assert_eq!(s.mean_degree(), 0.0);
         assert_eq!(s.in_connectivity(0.5), 0.0);
     }
 

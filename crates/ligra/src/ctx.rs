@@ -2,7 +2,7 @@
 //! tracing hooks through which every vtxProp access flows.
 
 use crate::props::{PropId, PropStorage, PropType};
-use crate::trace::{PropSpec, RawPropId, TraceEvent, TraceMeta, Tracer};
+use crate::trace::{PropSpec, TraceEvent, TraceMeta, Tracer};
 use omega_sim::fingerprint::{Canonicalize, Fnv64};
 use omega_sim::AtomicKind;
 use std::marker::PhantomData;
@@ -256,12 +256,6 @@ impl<'t> Ctx<'t> {
     pub fn extract<T: PropType>(&self, id: PropId<T>) -> Vec<T> {
         let storage = &self.props[id.raw as usize];
         (0..storage.len()).map(|i| T::load(storage, i)).collect()
-    }
-
-    /// Raw id of a typed property handle (for analyses keyed on
-    /// [`RawPropId`]).
-    pub fn raw_id<T: PropType>(&self, id: PropId<T>) -> RawPropId {
-        id.raw
     }
 }
 

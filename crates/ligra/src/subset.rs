@@ -136,15 +136,6 @@ impl VertexSubset {
             *self = VertexSubset::Dense { flags, count };
         }
     }
-
-    /// Converts to sparse in place.
-    pub fn sparsify(&mut self) {
-        if self.is_dense() {
-            let n = self.universe();
-            let ids = self.to_ids();
-            *self = VertexSubset::Sparse { n, ids };
-        }
-    }
 }
 
 #[cfg(test)]
@@ -175,8 +166,6 @@ mod tests {
         assert!(s.is_dense());
         assert_eq!(s.len(), 3);
         assert!(s.contains(7));
-        s.sparsify();
-        assert!(!s.is_dense());
         assert_eq!(s.to_ids(), vec![0, 2, 7]);
     }
 

@@ -51,7 +51,10 @@ pub const MAX_BATCH_RUNS: usize = 1024;
 /// One `run` request: which experiment, at which scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunRequest {
-    /// The experiment coordinates (dataset, algorithm, machine).
+    /// The experiment coordinates (dataset, algorithm, machine). The wire
+    /// carries no telemetry, so a spec decoded from a frame has it off and
+    /// shares its fingerprint, and so its store entry, with a plain
+    /// `Session` run.
     pub spec: ExperimentSpec,
     /// The dataset scale to build and simulate at.
     pub scale: DatasetScale,

@@ -52,7 +52,6 @@ use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::CsrGraph;
 use omega_ligra::trace::{RawTrace, TraceMeta};
 use omega_sim::obs;
-use omega_sim::telemetry::TelemetryConfig;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -267,11 +266,6 @@ struct ServerState {
     counters: Counters,
     shutting_down: AtomicBool,
 }
-
-/// The service collects no telemetry, like a default `Session`, so
-/// fingerprints (and therefore store entries) are shared with the batch
-/// tools.
-const TELEMETRY: TelemetryConfig = TelemetryConfig::off();
 
 impl ServerState {
     fn draining(&self) -> bool {
@@ -579,7 +573,7 @@ fn lookup(state: &Arc<ServerState>, fp: u64, run: RunRequest) -> Option<Arc<Json
     }
     let store = state.store.as_ref()?;
     let report = store.load_report(fp)?;
-    let payload = Arc::new(run_report_to_json(&report, &run.spec.system(TELEMETRY)));
+    let payload = Arc::new(run_report_to_json(&report, &run.spec.system()));
     state.memo.insert(fp, Arc::clone(&payload));
     Some(payload)
 }
@@ -604,7 +598,7 @@ fn batch_request(state: &Arc<ServerState>, runs: &[RunRequest]) -> Vec<Response>
     let mut jobs: Vec<Job> = Vec::new();
 
     for run in runs {
-        let fp = run.spec.fingerprint(run.scale, TELEMETRY);
+        let fp = run.spec.fingerprint(run.scale);
         if let Some(cached) = lookup(state, fp, *run) {
             c.bump("serve.hits", &c.hits);
             slots.push(BatchSlot::Cached(cached));
@@ -807,7 +801,7 @@ fn prepare(state: &Arc<ServerState>, job: &Job) -> Result<SharedInputs, Arc<Omeg
         .traces
         .get_or_build((d, job.algo.name(), job.scale), || {
             let first = ExperimentSpec::new(d, job.algo, job.entries[0].machine);
-            let exec = exec_for(&first.system(TELEMETRY));
+            let exec = exec_for(&first.system());
             let (checksum, raw, meta) = trace_algorithm(g, algo, &exec);
             Ok(TraceBundle {
                 checksum,
@@ -837,7 +831,7 @@ fn compute_one(
         std::thread::sleep(Duration::from_millis(state.config.job_delay_ms));
     }
     let algo = spec.algo.algo(g);
-    let system = spec.system(TELEMETRY);
+    let system = spec.system();
     let report = replay(
         algo.name(),
         bundle.checksum,

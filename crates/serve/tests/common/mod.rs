@@ -10,7 +10,6 @@ use omega_bench::Json;
 use omega_core::runner::Runner;
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_serve::Client;
-use omega_sim::telemetry::TelemetryConfig;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -21,11 +20,11 @@ pub fn spec(algo: AlgoKey, machine: MachineKind) -> ExperimentSpec {
 }
 
 /// The payload the server must answer for `spec` at [`SCALE`], computed
-/// by the plain `Runner` with the service's telemetry setting.
+/// by the plain `Runner` (the wire carries no telemetry, so `spec` has it
+/// off).
 pub fn expected_payload(spec: ExperimentSpec) -> String {
     let g = spec.dataset.build(SCALE).expect("registry dataset builds");
-    let mut sys = spec.machine.system();
-    sys.machine.telemetry = TelemetryConfig::off();
+    let sys = spec.system();
     let report = Runner::new(sys).run(&g, spec.algo.algo(&g));
     run_report_to_json(&report, &sys).dump()
 }

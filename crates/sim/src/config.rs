@@ -148,11 +148,6 @@ impl MachineConfig {
         cfg
     }
 
-    /// Total L2 capacity across banks.
-    pub fn l2_total(&self) -> u64 {
-        self.l2.capacity * self.core.n_cores as u64
-    }
-
     /// Index of the L2 bank (and NoC port) owning `addr` — line-interleaved
     /// across banks.
     pub fn l2_bank_of(&self, addr: u64) -> usize {
@@ -223,7 +218,7 @@ mod tests {
         let c = MachineConfig::paper_baseline();
         assert_eq!(c.core.n_cores, 16);
         assert_eq!(c.l1.capacity, 16 * 1024);
-        assert_eq!(c.l2_total(), 32 * 1024 * 1024);
+        assert_eq!(c.l2.capacity * c.core.n_cores as u64, 32 * 1024 * 1024);
         assert_eq!(c.dram.channels, 4);
         // 128-bit bus.
         assert_eq!(c.noc.bytes_per_cycle, 16);

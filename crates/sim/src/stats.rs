@@ -189,14 +189,6 @@ impl DramStats {
         self.busy_cycles as f64 / (elapsed_cycles as f64 * channels as f64)
     }
 
-    /// Average achieved bytes per cycle over the run.
-    pub fn achieved_bytes_per_cycle(&self, elapsed_cycles: u64) -> f64 {
-        if elapsed_cycles == 0 {
-            return 0.0;
-        }
-        self.bytes as f64 / elapsed_cycles as f64
-    }
-
     /// Accumulates another instance's counters.
     pub fn merge(&mut self, other: &DramStats) {
         self.reads += other.reads;

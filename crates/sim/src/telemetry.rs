@@ -24,7 +24,7 @@ use crate::stats::MemStats;
 use crate::Cycle;
 
 /// Telemetry knob carried by [`crate::MachineConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TelemetryConfig {
     /// Whether any telemetry (histograms + window sampling) is collected.
     pub enabled: bool,

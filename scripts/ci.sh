@@ -94,6 +94,16 @@ cmp target/figures-cold.txt results/figures_all_tiny.txt
 ./target/release/figures all --jobs 4 \
   > target/figures-small.txt 2> target/figures-small.err
 cmp target/figures-small.txt results/figures_all_small.txt
+# Trace-sharing gate: the cold sweep traces 124 (dataset, algo) groups,
+# the telemetry figure's runs included, and replays 150 distinct runs.
+# A second session, or a run that lost its group, raises `traces=`.
+cold_line=$(grep '^\[store\]' target/figures-cold.err)
+echo "ci: cold sweep $cold_line"
+case "$cold_line" in
+  *"traces=124 replays=150"*) ;;
+  *) echo "ci: cold sweep lost trace sharing (expected traces=124 replays=150)" >&2
+     exit 1 ;;
+esac
 warm_line=$(grep '^\[store\]' target/figures-warm.err)
 echo "ci: warm sweep $warm_line"
 case "$warm_line" in
