@@ -13,21 +13,25 @@
 //! id is refused (exit 2) before any work starts.
 //!
 //! Every experiment is one entry of [`EXPERIMENTS`]: its id, its caption,
-//! the session runs it reads and its render function. Before rendering,
-//! the session runs of all selected experiments are prefetched in one
-//! grouped batch: one functional trace per (dataset, algorithm), replayed
-//! on every machine that reads it. `--jobs N` replays up to N such groups
-//! at once (default: all cores); each timing replay itself is serial.
+//! the session runs and trace summaries it reads and its render function.
+//! Every simulated or trace-derived number a render prints comes from one
+//! of those: an ablation is a run with a non-standard [`Variant`], and a
+//! figure that reads the trace itself (Table II, figs. 4b, 5 and 18) reads
+//! its group's [`omega_bench::session::TraceSummary`]. Before rendering, the runs and
+//! summaries of all selected experiments are prefetched in one grouped
+//! batch: one functional trace per trace group, replayed on every machine
+//! that reads it. `--jobs N` works on up to N such groups at once
+//! (default: all cores); each timing replay itself is serial.
 //!
 //! Each experiment prints the paper's reference value next to the measured
 //! one; EXPERIMENTS.md records a captured run.
 //!
-//! With `--store PATH`, every simulated run and every trace-derived figure
-//! value is persisted in a content-addressed store: a second invocation
-//! against the same store replays nothing and re-traces nothing, yet
-//! produces byte-identical stdout. The final stderr line reports the
-//! store's hit/miss counters together with this process's functional-trace
-//! and timing-replay counts.
+//! With `--store PATH`, every simulated run and every trace summary is
+//! persisted in a content-addressed store: a second invocation against
+//! the same store replays nothing and re-traces nothing, yet produces
+//! byte-identical stdout. The final stderr line reports the store's
+//! hit/miss counters together with this process's functional-trace and
+//! timing-replay counts.
 //!
 //! `--profile` prints a host-side self-time table to stderr at exit;
 //! `--profile-out FILE` writes the same data as `omega-profile-report/v1`
@@ -35,22 +39,18 @@
 //! simulated DRAM/NoC/core activity) loadable in Perfetto. All three are
 //! off by default and leave disabled runs bit-identical.
 
-use omega_bench::json::Json;
-use omega_bench::session::{paper_sweep, AlgoKey, MachineKind, Session, SWEEP, SWEEP_ALGOS};
-use omega_bench::store::value_fingerprint;
+use omega_bench::session::{
+    paper_sweep, AlgoKey, MachineKind, Session, Slicing, Variant, SWEEP, SWEEP_ALGOS,
+};
 use omega_bench::{ExperimentSpec, ObsOptions, Table};
 use omega_core::analytic::{estimate, WorkloadProfile};
 use omega_core::config::SystemConfig;
-use omega_core::runner::{
-    exec_for, functional_trace_count, replay, timing_replay_count, trace_algorithm, RunReport,
-    Runner,
-};
+use omega_core::runner::{functional_trace_count, timing_replay_count, RunReport};
 use omega_energy::{energy_breakdown, node_table};
 use omega_graph::datasets::{Dataset, DatasetScale};
-use omega_graph::{reorder, stats};
+use omega_graph::reorder::Reordering;
+use omega_graph::stats;
 use omega_ligra::algorithms::Algo;
-use omega_ligra::ExecConfig;
-use omega_sim::fingerprint::{Canonicalize, Fnv64};
 use omega_sim::obs;
 use omega_sim::telemetry::TelemetryConfig;
 
@@ -62,6 +62,8 @@ struct Experiment {
     /// selected experiment at once, so each report a render asks for is
     /// already memoised.
     runs: fn(&mut Session) -> Vec<ExperimentSpec>,
+    /// The trace summaries `render` reads, prefetched with the runs.
+    summaries: fn(&mut Session) -> Vec<(Dataset, AlgoKey)>,
     caption: &'static str,
     /// Whether `all` (and an empty id list) runs it.
     in_all: bool,
@@ -78,6 +80,7 @@ impl Experiment {
             id,
             render,
             runs,
+            summaries: |_| Vec::new(),
             caption,
             in_all: true,
         }
@@ -85,23 +88,27 @@ impl Experiment {
 }
 
 /// Every experiment, in `all` order: id, render, the session runs the
-/// render reads, and caption.
+/// render reads, and caption; the four that read trace summaries name
+/// them too.
 #[rustfmt::skip]
 const EXPERIMENTS: [Experiment; 28] = [
     Experiment::new("table1", table1, no_runs,
         "graph dataset characterisation (measured vs paper Table I)"),
-    Experiment::new("table2", table2, no_runs,
-        "graph algorithm characterisation, measured on ap (paper Table II)"),
+    Experiment { summaries: |_| AlgoKey::ALL.map(|a| (Dataset::Ap, a)).to_vec(),
+        ..Experiment::new("table2", table2, no_runs,
+        "graph algorithm characterisation, measured on ap (paper Table II)") },
     Experiment::new("table3", table3, no_runs,
         "experimental testbed setup (Table III, capacities at mini scale)"),
     Experiment::new("fig3", fig3, |_| cross(FIG3_ROWS, &[MachineKind::Baseline]),
         "execution-time breakdown, baseline CMP (paper: ~71% memory bound)"),
     Experiment::new("fig4a", fig4a, |_| cross(FIG4A_ROWS, &[MachineKind::Baseline]),
         "baseline cache hit rates (paper: L2/LLC below 50%)"),
-    Experiment::new("fig4b", fig4b, no_runs,
-        "vtxProp accesses to the 20% most-connected vertices (paper: >75%)"),
-    Experiment::new("fig5", fig5, no_runs,
-        "heat map: vtxProp accesses to top-20% vertices (100 = all)"),
+    Experiment { summaries: |_| FIG4B_ROWS.to_vec(),
+        ..Experiment::new("fig4b", fig4b, no_runs,
+        "vtxProp accesses to the 20% most-connected vertices (paper: >75%)") },
+    Experiment { summaries: fig5_summaries,
+        ..Experiment::new("fig5", fig5, no_runs,
+        "heat map: vtxProp accesses to top-20% vertices (100 = all)") },
     Experiment::new("fig14", fig14, paper_sweep,
         "OMEGA speedup over baseline (paper: 2x average, PageRank 2.8x)"),
     Experiment::new("fig15", fig15, sweep_pagerank,
@@ -110,8 +117,9 @@ const EXPERIMENTS: [Experiment; 28] = [
         "DRAM bandwidth utilisation, PageRank (paper: 2.28x better on OMEGA)"),
     Experiment::new("fig17", fig17, sweep_pagerank,
         "on-chip interconnect traffic, PageRank (paper: >3x reduction)"),
-    Experiment::new("fig18", fig18, |_| cross(FIG18_ROWS, &PAIR),
-        "power-law (lj) vs non-power-law (USA) (paper: USA max 1.15x)"),
+    Experiment { summaries: |_| FIG18_GRAPHS.map(|d| (d, AlgoKey::PageRank)).to_vec(),
+        ..Experiment::new("fig18", fig18, |_| cross(FIG18_ROWS, &PAIR),
+        "power-law (lj) vs non-power-law (USA) (paper: USA max 1.15x)") },
     Experiment::new("fig19", fig19, fig19_runs,
         "scratchpad size sensitivity, lj (paper: 1.4-1.5x at quarter size)"),
     Experiment::new("fig20", fig20, |_| cross(LJ_PAGERANK, &PAIR),
@@ -129,24 +137,32 @@ const EXPERIMENTS: [Experiment; 28] = [
     Experiment::new("abl-svb", abl_svb,
         |_| cross([(Dataset::Lj, AlgoKey::Sssp)], &pair_and(MachineKind::OmegaNoSvb)),
         "source-vertex buffer ablation, SSSP lj (§V.C)"),
-    Experiment::new("abl-reorder", abl_reorder, no_runs,
+    Experiment::new("abl-reorder", abl_reorder,
+        |_| ORDERINGS.map(|(_, o)| reordered(o)).to_vec(),
         "offline reordering variants, PageRank lj baseline (paper: ~8% best)"),
     Experiment::new("abl-offchip", abl_offchip,
         |_| cross(OFFCHIP_ROWS, &pair_and(MachineKind::OmegaOffchip)),
         "§IX off-chip extensions: word DRAM + PIM + hybrid page policy (paper: future work)"),
-    Experiment::new("abl-slicing", abl_slicing, no_runs,
+    Experiment::new("abl-slicing", abl_slicing,
+        |s| SLICINGS.iter().flat_map(|&(_, slicing)| slices(s, slicing)).collect(),
         "§VII graph slicing: plain vs power-law-aware (paper: up to 5x fewer slices)"),
-    Experiment::new("abl-graphmat", abl_graphmat, |_| cross(LJ_PAGERANK, &PAIR),
+    Experiment::new("abl-graphmat", abl_graphmat,
+        |_| FRAMEWORKS.iter().flat_map(|&(_, v)| PAIR.map(|m| lj_pagerank(m, v))).collect(),
         "§V.F framework independence: Ligra vs GraphMat-style PageRank"),
     Experiment::new("abl-locked", abl_locked, |_| cross(LJ_PAGERANK, &LOCKED_MACHINES),
         "§IX locked cache vs scratchpad, PageRank (paper: locking still loses)"),
     Experiment::new("rivals", rivals, |_| cross(RIVAL_ROWS, &RIVAL_MACHINES),
         "§IX rival subsystems: omega vs PIM ranks vs specialized cache"),
-    Experiment::new("channels", channels, no_runs,
+    Experiment::new("channels", channels, |_| CHANNELS.iter()
+        .flat_map(|&ch| CHANNEL_MACHINES.map(|m| lj_pagerank(m, Variant::DramChannels(ch))))
+        .collect(),
         "§IX DRAM channel scaling, PageRank on lj (Green et al.: MLP vs compute placement)"),
     // Not in `all`: neither captured golden (results/figures_all_*.txt)
     // includes it, and `all` must keep reproducing both.
-    Experiment { in_all: false, ..Experiment::new("abl-atomics", abl_atomics, no_runs,
+    Experiment { in_all: false, ..Experiment::new("abl-atomics", abl_atomics,
+        |_| ATOMICS_ROWS.iter()
+            .flat_map(|&(d, a)| ATOMICS.map(|v| varied(d, a, MachineKind::Baseline, v)))
+            .collect(),
         "§III atomic-instruction overhead on the baseline (paper: up to 50%)") },
     Experiment::new("telemetry", telemetry, telemetry_runs,
         "stall attribution and DRAM bandwidth utilisation over time"),
@@ -164,6 +180,19 @@ const LJ_PAGERANK: [(Dataset, AlgoKey); 1] = [(Dataset::Lj, AlgoKey::PageRank)];
 /// [`PAIR`] and one more machine.
 const fn pair_and(m: MachineKind) -> [MachineKind; 3] {
     [MachineKind::Baseline, MachineKind::Omega, m]
+}
+
+/// `(d, a, m)` in variant `variant`.
+fn varied(d: Dataset, a: AlgoKey, m: MachineKind, variant: Variant) -> ExperimentSpec {
+    ExperimentSpec {
+        variant,
+        ..ExperimentSpec::new(d, a, m)
+    }
+}
+
+/// PageRank on lj on `m` in variant `variant`.
+fn lj_pagerank(m: MachineKind, variant: Variant) -> ExperimentSpec {
+    varied(Dataset::Lj, AlgoKey::PageRank, m, variant)
 }
 
 /// Every machine of `machines` on every `(dataset, algo)` row.
@@ -244,7 +273,11 @@ fn main() {
         .iter()
         .flat_map(|e| (e.runs)(&mut session))
         .collect();
-    session.prefetch(&runs);
+    let summaries: Vec<(Dataset, AlgoKey)> = selected
+        .iter()
+        .flat_map(|e| (e.summaries)(&mut session))
+        .collect();
+    session.prefetch_with_summaries(&runs, &summaries);
     for e in selected {
         let _fig = obs::span_owned(format!("figure.{}", e.id));
         println!("\n==== {}: {} ====", e.id, e.caption);
@@ -291,68 +324,10 @@ fn select(ids: &[String]) -> Result<Vec<&'static Experiment>, &str> {
     })
 }
 
-/// A trace-derived figure value that does not pass through
-/// [`Session::report`] (access-share fractions, trace classification
-/// mixes, ablation cycle counts): the value `s`'s store holds under
-/// `(kind, exec, parts)`, or computed, persisted and returned. Both paths
-/// go through `decode`, so warm and cold runs format identical numbers; a
-/// stale or malformed payload (impossible without a format bug, but cheap
-/// to guard) falls back to recomputation.
-fn value<T>(
-    s: &Session,
-    kind: &str,
-    label: &str,
-    exec: &ExecConfig,
-    parts: impl Fn(&mut Fnv64),
-    decode: impl Fn(&Json) -> Option<T>,
-    compute: impl FnOnce() -> Json,
-) -> T {
-    let fresh = |v: &Json| decode(v).expect("freshly computed figure value decodes");
-    let Some(store) = s.store() else {
-        return fresh(&compute());
-    };
-    let fp = value_fingerprint(kind, s.scale().code(), exec, parts);
-    if let Some(v) = store.load_value(fp) {
-        if let Some(t) = decode(&v) {
-            return t;
-        }
-    }
-    let v = compute();
-    let t = fresh(&v);
-    if let Err(e) = store.store_value(fp, label, v) {
-        eprintln!("  [store] warning: failed to persist {label}: {e}");
-    }
-    t
-}
-
 /// The baseline and OMEGA reports of one workload.
 fn pair(s: &mut Session, d: Dataset, a: AlgoKey) -> (RunReport, RunReport) {
     let base = s.report((d, a, MachineKind::Baseline)).clone();
     (base, s.report((d, a, MachineKind::Omega)).clone())
-}
-
-/// Lossless f64 encoding for cached figure values (bit-pattern hex, same
-/// discipline as the run-report codec).
-fn jf(x: f64) -> Json {
-    Json::Str(format!("{:016x}", x.to_bits()))
-}
-
-fn jf_get(v: &Json, key: &str) -> Option<f64> {
-    let s = v.get(key)?.as_str()?;
-    (s.len() == 16)
-        .then(|| u64::from_str_radix(s, 16).ok())
-        .flatten()
-        .map(f64::from_bits)
-}
-
-/// Lossless u64 encoding (decimal string: `Json::Num` is an f64 and would
-/// round counts above 2^53).
-fn ju(x: u64) -> Json {
-    Json::Str(x.to_string())
-}
-
-fn ju_get(v: &Json, key: &str) -> Option<u64> {
-    v.get(key)?.as_str()?.parse().ok()
 }
 
 fn pct(x: f64) -> String {
@@ -413,42 +388,15 @@ fn table2(s: &mut Session) {
         "reads src",
     ]);
     for key in AlgoKey::ALL {
-        let algo = key.algo(&g);
-        let spec = algo.spec();
-        let (atomic, random, monitored) = value(
-            s,
-            "table2-trace-class",
-            &format!("table2-{}-{}", key.name(), Dataset::Ap.code()),
-            &ExecConfig::default(),
-            |h| {
-                h.write_str(Dataset::Ap.code());
-                h.write_str(key.name());
-            },
-            |v| {
-                Some((
-                    jf_get(v, "atomic")?,
-                    jf_get(v, "random")?,
-                    ju_get(v, "monitored")?,
-                ))
-            },
-            || {
-                let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
-                let c = raw.classify();
-                let monitored = meta.props.iter().filter(|p| p.monitored).count();
-                let mut o = Json::obj();
-                o.set("atomic", jf(c.atomic_fraction()));
-                o.set("random", jf(c.random_fraction()));
-                o.set("monitored", ju(monitored as u64));
-                o
-            },
-        );
+        let spec = key.algo(&g).spec();
+        let summary = s.summary(Dataset::Ap, key);
         t.row([
             spec.name.to_string(),
             spec.atomic_op.to_string(),
-            format!("{} ({})", pct(atomic), spec.atomic_level),
-            format!("{} ({})", pct(random), spec.random_level),
+            format!("{} ({})", pct(summary.atomic_fraction), spec.atomic_level),
+            format!("{} ({})", pct(summary.random_fraction), spec.random_level),
             spec.vtx_prop_bytes.to_string(),
-            format!("{} ({})", monitored, spec.n_vtx_props),
+            format!("{} ({})", summary.monitored_props, spec.n_vtx_props),
             spec.active_list.to_string(),
             spec.reads_src_prop.to_string(),
         ]);
@@ -568,74 +516,50 @@ fn fig4a(s: &mut Session) {
     println!("{t}");
 }
 
-/// Share of vtxProp accesses landing on the 20% most-connected vertices —
-/// the trace-derived number behind figs. 4b, 5, and 18, cached under the
-/// shared `prop-share` kind so the three figures reuse one entry per
-/// workload.
-fn prop_share(s: &mut Session, d: Dataset, a: AlgoKey) -> f64 {
-    let g = s.graph(d).clone();
-    value(
-        s,
-        "prop-share",
-        &format!("prop-share-{}-{}", a.name(), d.code()),
-        &ExecConfig::default(),
-        |h| {
-            h.write_str(d.code());
-            h.write_str(a.name());
-            h.write_u32(200); // hot fraction in permille
-        },
-        |v| jf_get(v, "share"),
-        || {
-            let (_, raw, _) = trace_algorithm(&g, a.algo(&g), &ExecConfig::default());
-            let hot = (g.num_vertices() as f64 * 0.2).ceil() as u32;
-            let mut o = Json::obj();
-            o.set("share", jf(raw.prop_access_fraction_below(hot)));
-            o
-        },
-    )
-}
+/// Fig. 4b's workloads.
+const FIG4B_ROWS: [(Dataset, AlgoKey); 5] = [
+    (Dataset::Sd, AlgoKey::PageRank),
+    (Dataset::Lj, AlgoKey::PageRank),
+    (Dataset::Lj, AlgoKey::Bfs),
+    (Dataset::Ic, AlgoKey::Sssp),
+    (Dataset::RoadCa, AlgoKey::PageRank),
+];
 
 /// Fig. 4b — share of vtxProp accesses hitting the top-20% vertices.
 fn fig4b(s: &mut Session) {
     let mut t = Table::new(["workload", "top-20% access share %"]);
-    for (d, a) in [
-        (Dataset::Sd, AlgoKey::PageRank),
-        (Dataset::Lj, AlgoKey::PageRank),
-        (Dataset::Lj, AlgoKey::Bfs),
-        (Dataset::Ic, AlgoKey::Sssp),
-        (Dataset::RoadCa, AlgoKey::PageRank),
-    ] {
+    for (d, a) in FIG4B_ROWS {
         t.row([
             format!("{}-{}", a.name(), d.code()),
-            pct(prop_share(s, d, a)),
+            pct(s.summary(d, a).hot_prop_share),
         ]);
     }
     println!("{t}");
 }
 
+/// Fig. 5's cells: every algorithm on every sweep dataset that supports it.
+fn fig5_summaries(s: &mut Session) -> Vec<(Dataset, AlgoKey)> {
+    SWEEP
+        .iter()
+        .flat_map(|&d| AlgoKey::ALL.map(|a| (d, a)))
+        .filter(|&pair| s.supports(pair))
+        .collect()
+}
+
 /// Fig. 5 — heat map: vtxProp access share to top-20% vertices.
 fn fig5(s: &mut Session) {
-    let algos = [
-        AlgoKey::PageRank,
-        AlgoKey::Bfs,
-        AlgoKey::Sssp,
-        AlgoKey::Bc,
-        AlgoKey::Radii,
-        AlgoKey::Cc,
-        AlgoKey::Tc,
-        AlgoKey::KCore,
-    ];
     let mut t = Table::new(
-        std::iter::once("dataset".to_string()).chain(algos.iter().map(|a| a.name().to_string())),
+        std::iter::once("dataset".to_string())
+            .chain(AlgoKey::ALL.iter().map(|a| a.name().to_string())),
     );
     for d in SWEEP {
         let mut cells = vec![d.code().to_string()];
-        for a in algos {
+        for a in AlgoKey::ALL {
             if !s.supports((d, a)) {
                 cells.push("-".into());
                 continue;
             }
-            cells.push(pct(prop_share(s, d, a)));
+            cells.push(pct(s.summary(d, a).hot_prop_share));
         }
         t.row(cells);
     }
@@ -741,6 +665,9 @@ fn fig17(s: &mut Session) {
     );
 }
 
+/// Fig. 18's graphs.
+const FIG18_GRAPHS: [Dataset; 2] = [Dataset::Lj, Dataset::Usa];
+
 /// Fig. 18's graphs, PageRank and BFS.
 const FIG18_ROWS: [(Dataset, AlgoKey); 4] = [
     (Dataset::Lj, AlgoKey::PageRank),
@@ -757,8 +684,8 @@ fn fig18(s: &mut Session) {
         "BFS speedup",
         "top-20% access share %",
     ]);
-    for d in [Dataset::Lj, Dataset::Usa] {
-        let share = prop_share(s, d, AlgoKey::PageRank);
+    for d in FIG18_GRAPHS {
+        let share = s.summary(d, AlgoKey::PageRank).hot_prop_share;
         t.row([
             d.code().to_string(),
             format!("{:.2}x", s.speedup(d, AlgoKey::PageRank)),
@@ -1011,67 +938,42 @@ fn abl_svb(s: &mut Session) {
     println!("{t}");
 }
 
+/// The reordering ablation's orderings, each applied to the unordered lj.
+const ORDERINGS: [(&str, Reordering); 5] = [
+    ("identity", Reordering::Identity),
+    ("in-degree sort", Reordering::InDegreeSort),
+    ("out-degree sort", Reordering::OutDegreeSort),
+    (
+        "nth-element 20%",
+        Reordering::NthElement { frac_permille: 200 },
+    ),
+    (
+        "slashburn-like",
+        Reordering::SlashBurnLike { hubs_per_round: 64 },
+    ),
+];
+
+/// PageRank on lj reordered by `ord`, on the baseline.
+fn reordered(ord: Reordering) -> ExperimentSpec {
+    lj_pagerank(MachineKind::Baseline, Variant::Reordered(ord))
+}
+
 /// §III/§VI — reordering algorithm comparison on the baseline.
 fn abl_reorder(s: &mut Session) {
-    let scale = s.scale();
-    // Built lazily: a fully warm store never constructs the unordered graph.
-    let g = std::cell::OnceCell::new();
-    let system = SystemConfig::mini_baseline();
-    let runner = Runner::new(system);
-    let exec = exec_for(&system);
     let mut t = Table::new([
         "ordering",
         "baseline cycles",
         "LLC hit %",
         "speedup vs identity",
     ]);
-    let mut identity_cycles = 0u64;
-    for (name, ord) in [
-        ("identity", reorder::Reordering::Identity),
-        ("in-degree sort", reorder::Reordering::InDegreeSort),
-        ("out-degree sort", reorder::Reordering::OutDegreeSort),
-        (
-            "nth-element 20%",
-            reorder::Reordering::NthElement { frac_permille: 200 },
-        ),
-        (
-            "slashburn-like",
-            reorder::Reordering::SlashBurnLike { hubs_per_round: 64 },
-        ),
-    ] {
-        let (cycles, l2_hit) = value(
-            s,
-            "abl-reorder",
-            &format!("abl-reorder-{name}-{}", Dataset::Lj.code()),
-            &exec,
-            |h| {
-                h.write_str(Dataset::Lj.code());
-                h.write_str("unordered");
-                h.write_str(name);
-                h.write_str("PageRank");
-                system.canonicalize(h);
-            },
-            |v| Some((ju_get(v, "cycles")?, jf_get(v, "l2_hit_rate")?)),
-            || {
-                let g =
-                    g.get_or_init(|| Dataset::Lj.build_unordered(scale).expect("dataset builds"));
-                let perm = reorder::compute_permutation(g, ord);
-                let rg = reorder::apply(g, &perm).expect("permutation sized to graph");
-                let r = runner.run(&rg, Algo::PageRank { iters: 1 });
-                let mut o = Json::obj();
-                o.set("cycles", ju(r.total_cycles));
-                o.set("l2_hit_rate", jf(r.mem.l2.hit_rate()));
-                o
-            },
-        );
-        if name == "identity" {
-            identity_cycles = cycles;
-        }
+    let identity_cycles = s.report(reordered(Reordering::Identity)).total_cycles;
+    for (name, ord) in ORDERINGS {
+        let r = s.report(reordered(ord));
         t.row([
             name.to_string(),
-            cycles.to_string(),
-            pct(l2_hit),
-            format!("{:.2}x", identity_cycles as f64 / cycles as f64),
+            r.total_cycles.to_string(),
+            pct(r.mem.l2.hit_rate()),
+            format!("{:.2}x", identity_cycles as f64 / r.total_cycles as f64),
         ]);
     }
     println!("{t}");
@@ -1113,110 +1015,57 @@ fn abl_offchip(s: &mut Session) {
     println!("{t}");
 }
 
+/// The slicing ablation's cuts, with their row labels.
+const SLICINGS: [(&str, Slicing); 3] = [
+    ("unsliced (tiny SP)", Slicing::Unsliced),
+    ("whole-slice fits", Slicing::WholeSliceFits),
+    ("hot-20% fits (§VII.3)", Slicing::HotFits),
+];
+
+/// PageRank on every slice of uk under `slicing`.
+fn slices(s: &mut Session, slicing: Slicing) -> Vec<ExperimentSpec> {
+    let variant = |index| Variant::Sliced { slicing, index };
+    (0..slicing.count(s.graph(Dataset::Uk)))
+        .map(|i| {
+            varied(
+                Dataset::Uk,
+                AlgoKey::PageRank,
+                MachineKind::Omega,
+                variant(i),
+            )
+        })
+        .collect()
+}
+
 /// §VII — scaling scratchpads to graphs whose hot set does not fit:
 /// plain slicing (every slice's vtxProp fits) vs. the paper's
 /// power-law-aware slicing (only each slice's hot 20% must fit), which
 /// cuts the slice count "by up to 5x" and with it the per-slice overhead.
+/// The scratchpad is 1/16 of standard, too small for the whole hot set.
 fn abl_slicing(s: &mut Session) {
-    use omega_graph::slicing;
-    let g = s.graph(Dataset::Uk).clone();
-    let n = g.num_vertices();
-    // A scratchpad too small for the whole hot set: 1/16 of standard.
-    let system = SystemConfig::mini_omega().with_scratchpad_bytes(512);
-    let slot = 9u64; // PageRank: 8-byte entry + flag byte
-    let budget_entries = (512 * 16 / slot) as usize;
-    let runner = Runner::new(system);
-    let exec = exec_for(&system);
-
-    let unsliced = value(
-        s,
-        "abl-slicing",
-        &format!("abl-slicing-unsliced-{}", Dataset::Uk.code()),
-        &exec,
-        |h| {
-            h.write_str(Dataset::Uk.code());
-            h.write_str("unsliced");
-            h.write_str("PageRank");
-            system.canonicalize(h);
-        },
-        |v| ju_get(v, "cycles"),
-        || {
-            let mut o = Json::obj();
-            o.set(
-                "cycles",
-                ju(runner.run(&g, Algo::PageRank { iters: 1 }).total_cycles),
-            );
-            o
-        },
-    );
-
     let mut t = Table::new(["strategy", "slices", "total cycles", "vs unsliced"]);
-    t.row([
-        "unsliced (tiny SP)".to_string(),
-        "1".into(),
-        unsliced.to_string(),
-        "1.00x".into(),
-    ]);
-    for name in ["whole-slice fits", "hot-20% fits (§VII.3)"] {
-        let (n_slices, total) = value(
-            s,
-            "abl-slicing",
-            &format!("abl-slicing-{name}-{}", Dataset::Uk.code()),
-            &exec,
-            |h| {
-                h.write_str(Dataset::Uk.code());
-                h.write_str(name);
-                h.write_str("PageRank");
-                h.write_usize(budget_entries);
-                system.canonicalize(h);
-            },
-            |v| Some((ju_get(v, "slices")?, ju_get(v, "cycles")?)),
-            || {
-                let slices = if name == "whole-slice fits" {
-                    slicing::slice_by_vertex_budget(&g, budget_entries).expect("budget > 0")
-                } else {
-                    slicing::slice_hot_budget(&g, budget_entries, 0.2).expect("budget > 0")
-                };
-                let mut total = 0u64;
-                for slice in &slices {
-                    // Rotate the slice's owned destination range to the id
-                    // front so the scratchpads hold exactly this slice's
-                    // vtxProp segment.
-                    let start = slice.dst_range.start;
-                    let owned = slice.owned_vertices() as u32;
-                    let forward: Vec<u32> = (0..n as u32)
-                        .map(|v| {
-                            if slice.dst_range.contains(&v) {
-                                v - start
-                            } else if v < start {
-                                v + owned
-                            } else {
-                                v
-                            }
-                        })
-                        .collect();
-                    let perm = omega_graph::reorder::Permutation::from_forward(forward)
-                        .expect("block rotation is a bijection");
-                    let rg =
-                        omega_graph::reorder::apply(&slice.graph, &perm).expect("sized to graph");
-                    let r = runner.run(&rg, Algo::PageRank { iters: 1 });
-                    total += r.total_cycles;
-                }
-                let mut o = Json::obj();
-                o.set("slices", ju(slices.len() as u64));
-                o.set("cycles", ju(total));
-                o
-            },
-        );
+    let mut unsliced = 0u64;
+    for (name, slicing) in SLICINGS {
+        let runs = slices(s, slicing);
+        let total: u64 = runs.iter().map(|&spec| s.report(spec).total_cycles).sum();
+        if slicing == Slicing::Unsliced {
+            unsliced = total;
+        }
         t.row([
             name.to_string(),
-            n_slices.to_string(),
+            runs.len().to_string(),
             total.to_string(),
             format!("{:.2}x", unsliced as f64 / total as f64),
         ]);
     }
     println!("{t}");
 }
+
+/// The frameworks of the GraphMat ablation, with their row labels.
+const FRAMEWORKS: [(&str, Variant); 2] = [
+    ("Ligra (push, atomics)", Variant::Standard),
+    ("GraphMat (gather, no atomics)", Variant::GraphMat),
+];
 
 /// §V.F — framework independence: the same OMEGA hardware under a
 /// GraphMat-style (partitioned, atomic-free) framework. GraphMat trades
@@ -1225,52 +1074,6 @@ fn abl_slicing(s: &mut Session) {
 /// than under Ligra, which is exactly what makes OMEGA's
 /// framework-independence claim meaningful.
 fn abl_graphmat(s: &mut Session) {
-    use omega_ligra::trace::CollectingTracer;
-    use omega_ligra::{graphmat, Ctx};
-    let g = s.graph(Dataset::Lj).clone();
-
-    // Ligra numbers come from the session cache.
-    let (ligra_base, ligra_omega) = pair(s, Dataset::Lj, AlgoKey::PageRank);
-
-    // GraphMat trace, replayed on both machines (cached as one value: the
-    // trace is shared, so the two replays always happen together).
-    let (gm_base_cycles, gm_omega_cycles, gm_pisc_ops) = value(
-        s,
-        "abl-graphmat",
-        &format!("abl-graphmat-pagerank-{}", Dataset::Lj.code()),
-        &ExecConfig::default(),
-        |h| {
-            h.write_str(Dataset::Lj.code());
-            h.write_str("graphmat-pagerank");
-            SystemConfig::mini_baseline().canonicalize(h);
-            SystemConfig::mini_omega().canonicalize(h);
-        },
-        |v| {
-            Some((
-                ju_get(v, "base_cycles")?,
-                ju_get(v, "omega_cycles")?,
-                ju_get(v, "pisc_ops")?,
-            ))
-        },
-        || {
-            let exec = ExecConfig::default();
-            let mut tracer = CollectingTracer::new(exec.n_cores);
-            let mut ctx = Ctx::new(exec, &mut tracer);
-            graphmat::pagerank_graphmat(&g, &mut ctx, 1);
-            let meta = ctx.meta_for(g.num_vertices() as u64, g.num_arcs(), g.is_weighted());
-            let raw = tracer.finish();
-            // GraphMat's scores are not compared here, so no checksum is passed.
-            let replay_on = |sys: SystemConfig| replay("pagerank", 0.0, &raw, &meta, &sys, None);
-            let gm_base = replay_on(SystemConfig::mini_baseline());
-            let gm_omega = replay_on(SystemConfig::mini_omega());
-            let mut o = Json::obj();
-            o.set("base_cycles", ju(gm_base.total_cycles));
-            o.set("omega_cycles", ju(gm_omega.total_cycles));
-            o.set("pisc_ops", ju(gm_omega.mem.scratchpad.pisc_ops));
-            o
-        },
-    );
-
     let mut t = Table::new([
         "framework",
         "baseline cycles",
@@ -1278,23 +1081,19 @@ fn abl_graphmat(s: &mut Session) {
         "speedup",
         "PISC ops",
     ]);
-    t.row([
-        "Ligra (push, atomics)".to_string(),
-        ligra_base.total_cycles.to_string(),
-        ligra_omega.total_cycles.to_string(),
-        format!(
-            "{:.2}x",
-            ligra_base.total_cycles as f64 / ligra_omega.total_cycles as f64
-        ),
-        ligra_omega.mem.scratchpad.pisc_ops.to_string(),
-    ]);
-    t.row([
-        "GraphMat (gather, no atomics)".to_string(),
-        gm_base_cycles.to_string(),
-        gm_omega_cycles.to_string(),
-        format!("{:.2}x", gm_base_cycles as f64 / gm_omega_cycles as f64),
-        gm_pisc_ops.to_string(),
-    ]);
+    for (name, variant) in FRAMEWORKS {
+        let base = s
+            .report(lj_pagerank(MachineKind::Baseline, variant))
+            .total_cycles;
+        let omega = s.report(lj_pagerank(MachineKind::Omega, variant));
+        t.row([
+            name.to_string(),
+            base.to_string(),
+            omega.total_cycles.to_string(),
+            format!("{:.2}x", base as f64 / omega.total_cycles as f64),
+            omega.mem.scratchpad.pisc_ops.to_string(),
+        ]);
+    }
     println!("{t}");
 }
 
@@ -1383,60 +1182,19 @@ fn rivals(s: &mut Session) {
     println!("{t}");
 }
 
+/// The channel sweep's channel counts and machines.
+const CHANNELS: [usize; 4] = [1, 2, 4, 8];
+const CHANNEL_MACHINES: [MachineKind; 3] = [
+    MachineKind::Baseline,
+    MachineKind::Omega,
+    MachineKind::PimRank,
+];
+
 /// §IX — DRAM channel scaling (Green et al.): how much of each machine's
 /// advantage is really memory-level parallelism. The PIM machine's rank
 /// count grows with the channel count, so it is the one whose standing
 /// this sweep can change.
 fn channels(s: &mut Session) {
-    const CHANNELS: [usize; 4] = [1, 2, 4, 8];
-    let systems = |ch: usize| {
-        let mut out = [
-            ("baseline", SystemConfig::mini_baseline()),
-            ("omega", SystemConfig::mini_omega()),
-            ("pim-rank", SystemConfig::mini_pim_rank()),
-        ];
-        for (_, sys) in &mut out {
-            sys.machine.dram.channels = ch;
-        }
-        out
-    };
-    let g = s.graph(Dataset::Lj).clone();
-    let cycles: Vec<u64> = value(
-        s,
-        "channels",
-        &format!("channels-pagerank-{}", Dataset::Lj.code()),
-        &ExecConfig::default(),
-        |h| {
-            h.write_str(Dataset::Lj.code());
-            h.write_str("pagerank");
-            for ch in CHANNELS {
-                for (_, sys) in systems(ch) {
-                    sys.canonicalize(h);
-                }
-            }
-        },
-        |v| {
-            let mut out = Vec::new();
-            for ch in CHANNELS {
-                for (label, _) in systems(ch) {
-                    out.push(ju_get(v, &format!("{label}-{ch}"))?);
-                }
-            }
-            Some(out)
-        },
-        || {
-            let algo = AlgoKey::PageRank.algo(&g);
-            let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
-            let mut o = Json::obj();
-            for ch in CHANNELS {
-                for (label, sys) in systems(ch) {
-                    let report = replay(algo.name(), checksum, &raw, &meta, &sys, None);
-                    o.set(format!("{label}-{ch}").as_str(), ju(report.total_cycles));
-                }
-            }
-            o
-        },
-    );
     let mut t = Table::new([
         "channels",
         "baseline cycles",
@@ -1445,8 +1203,11 @@ fn channels(s: &mut Session) {
         "omega speedup",
         "pim speedup",
     ]);
-    for (i, ch) in CHANNELS.iter().enumerate() {
-        let [base, omega, pim] = [cycles[3 * i], cycles[3 * i + 1], cycles[3 * i + 2]];
+    for ch in CHANNELS {
+        let [base, omega, pim] = CHANNEL_MACHINES.map(|m| {
+            s.report(lj_pagerank(m, Variant::DramChannels(ch)))
+                .total_cycles
+        });
         t.row([
             ch.to_string(),
             base.to_string(),
@@ -1459,53 +1220,31 @@ fn channels(s: &mut Session) {
     println!("{t}");
 }
 
+/// The atomics ablation's workloads, each with atomics and with plain
+/// stores on the baseline.
+const ATOMICS_ROWS: [(Dataset, AlgoKey); 4] = [
+    (Dataset::Lj, AlgoKey::PageRank),
+    (Dataset::Sd, AlgoKey::PageRank),
+    (Dataset::Wiki, AlgoKey::Sssp),
+    (Dataset::Ap, AlgoKey::Cc),
+];
+const ATOMICS: [Variant; 2] = [Variant::Standard, Variant::PlainAtomics];
+
 /// §III — the cost of atomic instructions on the baseline, measured the
 /// paper's way: lower every atomic to a plain store and compare (the paper
 /// reports "an overhead of up to 50%" on real hardware).
 fn abl_atomics(s: &mut Session) {
-    use omega_core::layout::Layout;
-    use omega_core::lower::{lower, Target};
-    use omega_sim::{engine, hierarchy::CacheHierarchy};
     let mut t = Table::new([
         "workload",
         "with atomics",
         "plain stores",
         "atomic overhead %",
     ]);
-    for (d, a) in [
-        (Dataset::Lj, AlgoKey::PageRank),
-        (Dataset::Sd, AlgoKey::PageRank),
-        (Dataset::Wiki, AlgoKey::Sssp),
-        (Dataset::Ap, AlgoKey::Cc),
-    ] {
-        let g = s.graph(d).clone();
-        let (atomic, plain) = value(
-            s,
-            "abl-atomics",
-            &format!("abl-atomics-{}-{}", a.name(), d.code()),
-            &ExecConfig::default(),
-            |h| {
-                h.write_str(d.code());
-                h.write_str(a.name());
-                SystemConfig::mini_baseline().canonicalize(h);
-            },
-            |v| Some((ju_get(v, "atomic")?, ju_get(v, "plain")?)),
-            || {
-                let algo = a.algo(&g);
-                let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
-                let layout = Layout::new(&meta);
-                let machine = SystemConfig::mini_baseline().machine;
-                let run_with = |target: Target| {
-                    let mut mem = CacheHierarchy::new(&machine);
-                    let traces = lower(&raw, &layout, target);
-                    engine::run(traces, &mut mem, &machine).total_cycles
-                };
-                let mut o = Json::obj();
-                o.set("atomic", ju(run_with(Target::Baseline)));
-                o.set("plain", ju(run_with(Target::BaselinePlainAtomics)));
-                o
-            },
-        );
+    for (d, a) in ATOMICS_ROWS {
+        let [atomic, plain] = ATOMICS.map(|v| {
+            s.report(varied(d, a, MachineKind::Baseline, v))
+                .total_cycles
+        });
         t.row([
             format!("{}-{}", a.name(), d.code()),
             atomic.to_string(),

@@ -46,9 +46,11 @@ const USAGE: &str = "usage:
   stats diff A.json B.json
   stats trace-check FILE   validate a Chrome Trace Event file (--trace output)
   stats store ls PATH      list every entry of a persistent store
-  stats store verify PATH  check fingerprints + checksums (JSON to stdout;
-                           exit status 1 if any entry is corrupt)
-  stats store gc PATH      drop corrupt entries and leftover temp files
+  stats store verify PATH  check fingerprints + checksums, list stale kinds
+                           (JSON to stdout; exit status 1 if any entry is
+                           corrupt)
+  stats store gc PATH      drop corrupt and stale entries and leftover
+                           temp files
 
 dump defaults: --dataset sd --algo pagerank --machine baseline \
 --scale tiny --window 65536 (stdout); --window is at least 1024
@@ -233,16 +235,15 @@ fn store_cmd(args: &[String]) -> ExitCode {
             doc.set("schema", Json::Str("omega-store-verify/v1".into()));
             doc.set("root", Json::Str(store.root().display().to_string()));
             doc.set("ok", Json::Num(outcome.ok as f64));
-            doc.set(
-                "corrupt",
+            let paths = |ps: &[std::path::PathBuf]| {
                 Json::Arr(
-                    outcome
-                        .corrupt
-                        .iter()
+                    ps.iter()
                         .map(|p| Json::Str(p.display().to_string()))
                         .collect(),
-                ),
-            );
+                )
+            };
+            doc.set("corrupt", paths(&outcome.corrupt));
+            doc.set("stale", paths(&outcome.stale));
             println!("{}", doc.dump());
             if outcome.corrupt.is_empty() {
                 ExitCode::SUCCESS

@@ -2,21 +2,31 @@
 //!
 //! [`Session`] resolves every spec through the in-memory memo, then the
 //! persistent store, then one compute path: specs are grouped by
-//! `(dataset, algorithm)`, each group is traced once and every machine in
-//! it replays the shared trace. [`Session::prefetch`] feeds that path a
-//! batch; [`Session::report`] feeds it the one spec it misses.
+//! `(dataset, algorithm)` and the graph or trace their [`Variant`]
+//! changes, each group is traced once and every machine in it replays the
+//! shared trace. A group can also summarise its trace ([`TraceSummary`])
+//! for the figures that read the trace itself. [`Session::prefetch`] and
+//! [`Session::prefetch_with_summaries`] feed that path a batch;
+//! [`Session::report`] and [`Session::summary`] feed it the one thing
+//! they miss.
 
 use crate::store::ExperimentStore;
 use omega_core::config::{OffchipExtensions, OmegaConfig, SystemConfig};
-use omega_core::runner::{exec_for, replay, trace_algorithm, RunReport};
+use omega_core::runner::{
+    exec_for, replay, replay_plain_atomics, trace_algorithm, trace_with, RunReport,
+};
 use omega_core::OmegaError;
 use omega_graph::datasets::{Dataset, DatasetScale};
-use omega_graph::CsrGraph;
+use omega_graph::reorder::{self, Reordering};
+use omega_graph::{slicing, CsrGraph};
 use omega_ligra::algorithms::Algo;
+use omega_ligra::trace::{RawTrace, TraceMeta};
+use omega_ligra::{graphmat, ExecConfig};
 use omega_sim::obs;
 use omega_sim::telemetry::TelemetryConfig;
 use omega_sim::MachineConfig;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -323,10 +333,165 @@ impl std::str::FromStr for AlgoKey {
     }
 }
 
+/// How a run departs from the standard experiment. Each case belongs to
+/// the one figure that needs it and changes the machine (`channels`, and
+/// the scratchpad of `abl-slicing`), the graph (`abl-reorder`,
+/// `abl-slicing`), the trace (`abl-graphmat`) or the lowering
+/// (`abl-atomics`). [`ExperimentSpec::new`] sets [`Variant::Standard`];
+/// no CLI flag or wire field sets another case.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum Variant {
+    /// The experiment as the paper runs it.
+    #[default]
+    Standard,
+    /// `channels`: the machine with this many DRAM channels.
+    DramChannels(usize),
+    /// `abl-atomics`: every atomic lowered to a plain store (§III).
+    PlainAtomics,
+    /// `abl-graphmat`: PageRank traced under the GraphMat-style framework
+    /// (§V.F) instead of Ligra, whatever the spec's algorithm.
+    GraphMat,
+    /// `abl-reorder`: the dataset built unordered, then reordered.
+    Reordered(Reordering),
+    /// `abl-slicing`: slice `index` of the graph cut by `slicing`, on a
+    /// [`Slicing::SP_BYTES`] scratchpad per core.
+    Sliced {
+        /// How the graph is cut.
+        slicing: Slicing,
+        /// Which slice runs (0 for [`Slicing::Unsliced`]).
+        index: u32,
+    },
+}
+
+impl Variant {
+    /// The case without its machine and lowering parts: what the
+    /// functional trace depends on, and so part of the trace-group key.
+    fn trace_variant(self) -> Variant {
+        match self {
+            Variant::DramChannels(_) | Variant::PlainAtomics => Variant::Standard,
+            Variant::Sliced {
+                slicing: Slicing::Unsliced,
+                ..
+            } => Variant::Standard,
+            other => other,
+        }
+    }
+
+    /// What the fingerprint appends to the algorithm name: the graph, trace
+    /// or lowering the case changes. Machine changes reach the fingerprint
+    /// through [`ExperimentSpec::system`].
+    fn key_tag(self) -> Option<String> {
+        match self {
+            Variant::PlainAtomics => Some(format!("{self:?}")),
+            other => (other.trace_variant() != Variant::Standard).then(|| format!("{other:?}")),
+        }
+    }
+
+    /// The graph this case traces in place of `base`, dataset `d`'s
+    /// standard graph, or `None` when it traces `base` itself.
+    fn graph(self, d: Dataset, scale: DatasetScale, base: &CsrGraph) -> Option<CsrGraph> {
+        match self.trace_variant() {
+            Variant::Reordered(ord) => {
+                let g = d
+                    .build_unordered(scale)
+                    .expect("dataset parameters are valid");
+                let perm = reorder::compute_permutation(&g, ord);
+                Some(reorder::apply(&g, &perm).expect("permutation sized to graph"))
+            }
+            Variant::Sliced { slicing, index } => Some(slicing.slice(base, index)),
+            _ => None,
+        }
+    }
+}
+
+/// How `abl-slicing` cuts a graph whose hot set does not fit the
+/// scratchpads (§VII).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Slicing {
+    /// No cut: the whole graph in one pass.
+    Unsliced,
+    /// Plain slicing: each slice's whole vtxProp fits the scratchpads.
+    WholeSliceFits,
+    /// Power-law-aware slicing (§VII.3): only each slice's hot 20% must
+    /// fit.
+    HotFits,
+}
+
+impl Slicing {
+    /// Scratchpad bytes per core of every sliced run: 1/16 of standard.
+    pub const SP_BYTES: u64 = 512;
+
+    /// Destination vertices per slice of an `n`-vertex graph, as
+    /// `slicing::slice_by_vertex_budget` and `slicing::slice_hot_budget`
+    /// cut it for the scratchpads' PageRank entries (8 B plus a flag byte).
+    fn width(self, n: usize) -> usize {
+        let budget = (Self::SP_BYTES * 16 / 9) as usize;
+        match self {
+            Slicing::Unsliced => n.max(1),
+            Slicing::WholeSliceFits => budget,
+            Slicing::HotFits => (budget as f64 / 0.2).floor() as usize,
+        }
+    }
+
+    /// How many slices `g` is cut into.
+    pub fn count(self, g: &CsrGraph) -> u32 {
+        g.num_vertices().div_ceil(self.width(g.num_vertices())) as u32
+    }
+
+    /// Slice `index` of `g`, its owned destination range rotated to the
+    /// id front so the scratchpads hold exactly that slice's vtxProp.
+    fn slice(self, g: &CsrGraph, index: u32) -> CsrGraph {
+        let (n, width) = (g.num_vertices(), self.width(g.num_vertices()));
+        let start = index as usize * width;
+        let range = start as u32..(start + width).min(n) as u32;
+        let owned = range.len() as u32;
+        let forward = (0..n as u32)
+            .map(|v| match v {
+                _ if range.contains(&v) => v - range.start,
+                _ if v < range.start => v + owned,
+                _ => v,
+            })
+            .collect();
+        let perm = reorder::Permutation::from_forward(forward).expect("rotation is a bijection");
+        reorder::apply(&slicing::slice(g, range).graph, &perm).expect("sized to graph")
+    }
+}
+
+/// What `table2`, `fig4b`, `fig5` and `fig18` read from a standard trace
+/// group's functional trace. [`Session::summary`] memoises and persists
+/// one per `(dataset, algo)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceSummary {
+    /// Share of trace events that are atomics (Table II).
+    pub atomic_fraction: f64,
+    /// Share of trace events that are random accesses (Table II).
+    pub random_fraction: f64,
+    /// vtxProp arrays the scratchpads monitor (Table II).
+    pub monitored_props: u64,
+    /// Share of vtxProp accesses to the 20% most-connected vertices, ids
+    /// below `ceil(0.2 * n)` (figs. 4b, 5 and 18).
+    pub hot_prop_share: f64,
+}
+
+impl TraceSummary {
+    /// Summarises a collected trace.
+    fn of(raw: &RawTrace, meta: &TraceMeta) -> Self {
+        let classes = raw.classify();
+        let hot = (meta.n_vertices as f64 * 0.2).ceil() as u32;
+        TraceSummary {
+            atomic_fraction: classes.atomic_fraction(),
+            random_fraction: classes.random_fraction(),
+            monitored_props: meta.props.iter().filter(|p| p.monitored).count() as u64,
+            hot_prop_share: raw.prop_access_fraction_below(hot),
+        }
+    }
+}
+
 /// One fully keyed experiment: which dataset, which algorithm, which
-/// machine, and what telemetry that machine collects. Together with the
-/// session's scale these are every input of the store fingerprint, so a
-/// spec is the memo key. Tuples convert via `From` with telemetry off, so
+/// machine, what telemetry that machine collects, and which [`Variant`]
+/// of the run. Together with the session's scale these are every input
+/// of the store fingerprint, so a spec is the memo key. Tuples convert via
+/// `From` with telemetry off and the standard variant, so
 /// `session.report((d, a, m))` keeps compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExperimentSpec {
@@ -339,46 +504,62 @@ pub struct ExperimentSpec {
     /// The telemetry the machine collects; an observer only, so every
     /// simulated number equals the telemetry-free run's.
     pub telemetry: TelemetryConfig,
+    /// How the run departs from the standard experiment.
+    pub variant: Variant,
 }
 
 impl ExperimentSpec {
-    /// Builds a spec from its first three coordinates, telemetry off.
+    /// Builds a spec from its first three coordinates, telemetry off, the
+    /// standard variant.
     pub fn new(dataset: Dataset, algo: AlgoKey, machine: MachineKind) -> Self {
         ExperimentSpec {
             dataset,
             algo,
             machine,
             telemetry: TelemetryConfig::off(),
+            variant: Variant::Standard,
         }
     }
 
-    /// Human-readable label, e.g. `PageRank-lj@omega`.
+    /// Human-readable label, e.g. `PageRank-lj@omega`, then any
+    /// non-standard variant.
     pub fn label(&self) -> String {
-        format!(
-            "{}-{}@{}",
-            self.algo.name(),
-            self.dataset.code(),
-            self.machine.label()
-        )
+        let (a, d, m) = (self.algo.name(), self.dataset.code(), self.machine);
+        match self.variant {
+            Variant::Standard => format!("{a}-{d}@{m}"),
+            v => format!("{a}-{d}@{m} [{v:?}]"),
+        }
     }
 
-    /// The machine this experiment runs on, with its telemetry applied.
+    /// The machine this experiment runs on, with its telemetry and the
+    /// variant's machine changes applied.
     pub fn system(self) -> SystemConfig {
         let mut sys = self.machine.system();
         sys.machine.telemetry = self.telemetry;
+        match self.variant {
+            Variant::DramChannels(channels) => sys.machine.dram.channels = channels,
+            Variant::Sliced { .. } => sys = sys.with_scratchpad_bytes(Slicing::SP_BYTES),
+            _ => {}
+        }
         sys
     }
 
     /// The store fingerprint of this experiment at a given scale:
-    /// dataset + scale + algorithm + the *complete* resolved
+    /// dataset + scale + algorithm (tagged with the variant's graph, trace
+    /// or lowering change, if any) + the *complete* resolved
     /// [`SystemConfig`] (telemetry included) and execution configuration,
-    /// so any machine-parameter change invalidates the cached entry.
+    /// so any machine-parameter change invalidates the cached entry. A
+    /// standard spec hashes the bytes it hashed before variants existed.
     pub fn fingerprint(&self, scale: DatasetScale) -> u64 {
+        let algo = match self.variant.key_tag() {
+            Some(tag) => Cow::Owned(format!("{}/{tag}", self.algo.name())),
+            None => Cow::Borrowed(self.algo.name()),
+        };
         let system = self.system();
         crate::store::run_fingerprint(
             self.dataset.code(),
             scale.code(),
-            self.algo.name(),
+            &algo,
             &system,
             &exec_for(&system),
         )
@@ -402,8 +583,9 @@ impl From<(Dataset, AlgoKey)> for ExperimentSpec {
 /// One fully keyed experiment and its result.
 type KeyedReport = (ExperimentSpec, RunReport);
 
-/// One `(dataset, algorithm)` trace group: the unit of functional-trace
-/// sharing. Every spec in the group replays the *same* functional trace,
+/// One trace group: the unit of functional-trace sharing, keyed by
+/// `(dataset, algorithm)` and the graph or trace the members' [`Variant`]
+/// changes. Every spec in the group replays the *same* functional trace,
 /// so a batch of specs costs one trace per group, not one per spec: a
 /// machine with telemetry and the same machine without it share it too.
 /// [`Session::prefetch`] partitions its pending specs with
@@ -416,8 +598,12 @@ pub struct TraceGroup {
     pub dataset: Dataset,
     /// The shared workload (traced once).
     pub algo: AlgoKey,
+    /// What the members change about the graph or the trace.
+    variant: Variant,
     /// The member specs, first-seen order, deduplicated.
     specs: Vec<ExperimentSpec>,
+    /// Whether the group also summarises its trace.
+    summarise: bool,
 }
 
 impl TraceGroup {
@@ -427,16 +613,17 @@ impl TraceGroup {
     }
 }
 
-/// Partitions `specs` into [`TraceGroup`]s by `(dataset, algo)`, in
-/// first-seen order, deduplicating specs within each group. All machine
-/// configurations share one core count, so one functional trace serves
-/// every replay in a group (see [`exec_for`]).
+/// Partitions `specs` into [`TraceGroup`]s by `(dataset, algo)` and the
+/// variant's trace part, in first-seen order, deduplicating specs within
+/// each group. All machine configurations share one core count, so one
+/// functional trace serves every replay in a group (see [`exec_for`]).
 pub fn trace_groups(specs: impl IntoIterator<Item = ExperimentSpec>) -> Vec<TraceGroup> {
     let mut groups: Vec<TraceGroup> = Vec::new();
     for spec in specs {
+        let key = (spec.dataset, spec.algo, spec.variant.trace_variant());
         match groups
             .iter_mut()
-            .find(|g| (g.dataset, g.algo) == (spec.dataset, spec.algo))
+            .find(|g| (g.dataset, g.algo, g.variant) == key)
         {
             Some(g) => {
                 if !g.specs.contains(&spec) {
@@ -444,9 +631,11 @@ pub fn trace_groups(specs: impl IntoIterator<Item = ExperimentSpec>) -> Vec<Trac
                 }
             }
             None => groups.push(TraceGroup {
-                dataset: spec.dataset,
-                algo: spec.algo,
+                dataset: key.0,
+                algo: key.1,
+                variant: key.2,
                 specs: vec![spec],
+                summarise: false,
             }),
         }
     }
@@ -495,17 +684,19 @@ pub fn paper_sweep(session: &mut Session) -> Vec<ExperimentSpec> {
 /// Memoising experiment session.
 ///
 /// The memo is keyed by [`ExperimentSpec`], whose coordinates (telemetry
-/// included) and the session's scale are every input of the store
-/// fingerprint, so one session holds telemetry and plain runs side by
-/// side, in the same trace groups. Construction is builder-style
+/// and variant included) and the session's scale are every input of the
+/// store fingerprint, so one session holds telemetry, variant and plain
+/// runs side by side. A second memo holds [`TraceSummary`]s by
+/// `(dataset, algo)`. Construction is builder-style
 /// (`Session::new(scale).verbose(false).jobs(n)`);
-/// [`Session::with_store`] additionally backs the in-memory memo with a
+/// [`Session::with_store`] additionally backs both memos with a
 /// persistent on-disk [`ExperimentStore`].
 #[derive(Debug)]
 pub struct Session {
     scale: DatasetScale,
     graphs: HashMap<Dataset, CsrGraph>,
     runs: HashMap<ExperimentSpec, RunReport>,
+    summaries: HashMap<(Dataset, AlgoKey), TraceSummary>,
     verbose: bool,
     store: Option<ExperimentStore>,
     jobs: Option<usize>,
@@ -519,14 +710,15 @@ impl Session {
             scale,
             graphs: HashMap::new(),
             runs: HashMap::new(),
+            summaries: HashMap::new(),
             verbose: true,
             store: None,
             jobs: None,
         }
     }
 
-    /// Caps how many experiments [`Session::prefetch`] replays at once (the
-    /// `--jobs N` flag). The default is
+    /// Caps how many trace groups [`Session::prefetch`] works on at once
+    /// (the `--jobs N` flag). The default is
     /// [`std::thread::available_parallelism`]. Each replay is serial.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = Some(jobs.max(1));
@@ -540,9 +732,8 @@ impl Session {
     }
 
     /// Backs the session with a persistent experiment store rooted at
-    /// `path` (created if absent): [`Session::report`] and
-    /// [`Session::prefetch`] consult the store before simulating and
-    /// persist every fresh result.
+    /// `path` (created if absent): every lookup consults the store before
+    /// simulating, and every fresh result is persisted.
     pub fn with_store(mut self, path: impl AsRef<Path>) -> std::io::Result<Self> {
         self.store = Some(ExperimentStore::open(path)?);
         Ok(self)
@@ -575,6 +766,13 @@ impl Session {
         spec.algo.algo(g).supports(g)
     }
 
+    /// Prints where the store served `what` from, when verbose.
+    fn served(&self, what: &str) {
+        if let (true, Some(store)) = (self.verbose, &self.store) {
+            eprintln!("  [store] {what} served from {}", store.root().display());
+        }
+    }
+
     /// Loads `spec`'s report from the persistent store into the memo
     /// cache, if a store is attached and holds an intact entry.
     fn load_from_store(&mut self, spec: ExperimentSpec) -> bool {
@@ -584,14 +782,20 @@ impl Session {
         let Some(report) = store.load_report(spec.fingerprint(self.scale)) else {
             return false;
         };
-        if self.verbose {
-            eprintln!(
-                "  [store] {} served from {}",
-                spec.label(),
-                store.root().display()
-            );
-        }
+        self.served(&spec.label());
         self.runs.insert(spec, report);
+        true
+    }
+
+    /// Loads `pair`'s trace summary from the persistent store into its
+    /// memo, if a store is attached and holds an intact entry.
+    fn load_summary(&mut self, pair: (Dataset, AlgoKey)) -> bool {
+        let (fp, label) = summary_key(pair, self.scale);
+        let Some(summary) = self.store.as_ref().and_then(|s| s.load_summary(fp)) else {
+            return false;
+        };
+        self.served(&label);
+        self.summaries.insert(pair, summary);
         true
     }
 
@@ -616,34 +820,57 @@ impl Session {
     /// stores the reports. Subsequent [`Session::report`] calls are cache
     /// hits. Duplicates collapse, memo hits touch nothing, and store hits
     /// are drained first (no trace, no replay); the rest are simulated
-    /// together, one functional trace per `(dataset, algo)` group.
+    /// together, one functional trace per trace group.
     pub fn prefetch<S: Into<ExperimentSpec> + Copy>(&mut self, work: &[S]) {
+        let runs: Vec<ExperimentSpec> = work.iter().map(|&s| s.into()).collect();
+        self.prefetch_with_summaries(&runs, &[]);
+    }
+
+    /// [`Session::prefetch`] for `runs`, plus the trace summaries of
+    /// `summaries`: a pair whose standard trace group has pending runs
+    /// summarises that group's trace, and any other pair is traced for its
+    /// summary alone. Subsequent [`Session::summary`] calls are cache hits.
+    pub fn prefetch_with_summaries(
+        &mut self,
+        runs: &[ExperimentSpec],
+        summaries: &[(Dataset, AlgoKey)],
+    ) {
         let _span = obs::span("session.prefetch");
-        let mut seen = std::collections::HashSet::new();
-        let pending: Vec<ExperimentSpec> = work
+        let mut seen = HashSet::new();
+        let pending: Vec<ExperimentSpec> = runs
             .iter()
-            .map(|&s| s.into())
+            .copied()
             .filter(|&spec| {
                 seen.insert(spec) && !self.runs.contains_key(&spec) && !self.load_from_store(spec)
             })
             .collect();
-        self.compute(pending);
+        let mut seen = HashSet::new();
+        let wanted: Vec<(Dataset, AlgoKey)> = summaries
+            .iter()
+            .copied()
+            .filter(|&pair| {
+                seen.insert(pair) && !self.summaries.contains_key(&pair) && !self.load_summary(pair)
+            })
+            .collect();
+        self.compute(pending, wanted);
     }
 
     /// Simulates `pending`, distinct specs found in neither the memo nor
-    /// the store, and memoises the reports.
+    /// the store, summarises the traces of `wanted`, distinct pairs found
+    /// in neither either, and memoises the results.
     ///
-    /// The specs are grouped by `(dataset, algo)`: the functional
-    /// (tracing) phase runs **once** per group and every spec in it
-    /// replays the shared trace through the streaming lowering path.
+    /// The specs are grouped by [`trace_groups`]: the functional (tracing)
+    /// phase runs **once** per group and every spec in it replays the
+    /// shared trace through the streaming lowering path. A wanted pair
+    /// marks its standard group, or adds a group with no specs.
     /// `min(jobs, groups)` workers (see [`Session::jobs`]) take groups in
-    /// turn, and each replays its group's specs serially
-    /// with [`omega_core::runner::replay`]. Simulations are deterministic
-    /// and independent, so parallel execution changes nothing but
-    /// wall-clock time. Fresh results are persisted from the worker
-    /// threads (the store is `Sync`; writes are atomic).
-    fn compute(&mut self, mut pending: Vec<ExperimentSpec>) {
-        if pending.is_empty() {
+    /// turn, and each replays its group's specs serially with
+    /// [`omega_core::runner::replay`]. Simulations are deterministic and
+    /// independent, so parallel execution changes nothing but wall-clock
+    /// time. Fresh results are persisted from the worker threads (the
+    /// store is `Sync`; writes are atomic).
+    fn compute(&mut self, mut pending: Vec<ExperimentSpec>, wanted: Vec<(Dataset, AlgoKey)>) {
+        if pending.is_empty() && wanted.is_empty() {
             return;
         }
         // Specs that resolve to one configuration (omega and omega-sp1000)
@@ -662,13 +889,33 @@ impl Session {
         // the simulations).
         {
             let _build = obs::span("session.graph_build");
-            for spec in &pending {
-                self.graph(spec.dataset);
+            for d in pending
+                .iter()
+                .map(|s| s.dataset)
+                .chain(wanted.iter().map(|w| w.0))
+            {
+                self.graph(d);
             }
         }
-        // One group per (dataset, algorithm), in first-seen order: the
-        // functional trace is shared by all of the group's specs.
-        let groups = trace_groups(pending.iter().copied());
+        // One group per (dataset, algorithm, trace variant), in first-seen
+        // order: the functional trace is shared by all of the group's specs.
+        let mut groups = trace_groups(pending.iter().copied());
+        for (dataset, algo) in wanted {
+            let key = (dataset, algo, Variant::Standard);
+            match groups
+                .iter_mut()
+                .find(|g| (g.dataset, g.algo, g.variant) == key)
+            {
+                Some(g) => g.summarise = true,
+                None => groups.push(TraceGroup {
+                    dataset,
+                    algo,
+                    variant: Variant::Standard,
+                    specs: Vec::new(),
+                    summarise: true,
+                }),
+            }
+        }
         let graphs = &self.graphs;
         let verbose = self.verbose;
         let scale = self.scale;
@@ -681,6 +928,7 @@ impl Session {
         let workers = jobs.min(groups.len()).max(1);
         let next_group = AtomicUsize::new(0);
         let results: Mutex<Vec<KeyedReport>> = Mutex::new(Vec::with_capacity(pending.len()));
+        let summaries: Mutex<Vec<((Dataset, AlgoKey), TraceSummary)>> = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
@@ -689,33 +937,63 @@ impl Session {
                         break;
                     };
                     let (d, a) = (group.dataset, group.algo);
+                    let tag = match group.variant {
+                        Variant::Standard => String::new(),
+                        v => format!(" [{v:?}]"),
+                    };
                     let _group =
-                        obs::span_owned(format!("session.group:{}/{}", d.code(), a.name()));
-                    let g = &graphs[&d];
+                        obs::span_owned(format!("session.group:{}/{}{tag}", d.code(), a.name()));
+                    let shaped = group.variant.graph(d, scale, &graphs[&d]);
+                    let g = shaped.as_ref().unwrap_or(&graphs[&d]);
                     let algo = a.algo(g);
                     if verbose {
                         eprintln!(
-                            "  [trace] {} on {} (×{} runs)",
+                            "  [trace] {} on {}{tag} (×{} runs{})",
                             a.name(),
                             d.code(),
-                            group.specs.len()
+                            group.specs.len(),
+                            if group.summarise { ", summary" } else { "" }
                         );
                     }
-                    let specs: Vec<ExperimentSpec> = group.specs().collect();
-                    let exec = exec_for(&specs[0].system());
-                    let (checksum, raw, meta) = trace_algorithm(g, algo, &exec);
-                    let mut batch = Vec::with_capacity(specs.len());
-                    for spec in specs {
+                    let exec = group
+                        .specs
+                        .first()
+                        .map_or_else(ExecConfig::default, |spec| exec_for(&spec.system()));
+                    let (checksum, raw, meta) = match group.variant {
+                        Variant::GraphMat => trace_with(g, &exec, |ctx| {
+                            graphmat::pagerank_graphmat(g, ctx, 1).iter().sum()
+                        }),
+                        _ => trace_algorithm(g, algo, &exec),
+                    };
+                    if group.summarise {
+                        let summary = TraceSummary::of(&raw, &meta);
+                        if let Some(store) = store {
+                            let (fp, label) = summary_key((d, a), scale);
+                            if let Err(e) = store.store_summary(fp, &label, &summary) {
+                                eprintln!("  [store] warning: failed to persist {label}: {e}");
+                            }
+                        }
+                        summaries
+                            .lock()
+                            .expect("no panics hold the lock")
+                            .push(((d, a), summary));
+                    }
+                    let mut batch = Vec::with_capacity(group.specs.len());
+                    for spec in group.specs() {
                         if verbose {
                             eprintln!(
-                                "  [replay] {} on {} ({})",
+                                "  [replay] {} on {}{tag} ({})",
                                 a.name(),
                                 d.code(),
                                 spec.machine.label()
                             );
                         }
                         let system = spec.system();
-                        let report = replay(algo.name(), checksum, &raw, &meta, &system, None);
+                        let report = if spec.variant == Variant::PlainAtomics {
+                            replay_plain_atomics(algo.name(), checksum, &raw, &meta, &system)
+                        } else {
+                            replay(algo.name(), checksum, &raw, &meta, &system, None)
+                        };
                         Self::persist(store, scale, spec, &report);
                         batch.push((spec, report));
                     }
@@ -728,6 +1006,8 @@ impl Session {
         });
         self.runs
             .extend(results.into_inner().expect("no panics hold the lock"));
+        self.summaries
+            .extend(summaries.into_inner().expect("no panics hold the lock"));
         for (twin, of) in twins {
             let report = self.runs[&of].clone();
             self.runs.insert(twin, report);
@@ -744,17 +1024,29 @@ impl Session {
             if self.verbose {
                 let g = self.graph(spec.dataset);
                 eprintln!(
-                    "  [run] {} on {} ({}) — {} vertices, {} arcs",
-                    spec.algo.name(),
-                    spec.dataset.code(),
-                    spec.machine.label(),
+                    "  [run] {} — {} vertices, {} arcs",
+                    spec.label(),
                     g.num_vertices(),
                     g.num_arcs()
                 );
             }
-            self.compute(vec![spec]);
+            self.compute(vec![spec], Vec::new());
         }
         &self.runs[&spec]
+    }
+
+    /// The trace summary of algorithm `a` on dataset `d`: memo, then store,
+    /// then a fresh trace through the same grouped path as
+    /// [`Session::prefetch_with_summaries`].
+    pub fn summary(&mut self, d: Dataset, a: AlgoKey) -> TraceSummary {
+        let pair = (d, a);
+        if !self.summaries.contains_key(&pair) && !self.load_summary(pair) {
+            if self.verbose {
+                eprintln!("  [run] {}", summary_key(pair, self.scale).1);
+            }
+            self.compute(Vec::new(), vec![pair]);
+        }
+        self.summaries[&pair]
     }
 
     /// OMEGA-over-baseline speedup for one experiment.
@@ -767,6 +1059,15 @@ impl Session {
             base as f64 / omega as f64
         }
     }
+}
+
+/// The store key and label of `(d, a)`'s trace summary at `scale`. Every
+/// machine traces with the default execution parameters (see
+/// [`exec_for`]), so one summary serves the pair's standard groups.
+fn summary_key((d, a): (Dataset, AlgoKey), scale: DatasetScale) -> (u64, String) {
+    let exec = ExecConfig::default();
+    let fp = crate::store::summary_fingerprint(d.code(), scale.code(), a.name(), &exec);
+    (fp, format!("trace summary of {}-{}", a.name(), d.code()))
 }
 
 #[cfg(test)]

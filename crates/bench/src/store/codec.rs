@@ -1,4 +1,5 @@
-//! Lossless [`RunReport`] ⇄ [`Json`] codec for the experiment store.
+//! Lossless [`RunReport`] and [`TraceSummary`] ⇄ [`Json`] codec for the
+//! experiment store.
 //!
 //! The public `omega-run-report/v1` schema (see [`crate::report_json`]) is
 //! a *presentation* format: it rounds histogram sums to `f64`, keeps only
@@ -10,7 +11,8 @@
 //! * `u64` counters use a JSON number while exactly representable
 //!   (< 2^53) and fall back to a decimal string above that;
 //! * the `u128` histogram sum is always a decimal string;
-//! * the functional checksum is stored as its IEEE-754 bit pattern;
+//! * the functional checksum and the summary fractions are stored as
+//!   their IEEE-754 bit patterns;
 //! * histograms persist their raw `(bucket index, count)` pairs plus the
 //!   exact sum/min/max, reconstructed via `LatencyHistogram::from_raw`;
 //! * telemetry windows carry the complete `MemStats` delta.
@@ -19,6 +21,7 @@
 //! store treats as corruption (recompute, never panic).
 
 use crate::json::Json;
+use crate::session::TraceSummary;
 use omega_core::runner::RunReport;
 use omega_core::OmegaError;
 use omega_sim::stats::{AtomicStats, CacheStats, DramStats, MemStats, NocStats, ScratchpadStats};
@@ -65,6 +68,17 @@ fn fstr(v: &Json, key: &str) -> Result<String, OmegaError> {
         .as_str()
         .map(str::to_string)
         .ok_or_else(|| corrupt(format!("field `{key}` is not a string")))
+}
+
+fn jf64(x: f64) -> Json {
+    Json::Str(format!("{:016x}", x.to_bits()))
+}
+
+fn ff64(v: &Json, key: &str) -> Result<f64, OmegaError> {
+    let hex = fstr(v, key)?;
+    u64::from_str_radix(&hex, 16)
+        .map(f64::from_bits)
+        .map_err(|e| corrupt(format!("bad f64 bits `{hex}`: {e}")))
 }
 
 fn cache_stats_to_json(c: &CacheStats) -> Json {
@@ -281,10 +295,7 @@ pub fn report_to_json(r: &RunReport) -> Json {
     let mut o = Json::obj();
     o.set("algo", Json::Str(r.algo.clone()));
     o.set("machine", Json::Str(r.machine.clone()));
-    o.set(
-        "checksum_bits",
-        Json::Str(format!("{:016x}", r.checksum.to_bits())),
-    );
+    o.set("checksum_bits", jf64(r.checksum));
     o.set("total_cycles", ju64(r.total_cycles));
     o.set("engine", engine);
     o.set("mem", mem_stats_to_json(&r.mem));
@@ -324,9 +335,6 @@ pub fn report_from_json(v: &Json) -> Result<RunReport, OmegaError> {
             finish_time: pu64(&core[6])?,
         });
     }
-    let checksum_hex = fstr(v, "checksum_bits")?;
-    let checksum_bits = u64::from_str_radix(&checksum_hex, 16)
-        .map_err(|e| corrupt(format!("bad checksum bits `{checksum_hex}`: {e}")))?;
     let hot = fu64(v, "hot_count")?;
     if hot > u32::MAX as u64 {
         return Err(corrupt("hot_count exceeds u32"));
@@ -334,7 +342,7 @@ pub fn report_from_json(v: &Json) -> Result<RunReport, OmegaError> {
     Ok(RunReport {
         algo: fstr(v, "algo")?,
         machine: fstr(v, "machine")?,
-        checksum: f64::from_bits(checksum_bits),
+        checksum: ff64(v, "checksum_bits")?,
         total_cycles: fu64(v, "total_cycles")?,
         engine: EngineReport {
             total_cycles: fu64(engine, "total_cycles")?,
@@ -348,6 +356,27 @@ pub fn report_from_json(v: &Json) -> Result<RunReport, OmegaError> {
             Json::Null => None,
             t => Some(telemetry_from_json(t)?),
         },
+    })
+}
+
+/// Encodes a trace summary into its store payload form.
+pub(crate) fn summary_to_json(s: &TraceSummary) -> Json {
+    let mut o = Json::obj();
+    o.set("atomic_fraction", jf64(s.atomic_fraction));
+    o.set("random_fraction", jf64(s.random_fraction));
+    o.set("monitored_props", ju64(s.monitored_props));
+    o.set("hot_prop_share", jf64(s.hot_prop_share));
+    o
+}
+
+/// Decodes a store payload back into a trace summary; a mismatch is an
+/// [`OmegaError::Corrupt`].
+pub(crate) fn summary_from_json(v: &Json) -> Result<TraceSummary, OmegaError> {
+    Ok(TraceSummary {
+        atomic_fraction: ff64(v, "atomic_fraction")?,
+        random_fraction: ff64(v, "random_fraction")?,
+        monitored_props: fu64(v, "monitored_props")?,
+        hot_prop_share: ff64(v, "hot_prop_share")?,
     })
 }
 

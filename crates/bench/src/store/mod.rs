@@ -1,12 +1,20 @@
 //! Persistent, content-addressed experiment store.
 //!
-//! Every simulated [`RunReport`] (and every trace-derived figure value) is
-//! keyed by a stable 64-bit fingerprint of everything that determines it:
-//! dataset + scale, algorithm, the complete [`SystemConfig`] and
-//! [`ExecConfig`], and the store format version (see
-//! [`crate::session::ExperimentSpec::fingerprint`] and the canonicalisation
-//! machinery in `omega_sim::fingerprint`). Entries live under the store
-//! root sharded by fingerprint prefix:
+//! The store holds two kinds of entry, each keyed by a stable 64-bit
+//! fingerprint of everything that determines it, mixed with the store
+//! format version:
+//!
+//! * a simulated [`RunReport`]: dataset + scale, algorithm (each tagged
+//!   with the run's variant, if any), the complete [`SystemConfig`] and
+//!   [`ExecConfig`] (see [`crate::session::ExperimentSpec::fingerprint`]
+//!   and the canonicalisation machinery in `omega_sim::fingerprint`);
+//! * a [`TraceSummary`] of one functional trace: dataset + scale,
+//!   algorithm and [`ExecConfig`].
+//!
+//! An intact entry of any other kind (the `value` entries of older
+//! builds) is stale: no lookup reads it, `verify` lists it and `gc`
+//! removes it. Entries live under the store root sharded by fingerprint
+//! prefix:
 //!
 //! ```text
 //! <root>/<hi 2 hex digits>/<16 hex digits>.json
@@ -28,6 +36,7 @@
 //!   never yields wrong data.
 
 use crate::json::Json;
+use crate::session::TraceSummary;
 use omega_core::config::SystemConfig;
 use omega_core::runner::RunReport;
 use omega_core::OmegaError;
@@ -58,36 +67,16 @@ pub const STORE_ENTRY_SCHEMA: &str = "omega-store-entry/v1";
 
 /// Entry kind for full run reports.
 const KIND_RUN_REPORT: &str = "run-report";
-/// Entry kind for trace-derived figure values.
-const KIND_VALUE: &str = "value";
+/// Entry kind for trace summaries.
+const KIND_TRACE_SUMMARY: &str = "trace-summary";
+/// Every entry kind this build reads.
+const KINDS: [&str; 2] = [KIND_RUN_REPORT, KIND_TRACE_SUMMARY];
 
 /// FNV-1a digest of a payload's canonical dump, as stored in the `check`
 /// field.
 fn payload_checksum(payload: &Json) -> u64 {
     let mut h = Fnv64::new();
     h.write_raw(payload.dump().as_bytes());
-    h.finish()
-}
-
-/// Fingerprint of a trace-derived figure value: the experiment kind, the
-/// dataset scale, the execution configuration, plus whatever extra
-/// discriminating state the caller writes in `parts`. Mixed with the store
-/// format version like every other key.
-pub fn value_fingerprint(
-    kind: &str,
-    scale_code: &str,
-    exec: &ExecConfig,
-    parts: impl FnOnce(&mut Fnv64),
-) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u32(STORE_FORMAT_VERSION);
-    h.write_str(KIND_VALUE);
-    h.write_str(kind);
-    h.write_str(scale_code);
-    // Once the tag of an optional exec; kept so value keys do not move.
-    h.write_u8(1);
-    exec.canonicalize(&mut h);
-    parts(&mut h);
     h.finish()
 }
 
@@ -100,22 +89,41 @@ pub fn run_fingerprint(
     system: &SystemConfig,
     exec: &ExecConfig,
 ) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u32(STORE_FORMAT_VERSION);
-    h.write_str(KIND_RUN_REPORT);
-    h.write_str(dataset_code);
-    h.write_str(scale_code);
-    h.write_str(algo_name);
+    let mut h = workload_hash(KIND_RUN_REPORT, [dataset_code, scale_code, algo_name]);
     system.canonicalize(&mut h);
     exec.canonicalize(&mut h);
     h.finish()
+}
+
+/// Fingerprint of a trace summary: the traced workload and the execution
+/// configuration it was traced with.
+pub fn summary_fingerprint(
+    dataset_code: &str,
+    scale_code: &str,
+    algo_name: &str,
+    exec: &ExecConfig,
+) -> u64 {
+    let mut h = workload_hash(KIND_TRACE_SUMMARY, [dataset_code, scale_code, algo_name]);
+    exec.canonicalize(&mut h);
+    h.finish()
+}
+
+/// A hasher over the format version, the entry kind and the workload's
+/// dataset, scale and algorithm.
+fn workload_hash(kind: &str, workload: [&str; 3]) -> Fnv64 {
+    let mut h = Fnv64::new();
+    h.write_u32(STORE_FORMAT_VERSION);
+    for s in std::iter::once(kind).chain(workload) {
+        h.write_str(s);
+    }
+    h
 }
 
 /// Hit/miss/corruption counters of one store handle (this process only).
 ///
 /// Counters tick once per *load or persist attempt*, so they give exact
 /// per-request cache outcomes: every [`ExperimentStore::load_report`] /
-/// [`ExperimentStore::load_value`] call increments exactly one of `hits`
+/// [`ExperimentStore::load_summary`] call increments exactly one of `hits`
 /// or `misses` (plus `corrupt` when the miss was a damaged entry), and
 /// every successful persist increments `writes`. Layers with their own
 /// accounting, such as the `omega-serve` hit/miss counters, can therefore
@@ -137,7 +145,8 @@ pub struct StoreCounters {
 pub struct EntryInfo {
     /// The entry's 64-bit content fingerprint.
     pub fingerprint: u64,
-    /// "run-report" or "value".
+    /// "run-report" or "trace-summary"; an older build's kind (such as
+    /// "value") for a stale entry, and "?" for an unreadable one.
     pub kind: String,
     /// Human-readable experiment label recorded at write time.
     pub label: String,
@@ -150,11 +159,13 @@ pub struct EntryInfo {
 /// Result of an [`ExperimentStore::verify`] sweep.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyOutcome {
-    /// Entries that parsed, matched their fingerprint, and passed the
-    /// checksum.
+    /// Entries of a kind this build reads that parsed, matched their
+    /// fingerprint, and passed the checksum.
     pub ok: usize,
     /// Files that failed any of those checks.
     pub corrupt: Vec<PathBuf>,
+    /// Intact entries of a kind this build never reads.
+    pub stale: Vec<PathBuf>,
 }
 
 /// Result of an [`ExperimentStore::gc`] sweep.
@@ -162,7 +173,7 @@ pub struct VerifyOutcome {
 pub struct GcOutcome {
     /// Entries kept.
     pub kept: usize,
-    /// Files removed (corrupt entries and leftover temp files).
+    /// Files removed (corrupt and stale entries, and leftover temp files).
     pub removed: Vec<PathBuf>,
 }
 
@@ -308,22 +319,33 @@ impl ExperimentStore {
         Ok(())
     }
 
-    /// Loads the run report stored under `fingerprint`, if present and
-    /// intact.
-    pub fn load_report(&self, fingerprint: u64) -> Option<RunReport> {
-        let payload = self.load_entry(fingerprint, KIND_RUN_REPORT)?;
-        match codec::report_from_json(&payload) {
-            Ok(r) => Some(r),
+    /// Loads the `kind` payload stored under `fingerprint` and decodes
+    /// it, if present and intact.
+    fn load_decoded<T>(
+        &self,
+        fingerprint: u64,
+        kind: &str,
+        decode: fn(&Json) -> Result<T, OmegaError>,
+    ) -> Option<T> {
+        let payload = self.load_entry(fingerprint, kind)?;
+        match decode(&payload) {
+            Ok(t) => Some(t),
             Err(_) => {
-                // Decoded JSON that doesn't form a report: corrupt despite
-                // the checksum matching (e.g. written by a buggy build).
-                // Reclassify the hit.
+                // Decoded JSON that doesn't form the payload: corrupt
+                // despite the checksum matching (e.g. written by a buggy
+                // build). Reclassify the hit.
                 self.counters[0].fetch_sub(1, Ordering::Relaxed);
                 self.counters[1].fetch_add(1, Ordering::Relaxed);
                 self.counters[2].fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
+    }
+
+    /// Loads the run report stored under `fingerprint`, if present and
+    /// intact.
+    pub fn load_report(&self, fingerprint: u64) -> Option<RunReport> {
+        self.load_decoded(fingerprint, KIND_RUN_REPORT, codec::report_from_json)
     }
 
     /// Persists a run report under `fingerprint`.
@@ -336,14 +358,20 @@ impl ExperimentStore {
         )
     }
 
-    /// Loads a trace-derived figure value stored under `fingerprint`.
-    pub fn load_value(&self, fingerprint: u64) -> Option<Json> {
-        self.load_entry(fingerprint, KIND_VALUE)
+    /// Loads the trace summary stored under `fingerprint`, if present and
+    /// intact.
+    pub fn load_summary(&self, fingerprint: u64) -> Option<TraceSummary> {
+        self.load_decoded(fingerprint, KIND_TRACE_SUMMARY, codec::summary_from_json)
     }
 
-    /// Persists a trace-derived figure value under `fingerprint`.
-    pub fn store_value(&self, fingerprint: u64, label: &str, payload: Json) -> io::Result<()> {
-        self.store_entry(fingerprint, KIND_VALUE, label, payload)
+    /// Persists a trace summary under `fingerprint`.
+    pub fn store_summary(&self, fingerprint: u64, label: &str, s: &TraceSummary) -> io::Result<()> {
+        self.store_entry(
+            fingerprint,
+            KIND_TRACE_SUMMARY,
+            label,
+            codec::summary_to_json(s),
+        )
     }
 
     /// All entry files currently on disk, in shard/name order. Temp files
@@ -375,25 +403,30 @@ impl ExperimentStore {
         Ok(out)
     }
 
-    /// Checks every entry against its embedded fingerprint and checksum.
+    /// Checks every entry against its embedded fingerprint and checksum,
+    /// and its kind against the kinds this build reads.
     pub fn verify(&self) -> io::Result<VerifyOutcome> {
         let mut outcome = VerifyOutcome::default();
         for (path, fingerprint) in self.entry_files()? {
-            let ok = fs::read_to_string(&path)
-                .map_err(OmegaError::from)
-                .and_then(|t| Self::decode_entry(&t, fingerprint))
-                .is_ok();
-            if ok {
-                outcome.ok += 1;
-            } else {
-                outcome.corrupt.push(path);
+            match Self::readable(&path, fingerprint) {
+                Ok(true) => outcome.ok += 1,
+                Ok(false) => outcome.stale.push(path),
+                Err(_) => outcome.corrupt.push(path),
             }
         }
         Ok(outcome)
     }
 
-    /// Removes corrupt entries and leftover temp files, keeping everything
-    /// that verifies.
+    /// Whether the entry file at `path` is of a kind this build reads;
+    /// `Err` when it does not verify at all.
+    fn readable(path: &Path, fingerprint: u64) -> Result<bool, OmegaError> {
+        let text = fs::read_to_string(path)?;
+        let (kind, _) = Self::decode_entry(&text, fingerprint)?;
+        Ok(KINDS.contains(&kind.as_str()))
+    }
+
+    /// Removes corrupt and stale entries and leftover temp files, keeping
+    /// every entry this build can read.
     pub fn gc(&self) -> io::Result<GcOutcome> {
         let mut outcome = GcOutcome::default();
         // Leftover temp files from crashed writers.
@@ -407,11 +440,7 @@ impl ExperimentStore {
             }
         }
         for (path, fingerprint) in self.entry_files()? {
-            let ok = fs::read_to_string(&path)
-                .map_err(OmegaError::from)
-                .and_then(|t| Self::decode_entry(&t, fingerprint))
-                .is_ok();
-            if ok {
+            if Self::readable(&path, fingerprint).unwrap_or(false) {
                 outcome.kept += 1;
             } else if fs::remove_file(&path).is_ok() {
                 outcome.removed.push(path);

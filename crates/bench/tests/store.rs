@@ -4,14 +4,16 @@
 //! determinism through the `stats` binary.
 
 use omega_bench::json::{Json, MAX_DEPTH};
-use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind, Session};
-use omega_bench::store::value_fingerprint;
+use omega_bench::session::{
+    AlgoKey, ExperimentSpec, MachineKind, Session, Slicing, TraceSummary, Variant,
+};
+use omega_bench::store::{summary_fingerprint, STORE_ENTRY_SCHEMA, STORE_FORMAT_VERSION};
 use omega_bench::ExperimentStore;
-use omega_core::config::SystemConfig;
-use omega_core::runner::{exec_for, Runner};
+use omega_core::runner::Runner;
 use omega_graph::datasets::{Dataset, DatasetScale};
+use omega_graph::reorder::Reordering;
 use omega_ligra::ExecConfig;
-use omega_sim::fingerprint::Canonicalize;
+use omega_sim::fingerprint::Fnv64;
 use omega_sim::telemetry::TelemetryConfig;
 use std::path::PathBuf;
 
@@ -333,29 +335,129 @@ fn store_fingerprints_are_pinned() {
     }
 }
 
-/// Pinned store fingerprints of two trace-derived figure values at tiny
-/// scale: a `prop-share` key (default execution parameters) and an
-/// `abl-reorder` key (the baseline machine's execution parameters). Like
-/// the run keys above, a change here moves every stored value.
+/// Pinned store fingerprints at tiny scale of one trace summary (PageRank
+/// on sd, default execution parameters) and of one run per non-standard
+/// [`Variant`] case. Like the run keys above, a change here moves every
+/// stored entry of that kind.
 #[test]
-fn value_fingerprints_are_pinned() {
-    let scale = DatasetScale::Tiny.code();
-    let prop_share = value_fingerprint("prop-share", scale, &ExecConfig::default(), |h| {
-        h.write_str(Dataset::Sd.code());
-        h.write_str(AlgoKey::PageRank.name());
-        h.write_u32(200);
-    });
-    assert_eq!(prop_share, 0xd775_8772_f466_bf70, "got {prop_share:#018x}");
-    let system = SystemConfig::mini_baseline();
-    let abl_reorder = value_fingerprint("abl-reorder", scale, &exec_for(&system), |h| {
-        h.write_str(Dataset::Lj.code());
-        h.write_str("unordered");
-        h.write_str("identity");
-        h.write_str(AlgoKey::PageRank.name());
-        system.canonicalize(h);
-    });
-    assert_eq!(
-        abl_reorder, 0xfc5f_54f3_819f_660d,
-        "got {abl_reorder:#018x}"
+fn variant_and_summary_fingerprints_are_pinned() {
+    let summary = summary_fingerprint(
+        Dataset::Sd.code(),
+        DatasetScale::Tiny.code(),
+        AlgoKey::PageRank.name(),
+        &ExecConfig::default(),
     );
+    assert_eq!(
+        summary, 0x6c4d_b60a_54a5_6d99,
+        "summary: got {summary:#018x}"
+    );
+    let pinned: [(Variant, MachineKind, u64); 6] = [
+        (
+            Variant::DramChannels(2),
+            MachineKind::PimRank,
+            0x1831_71a3_341e_0397,
+        ),
+        (
+            Variant::PlainAtomics,
+            MachineKind::Baseline,
+            0xb72c_bb98_d31d_69cc,
+        ),
+        (Variant::GraphMat, MachineKind::Omega, 0x7ab1_f2d3_05a2_2894),
+        (
+            Variant::Reordered(Reordering::InDegreeSort),
+            MachineKind::Baseline,
+            0xfa1d_7bab_92bc_06fb,
+        ),
+        (
+            Variant::Sliced {
+                slicing: Slicing::Unsliced,
+                index: 0,
+            },
+            MachineKind::Omega,
+            0x774d_69e3_5db1_a9fe,
+        ),
+        (
+            Variant::Sliced {
+                slicing: Slicing::HotFits,
+                index: 1,
+            },
+            MachineKind::Omega,
+            0x1b77_304a_6dbc_6a96,
+        ),
+    ];
+    for (variant, m, want) in pinned {
+        let spec = ExperimentSpec {
+            variant,
+            ..ExperimentSpec::new(Dataset::Sd, AlgoKey::PageRank, m)
+        };
+        let fp = spec.fingerprint(DatasetScale::Tiny);
+        assert_eq!(fp, want, "{}: got {fp:#018x}", spec.label());
+    }
+}
+
+/// Four DRAM channels is the mini machines' own count, so that channel
+/// case is a fingerprint twin of the standard run and shares its entry.
+#[test]
+fn the_standard_channel_count_is_a_twin_of_the_standard_run() {
+    for m in [
+        MachineKind::Baseline,
+        MachineKind::Omega,
+        MachineKind::PimRank,
+    ] {
+        let standard = ExperimentSpec::new(Dataset::Lj, AlgoKey::PageRank, m);
+        let channels = m.system().machine.dram.channels;
+        let twin = ExperimentSpec {
+            variant: Variant::DramChannels(channels),
+            ..standard
+        };
+        assert_eq!(channels, 4);
+        assert_eq!(
+            twin.fingerprint(DatasetScale::Tiny),
+            standard.fingerprint(DatasetScale::Tiny)
+        );
+    }
+}
+
+/// An intact entry of a kind this build never reads, as an older build
+/// wrote for a figure value: `verify` lists it as stale and `gc` reclaims
+/// it, while the entries this build reads stay.
+#[test]
+fn verify_lists_and_gc_reclaims_entries_of_kinds_no_lookup_reads() {
+    let dir = temp_store("stale");
+    let store = ExperimentStore::open(&dir).expect("store opens");
+    let summary = TraceSummary {
+        atomic_fraction: 0.25,
+        random_fraction: 0.5,
+        monitored_props: 1,
+        hot_prop_share: 0.75,
+    };
+    store
+        .store_summary(1, "summary", &summary)
+        .expect("persist");
+    let mut payload = Json::obj();
+    payload.set("share", Json::Str(format!("{:016x}", 0.5f64.to_bits())));
+    let mut check = Fnv64::new();
+    check.write_raw(payload.dump().as_bytes());
+    let mut doc = Json::obj();
+    doc.set("schema", Json::Str(STORE_ENTRY_SCHEMA.into()));
+    doc.set("version", Json::Num(STORE_FORMAT_VERSION as f64));
+    doc.set("fingerprint", Json::Str(format!("{:016x}", 2)));
+    doc.set("kind", Json::Str("value".into()));
+    doc.set("label", Json::Str("prop-share-PageRank-sd".into()));
+    doc.set("check", Json::Str(format!("{:016x}", check.finish())));
+    doc.set("payload", payload);
+    let stale = store.entry_path(2);
+    std::fs::create_dir_all(stale.parent().expect("shard dir")).expect("mkdir");
+    std::fs::write(&stale, doc.dump()).expect("write");
+
+    let outcome = store.verify().expect("verify");
+    assert_eq!(outcome.ok, 1);
+    assert!(outcome.corrupt.is_empty());
+    assert_eq!(outcome.stale, std::slice::from_ref(&stale));
+    let gc = store.gc().expect("gc");
+    assert_eq!((gc.kept, gc.removed), (1, vec![stale.clone()]));
+    assert!(!stale.exists());
+    assert!(store.verify().expect("verify").stale.is_empty());
+    assert_eq!(store.load_summary(1), Some(summary));
+    let _ = std::fs::remove_dir_all(&dir);
 }

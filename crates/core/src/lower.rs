@@ -184,9 +184,7 @@ impl OpSource for LoweringStream<'_> {
 ///
 /// Thin collecting wrapper over [`LoweringStream`]: the materialising
 /// reference that the `streaming_equivalence` tests check the stream
-/// against. `figures abl-atomics` also replays its output, lowered once
-/// with [`Target::Baseline`] and once with [`Target::BaselinePlainAtomics`];
-/// the simulation paths replay the stream directly.
+/// against. The simulation paths replay the stream directly.
 pub fn lower(raw: &RawTrace, layout: &Layout, target: Target) -> Vec<Trace> {
     let mut stream = LoweringStream::new(raw, layout, target);
     (0..stream.n_cores())

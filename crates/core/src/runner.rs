@@ -2,12 +2,11 @@
 //! timing replay → report.
 //!
 //! [`Runner`] is the entry point used by the examples, the integration
-//! tests, the audit and the figure harness's one-off ablations. It
-//! executes an algorithm functionally under the tracing framework, lowers
-//! the trace for the requested machine(s), and replays it cycle-accurately,
-//! returning a [`RunReport`] per machine with the functional checksum
-//! (identical across machines — the architecture must not change results)
-//! and all timing/memory statistics. The free function [`replay`] is the
+//! tests and the audit. It executes an algorithm functionally under the
+//! tracing framework, lowers the trace for the requested machine(s), and
+//! replays it cycle-accurately, returning a [`RunReport`] per machine with
+//! the functional checksum (identical across machines — the architecture
+//! must not change results) and all timing/memory statistics. The free function [`replay`] is the
 //! one replay path underneath: it replays an already-collected trace on
 //! one machine, serially, and is what the builder, the benchmark session's
 //! grouped compute and the service call. [`exec_for`] is the one rule for
@@ -173,13 +172,25 @@ pub fn timing_replay_count() -> u64 {
 /// Runs `algo` on `g` functionally, collecting the trace (shared step of
 /// every experiment). Returns `(checksum, raw trace, meta)`.
 pub fn trace_algorithm(g: &CsrGraph, algo: Algo, exec: &ExecConfig) -> (f64, RawTrace, TraceMeta) {
+    trace_with(g, exec, |ctx| algo.run(g, ctx).checksum())
+}
+
+/// The one tracing path: runs `kernel` over `g` under a collecting tracer
+/// and returns `(kernel's checksum, raw trace, meta)`. [`trace_algorithm`]
+/// passes a Ligra [`Algo`]; the benchmark session also passes the
+/// GraphMat-style PageRank (§V.F).
+pub fn trace_with(
+    g: &CsrGraph,
+    exec: &ExecConfig,
+    kernel: impl FnOnce(&mut Ctx<'_>) -> f64,
+) -> (f64, RawTrace, TraceMeta) {
     let _span = obs::span("runner.trace");
     FUNCTIONAL_TRACES.fetch_add(1, Ordering::Relaxed);
     let mut tracer = CollectingTracer::new(exec.n_cores);
     let mut ctx = Ctx::new(*exec, &mut tracer);
-    let output = algo.run(g, &mut ctx);
+    let checksum = kernel(&mut ctx);
     let meta = ctx.meta_for(g.num_vertices() as u64, g.num_arcs(), g.is_weighted());
-    (output.checksum(), tracer.finish(), meta)
+    (checksum, tracer.finish(), meta)
 }
 
 /// Replays an already-collected trace of `algo` (functional result
@@ -203,6 +214,32 @@ pub fn replay(
     raw: &RawTrace,
     meta: &TraceMeta,
     system: &SystemConfig,
+    audit: Option<&mut AuditReport>,
+) -> RunReport {
+    replay_lowered(algo, checksum, raw, meta, system, false, audit)
+}
+
+/// [`replay`] with every atomic lowered to a plain store
+/// ([`Target::BaselinePlainAtomics`]): the paper's §III way of measuring
+/// what atomic instructions cost. Only the baseline lowering has this
+/// form; on an OMEGA machine the result equals [`replay`]'s.
+pub fn replay_plain_atomics(
+    algo: &str,
+    checksum: f64,
+    raw: &RawTrace,
+    meta: &TraceMeta,
+    system: &SystemConfig,
+) -> RunReport {
+    replay_lowered(algo, checksum, raw, meta, system, true, None)
+}
+
+fn replay_lowered(
+    algo: &str,
+    checksum: f64,
+    raw: &RawTrace,
+    meta: &TraceMeta,
+    system: &SystemConfig,
+    plain_atomics: bool,
     mut audit: Option<&mut AuditReport>,
 ) -> RunReport {
     let _span = obs::span("runner.replay");
@@ -219,7 +256,11 @@ pub fn replay(
         Memory::Omega(m) => Some(m.hot_count()),
         _ => None,
     };
-    let target = hot_count.map_or(Target::Baseline, |hot_count| Target::Omega { hot_count });
+    let target = match hot_count {
+        Some(hot_count) => Target::Omega { hot_count },
+        None if plain_atomics => Target::BaselinePlainAtomics,
+        None => Target::Baseline,
+    };
     let mut stream = LoweringStream::new(raw, &layout, target);
     let engine_report = engine::run_source(&mut stream, &mut mem, &system.machine);
     if let Some(out) = audit.as_deref_mut() {

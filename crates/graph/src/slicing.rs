@@ -68,7 +68,7 @@ pub fn slice_by_vertex_budget(
     let mut start = 0usize;
     while start < n {
         let end = (start + vertex_budget).min(n);
-        slices.push(build_slice(g, start as VertexId..end as VertexId));
+        slices.push(slice(g, start as VertexId..end as VertexId));
         start = end;
     }
     Ok(slices)
@@ -103,7 +103,9 @@ pub fn slice_hot_budget(
     slice_by_vertex_budget(g, per_slice)
 }
 
-fn build_slice(g: &CsrGraph, range: std::ops::Range<VertexId>) -> GraphSlice {
+/// The one slice of `g` that owns the destination range `range`: what
+/// the two slicers build for each of their ranges, built alone.
+pub fn slice(g: &CsrGraph, range: std::ops::Range<VertexId>) -> GraphSlice {
     let n = g.num_vertices();
     // Slices are stored as directed arc sets even for undirected graphs:
     // each slice owns the arcs *into* its range.

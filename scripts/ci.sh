@@ -94,14 +94,20 @@ cmp target/figures-cold.txt results/figures_all_tiny.txt
 ./target/release/figures all --jobs 4 \
   > target/figures-small.txt 2> target/figures-small.err
 cmp target/figures-small.txt results/figures_all_small.txt
-# Trace-sharing gate: the cold sweep traces 124 (dataset, algo) groups,
-# the telemetry figure's runs included, and replays 150 distinct runs.
-# A second session, or a run that lost its group, raises `traces=`.
+# `abl-atomics` is not in `all`, so it has its own tiny golden.
+./target/release/figures abl-atomics --tiny \
+  > target/figures-abl-atomics.txt 2> target/figures-abl-atomics.err
+cmp target/figures-abl-atomics.txt results/figures_abl_atomics_tiny.txt
+# Trace-sharing gate: the cold sweep traces 68 trace groups (50 standard
+# (dataset, algo) groups with the telemetry figure's runs, 7 traced only
+# for their trace summary, and 11 whose variant changes the graph or the
+# trace) and replays 147 distinct runs. A second session, or a run or
+# summary that lost its group, raises `traces=`.
 cold_line=$(grep '^\[store\]' target/figures-cold.err)
 echo "ci: cold sweep $cold_line"
 case "$cold_line" in
-  *"traces=124 replays=150"*) ;;
-  *) echo "ci: cold sweep lost trace sharing (expected traces=124 replays=150)" >&2
+  *"traces=68 replays=147"*) ;;
+  *) echo "ci: cold sweep lost trace sharing (expected traces=68 replays=147)" >&2
      exit 1 ;;
 esac
 warm_line=$(grep '^\[store\]' target/figures-warm.err)
@@ -113,11 +119,12 @@ case "$warm_line" in
 esac
 ./target/release/stats store verify "$store_dir/store" \
   > target/store-verify.json
-# Every session run a figure reads comes from the up-front prefetch: a
-# `[run]` line is a serial on-demand simulation that some experiment's
-# work list in figures.rs missed. Both the stored tiny sweep and the
-# store-less small sweep are checked.
-for err in target/figures-cold.err target/figures-small.err; do
+# Every session run and trace summary a figure reads comes from the
+# up-front prefetch: a `[run]` line is a serial on-demand simulation that
+# some experiment's work list in figures.rs missed. The stored tiny sweep,
+# the store-less small sweep and `abl-atomics` are checked.
+for err in target/figures-cold.err target/figures-small.err \
+  target/figures-abl-atomics.err; do
   if grep -q '\[run\]' "$err"; then
     echo "ci: $err simulated outside the prefetch:" >&2
     grep '\[run\]' "$err" >&2
