@@ -11,7 +11,7 @@
 //! they miss.
 
 use crate::store::ExperimentStore;
-use omega_core::config::{OffchipExtensions, OmegaConfig, SystemConfig};
+use omega_core::config::{OmegaConfig, SystemConfig};
 use omega_core::runner::{
     exec_for, replay, replay_plain_atomics, trace_algorithm, trace_with, RunReport,
 };
@@ -179,7 +179,7 @@ impl MachineKind {
                 ..OmegaConfig::default()
             }),
             MachineKind::OmegaOffchip => mini_omega(OmegaConfig {
-                ext: OffchipExtensions::all(),
+                offchip: true,
                 ..OmegaConfig::default()
             }),
             MachineKind::LockedCache => SystemConfig::mini_locked_cache(),
@@ -387,16 +387,20 @@ impl Variant {
         }
     }
 
-    /// The graph this case traces in place of `base`, dataset `d`'s
-    /// standard graph, or `None` when it traces `base` itself.
-    fn graph(self, d: Dataset, scale: DatasetScale, base: &CsrGraph) -> Option<CsrGraph> {
+    /// Whether this case shapes the dataset built unordered rather than
+    /// its standard graph.
+    fn reorders(self) -> bool {
+        matches!(self, Variant::Reordered(_))
+    }
+
+    /// The graph this case traces in place of `base`, or `None` when it
+    /// traces `base` itself. `base` is the dataset built unordered when
+    /// [`Variant::reorders`] holds, its standard graph otherwise.
+    fn graph(self, base: &CsrGraph) -> Option<CsrGraph> {
         match self.trace_variant() {
             Variant::Reordered(ord) => {
-                let g = d
-                    .build_unordered(scale)
-                    .expect("dataset parameters are valid");
-                let perm = reorder::compute_permutation(&g, ord);
-                Some(reorder::apply(&g, &perm).expect("permutation sized to graph"))
+                let perm = reorder::compute_permutation(base, ord);
+                Some(reorder::apply(base, &perm).expect("permutation sized to graph"))
             }
             Variant::Sliced { slicing, index } => Some(slicing.slice(base, index)),
             _ => None,
@@ -471,20 +475,6 @@ pub struct TraceSummary {
     /// Share of vtxProp accesses to the 20% most-connected vertices, ids
     /// below `ceil(0.2 * n)` (figs. 4b, 5 and 18).
     pub hot_prop_share: f64,
-}
-
-impl TraceSummary {
-    /// Summarises a collected trace.
-    fn of(raw: &RawTrace, meta: &TraceMeta) -> Self {
-        let classes = raw.classify();
-        let hot = (meta.n_vertices as f64 * 0.2).ceil() as u32;
-        TraceSummary {
-            atomic_fraction: classes.atomic_fraction(),
-            random_fraction: classes.random_fraction(),
-            monitored_props: meta.props.iter().filter(|p| p.monitored).count() as u64,
-            hot_prop_share: raw.prop_access_fraction_below(hot),
-        }
-    }
 }
 
 /// One fully keyed experiment: which dataset, which algorithm, which
@@ -586,12 +576,10 @@ type KeyedReport = (ExperimentSpec, RunReport);
 /// One trace group: the unit of functional-trace sharing, keyed by
 /// `(dataset, algorithm)` and the graph or trace the members' [`Variant`]
 /// changes. Every spec in the group replays the *same* functional trace,
-/// so a batch of specs costs one trace per group, not one per spec: a
-/// machine with telemetry and the same machine without it share it too.
-/// [`Session::prefetch`] partitions its pending specs with
-/// [`trace_groups`]. `omega-serve` does not call it: its admission queue
-/// keys each job by `(dataset, algo, scale)`, because one server answers
-/// every scale, and a worker traces each job once for all its machines.
+/// a [`GroupTrace`], so a batch of specs costs one trace per group, not
+/// one per spec: a machine with telemetry and the same machine without
+/// it share it too. [`Session::prefetch`] partitions its pending specs
+/// with [`trace_groups`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceGroup {
     /// The shared input graph.
@@ -640,6 +628,78 @@ pub fn trace_groups(specs: impl IntoIterator<Item = ExperimentSpec>) -> Vec<Trac
         }
     }
     groups
+}
+
+/// The functional trace of one trace group, and the replay of a member
+/// on it: the paper's trace-once, replay-on-every-machine step (§V).
+/// Every computed run goes through it, in [`Session`]'s workers and in
+/// `omega-serve`'s.
+#[derive(Debug)]
+pub struct GroupTrace {
+    /// The traced kernel's name, which every report carries.
+    algo: &'static str,
+    checksum: f64,
+    raw: RawTrace,
+    meta: TraceMeta,
+}
+
+impl GroupTrace {
+    /// Traces `algo` on `g`, the graph the group's trace `variant` shapes,
+    /// under `exec`: the Ligra kernel, or the GraphMat-style PageRank
+    /// (§V.F) for [`Variant::GraphMat`].
+    pub fn new(g: &CsrGraph, algo: AlgoKey, variant: Variant, exec: &ExecConfig) -> Self {
+        let kernel = algo.algo(g);
+        let (checksum, raw, meta) = match variant {
+            Variant::GraphMat => trace_with(g, exec, |ctx| {
+                graphmat::pagerank_graphmat(g, ctx, 1).iter().sum()
+            }),
+            _ => trace_algorithm(g, kernel, exec),
+        };
+        GroupTrace {
+            algo: kernel.name(),
+            checksum,
+            raw,
+            meta,
+        }
+    }
+
+    /// Replays member `spec` on its machine, every atomic lowered to a
+    /// plain store for [`Variant::PlainAtomics`], and persists the report
+    /// in `store` under the spec's fingerprint at `scale`. A failed write
+    /// (full disk, permissions) degrades to cache-less operation rather
+    /// than aborting the run.
+    pub fn replay_member(
+        &self,
+        spec: ExperimentSpec,
+        scale: DatasetScale,
+        store: Option<&ExperimentStore>,
+    ) -> RunReport {
+        let (algo, checksum, raw, meta) = (self.algo, self.checksum, &self.raw, &self.meta);
+        let system = spec.system();
+        let report = if spec.variant == Variant::PlainAtomics {
+            replay_plain_atomics(algo, checksum, raw, meta, &system)
+        } else {
+            replay(algo, checksum, raw, meta, &system, None)
+        };
+        if let Some(store) = store {
+            if let Err(e) = store.store_report(spec.fingerprint(scale), &spec.label(), &report) {
+                eprintln!("  [store] warning: failed to persist {}: {e}", spec.label());
+            }
+        }
+        report
+    }
+
+    /// What `table2`, `fig4b`, `fig5` and `fig18` read from the trace.
+    pub fn summary(&self) -> TraceSummary {
+        let classes = self.raw.classify();
+        let hot = (self.meta.n_vertices as f64 * 0.2).ceil() as u32;
+        TraceSummary {
+            atomic_fraction: classes.atomic_fraction(),
+            random_fraction: classes.random_fraction(),
+            monitored_props: self.meta.props.iter().filter(|p| p.monitored).count() as u64,
+            hot_prop_share: self.raw.prop_access_fraction_below(hot),
+        }
+    }
 }
 
 /// The paper's detailed-simulation datasets: fig. 14's rows (uk and
@@ -799,23 +859,6 @@ impl Session {
         true
     }
 
-    /// Persists a freshly simulated report, if a store is attached.
-    /// Write failures (full disk, permissions) degrade to cache-less
-    /// operation rather than aborting the run.
-    fn persist(
-        store: Option<&ExperimentStore>,
-        scale: DatasetScale,
-        spec: ExperimentSpec,
-        report: &RunReport,
-    ) {
-        if let Some(store) = store {
-            let fp = spec.fingerprint(scale);
-            if let Err(e) = store.store_report(fp, &spec.label(), report) {
-                eprintln!("  [store] warning: failed to persist {}: {e}", spec.label());
-            }
-        }
-    }
-
     /// Runs every experiment in `work` that is not already cached and
     /// stores the reports. Subsequent [`Session::report`] calls are cache
     /// hits. Duplicates collapse, memo hits touch nothing, and store hits
@@ -859,13 +902,12 @@ impl Session {
     /// the store, summarises the traces of `wanted`, distinct pairs found
     /// in neither either, and memoises the results.
     ///
-    /// The specs are grouped by [`trace_groups`]: the functional (tracing)
-    /// phase runs **once** per group and every spec in it replays the
-    /// shared trace through the streaming lowering path. A wanted pair
-    /// marks its standard group, or adds a group with no specs.
-    /// `min(jobs, groups)` workers (see [`Session::jobs`]) take groups in
-    /// turn, and each replays its group's specs serially with
-    /// [`omega_core::runner::replay`]. Simulations are deterministic and
+    /// The specs are grouped by [`trace_groups`]: each group's graph is
+    /// shaped, its [`GroupTrace`] collected **once**, and every spec in it
+    /// replayed on that trace. A wanted pair marks its standard group, or
+    /// adds a group with no specs. `min(jobs, groups)` workers (see
+    /// [`Session::jobs`]) take groups in turn, and each replays its
+    /// group's specs serially. Simulations are deterministic and
     /// independent, so parallel execution changes nothing but wall-clock
     /// time. Fresh results are persisted from the worker threads (the
     /// store is `Sync`; writes are atomic).
@@ -885,22 +927,10 @@ impl Session {
             }
             of == spec
         });
-        // Build the needed graphs first (cached, sequential — cheap next to
-        // the simulations).
-        {
-            let _build = obs::span("session.graph_build");
-            for d in pending
-                .iter()
-                .map(|s| s.dataset)
-                .chain(wanted.iter().map(|w| w.0))
-            {
-                self.graph(d);
-            }
-        }
         // One group per (dataset, algorithm, trace variant), in first-seen
         // order: the functional trace is shared by all of the group's specs.
         let mut groups = trace_groups(pending.iter().copied());
-        for (dataset, algo) in wanted {
+        for &(dataset, algo) in &wanted {
             let key = (dataset, algo, Variant::Standard);
             match groups
                 .iter_mut()
@@ -916,7 +946,27 @@ impl Session {
                 }),
             }
         }
+        // Build the graphs the groups shape first (sequential — cheap next
+        // to the simulations): a reordering group's dataset built unordered,
+        // once for all its orderings, and every other group's standard
+        // graph, cached in the session.
+        let mut unordered = HashMap::new();
+        {
+            let _build = obs::span("session.graph_build");
+            for group in &groups {
+                let d = group.dataset;
+                if group.variant.reorders() {
+                    unordered.entry(d).or_insert_with(|| {
+                        d.build_unordered(self.scale)
+                            .expect("dataset parameters are valid")
+                    });
+                } else {
+                    self.graph(d);
+                }
+            }
+        }
         let graphs = &self.graphs;
+        let unordered = &unordered;
         let verbose = self.verbose;
         let scale = self.scale;
         let store = self.store.as_ref();
@@ -943,9 +993,13 @@ impl Session {
                     };
                     let _group =
                         obs::span_owned(format!("session.group:{}/{}{tag}", d.code(), a.name()));
-                    let shaped = group.variant.graph(d, scale, &graphs[&d]);
-                    let g = shaped.as_ref().unwrap_or(&graphs[&d]);
-                    let algo = a.algo(g);
+                    let base = if group.variant.reorders() {
+                        &unordered[&d]
+                    } else {
+                        &graphs[&d]
+                    };
+                    let shaped = group.variant.graph(base);
+                    let g = shaped.as_ref().unwrap_or(base);
                     if verbose {
                         eprintln!(
                             "  [trace] {} on {}{tag} (×{} runs{})",
@@ -959,14 +1013,9 @@ impl Session {
                         .specs
                         .first()
                         .map_or_else(ExecConfig::default, |spec| exec_for(&spec.system()));
-                    let (checksum, raw, meta) = match group.variant {
-                        Variant::GraphMat => trace_with(g, &exec, |ctx| {
-                            graphmat::pagerank_graphmat(g, ctx, 1).iter().sum()
-                        }),
-                        _ => trace_algorithm(g, algo, &exec),
-                    };
+                    let trace = GroupTrace::new(g, a, group.variant, &exec);
                     if group.summarise {
-                        let summary = TraceSummary::of(&raw, &meta);
+                        let summary = trace.summary();
                         if let Some(store) = store {
                             let (fp, label) = summary_key((d, a), scale);
                             if let Err(e) = store.store_summary(fp, &label, &summary) {
@@ -988,14 +1037,7 @@ impl Session {
                                 spec.machine.label()
                             );
                         }
-                        let system = spec.system();
-                        let report = if spec.variant == Variant::PlainAtomics {
-                            replay_plain_atomics(algo.name(), checksum, &raw, &meta, &system)
-                        } else {
-                            replay(algo.name(), checksum, &raw, &meta, &system, None)
-                        };
-                        Self::persist(store, scale, spec, &report);
-                        batch.push((spec, report));
+                        batch.push((spec, trace.replay_member(spec, scale, store)));
                     }
                     results
                         .lock()

@@ -45,7 +45,7 @@ pub struct OmegaMemory {
     ctrl: ScratchpadController,
     piscs: Vec<PiscEngine>,
     /// Memory-side PIM engines, one per DRAM channel (§IX.2 extension);
-    /// `None` unless `omega.ext.pim`.
+    /// `None` unless `omega.offchip`.
     pim: Option<DramPim>,
     svbs: Vec<SourceVertexBuffer>,
     /// Per-vertex-entry locks for the scratchpad-only ablation (atomics
@@ -78,7 +78,7 @@ impl OmegaMemory {
             panic!("OmegaMemory requires an OMEGA system config");
         };
         let mut machine = system.machine;
-        if omega.ext.hybrid_page {
+        if omega.offchip {
             // §IX.3: ordinary traffic (edge streams, frontier arrays, cold
             // fills) enjoys open-page locality; cold vtxProp below issues
             // its own close-page accesses.
@@ -101,7 +101,7 @@ impl OmegaMemory {
             piscs: (0..n).map(|_| PiscEngine::new(omega.sp_latency)).collect(),
             // A channel PIM is a PIM-rank engine with one rank per channel,
             // back-pressured like a PISC.
-            pim: omega.ext.pim.then(|| {
+            pim: omega.offchip.then(|| {
                 let channel_engines = PimRankConfig {
                     ranks_per_channel: 1,
                     rank_latency: 12,
@@ -285,7 +285,7 @@ impl OmegaMemory {
                 let pim = self.pim.as_mut()?;
                 Some(pim.offload(&mut self.inner, access, kind, now))
             }
-            _ if self.omega.ext.word_dram => {
+            _ if self.omega.offchip => {
                 // Reads block the window; writes are posted.
                 let write = access.kind == AccessKind::Write;
                 self.word_dram_accesses += 1;
@@ -628,7 +628,7 @@ mod tests {
 
     fn machine_with_ext(n: u64) -> OmegaMemory {
         let sys = system_with(OmegaConfig {
-            ext: crate::config::OffchipExtensions::all(),
+            offchip: true,
             ..OmegaConfig::default()
         });
         let mt = meta(n);

@@ -6,10 +6,11 @@
 //! and (b) a rewritten update function that writes its operands to
 //! memory-mapped registers. Here, the update functions are the atomic
 //! operation kinds of Table II ([`AtomicKind`]); [`compile`] produces the
-//! micro-operation sequence a PISC executes for each, and the sequencer
-//! model in [`crate::pisc`] charges one cycle per micro-op (two for the
-//! floating-point ALU, which dominates the synthesised PISC's area and
-//! delay, §X.B).
+//! micro-operation sequence a PISC executes for each, at one cycle per
+//! micro-op (two for the floating-point ALU, which dominates the
+//! synthesised PISC's area and delay, §X.B). The sequencer model in
+//! [`crate::pisc`] charges [`AtomicKind::pisc_cycles`], and a test pins
+//! that table to these programs' costs.
 //!
 //! The interpreter ([`Program::execute`]) runs the microcode functionally
 //! over 64-bit registers, so tests can verify that the offloaded operation

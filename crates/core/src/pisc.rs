@@ -7,8 +7,11 @@
 //! read-modify-write. While an operation is in flight, the scratchpad
 //! controller blocks other requests to the same vertex (§V.A) — modelled
 //! here by the engine's strict arrival-order serialisation per PISC.
+//!
+//! The sequencer's cost per operation is [`AtomicKind::pisc_cycles`]; the
+//! [`microcode`](crate::microcode) compiler's programs are the reference
+//! that table is tested against.
 
-use crate::microcode::{compile, Program};
 use omega_sim::{AccessOutcome, AtomicKind, Blocking, Cycle};
 
 /// One PISC engine's timing state.
@@ -29,29 +32,17 @@ use omega_sim::{AccessOutcome, AtomicKind, Blocking, Cycle};
 pub struct PiscEngine {
     free_at: Cycle,
     sp_latency: u32,
-    programs: Vec<(AtomicKind, Program)>,
     ops: u64,
     busy_cycles: u64,
 }
 
 impl PiscEngine {
     /// Creates an idle PISC attached to a scratchpad of the given access
-    /// latency. Microcode for every Table II operation is pre-compiled into
-    /// the microcode registers, as the framework's configuration code would
-    /// at startup (§V.F).
+    /// latency.
     pub fn new(sp_latency: u32) -> Self {
-        let kinds = [
-            AtomicKind::FpAdd,
-            AtomicKind::UnsignedCompareSet,
-            AtomicKind::SignedMin,
-            AtomicKind::LabelMin,
-            AtomicKind::BoolOr,
-            AtomicKind::SignedAdd,
-        ];
         PiscEngine {
             free_at: 0,
             sp_latency,
-            programs: kinds.iter().map(|&k| (k, compile(k))).collect(),
             ops: 0,
             busy_cycles: 0,
         }
@@ -62,15 +53,9 @@ impl PiscEngine {
     /// sequencer is single-issue), which also realises the per-vertex
     /// blocking the controller enforces.
     pub fn execute(&mut self, kind: AtomicKind, arrival: Cycle) -> Cycle {
-        let program_cycles = self
-            .programs
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, p)| p.cycles())
-            .unwrap_or_else(|| compile(kind).cycles());
         // Read + ALU/sequencer + write-back; the scratchpad port is held
         // for the whole RMW.
-        let service = self.sp_latency as u64 * 2 + program_cycles as u64;
+        let service = self.sp_latency as u64 * 2 + kind.pisc_cycles() as u64;
         let start = arrival.max(self.free_at);
         let done = start + service;
         self.free_at = done;

@@ -524,35 +524,35 @@ mod tests {
         // it passes. sd is fully resident at tiny scale, so a 64 B
         // scratchpad variant makes cold vertices whose atomics reach the
         // ledgers.
-        use crate::config::{OffchipExtensions, OmegaConfig};
+        use crate::config::OmegaConfig;
         let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
         let exec = exec_for(&SystemConfig::mini_omega());
         let (_, raw, meta) = trace_algorithm(&g, Algo::PageRank { iters: 1 }, &exec);
         for sp_bytes_per_core in [OmegaConfig::default().sp_bytes_per_core, 64] {
-            let machine = |ext| {
+            let machine = |offchip| {
                 SystemConfig::omega_from_baseline(
                     omega_sim::MachineConfig::mini_baseline(),
                     OmegaConfig {
                         sp_bytes_per_core,
-                        ext,
+                        offchip,
                         ..OmegaConfig::default()
                     },
                 )
             };
-            let audited = |ext| {
+            let audited = |offchip| {
                 let mut audit = AuditReport::new();
                 let report = replay(
                     "pagerank",
                     0.0,
                     &raw,
                     &meta,
-                    &machine(ext),
+                    &machine(offchip),
                     Some(&mut audit),
                 );
                 (report.mem, audit)
             };
-            let (stats, offchip) = audited(OffchipExtensions::all());
-            let (_, standard) = audited(OffchipExtensions::default());
+            let (stats, offchip) = audited(true);
+            let (_, standard) = audited(false);
             assert!(offchip.is_clean(), "{offchip}");
             assert_eq!(offchip.checks_run(), standard.checks_run() + 1);
             if sp_bytes_per_core == 64 {

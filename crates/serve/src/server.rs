@@ -31,26 +31,24 @@
 //! at **group** granularity: `batch_request` gathers a batch's cold runs
 //! into jobs keyed by `(dataset, algo, scale)`, and the queue merges a job
 //! into a queued one with the same key instead of giving it a slot. A
-//! worker builds the job's graph and functional trace once and replays
-//! every member on it, as
-//! [`Session::prefetch`](omega_bench::session::Session::prefetch) does
-//! for each `(dataset, algo)` group of its single scale. Shutdown
+//! worker builds the job's graph and its
+//! [`GroupTrace`] once and replays every member on that trace: the one
+//! compute path of every run, with the batch tools' store keys. Shutdown
 //! (`shutdown` request) closes the queue, stops accepting, and drains:
 //! every admitted request still receives its response.
 
-use crate::flight::{Flight, FlightResult, Flights, Registry, Ticket};
+use crate::flight::{Flight, Flights, Registry, Ticket};
 use crate::memo::Memo;
 use crate::proto::{
     self, Request, RequestFrame, Response, ResponseFrame, RunRequest, PROTO_V2, STATS_SCHEMA,
 };
 use crate::wire::{self, Frame};
-use omega_bench::session::{ExperimentSpec, MachineKind};
+use omega_bench::session::{AlgoKey, ExperimentSpec, GroupTrace, Variant};
 use omega_bench::{run_report_to_json, ExperimentStore, Json};
-use omega_core::runner::{exec_for, replay, trace_algorithm};
+use omega_core::runner::exec_for;
 use omega_core::OmegaError;
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::CsrGraph;
-use omega_ligra::trace::{RawTrace, TraceMeta};
 use omega_sim::obs;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
@@ -118,7 +116,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One spec awaiting computation inside a group job.
 struct JobEntry {
     fp: u64,
-    machine: MachineKind,
+    spec: ExperimentSpec,
 }
 
 /// One admitted unit of work: every queued spec sharing this
@@ -126,13 +124,13 @@ struct JobEntry {
 /// functional trace, so the queue holds them as a single slot.
 struct Job {
     dataset: Dataset,
-    algo: omega_bench::session::AlgoKey,
+    algo: AlgoKey,
     scale: DatasetScale,
     entries: Vec<JobEntry>,
 }
 
 impl Job {
-    fn key(&self) -> (Dataset, omega_bench::session::AlgoKey, DatasetScale) {
+    fn key(&self) -> (Dataset, AlgoKey, DatasetScale) {
         (self.dataset, self.algo, self.scale)
     }
 
@@ -243,19 +241,12 @@ impl Counters {
     }
 }
 
-/// A functional trace plus everything needed to replay it.
-struct TraceBundle {
-    checksum: f64,
-    raw: RawTrace,
-    meta: TraceMeta,
-}
-
 struct ServerState {
     config: ServeConfig,
     addr: SocketAddr,
     store: Option<ExperimentStore>,
     graphs: Registry<(Dataset, DatasetScale), Result<CsrGraph, String>>,
-    traces: Registry<(Dataset, &'static str, DatasetScale), Result<TraceBundle, String>>,
+    traces: Registry<(Dataset, AlgoKey, DatasetScale), GroupTrace>,
     /// Response payloads by fingerprint — the bounded in-process memo.
     /// Holding the serialised payload (not the report) makes warm
     /// responses trivially byte-identical to the cold ones that filled
@@ -611,10 +602,7 @@ fn batch_request(state: &Arc<ServerState>, runs: &[RunRequest]) -> Vec<Response>
             }
             Ticket::Leader(flight) => {
                 let (dataset, algo, scale) = (run.spec.dataset, run.spec.algo, run.scale);
-                let entry = JobEntry {
-                    fp,
-                    machine: run.spec.machine,
-                };
+                let entry = JobEntry { fp, spec: run.spec };
                 match jobs.iter_mut().find(|j| j.key() == (dataset, algo, scale)) {
                     Some(job) => job.entries.push(entry),
                     None => jobs.push(Job {
@@ -649,7 +637,12 @@ fn batch_request(state: &Arc<ServerState>, runs: &[RunRequest]) -> Vec<Response>
                     queue_limit: state.queue.cap,
                 }
             }
-            Admission::Closed => OmegaError::ShuttingDown,
+            Admission::Closed => {
+                for _ in &fps {
+                    c.bump("serve.errors", &c.errors);
+                }
+                OmegaError::ShuttingDown
+            }
         };
         let err = Arc::new(err);
         for fp in fps {
@@ -658,7 +651,8 @@ fn batch_request(state: &Arc<ServerState>, runs: &[RunRequest]) -> Vec<Response>
     }
 
     // Collect: error outcomes (busy included) stay per-spec so one shed
-    // group does not poison the rest of the batch.
+    // group does not poison the rest of the batch. Whoever failed an
+    // entry counted it, once.
     slots
         .into_iter()
         .map(|slot| {
@@ -668,12 +662,7 @@ fn batch_request(state: &Arc<ServerState>, runs: &[RunRequest]) -> Vec<Response>
             };
             match result {
                 Ok(payload) => Response::Ok((*payload).clone()),
-                Err(e) => {
-                    if !matches!(*e, OmegaError::Busy { .. }) {
-                        c.bump("serve.errors", &c.errors);
-                    }
-                    Response::from_error(&e)
-                }
+                Err(e) => Response::from_error(&e),
             }
         })
         .collect()
@@ -688,169 +677,62 @@ fn worker_loop(state: &Arc<ServerState>) {
     }
 }
 
-/// Computes one group job: graph and functional trace once (through the
-/// build-once registries), then one replay per entry, retiring each
-/// entry's flight as soon as its replay lands. A panic anywhere fails
-/// the remaining entries with a structured internal error instead of
-/// stranding their waiters.
+/// Computes one group job: the graph and the [`GroupTrace`] come from
+/// the build-once registries, then each entry is replayed, memoised and
+/// its flight retired in turn. An error or a panic anywhere fails
+/// exactly the entries not yet completed, with a structured error
+/// instead of stranding their waiters.
 fn run_job(state: &Arc<ServerState>, job: Job) {
     let c = &state.counters;
     let _span = obs::span_owned(format!("serve.group:{}", job.label()));
-    let shared = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prepare(state, &job)));
-    let shared = match shared {
-        Ok(Ok(shared)) => shared,
-        Ok(Err(e)) => {
-            fail_entries(state, &job.entries, 0, e);
-            return;
+    let mut completed = 0;
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let d = job.dataset;
+        let graph = state.graphs.get_or_build((d, job.scale), || {
+            d.build(job.scale).map_err(|e| e.to_string())
+        });
+        let g = graph
+            .as_ref()
+            .as_ref()
+            .map_err(|e| OmegaError::Internal(format!("building {}: {e}", d.code())))?;
+        if !job.algo.algo(g).supports(g) {
+            return Err(OmegaError::Unsupported(format!(
+                "{} needs an undirected graph; {} is directed",
+                job.algo.name(),
+                d.code()
+            )));
         }
-        Err(_) => {
-            fail_entries(
-                state,
-                &job.entries,
-                0,
-                Arc::new(OmegaError::Internal(format!(
-                    "worker panicked preparing {}",
-                    job.label()
-                ))),
-            );
-            return;
-        }
-    };
-    // `prepare` vetted both; a mismatch fails the group, not the worker.
-    let (Ok(g), Ok(bundle)) = (shared.graph.as_ref(), shared.bundle.as_ref()) else {
-        let err = format!("prepared inputs of {} are missing", job.label());
-        fail_entries(state, &job.entries, 0, Arc::new(OmegaError::Internal(err)));
-        return;
-    };
-    for i in 0..job.entries.len() {
-        let entry = &job.entries[i];
-        let spec = ExperimentSpec::new(job.dataset, job.algo, entry.machine);
-        let _span = obs::span_owned(format!("serve.compute:{}", spec.label()));
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            compute_one(state, g, bundle, spec, entry.fp)
-        }));
-        match outcome {
-            Ok(result) => {
-                match &result {
-                    Ok(_) => c.bump("serve.misses", &c.misses),
-                    Err(_) => c.bump("serve.errors", &c.errors),
-                }
-                // Memo first (inside `compute_one`), then flight
-                // retirement: a racing request either joins the flight
-                // or hits the memo.
-                state.flights.complete(entry.fp, result);
+        let trace = state.traces.get_or_build(job.key(), || {
+            let exec = exec_for(&job.entries[0].spec.system());
+            GroupTrace::new(g, job.algo, Variant::Standard, &exec)
+        });
+        for entry in &job.entries {
+            let spec = entry.spec;
+            let _span = obs::span_owned(format!("serve.compute:{}", spec.label()));
+            if state.config.job_delay_ms > 0 {
+                std::thread::sleep(Duration::from_millis(state.config.job_delay_ms));
             }
-            Err(_) => {
-                fail_entries(
-                    state,
-                    &job.entries,
-                    i,
-                    Arc::new(OmegaError::Internal(format!(
-                        "worker panicked computing {}",
-                        spec.label()
-                    ))),
-                );
-                return;
-            }
+            let report = trace.replay_member(spec, job.scale, state.store.as_ref());
+            let payload = Arc::new(run_report_to_json(&report, &spec.system()));
+            // Memo first, then flight retirement: a racing request either
+            // joins the flight or hits the memo.
+            state.memo.insert(entry.fp, Arc::clone(&payload));
+            c.bump("serve.misses", &c.misses);
+            state.flights.complete(entry.fp, Ok(payload));
+            completed += 1;
         }
-    }
-}
-
-/// Completes entries `from..` with `err` (error paths of [`run_job`]).
-fn fail_entries(state: &Arc<ServerState>, entries: &[JobEntry], from: usize, err: Arc<OmegaError>) {
-    let c = &state.counters;
-    for entry in &entries[from..] {
+        Ok(())
+    }));
+    let err = match outcome {
+        Ok(Ok(())) => return,
+        Ok(Err(e)) => e,
+        Err(_) => OmegaError::Internal(format!("worker panicked computing {}", job.label())),
+    };
+    let err = Arc::new(err);
+    for entry in &job.entries[completed..] {
         c.bump("serve.errors", &c.errors);
         state.flights.complete(entry.fp, Err(Arc::clone(&err)));
     }
-}
-
-/// What a group job shares across its entries.
-struct SharedInputs {
-    graph: Arc<Result<CsrGraph, String>>,
-    bundle: Arc<Result<TraceBundle, String>>,
-}
-
-/// Builds (or fetches) the group's graph and functional trace.
-fn prepare(state: &Arc<ServerState>, job: &Job) -> Result<SharedInputs, Arc<OmegaError>> {
-    let d = job.dataset;
-    let graph = state.graphs.get_or_build((d, job.scale), || {
-        d.build(job.scale).map_err(|e| e.to_string())
-    });
-    let g = match graph.as_ref() {
-        Ok(g) => g,
-        Err(e) => {
-            return Err(Arc::new(OmegaError::Internal(format!(
-                "building {}: {e}",
-                d.code()
-            ))))
-        }
-    };
-    let algo = job.algo.algo(g);
-    if !algo.supports(g) {
-        return Err(Arc::new(OmegaError::Unsupported(format!(
-            "{} needs an undirected graph; {} is directed",
-            job.algo.name(),
-            d.code()
-        ))));
-    }
-    // One functional trace per (dataset, algo, scale), shared by every
-    // machine — all machine configurations use the same core count
-    // (the same assumption `Session::prefetch` makes).
-    let bundle = state
-        .traces
-        .get_or_build((d, job.algo.name(), job.scale), || {
-            let first = ExperimentSpec::new(d, job.algo, job.entries[0].machine);
-            let exec = exec_for(&first.system());
-            let (checksum, raw, meta) = trace_algorithm(g, algo, &exec);
-            Ok(TraceBundle {
-                checksum,
-                raw,
-                meta,
-            })
-        });
-    if let Err(e) = bundle.as_ref() {
-        return Err(Arc::new(OmegaError::Internal(format!(
-            "tracing {}: {e}",
-            job.label()
-        ))));
-    }
-    Ok(SharedInputs { graph, bundle })
-}
-
-/// Replays one spec against the group's shared trace, persists it, and
-/// memoises the serialised payload.
-fn compute_one(
-    state: &Arc<ServerState>,
-    g: &CsrGraph,
-    bundle: &TraceBundle,
-    spec: ExperimentSpec,
-    fp: u64,
-) -> FlightResult {
-    if state.config.job_delay_ms > 0 {
-        std::thread::sleep(Duration::from_millis(state.config.job_delay_ms));
-    }
-    let algo = spec.algo.algo(g);
-    let system = spec.system();
-    let report = replay(
-        algo.name(),
-        bundle.checksum,
-        &bundle.raw,
-        &bundle.meta,
-        &system,
-        None,
-    );
-    if let Some(store) = &state.store {
-        if let Err(e) = store.store_report(fp, &spec.label(), &report) {
-            eprintln!(
-                "omega-serve: warning: failed to persist {}: {e}",
-                spec.label()
-            );
-        }
-    }
-    let payload = Arc::new(run_report_to_json(&report, &system));
-    state.memo.insert(fp, Arc::clone(&payload));
-    Ok(payload)
 }
 
 fn begin_shutdown(state: &Arc<ServerState>) {

@@ -7,10 +7,13 @@
 //! parser's bound, gets an error response and the connection survives;
 //! a torn frame gets an error response and a hang-up. The deepest
 //! response the server writes, a batch carrying a run report, is pinned
-//! within that bound.
+//! within that bound. A run the dataset cannot support gets a typed
+//! error, and the connection keeps serving.
 //!
 //! No test in this file asserts the process-global replay probes, so
 //! the file can hold several tests.
+
+mod common;
 
 use omega_bench::json::MAX_DEPTH;
 use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind};
@@ -197,6 +200,42 @@ fn batch_response_nests_within_the_json_bound() {
     assert!(depth(&doc) <= MAX_DEPTH);
 
     let mut client = Client::connect(addr).expect("connect");
+    client.shutdown().expect("shutdown ack");
+    handle.wait();
+}
+
+/// A `cc` run on a directed dataset gets a typed `unsupported` error,
+/// counted once under `errors`, and the same connection then answers a
+/// valid run with its correct payload.
+#[test]
+fn unsupported_run_gets_a_typed_error_and_the_connection_serves_on() {
+    let handle = tiny_server();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let errors = |client: &mut Client| common::counter(&client.stats().expect("stats"), "errors");
+    assert_eq!(errors(&mut client), 0);
+
+    let cc = RunRequest {
+        spec: ExperimentSpec::new(Dataset::Lj, AlgoKey::Cc, MachineKind::Omega),
+        scale: common::SCALE,
+    };
+    let Response::Error { code, message } = client.run(cc).expect("a reply") else {
+        panic!("expected an error reply for cc on lj");
+    };
+    assert_eq!(code, "unsupported");
+    assert!(message.contains("lj is directed"), "{message}");
+    assert_eq!(errors(&mut client), 1, "one failed run, one error");
+
+    let valid = common::spec(AlgoKey::PageRank, MachineKind::Omega);
+    let got = client
+        .run_payload(RunRequest {
+            spec: valid,
+            scale: common::SCALE,
+        })
+        .expect("the connection still serves")
+        .dump();
+    assert_eq!(got, common::expected_payload(valid));
+    assert_eq!(errors(&mut client), 1);
+
     client.shutdown().expect("shutdown ack");
     handle.wait();
 }

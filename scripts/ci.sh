@@ -227,4 +227,31 @@ serve_pid=""
 echo "ci: wrote target/serve-batch-{cold,warm,grouped,seq}.txt,"
 echo "ci:   target/serve-stats.json, and target/serve-profile.json"
 
+# Serve compute smoke: the smoke above reads the store the figure sweep
+# warmed, so it never reaches the server's own trace-and-replay path. A
+# second server on an empty store computes the same pipelined batch: its
+# output must match the first server's byte for byte, and the store it
+# filled must hold exactly the batch's 4 intact entries.
+rm -f target/serve-port
+./target/release/omega-serve --addr 127.0.0.1:0 --port-file target/serve-port \
+  --store "$store_dir/served" --jobs 4 &
+serve_pid=$!
+for _ in $(seq 1 100); do
+  [ -s target/serve-port ] && break
+  sleep 0.1
+done
+serve_addr=$(cat target/serve-port)
+# shellcheck disable=SC2086
+./target/release/omega-client batch --pipeline --addr "$serve_addr" \
+  --scale tiny $batch > target/serve-batch-computed.txt
+./target/release/omega-client shutdown --addr "$serve_addr"
+wait "$serve_pid"
+serve_pid=""
+cmp target/serve-batch-cold.txt target/serve-batch-computed.txt
+./target/release/stats store verify "$store_dir/served" \
+  > target/serve-store-verify.json
+grep -q '"ok": 4,' target/serve-store-verify.json \
+  || { echo "ci: the computing server did not store exactly 4 entries" >&2; exit 1; }
+echo "ci: wrote target/serve-batch-computed.txt and target/serve-store-verify.json"
+
 echo "ci: all checks passed"

@@ -2,9 +2,7 @@
 //! §V.F): off-chip extensions, slicing, and the GraphMat-style execution
 //! mode, all through the public APIs.
 
-use omega_repro::core::config::{
-    MemoryModel, OffchipExtensions, OmegaConfig, PinOrder, SystemConfig,
-};
+use omega_repro::core::config::{MemoryModel, OmegaConfig, PinOrder, SystemConfig};
 use omega_repro::core::runner::{replay, trace_algorithm, RunReport, Runner};
 use omega_repro::graph::datasets::{Dataset, DatasetScale};
 use omega_repro::graph::{reorder, slicing};
@@ -60,7 +58,7 @@ fn offchip_extensions_change_activity_not_results() {
         omega_repro::sim::MachineConfig::mini_baseline(),
         OmegaConfig {
             sp_bytes_per_core: 256,
-            ext: OffchipExtensions::all(),
+            offchip: true,
             ..OmegaConfig::default()
         },
     );
