@@ -7,7 +7,9 @@
 //! consumers need: objects preserve insertion order (stable report
 //! schemas diff cleanly under `git diff`), numbers are `f64` (every
 //! counter we emit is far below 2^53), and strings support the standard
-//! escapes including `\uXXXX` surrogate pairs.
+//! escapes including `\uXXXX` surrogate pairs. A document encoded once
+//! can be written into others as text ([`Json::write_spliced`]), with
+//! the same bytes its tree would give there.
 //!
 //! The parser reads bytes from outside the process (wire frames, store
 //! files), so its recursion is bounded: a document nested deeper than
@@ -61,6 +63,16 @@ impl Json {
             entries.push((key.to_string(), value));
         }
         self
+    }
+
+    /// Removes `key` from an object and returns its value; `None` if it
+    /// is absent or this is not an object.
+    pub fn remove(&mut self, key: &str) -> Option<Json> {
+        let Json::Obj(entries) = self else {
+            return None;
+        };
+        let i = entries.iter().position(|(k, _)| k == key)?;
+        Some(entries.remove(i).1)
     }
 
     /// Member lookup on objects; `None` otherwise.
@@ -117,12 +129,49 @@ impl Json {
     /// the format every report artifact uses.
     pub fn dump(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write_to(&mut out);
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Appends the document to `out` as [`Json::dump`] writes it, without
+    /// the trailing newline: its encoded text.
+    pub fn write_to(&self, out: &mut String) {
+        self.write_spliced(out, |_| None);
+    }
+
+    /// [`Json::write_to`], except that each value for which `splice`
+    /// returns text is written as that text instead. The text is a
+    /// document as [`Json::write_to`] encoded it, and it is re-indented
+    /// for the depth where it lands, so the output is byte-identical to
+    /// writing that document's tree there. This is how a payload encoded
+    /// once goes into many documents without being rebuilt as a tree.
+    pub fn write_spliced<'t>(
+        &self,
+        out: &mut String,
+        mut splice: impl FnMut(&Json) -> Option<&'t str>,
+    ) {
+        self.write(out, 0, &mut splice);
+    }
+
+    fn write<'t, F: FnMut(&Json) -> Option<&'t str>>(
+        &self,
+        out: &mut String,
+        indent: usize,
+        splice: &mut F,
+    ) {
+        if let Some(text) = splice(self) {
+            // Strings escape their newlines, so every newline in the text
+            // starts a line that sits `indent` levels deeper here.
+            let mut lines = text.split('\n');
+            out.push_str(lines.next().unwrap_or_default());
+            for line in lines {
+                out.push('\n');
+                push_indent(out, indent);
+                out.push_str(line);
+            }
+            return;
+        }
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -140,7 +189,7 @@ impl Json {
                     }
                     out.push('\n');
                     push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
+                    item.write(out, indent + 1, splice);
                 }
                 out.push('\n');
                 push_indent(out, indent);
@@ -160,7 +209,7 @@ impl Json {
                     push_indent(out, indent + 1);
                     write_string(out, k);
                     out.push_str(": ");
-                    v.write(out, indent + 1);
+                    v.write(out, indent + 1, splice);
                 }
                 out.push('\n');
                 push_indent(out, indent);
@@ -214,7 +263,13 @@ fn write_number(out: &mut String, n: f64) {
         // JSON has no NaN/Infinity; null is the conventional stand-in.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 1e15 {
-        let _ = write!(out, "{n:.0}");
+        // Exact in an i64, and written as `{n:.0}` writes it without the
+        // float formatter: every counter of a report takes this branch.
+        if n == 0.0 && n.is_sign_negative() {
+            out.push_str("-0");
+        } else {
+            let _ = write!(out, "{}", n as i64);
+        }
     } else {
         // Rust's f64 Display is shortest-round-trip.
         let _ = write!(out, "{n}");
@@ -566,6 +621,68 @@ mod tests {
         let mut o = Json::obj();
         o.set("nan", Json::Num(f64::NAN));
         assert!(o.dump().contains("\"nan\": null"));
+    }
+
+    fn written(n: f64) -> String {
+        let mut out = String::new();
+        write_number(&mut out, n);
+        out
+    }
+
+    /// Integral values write exactly the bytes `{n:.0}` writes, on the
+    /// edges of the integer branch and on a seeded sweep of integers of
+    /// every magnitude below it.
+    #[test]
+    fn integers_write_the_bytes_of_the_float_formatter() {
+        let edge = 1e15 - 1.0;
+        let two53 = 9007199254740992.0;
+        for n in [0.0, -0.0, 1.0, -1.0, edge, -edge, two53, two53 + 2.0] {
+            assert_eq!(written(n), format!("{n:.0}"), "{n:?}");
+        }
+        let mut rng = omega_graph::rng::SmallRng::seed_from_u64(0x1D1_6175);
+        for _ in 0..200_000 {
+            let digits = rng.gen_range(1u32..16);
+            let magnitude = rng.next_u64() % 10u64.pow(digits);
+            let n = if rng.gen_bool() {
+                -(magnitude as f64)
+            } else {
+                magnitude as f64
+            };
+            assert_eq!(written(n), format!("{n:.0}"), "{n:?}");
+        }
+    }
+
+    /// A document's encoded text spliced at any depth writes the same
+    /// bytes as the document itself.
+    #[test]
+    fn spliced_text_writes_the_bytes_of_its_tree_at_every_depth() {
+        let mut doc = Json::obj();
+        doc.set("text", Json::Str("two\nlines".into()));
+        doc.set("n", Json::Num(-0.0));
+        doc.set(
+            "rows",
+            Json::Arr(vec![Json::obj(), Json::Arr(vec![Json::Num(1.5)])]),
+        );
+        let mut text = String::new();
+        doc.write_to(&mut text);
+        assert_eq!(format!("{text}\n"), doc.dump());
+        // `null` marks the slot the text goes into.
+        let (mut tree, mut slotted) = (doc, Json::Null);
+        for depth in 0..4 {
+            let mut spliced = String::new();
+            slotted.write_spliced(&mut spliced, |v| (*v == Json::Null).then_some(&*text));
+            let mut want = String::new();
+            tree.write_to(&mut want);
+            assert_eq!(spliced, want, "depth {depth}");
+            let wrap = |inner: Json| {
+                let mut o = Json::obj();
+                o.set("id", Json::Num(7.0));
+                o.set("items", Json::Arr(vec![Json::Bool(true), inner]));
+                o
+            };
+            tree = wrap(tree);
+            slotted = wrap(slotted);
+        }
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl Client {
                     ))
                 }
             };
-            let frame = proto::response_frame_from_json(&doc)?;
+            let frame = proto::response_frame_from_json(doc)?;
             match frame.id {
                 Some(got) if got == id => return Ok(frame.response),
                 Some(got) => {
@@ -243,7 +243,7 @@ impl Client {
     /// Returns one response per run, in request order.
     pub fn batch(&mut self, runs: &[RunRequest]) -> Result<Vec<Response>, OmegaError> {
         match self.call_retrying(&Request::Batch(runs.to_vec()))? {
-            Response::Ok(payload) => proto::batch_results(&payload),
+            Response::Ok(payload) => proto::batch_results(payload),
             Response::Busy {
                 queue_depth,
                 queue_limit,

@@ -16,7 +16,6 @@
 //! with no lock held, and a builder that panics wakes its waiters so
 //! one of them can take over rather than deadlocking the slot.
 
-use omega_bench::Json;
 use omega_core::OmegaError;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -110,10 +109,11 @@ impl<K: Eq + Hash + Clone, V> Registry<K, V> {
     }
 }
 
-/// What a flight delivers: the response payload document, or the error
-/// that ended it. Both sides are [`Arc`]-wrapped so every joiner gets
-/// the same allocation ([`OmegaError`] is deliberately not `Clone`).
-pub type FlightResult = Result<Arc<Json>, Arc<OmegaError>>;
+/// What a flight delivers: the response payload, encoded once (the text
+/// the memo holds), or the error that ended it. Both sides are
+/// [`Arc`]-wrapped so every joiner gets the same allocation
+/// ([`OmegaError`] is deliberately not `Clone`).
+pub type FlightResult = Result<Arc<str>, Arc<OmegaError>>;
 
 /// One in-flight computation, shared between its leader and followers.
 pub struct Flight {
@@ -252,7 +252,7 @@ mod tests {
             .collect();
         assert_eq!(flights.open(), 1);
 
-        let payload = Arc::new(Json::Str("done".into()));
+        let payload: Arc<str> = Arc::from("{\"done\": true}");
         std::thread::scope(|s| {
             for f in &followers {
                 let payload = &payload;

@@ -1,5 +1,9 @@
-//! The bounded in-process response memo: an LRU over serialised
-//! payloads.
+//! The bounded in-process response memo: an LRU over encoded payloads.
+//!
+//! An entry is a payload's text as `Json::write_to` renders it, encoded
+//! once when the payload is computed or loaded from the store; every
+//! response that carries it splices that text (`Json::write_spliced`),
+//! so a memo hit builds no payload tree and encodes no payload.
 //!
 //! At most `entries` payloads are retained; an insert past capacity
 //! evicts the least-recently-*touched* entry. Entries never go stale:
@@ -17,7 +21,6 @@
 //! use [`obs::counter_set`] so the live `stats` view shows current
 //! occupancy, not a running sum.
 
-use omega_bench::Json;
 use omega_sim::obs;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -42,8 +45,9 @@ pub struct MemoCounters {
 }
 
 struct Entry {
-    payload: Arc<Json>,
-    /// Exact serialised size — what this entry would cost on the wire.
+    payload: Arc<str>,
+    /// The size `Json::dump` gives the payload: its text and the trailing
+    /// newline.
     bytes: usize,
     /// Last-touch sequence number; recency is resolved lazily against
     /// the queue below.
@@ -97,7 +101,8 @@ impl Memo {
         self.len() == 0
     }
 
-    /// Current total serialised bytes retained.
+    /// Current total payload bytes retained, each entry counted as its
+    /// `Json::dump` size.
     pub fn bytes(&self) -> usize {
         lock(&self.inner).bytes
     }
@@ -128,7 +133,7 @@ impl Memo {
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&self, key: u64) -> Option<Arc<Json>> {
+    pub fn get(&self, key: u64) -> Option<Arc<str>> {
         let mut inner = lock(&self.inner);
         let inner = &mut *inner;
         match inner.map.get(&key) {
@@ -146,10 +151,10 @@ impl Memo {
         }
     }
 
-    /// Inserts (or replaces) `key`'s payload, then evicts down to the
-    /// capacity bound.
-    pub fn insert(&self, key: u64, payload: Arc<Json>) {
-        let bytes = payload.dump().len();
+    /// Inserts (or replaces) `key`'s encoded payload, then evicts down
+    /// to the capacity bound.
+    pub fn insert(&self, key: u64, payload: Arc<str>) {
+        let bytes = payload.len() + 1;
         let mut inner = lock(&self.inner);
         let inner = &mut *inner;
         Self::remove(inner, key);
@@ -196,13 +201,20 @@ impl Memo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omega_bench::Json;
     use omega_graph::rng::SmallRng;
 
-    fn payload(tag: u64, len: usize) -> Arc<Json> {
+    fn document(tag: u64, len: usize) -> Json {
         let mut o = Json::obj();
         o.set("tag", Json::Num(tag as f64));
         o.set("pad", Json::Str("x".repeat(len)));
-        Arc::new(o)
+        o
+    }
+
+    fn payload(tag: u64, len: usize) -> Arc<str> {
+        let mut text = String::new();
+        document(tag, len).write_to(&mut text);
+        text.into()
     }
 
     #[test]
@@ -275,7 +287,7 @@ mod tests {
                 let key = rng.gen_range(0u64..12);
                 if rng.gen_range(0u32..9) <= 3 {
                     let len = rng.gen_range(0usize..40);
-                    let bytes = payload(key, len).dump().len();
+                    let bytes = document(key, len).dump().len();
                     memo.insert(key, payload(key, len));
                     model.insert(key, bytes);
                 } else {

@@ -320,14 +320,15 @@ pub fn set_response_fields(o: &mut Json, resp: Response) {
 }
 
 /// Parses one response body (`status` + status-specific fields) — the
-/// inverse of [`set_response_fields`].
-pub fn response_fields_from_json(doc: &Json) -> Result<Response, OmegaError> {
-    match str_field(doc, "status")? {
+/// inverse of [`set_response_fields`]. An `ok` payload moves out of
+/// `doc`, so a large response is never held twice.
+pub fn response_fields_from_json(mut doc: Json) -> Result<Response, OmegaError> {
+    match str_field(&doc, "status")? {
         "ok" => {
             let payload = doc
-                .get("payload")
+                .remove("payload")
                 .ok_or_else(|| OmegaError::Protocol("ok response without payload".into()))?;
-            Ok(Response::Ok(payload.clone()))
+            Ok(Response::Ok(payload))
         }
         "busy" => {
             let depth = doc.get("queue_depth").and_then(Json::as_u64);
@@ -343,8 +344,8 @@ pub fn response_fields_from_json(doc: &Json) -> Result<Response, OmegaError> {
             }
         }
         "error" => Ok(Response::Error {
-            code: str_field(doc, "code")?.to_string(),
-            message: str_field(doc, "message")?.to_string(),
+            code: str_field(&doc, "code")?.to_string(),
+            message: str_field(&doc, "message")?.to_string(),
         }),
         other => Err(OmegaError::Protocol(format!(
             "unknown response status `{other}`"
@@ -360,9 +361,9 @@ pub fn response_frame_to_json(frame: ResponseFrame) -> Json {
 }
 
 /// Parses a response frame (the client side of the wire).
-pub fn response_frame_from_json(doc: &Json) -> Result<ResponseFrame, OmegaError> {
+pub fn response_frame_from_json(doc: Json) -> Result<ResponseFrame, OmegaError> {
     Ok(ResponseFrame {
-        id: check_envelope(doc)?,
+        id: check_envelope(&doc)?,
         response: response_fields_from_json(doc)?,
     })
 }
@@ -384,20 +385,20 @@ pub fn batch_payload(results: Vec<Response>) -> Json {
     o
 }
 
-/// Parses a [`BATCH_SCHEMA`] payload back into per-spec responses.
-pub fn batch_results(payload: &Json) -> Result<Vec<Response>, OmegaError> {
+/// Parses a [`BATCH_SCHEMA`] payload back into per-spec responses,
+/// moving each result's payload out.
+pub fn batch_results(mut payload: Json) -> Result<Vec<Response>, OmegaError> {
     if payload.get("schema").and_then(Json::as_str) != Some(BATCH_SCHEMA) {
         return Err(OmegaError::Protocol(format!(
             "batch payload is not `{BATCH_SCHEMA}`"
         )));
     }
-    payload
-        .get("results")
-        .and_then(Json::as_array)
-        .ok_or_else(|| OmegaError::Protocol("batch payload without `results`".into()))?
-        .iter()
-        .map(response_fields_from_json)
-        .collect()
+    let Some(Json::Arr(items)) = payload.remove("results") else {
+        return Err(OmegaError::Protocol(
+            "batch payload without `results`".into(),
+        ));
+    };
+    items.into_iter().map(response_fields_from_json).collect()
 }
 
 #[cfg(test)]
@@ -473,7 +474,7 @@ mod tests {
             },
         };
         let doc = response_frame_to_json(resp.clone());
-        assert_eq!(response_frame_from_json(&doc).unwrap(), resp);
+        assert_eq!(response_frame_from_json(doc).unwrap(), resp);
     }
 
     #[test]
@@ -525,7 +526,7 @@ mod tests {
             payload.get("schema").and_then(Json::as_str),
             Some(BATCH_SCHEMA)
         );
-        assert_eq!(batch_results(&payload).unwrap(), results);
+        assert_eq!(batch_results(payload).unwrap(), results);
 
         // An empty batch request is malformed.
         let mut doc = request_doc(Request::Batch(vec![]));
@@ -611,7 +612,7 @@ mod tests {
             let frame = ResponseFrame { id, response };
             let doc = response_frame_to_json(frame.clone());
             assert_eq!(doc.get("id").is_some(), id.is_some());
-            assert_eq!(response_frame_from_json(&doc).unwrap(), frame);
+            assert_eq!(response_frame_from_json(doc).unwrap(), frame);
         }
     }
 

@@ -6,7 +6,7 @@
 //!                          │  every frame: one handler thread, at most
 //!                          │  MAX_IN_FLIGHT per connection
 //!                          │  `run` = one-member `batch`
-//!                          │  memo (bounded LRU) / store  ──► hit
+//!                          │  memo (bounded LRU of encoded payloads) / store  ──► hit
 //!                          │  join single-flight table
 //!                          ▼
 //!                    bounded queue of (dataset, algo, scale) GROUP jobs
@@ -16,10 +16,16 @@
 //!                    worker pool (`jobs` workers, serial replays)
 //!                          │  graph/trace registries (build once)
 //!                          │  one trace per group, one replay per spec
-//!                          │  persist, memoise, retire each flight
+//!                          │  persist, encode once, memoise, retire each flight
 //!                          ▼
 //!                    flight completion ──► every waiter responds
 //! ```
+//!
+//! A payload is encoded once, when a worker computes it or a store hit
+//! loads it. The memo, the flight and every response that carries it
+//! share that text, and a response frame splices it in place
+//! ([`Json::write_spliced`]), so answering a warm request builds no
+//! payload tree and encodes no payload.
 //!
 //! The accept loop never does work and the queue never grows past its
 //! configured depth, so overload degrades to fast structured `busy`
@@ -37,7 +43,7 @@
 //! (`shutdown` request) closes the queue, stops accepting, and drains:
 //! every admitted request still receives its response.
 
-use crate::flight::{Flight, Flights, Registry, Ticket};
+use crate::flight::{Flight, FlightResult, Flights, Registry, Ticket};
 use crate::memo::Memo;
 use crate::proto::{
     self, Request, RequestFrame, Response, ResponseFrame, RunRequest, PROTO_V2, STATS_SCHEMA,
@@ -45,7 +51,7 @@ use crate::proto::{
 use crate::wire::{self, Frame};
 use omega_bench::session::{AlgoKey, ExperimentSpec, GroupTrace, Variant};
 use omega_bench::{run_report_to_json, ExperimentStore, Json};
-use omega_core::runner::exec_for;
+use omega_core::runner::{exec_for, RunReport};
 use omega_core::OmegaError;
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::CsrGraph;
@@ -248,9 +254,10 @@ struct ServerState {
     graphs: Registry<(Dataset, DatasetScale), Result<CsrGraph, String>>,
     traces: Registry<(Dataset, AlgoKey, DatasetScale), GroupTrace>,
     /// Response payloads by fingerprint — the bounded in-process memo.
-    /// Holding the serialised payload (not the report) makes warm
-    /// responses trivially byte-identical to the cold ones that filled
-    /// it; evicted entries recompute byte-identically via the store.
+    /// It holds each payload's encoded text, which every response that
+    /// carries it splices as is, so warm responses are byte-identical to
+    /// the cold ones that filled it; evicted entries recompute
+    /// byte-identically via the store.
     memo: Memo,
     flights: Flights,
     queue: Queue,
@@ -401,17 +408,38 @@ fn error_id(doc: &Json) -> Option<u64> {
 /// cannot hold its handlers, or a drain, for longer.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// One run's response: a `null` slot for its payload, which moves into
+/// `payloads`, or its error.
+fn run_response(result: FlightResult, payloads: &mut Vec<Arc<str>>) -> Response {
+    match result {
+        Ok(payload) => {
+            payloads.push(payload);
+            Response::Ok(Json::Null)
+        }
+        Err(e) => Response::from_error(&e),
+    }
+}
+
 /// Writes one response frame. It is encoded before the writer lock is
 /// taken, so a handler queued behind a slow reader holds its response as
-/// bytes, not as a JSON tree. A failed encode or write shuts the socket
-/// down both ways: the handlers still queued on the writer then fail at
-/// once instead of each waiting out [`WRITE_TIMEOUT`], and the read loop
-/// ends.
-fn write_response(writer: &Mutex<TcpStream>, id: Option<u64>, response: Response) -> bool {
-    let frame = wire::encode_frame(&proto::response_frame_to_json(ResponseFrame {
-        id,
-        response,
-    }));
+/// bytes. `response` has a `null` in place of each run payload (and no
+/// other `null`); `payloads` holds their encoded text, in document order,
+/// which is spliced there, so no handler builds a payload tree. A failed
+/// encode or write shuts the socket down both ways: the handlers still
+/// queued on the writer then fail at once instead of each waiting out
+/// [`WRITE_TIMEOUT`], and the read loop ends.
+fn write_response(
+    writer: &Mutex<TcpStream>,
+    id: Option<u64>,
+    response: Response,
+    payloads: &[Arc<str>],
+) -> bool {
+    let doc = proto::response_frame_to_json(ResponseFrame { id, response });
+    let mut payloads = payloads.iter();
+    let frame = wire::encode_frame_spliced(&doc, |v| match v {
+        Json::Null => payloads.next().map(|p| &**p),
+        _ => None,
+    });
     let mut stream = lock(writer);
     let written = frame.is_ok_and(|bytes| {
         stream
@@ -470,7 +498,7 @@ fn connection_loop(state: &Arc<ServerState>, mut stream: TcpStream) {
                     // The body is not a document, but the framing held:
                     // answer the error and keep reading.
                     state.counters.bump("serve.errors", &state.counters.errors);
-                    if !write_response(&writer, None, Response::from_error(&e)) {
+                    if !write_response(&writer, None, Response::from_error(&e), &[]) {
                         break;
                     }
                     continue;
@@ -479,7 +507,7 @@ fn connection_loop(state: &Arc<ServerState>, mut stream: TcpStream) {
                     // Tell the peer what was wrong with its bytes, then
                     // hang up: framing is unrecoverable after an error.
                     let resp = Response::from_error(&e);
-                    let _ = write_response(&writer, None, resp);
+                    let _ = write_response(&writer, None, resp, &[]);
                     break;
                 }
             };
@@ -489,7 +517,8 @@ fn connection_loop(state: &Arc<ServerState>, mut stream: TcpStream) {
                     // The frame was well-formed JSON but not a valid
                     // request — answer the error and keep reading.
                     state.counters.bump("serve.errors", &state.counters.errors);
-                    if !write_response(&writer, error_id(&doc), Response::from_error(&e)) {
+                    let resp = Response::from_error(&e);
+                    if !write_response(&writer, error_id(&doc), resp, &[]) {
                         break;
                     }
                     continue;
@@ -501,13 +530,14 @@ fn connection_loop(state: &Arc<ServerState>, mut stream: TcpStream) {
                 .spawn_scoped(scope, move || {
                     let _done = done;
                     let _span = obs::span("serve.request");
-                    write_response(writer, Some(id), handle_request(state, &request));
+                    let (response, payloads) = handle_request(state, &request);
+                    write_response(writer, Some(id), response, &payloads);
                 })
                 .map(|handler| handlers.insert(handler.thread().id(), handler));
             if let Err(e) = spawned {
                 state.counters.bump("serve.errors", &state.counters.errors);
                 let resp = Response::from_error(&OmegaError::Io(e));
-                if !write_response(writer, Some(id), resp) {
+                if !write_response(writer, Some(id), resp, &[]) {
                     break;
                 }
             }
@@ -529,10 +559,13 @@ fn connection_loop(state: &Arc<ServerState>, mut stream: TcpStream) {
     });
 }
 
-fn handle_request(state: &Arc<ServerState>, request: &Request) -> Response {
+/// Answers one request: the response, and the encoded run payloads that
+/// [`write_response`] splices into its `null` slots.
+fn handle_request(state: &Arc<ServerState>, request: &Request) -> (Response, Vec<Arc<str>>) {
     let c = &state.counters;
     c.bump("serve.requests", &c.requests);
-    match request {
+    let mut payloads = Vec::new();
+    let response = match request {
         Request::Ping => {
             let mut payload = Json::obj();
             payload.set("pong", Json::Bool(true));
@@ -547,24 +580,36 @@ fn handle_request(state: &Arc<ServerState>, request: &Request) -> Response {
         }
         // A `run` is a one-member batch, answered without the batch
         // envelope.
-        Request::Run(run) => batch_request(state, &[*run]).remove(0),
+        Request::Run(run) => run_response(batch_request(state, &[*run]).remove(0), &mut payloads),
         Request::Batch(runs) => {
             c.bump("serve.batches", &c.batches);
-            Response::Ok(proto::batch_payload(batch_request(state, runs)))
+            let results = batch_request(state, runs)
+                .into_iter()
+                .map(|result| run_response(result, &mut payloads))
+                .collect();
+            Response::Ok(proto::batch_payload(results))
         }
-    }
+    };
+    (response, payloads)
+}
+
+/// A run's response payload, encoded once: the text that the memo, the
+/// flight and every response carrying it share.
+fn encode_payload(report: &RunReport, spec: ExperimentSpec) -> Arc<str> {
+    let mut text = String::new();
+    run_report_to_json(report, &spec.system()).write_to(&mut text);
+    text.into()
 }
 
 /// Memo, then store. A store hit re-enters the memo (possibly evicting
 /// something older), which is how evicted entries come back
 /// byte-identically.
-fn lookup(state: &Arc<ServerState>, fp: u64, run: RunRequest) -> Option<Arc<Json>> {
+fn lookup(state: &Arc<ServerState>, fp: u64, run: RunRequest) -> Option<Arc<str>> {
     if let Some(payload) = state.memo.get(fp) {
         return Some(payload);
     }
     let store = state.store.as_ref()?;
-    let report = store.load_report(fp)?;
-    let payload = Arc::new(run_report_to_json(&report, &run.spec.system()));
+    let payload = encode_payload(&store.load_report(fp)?, run.spec);
     state.memo.insert(fp, Arc::clone(&payload));
     Some(payload)
 }
@@ -572,18 +617,18 @@ fn lookup(state: &Arc<ServerState>, fp: u64, run: RunRequest) -> Option<Arc<Json
 /// How one batch member will be resolved.
 enum BatchSlot {
     /// Served from memo/store immediately.
-    Cached(Arc<Json>),
+    Cached(Arc<str>),
     /// Waiting on a flight (as leader or follower); admission failures
     /// (busy/shutdown) complete the flight, so they resolve here too.
     Waiting(Arc<Flight>),
 }
 
-/// Resolves `runs` through memo → store → flight and answers one
-/// response per run, in request order. The cold leaders are admitted as
-/// whole `(dataset, algo, scale)` group jobs, in first-seen order, so
-/// each group occupies one queue slot and shares one functional trace
-/// even on an idle server.
-fn batch_request(state: &Arc<ServerState>, runs: &[RunRequest]) -> Vec<Response> {
+/// Resolves `runs` through memo → store → flight and gives one result
+/// per run, in request order: its encoded payload or its error. The
+/// cold leaders are admitted as whole `(dataset, algo, scale)` group
+/// jobs, in first-seen order, so each group occupies one queue slot and
+/// shares one functional trace even on an idle server.
+fn batch_request(state: &Arc<ServerState>, runs: &[RunRequest]) -> Vec<FlightResult> {
     let c = &state.counters;
     let mut slots: Vec<BatchSlot> = Vec::with_capacity(runs.len());
     let mut jobs: Vec<Job> = Vec::new();
@@ -655,15 +700,9 @@ fn batch_request(state: &Arc<ServerState>, runs: &[RunRequest]) -> Vec<Response>
     // entry counted it, once.
     slots
         .into_iter()
-        .map(|slot| {
-            let result = match slot {
-                BatchSlot::Cached(payload) => Ok(payload),
-                BatchSlot::Waiting(flight) => flight.wait(),
-            };
-            match result {
-                Ok(payload) => Response::Ok((*payload).clone()),
-                Err(e) => Response::from_error(&e),
-            }
+        .map(|slot| match slot {
+            BatchSlot::Cached(payload) => Ok(payload),
+            BatchSlot::Waiting(flight) => flight.wait(),
         })
         .collect()
 }
@@ -713,7 +752,7 @@ fn run_job(state: &Arc<ServerState>, job: Job) {
                 std::thread::sleep(Duration::from_millis(state.config.job_delay_ms));
             }
             let report = trace.replay_member(spec, job.scale, state.store.as_ref());
-            let payload = Arc::new(run_report_to_json(&report, &spec.system()));
+            let payload = encode_payload(&report, spec);
             // Memo first, then flight retirement: a racing request either
             // joins the flight or hits the memo.
             state.memo.insert(entry.fp, Arc::clone(&payload));

@@ -45,18 +45,29 @@ pub enum Frame {
 /// A body over [`MAX_FRAME`] is refused with a `protocol` error: the peer
 /// would have to reject it anyway.
 pub fn encode_frame(doc: &Json) -> Result<Vec<u8>, OmegaError> {
-    let body = doc.dump();
-    if body.len() > MAX_FRAME {
+    encode_frame_spliced(doc, |_| None)
+}
+
+/// [`encode_frame`], with each value of `doc` for which `splice` returns
+/// encoded text written as that text ([`Json::write_spliced`]).
+pub fn encode_frame_spliced<'t>(
+    doc: &Json,
+    splice: impl FnMut(&Json) -> Option<&'t str>,
+) -> Result<Vec<u8>, OmegaError> {
+    // The body (what `Json::dump` gives) is written once, behind a
+    // placeholder prefix that is patched once its length is known.
+    let mut frame = String::from("\0\0\0\0");
+    doc.write_spliced(&mut frame, splice);
+    frame.push('\n');
+    let len = frame.len() - 4;
+    if len > MAX_FRAME {
         return Err(OmegaError::Protocol(format!(
-            "frame body of {} bytes exceeds the {MAX_FRAME}-byte cap",
-            body.len()
+            "frame body of {len} bytes exceeds the {MAX_FRAME}-byte cap"
         )));
     }
+    let mut frame = frame.into_bytes();
     // Lossless: MAX_FRAME fits in the 4-byte prefix.
-    let len = body.len() as u32;
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(body.as_bytes());
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
     Ok(frame)
 }
 

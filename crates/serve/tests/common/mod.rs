@@ -19,14 +19,19 @@ pub fn spec(algo: AlgoKey, machine: MachineKind) -> ExperimentSpec {
     ExperimentSpec::new(Dataset::Sd, algo, machine)
 }
 
-/// The payload the server must answer for `spec` at [`SCALE`], computed
-/// by the plain `Runner` (the wire carries no telemetry, so `spec` has it
-/// off).
-pub fn expected_payload(spec: ExperimentSpec) -> String {
+/// The payload the server must answer for `spec` at [`SCALE`], as the
+/// tree `run_report_to_json` gives the report of the plain `Runner` (the
+/// wire carries no telemetry, so `spec` has it off).
+pub fn expected_tree(spec: ExperimentSpec) -> Json {
     let g = spec.dataset.build(SCALE).expect("registry dataset builds");
     let sys = spec.system();
     let report = Runner::new(sys).run(&g, spec.algo.algo(&g));
-    run_report_to_json(&report, &sys).dump()
+    run_report_to_json(&report, &sys)
+}
+
+/// [`expected_tree`], dumped.
+pub fn expected_payload(spec: ExperimentSpec) -> String {
+    expected_tree(spec).dump()
 }
 
 /// Polls `stats` until `pred` holds, failing loudly after 30s.

@@ -62,7 +62,7 @@ fn v1_frames_get_a_v2_protocol_error_and_the_connection_survives() {
     let doc = read(&mut stream);
     assert_eq!(doc.get("proto").and_then(Json::as_str), Some(PROTO_V2));
     assert!(doc.get("id").is_none(), "the refused frame had no id");
-    let Response::Error { code, message } = proto::response_frame_from_json(&doc)
+    let Response::Error { code, message } = proto::response_frame_from_json(doc.clone())
         .expect("a well-formed v2 reply")
         .response
     else {
@@ -73,7 +73,7 @@ fn v1_frames_get_a_v2_protocol_error_and_the_connection_survives() {
 
     // The same connection then answers a v2 ping, echoing its id.
     wire::write_frame(&mut stream, &ping(7)).expect("write v2");
-    let frame = proto::response_frame_from_json(&read(&mut stream)).expect("v2 reply");
+    let frame = proto::response_frame_from_json(read(&mut stream)).expect("v2 reply");
     assert_eq!(frame.id, Some(7));
     assert!(matches!(frame.response, Response::Ok(_)));
 
@@ -98,7 +98,7 @@ fn raw_frames_survive_malformed_bodies_and_hang_up_on_torn_ones() {
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("error"));
     assert_eq!(doc.get("code").and_then(Json::as_str), Some("protocol"));
     wire::write_frame(&mut stream, &ping(8)).expect("write after error");
-    let frame = proto::response_frame_from_json(&read(&mut stream)).expect("connection survived");
+    let frame = proto::response_frame_from_json(read(&mut stream)).expect("connection survived");
     assert!(matches!(frame.response, Response::Ok(_)));
 
     // A torn frame (length prefix promising more bytes than follow,
@@ -137,7 +137,7 @@ fn deeply_nested_frame_gets_a_protocol_error_and_the_connection_survives() {
     stream.write_all(body.as_bytes()).expect("write body");
     let doc = read(&mut stream);
     assert!(doc.get("id").is_none(), "the refused frame had no id");
-    let Response::Error { code, message } = proto::response_frame_from_json(&doc)
+    let Response::Error { code, message } = proto::response_frame_from_json(doc.clone())
         .expect("a well-formed reply")
         .response
     else {
@@ -147,7 +147,7 @@ fn deeply_nested_frame_gets_a_protocol_error_and_the_connection_survives() {
     assert!(message.contains("nesting"), "{message}");
 
     wire::write_frame(&mut stream, &ping(3)).expect("write after error");
-    let frame = proto::response_frame_from_json(&read(&mut stream)).expect("connection survived");
+    let frame = proto::response_frame_from_json(read(&mut stream)).expect("connection survived");
     assert_eq!(frame.id, Some(3));
     assert!(matches!(frame.response, Response::Ok(_)));
 
@@ -184,14 +184,14 @@ fn batch_response_nests_within_the_json_bound() {
     });
     wire::write_frame(&mut stream, &request).expect("write batch");
     let doc = read(&mut stream);
-    let Response::Ok(payload) = proto::response_frame_from_json(&doc)
+    let Response::Ok(payload) = proto::response_frame_from_json(doc.clone())
         .expect("a well-formed reply")
         .response
     else {
         panic!("expected an ok reply, got {}", doc.dump());
     };
     assert!(matches!(
-        proto::batch_results(&payload)
+        proto::batch_results(payload)
             .expect("batch payload")
             .as_slice(),
         [Response::Ok(_)]

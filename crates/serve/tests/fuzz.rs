@@ -45,7 +45,7 @@ fn exchange(addr: SocketAddr, bytes: &[u8], round: usize) -> Vec<Response> {
     loop {
         match wire::read_frame(&mut stream, || Instant::now() > deadline) {
             Ok(Frame::Doc(doc)) => {
-                let frame = proto::response_frame_from_json(&doc).unwrap_or_else(|e| {
+                let frame = proto::response_frame_from_json(doc.clone()).unwrap_or_else(|e| {
                     panic!("round {round}: malformed response {}: {e}", doc.dump())
                 });
                 answered.push(frame.response);
