@@ -25,6 +25,7 @@
 use crate::session::{AlgoKey, ExperimentSpec, MachineKind};
 use crate::store::codec;
 use omega_core::config::SystemConfig;
+use omega_core::lower::Tape;
 use omega_core::runner::{exec_for, replay, trace_algorithm};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::rng::SmallRng;
@@ -220,11 +221,12 @@ impl Fuzzer {
         }
         let sys = case.system();
         let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec_for(&sys));
+        let tape = Tape::from_raw(raw, meta);
         let mut checks = 0u64;
         let mut failures: Vec<(String, String)> = Vec::new();
 
         let replay_on = |sys: &SystemConfig, audit: Option<&mut AuditReport>| {
-            replay(algo.name(), checksum, &raw, &meta, sys, audit)
+            replay(algo.name(), checksum, &tape, sys, audit)
         };
 
         // Oracle 1: the conservation audit itself.

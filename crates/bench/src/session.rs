@@ -12,6 +12,7 @@
 
 use crate::store::ExperimentStore;
 use omega_core::config::{OmegaConfig, SystemConfig};
+use omega_core::lower::Tape;
 use omega_core::runner::{
     exec_for, replay, replay_plain_atomics, trace_algorithm, trace_with, RunReport,
 };
@@ -477,6 +478,20 @@ pub struct TraceSummary {
     pub hot_prop_share: f64,
 }
 
+impl TraceSummary {
+    /// Summarises a functional trace collected with `meta`.
+    fn of(raw: &RawTrace, meta: &TraceMeta) -> TraceSummary {
+        let classes = raw.classify();
+        let hot = (meta.n_vertices as f64 * 0.2).ceil() as u32;
+        TraceSummary {
+            atomic_fraction: classes.atomic_fraction(),
+            random_fraction: classes.random_fraction(),
+            monitored_props: meta.props.iter().filter(|p| p.monitored).count() as u64,
+            hot_prop_share: raw.prop_access_fraction_below(hot),
+        }
+    }
+}
+
 /// One fully keyed experiment: which dataset, which algorithm, which
 /// machine, what telemetry that machine collects, and which [`Variant`]
 /// of the run. Together with the session's scale these are every input
@@ -630,24 +645,33 @@ pub fn trace_groups(specs: impl IntoIterator<Item = ExperimentSpec>) -> Vec<Trac
     groups
 }
 
-/// The functional trace of one trace group, and the replay of a member
-/// on it: the paper's trace-once, replay-on-every-machine step (§V).
-/// Every computed run goes through it, in [`Session`]'s workers and in
-/// `omega-serve`'s.
+/// The functional trace of one trace group, lowered once into the
+/// [`Tape`] every member replays, and the replay of a member on it: the
+/// paper's trace-once, replay-on-every-machine step (§V). Every computed
+/// run goes through it, in [`Session`]'s workers and in `omega-serve`'s.
 #[derive(Debug)]
 pub struct GroupTrace {
     /// The traced kernel's name, which every report carries.
     algo: &'static str,
     checksum: f64,
-    raw: RawTrace,
-    meta: TraceMeta,
+    tape: Tape,
+    summary: Option<TraceSummary>,
 }
 
 impl GroupTrace {
     /// Traces `algo` on `g`, the graph the group's trace `variant` shapes,
     /// under `exec`: the Ligra kernel, or the GraphMat-style PageRank
-    /// (§V.F) for [`Variant::GraphMat`].
-    pub fn new(g: &CsrGraph, algo: AlgoKey, variant: Variant, exec: &ExecConfig) -> Self {
+    /// (§V.F) for [`Variant::GraphMat`]. With `summarise` set, the trace
+    /// is summarised first ([`GroupTrace::summary`]). The trace is then
+    /// lowered into the group's tape core by core, each core's events
+    /// freed once lowered, so the group never holds both in full.
+    pub fn new(
+        g: &CsrGraph,
+        algo: AlgoKey,
+        variant: Variant,
+        exec: &ExecConfig,
+        summarise: bool,
+    ) -> Self {
         let kernel = algo.algo(g);
         let (checksum, raw, meta) = match variant {
             Variant::GraphMat => trace_with(g, exec, |ctx| {
@@ -655,11 +679,12 @@ impl GroupTrace {
             }),
             _ => trace_algorithm(g, kernel, exec),
         };
+        let summary = summarise.then(|| TraceSummary::of(&raw, &meta));
         GroupTrace {
             algo: kernel.name(),
             checksum,
-            raw,
-            meta,
+            tape: Tape::from_raw(raw, meta),
+            summary,
         }
     }
 
@@ -674,12 +699,12 @@ impl GroupTrace {
         scale: DatasetScale,
         store: Option<&ExperimentStore>,
     ) -> RunReport {
-        let (algo, checksum, raw, meta) = (self.algo, self.checksum, &self.raw, &self.meta);
+        let (algo, checksum, tape) = (self.algo, self.checksum, &self.tape);
         let system = spec.system();
         let report = if spec.variant == Variant::PlainAtomics {
-            replay_plain_atomics(algo, checksum, raw, meta, &system)
+            replay_plain_atomics(algo, checksum, tape, &system)
         } else {
-            replay(algo, checksum, raw, meta, &system, None)
+            replay(algo, checksum, tape, &system, None)
         };
         if let Some(store) = store {
             if let Err(e) = store.store_report(spec.fingerprint(scale), &spec.label(), &report) {
@@ -689,16 +714,9 @@ impl GroupTrace {
         report
     }
 
-    /// What `table2`, `fig4b`, `fig5` and `fig18` read from the trace.
-    pub fn summary(&self) -> TraceSummary {
-        let classes = self.raw.classify();
-        let hot = (self.meta.n_vertices as f64 * 0.2).ceil() as u32;
-        TraceSummary {
-            atomic_fraction: classes.atomic_fraction(),
-            random_fraction: classes.random_fraction(),
-            monitored_props: self.meta.props.iter().filter(|p| p.monitored).count() as u64,
-            hot_prop_share: self.raw.prop_access_fraction_below(hot),
-        }
+    /// The trace's summary, if [`GroupTrace::new`] was asked for one.
+    pub fn summary(&self) -> Option<TraceSummary> {
+        self.summary
     }
 }
 
@@ -1013,9 +1031,8 @@ impl Session {
                         .specs
                         .first()
                         .map_or_else(ExecConfig::default, |spec| exec_for(&spec.system()));
-                    let trace = GroupTrace::new(g, a, group.variant, &exec);
-                    if group.summarise {
-                        let summary = trace.summary();
+                    let trace = GroupTrace::new(g, a, group.variant, &exec, group.summarise);
+                    if let Some(summary) = trace.summary() {
                         if let Some(store) = store {
                             let (fp, label) = summary_key((d, a), scale);
                             if let Err(e) = store.store_summary(fp, &label, &summary) {

@@ -6,7 +6,7 @@
 use omega_bench::session::{AlgoKey, ExperimentSpec, MachineKind, Session, Slicing, Variant};
 use omega_core::config::SystemConfig;
 use omega_core::layout::Layout;
-use omega_core::lower::{lower, Target};
+use omega_core::lower::{lower, Tape, Target};
 use omega_core::runner::{exec_for, replay, trace_algorithm, RunReport, Runner};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::reorder::{self, Reordering};
@@ -128,9 +128,10 @@ fn a_channel_run_equals_a_hand_built_replay() {
     let g = s.graph(Dataset::Lj);
     let algo = AlgoKey::PageRank.algo(g);
     let (checksum, raw, meta) = trace_algorithm(g, algo, &ExecConfig::default());
+    let tape = Tape::new(&raw, &meta);
     let mut sys = SystemConfig::mini_pim_rank();
     sys.machine.dram.channels = 2;
-    let want = replay(algo.name(), checksum, &raw, &meta, &sys, None);
+    let want = replay(algo.name(), checksum, &tape, &sys, None);
     assert_eq!(got, want);
 }
 
@@ -146,11 +147,12 @@ fn graphmat_runs_equal_a_hand_built_trace_and_replay() {
     graphmat::pagerank_graphmat(&g, &mut ctx, 1);
     let meta = ctx.meta_for(g.num_vertices() as u64, g.num_arcs(), g.is_weighted());
     let raw = tracer.finish();
+    let tape = Tape::new(&raw, &meta);
     for (m, sys) in [
         (MachineKind::Baseline, SystemConfig::mini_baseline()),
         (MachineKind::Omega, SystemConfig::mini_omega()),
     ] {
-        let want = replay("pagerank", 0.0, &raw, &meta, &sys, None);
+        let want = replay("pagerank", 0.0, &tape, &sys, None);
         let got = s.report(on(m));
         assert_eq!(simulated(got), simulated(&want), "{m}");
     }

@@ -11,6 +11,7 @@
 use omega_bench::report_json::run_report_to_json;
 use omega_bench::session::{AlgoKey, MachineKind, Session};
 use omega_bench::{check_chrome_trace, chrome_trace_to_json, Json};
+use omega_core::lower::Tape;
 use omega_core::runner::{exec_for, replay, trace_algorithm};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_sim::obs;
@@ -29,7 +30,8 @@ fn replay_once() -> omega_core::runner::RunReport {
     let sys = MachineKind::Omega.system();
     let algo = AlgoKey::PageRank.algo(&g);
     let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec_for(&sys));
-    replay("pagerank", checksum, &raw, &meta, &sys, None)
+    let tape = Tape::new(&raw, &meta);
+    replay("pagerank", checksum, &tape, &sys, None)
 }
 
 #[test]

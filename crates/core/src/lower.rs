@@ -8,10 +8,18 @@
 //! identically on both machines — OMEGA's routing decisions happen inside
 //! `OmegaMemory`, keyed purely on addresses, just as the hardware's
 //! address-monitoring registers would.
+//!
+//! That one place is what lets a trace be lowered once for every machine.
+//! A [`Tape`] is the baseline lowering, packed eight bytes an op, in which
+//! each fused dense activation keeps its vertex id; a replay
+//! ([`Tape::source`]) absorbs the ones below its target's `hot_count` and
+//! demotes atomics to stores for [`Target::BaselinePlainAtomics`] as it
+//! decodes. [`LoweringStream`] and [`lower`] lower for one target directly:
+//! they are the reference that the tape is tested against.
 
 use crate::layout::Layout;
-use omega_ligra::trace::{RawTrace, TraceEvent};
-use omega_sim::{AccessKind, CoreOp, MemAccess, OpSource, Trace};
+use omega_ligra::trace::{RawTrace, TraceEvent, TraceMeta};
+use omega_sim::{AccessKind, AtomicKind, CoreOp, MemAccess, OpSource, Trace};
 
 /// Which machine the trace is being lowered for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,14 +46,14 @@ struct CoreCursor {
     ngraph_slot: u64,
 }
 
-/// Lazily lowers a collected trace, one operation at a time.
+/// Lazily lowers a collected trace for one target, one operation at a
+/// time.
 ///
-/// This is the streaming half of the pipeline: the replay engine pulls
-/// [`CoreOp`]s through [`OpSource::next`] and each logical event is lowered
-/// on the fly, so the fully lowered trace — which would be as large as the
-/// functional trace itself — never exists in memory. Lowering is stateful
-/// per core (sparse-frontier and bookkeeping slots advance monotonically),
-/// and that state lives in the per-core cursors here.
+/// This is the reference lowering: the engine can pull [`CoreOp`]s
+/// through [`OpSource::next`] with each logical event lowered on the fly,
+/// and the tests hold a [`Tape`]'s replays to it op for op. Lowering is
+/// stateful per core (sparse-frontier and bookkeeping slots advance
+/// monotonically), and that state lives in the per-core cursors here.
 #[derive(Debug)]
 pub struct LoweringStream<'a> {
     raw: &'a RawTrace,
@@ -74,7 +82,9 @@ impl<'a> LoweringStream<'a> {
 }
 
 /// Lowers one event against one core's cursor; `None` means the event is
-/// absorbed on this target.
+/// absorbed on this target. Inlined into both of its callers, the
+/// reference stream and the tape's lowering, which call it once an event.
+#[inline(always)]
 fn lower_event(
     layout: &Layout,
     target: Target,
@@ -183,13 +193,223 @@ impl OpSource for LoweringStream<'_> {
 /// streams.
 ///
 /// Thin collecting wrapper over [`LoweringStream`]: the materialising
-/// reference that the `streaming_equivalence` tests check the stream
-/// against. The simulation paths replay the stream directly.
+/// reference that the `streaming_equivalence` tests check the tape
+/// against. The simulation paths replay a [`Tape`].
 pub fn lower(raw: &RawTrace, layout: &Layout, target: Target) -> Vec<Trace> {
     let mut stream = LoweringStream::new(raw, layout, target);
     (0..stream.n_cores())
         .map(|core| std::iter::from_fn(|| stream.next(core)).collect())
         .collect()
+}
+
+/// A trace lowered once for every [`Target`]: per-core streams of packed
+/// ops, eight bytes each, with the [`TraceMeta`] and [`Layout`] they were
+/// lowered under.
+///
+/// The tape holds the baseline lowering, except that a fused dense
+/// activation keeps its vertex id instead of its frontier-word address,
+/// so one tape replays on every machine a trace group holds
+/// ([`Tape::source`]). It has one op per trace event, so it is the same
+/// size as the packed [`RawTrace`] it replaces.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Tape {
+    cores: Vec<Vec<TapeOp>>,
+    meta: TraceMeta,
+    layout: Layout,
+}
+
+impl Tape {
+    /// Lowers `raw`, collected with `meta`, leaving `raw` in place.
+    pub fn new(raw: &RawTrace, meta: &TraceMeta) -> Tape {
+        Tape::lower_cores(raw.cores(), meta.clone())
+    }
+
+    /// Lowers `raw` core by core, freeing each core's events once they
+    /// are lowered, so the trace and its tape never both exist in full.
+    pub fn from_raw(raw: RawTrace, meta: TraceMeta) -> Tape {
+        Tape::lower_cores(raw.into_cores(), meta)
+    }
+
+    fn lower_cores<C>(cores: impl Iterator<Item = C>, meta: TraceMeta) -> Tape
+    where
+        C: ExactSizeIterator<Item = TraceEvent>,
+    {
+        let layout = Layout::new(&meta);
+        let cores = cores
+            .enumerate()
+            .map(|(core, events)| {
+                let mut cursor = CoreCursor::default();
+                let mut ops = Vec::with_capacity(events.len());
+                ops.extend(events.map(|ev| {
+                    match ev {
+                        TraceEvent::FrontierWrite {
+                            vertex,
+                            dense: true,
+                            fused: true,
+                        } => TapeOp::activation(vertex),
+                        ev => TapeOp::pack(
+                            lower_event(&layout, Target::Baseline, core, &mut cursor, ev)
+                                .expect("the baseline lowering absorbs no event"),
+                        ),
+                    }
+                }));
+                ops
+            })
+            .collect();
+        Tape {
+            cores,
+            meta,
+            layout,
+        }
+    }
+
+    /// The metadata of the trace this tape was lowered from.
+    pub(crate) fn meta(&self) -> &TraceMeta {
+        &self.meta
+    }
+
+    /// The address layout the tape was lowered under.
+    pub(crate) fn layout(&self) -> &Layout {
+        &self.layout
+    }
+
+    /// A replay of the tape for `target`: the op streams that
+    /// [`lower`] would materialise for it, decoded as the engine pulls.
+    pub fn source(&self, target: Target) -> TapeSource<'_> {
+        let (hot_count, plain_atomics) = match target {
+            Target::Baseline => (0, false),
+            Target::BaselinePlainAtomics => (0, true),
+            Target::Omega { hot_count } => (hot_count, false),
+        };
+        TapeSource {
+            cores: self.cores.iter().map(|ops| ops.iter()).collect(),
+            dense_frontier: &self.layout,
+            hot_count,
+            plain_atomics,
+        }
+    }
+}
+
+/// One lowered op of a [`Tape`], packed into eight bytes: a 4-bit tag in
+/// the top bits and its payload below.
+///
+/// | tag | op                 | payload bits                               |
+/// |-----|--------------------|--------------------------------------------|
+/// | 0   | `ComputeX100`      | `x100` in 0..32                            |
+/// | 1   | read               | `addr` in 0..48, `size` in 48..56          |
+/// | 2   | stable read        | as read                                    |
+/// | 3   | write              | as read                                    |
+/// | 4   | atomic             | as read, `kind` in 56..60                  |
+/// | 5   | fused dense activation | `vertex` in 0..32                      |
+/// | 6   | `Barrier`          | —                                          |
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TapeOp(u64);
+
+const OP_TAG_SHIFT: u32 = 60;
+const ADDR_BITS: u32 = 48;
+const KIND_SHIFT: u32 = 56;
+const ATOMIC_KINDS: [AtomicKind; 6] = [
+    AtomicKind::FpAdd,
+    AtomicKind::UnsignedCompareSet,
+    AtomicKind::SignedMin,
+    AtomicKind::LabelMin,
+    AtomicKind::BoolOr,
+    AtomicKind::SignedAdd,
+];
+
+impl TapeOp {
+    /// Packs a lowered op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an address does not fit in 48 bits.
+    fn pack(op: CoreOp) -> TapeOp {
+        let bits = match op {
+            CoreOp::ComputeX100(x100) => x100 as u64,
+            CoreOp::Barrier => 6 << OP_TAG_SHIFT,
+            CoreOp::Access(MemAccess { addr, size, kind }) => {
+                assert!(addr < 1 << ADDR_BITS, "address {addr:#x} exceeds 48 bits");
+                let (tag, code) = match kind {
+                    AccessKind::Read => (1, 0),
+                    AccessKind::ReadStable => (2, 0),
+                    AccessKind::Write => (3, 0),
+                    AccessKind::Atomic(kind) => {
+                        let code = ATOMIC_KINDS.iter().position(|&k| k == kind);
+                        (4, code.expect("every kind is listed") as u64)
+                    }
+                };
+                tag << OP_TAG_SHIFT | code << KIND_SHIFT | (size as u64) << ADDR_BITS | addr
+            }
+        };
+        TapeOp(bits)
+    }
+
+    /// A fused dense activation of `vertex`.
+    fn activation(vertex: u32) -> TapeOp {
+        TapeOp(5 << OP_TAG_SHIFT | vertex as u64)
+    }
+}
+
+/// A replay of a [`Tape`] for one [`Target`], pulled by the engine through
+/// [`OpSource`]. Made by [`Tape::source`].
+#[derive(Debug)]
+pub struct TapeSource<'a> {
+    cores: Vec<std::slice::Iter<'a, TapeOp>>,
+    dense_frontier: &'a Layout,
+    hot_count: u32,
+    plain_atomics: bool,
+}
+
+impl TapeSource<'_> {
+    /// Decodes one op; `None` means the op is absorbed on this target.
+    #[inline]
+    fn decode(&self, op: TapeOp) -> Option<CoreOp> {
+        let b = op.0;
+        let access = |kind| {
+            CoreOp::Access(MemAccess {
+                addr: b & ((1 << ADDR_BITS) - 1),
+                size: (b >> ADDR_BITS) as u8,
+                kind,
+            })
+        };
+        Some(match b >> OP_TAG_SHIFT {
+            0 => CoreOp::ComputeX100(b as u32),
+            1 => access(AccessKind::Read),
+            2 => access(AccessKind::ReadStable),
+            3 => access(AccessKind::Write),
+            4 if self.plain_atomics => access(AccessKind::Write),
+            4 => access(AccessKind::Atomic(
+                ATOMIC_KINDS[(b >> KIND_SHIFT & 0xF) as usize],
+            )),
+            5 => {
+                let vertex = b as u32;
+                if vertex < self.hot_count {
+                    return None;
+                }
+                CoreOp::Access(MemAccess::write(
+                    self.dense_frontier.dense_frontier_addr(vertex as u64 / 64),
+                    8,
+                ))
+            }
+            _ => CoreOp::Barrier,
+        })
+    }
+}
+
+impl OpSource for TapeSource<'_> {
+    fn n_cores(&self) -> usize {
+        self.cores.len()
+    }
+
+    #[inline]
+    fn next(&mut self, core: usize) -> Option<CoreOp> {
+        loop {
+            let &op = self.cores[core].next()?;
+            if let Some(op) = self.decode(op) {
+                return Some(op);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,20 +3,21 @@
 //!
 //! [`Runner`] is the entry point used by the examples, the integration
 //! tests and the audit. It executes an algorithm functionally under the
-//! tracing framework, lowers the trace for the requested machine(s), and
-//! replays it cycle-accurately, returning a [`RunReport`] per machine with
-//! the functional checksum (identical across machines — the architecture
-//! must not change results) and all timing/memory statistics. The free function [`replay`] is the
-//! one replay path underneath: it replays an already-collected trace on
-//! one machine, serially, and is what the builder, the benchmark session's
-//! grouped compute and the service call. [`exec_for`] is the one rule for
-//! the execution parameters a trace is collected with.
+//! tracing framework, lowers the trace once into a [`Tape`], and replays
+//! the tape cycle-accurately on each requested machine, returning a
+//! [`RunReport`] per machine with the functional checksum (identical
+//! across machines — the architecture must not change results) and all
+//! timing/memory statistics. The free function [`replay`] is the one
+//! replay path underneath: it replays a tape on one machine, serially,
+//! and is what the builder, the audit, the benchmark session's grouped
+//! compute and the service call. [`exec_for`] is the one rule for the
+//! execution parameters a trace is collected with.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::config::{MemoryModel, SystemConfig};
 use crate::layout::Layout;
-use crate::lower::{LoweringStream, Target};
+use crate::lower::{Tape, Target};
 use crate::machine::OmegaMemory;
 use crate::pim::PimRankMemory;
 use crate::pinned::pinned_hierarchy;
@@ -78,14 +79,14 @@ impl Runner {
         self
     }
 
-    /// Traces `algo` on `g` once and replays it on every target machine,
-    /// returning one report per [`Runner::new`]/[`Runner::also`] machine in
-    /// order.
+    /// Traces `algo` on `g` once, lowers it once, and replays it on every
+    /// target machine, returning one report per
+    /// [`Runner::new`]/[`Runner::also`] machine in order.
     pub fn run_many(&self, g: &CsrGraph, algo: Algo) -> Vec<RunReport> {
-        let (checksum, raw, meta) = trace_algorithm(g, algo, &exec_for(&self.systems[0]));
+        let (checksum, tape) = self.tape(g, algo);
         self.systems
             .iter()
-            .map(|sys| replay(algo.name(), checksum, &raw, &meta, sys, None))
+            .map(|sys| replay(algo.name(), checksum, &tape, sys, None))
             .collect()
     }
 
@@ -93,15 +94,22 @@ impl Runner {
     /// after each replay and returns the audit report alongside each run
     /// report — the `audit` binary's collection path.
     pub fn run_many_audited(&self, g: &CsrGraph, algo: Algo) -> Vec<(RunReport, AuditReport)> {
-        let (checksum, raw, meta) = trace_algorithm(g, algo, &exec_for(&self.systems[0]));
+        let (checksum, tape) = self.tape(g, algo);
         self.systems
             .iter()
             .map(|sys| {
                 let mut audit = AuditReport::new();
-                let report = replay(algo.name(), checksum, &raw, &meta, sys, Some(&mut audit));
+                let report = replay(algo.name(), checksum, &tape, sys, Some(&mut audit));
                 (report, audit)
             })
             .collect()
+    }
+
+    /// Traces `algo` on `g` with [`exec_for`] the first machine and lowers
+    /// the trace into the tape every machine replays.
+    fn tape(&self, g: &CsrGraph, algo: Algo) -> (f64, Tape) {
+        let (checksum, raw, meta) = trace_algorithm(g, algo, &exec_for(&self.systems[0]));
+        (checksum, Tape::from_raw(raw, meta))
     }
 
     /// Runs end to end on the first (usually only) target machine.
@@ -193,15 +201,16 @@ pub fn trace_with(
     (checksum, tracer.finish(), meta)
 }
 
-/// Replays an already-collected trace of `algo` (functional result
-/// `checksum`) on `system` and builds its [`RunReport`]. This is the one
-/// replay path: [`Runner`], the benchmark session's grouped prefetch and
-/// the service all reuse one functional run across many machines through
-/// it.
+/// Replays the lowered trace of `algo` (functional result `checksum`) on
+/// `system` and builds its [`RunReport`]. This is the one replay path:
+/// [`Runner`], the audit, the benchmark session's grouped prefetch and the
+/// service all reuse one functional run, lowered once into a [`Tape`],
+/// across many machines through it.
 ///
-/// The trace is lowered lazily through a [`LoweringStream`] as the engine
-/// pulls operations, so no materialised `Vec<Trace>` is ever allocated,
-/// and the timing loop runs serially on the calling thread.
+/// The engine pulls the tape's ops through [`Tape::source`], which
+/// applies the machine's one lowering difference (OMEGA absorbs fused
+/// dense activations of its resident vertices) as it decodes, and the
+/// timing loop runs serially on the calling thread.
 ///
 /// With `audit` set, the model-conservation audit runs alongside: the
 /// machine's internal ledgers are checked after the replay (before
@@ -211,12 +220,11 @@ pub fn trace_with(
 pub fn replay(
     algo: &str,
     checksum: f64,
-    raw: &RawTrace,
-    meta: &TraceMeta,
+    tape: &Tape,
     system: &SystemConfig,
     audit: Option<&mut AuditReport>,
 ) -> RunReport {
-    replay_lowered(algo, checksum, raw, meta, system, false, audit)
+    replay_lowered(algo, checksum, tape, system, false, audit)
 }
 
 /// [`replay`] with every atomic lowered to a plain store
@@ -226,18 +234,16 @@ pub fn replay(
 pub fn replay_plain_atomics(
     algo: &str,
     checksum: f64,
-    raw: &RawTrace,
-    meta: &TraceMeta,
+    tape: &Tape,
     system: &SystemConfig,
 ) -> RunReport {
-    replay_lowered(algo, checksum, raw, meta, system, true, None)
+    replay_lowered(algo, checksum, tape, system, true, None)
 }
 
 fn replay_lowered(
     algo: &str,
     checksum: f64,
-    raw: &RawTrace,
-    meta: &TraceMeta,
+    tape: &Tape,
     system: &SystemConfig,
     plain_atomics: bool,
     mut audit: Option<&mut AuditReport>,
@@ -248,8 +254,8 @@ fn replay_lowered(
     // label. Inert (one branch) otherwise.
     let _sim = obs::sim_session(system.label());
     TIMING_REPLAYS.fetch_add(1, Ordering::Relaxed);
-    let layout = Layout::new(meta);
-    let mut mem = Memory::build(system, &layout, meta);
+    let meta = tape.meta();
+    let mut mem = Memory::build(system, tape.layout(), meta);
     // OMEGA lowers its resident vertices for the scratchpads; every other
     // model sees the baseline lowering.
     let hot_count = match &mem {
@@ -261,8 +267,7 @@ fn replay_lowered(
         None if plain_atomics => Target::BaselinePlainAtomics,
         None => Target::Baseline,
     };
-    let mut stream = LoweringStream::new(raw, &layout, target);
-    let engine_report = engine::run_source(&mut stream, &mut mem, &system.machine);
+    let engine_report = engine::run_source(&mut tape.source(target), &mut mem, &system.machine);
     if let Some(out) = audit.as_deref_mut() {
         mem.audit_into(out);
     }
@@ -290,9 +295,9 @@ fn replay_lowered(
 
 /// Compatibility shim for the `omegabench` ledger, which calls
 /// `replay_parallel(&raw, &meta, &sys, 1)` and destructures the tuple. It
-/// is one call to [`replay`]; `parallelism` never changed a result and is
-/// ignored. It goes when a benchmark change moves `omegabench` to
-/// [`replay`].
+/// lowers `raw` into a [`Tape`] and makes one call to [`replay`];
+/// `parallelism` never changed a result and is ignored. It goes when a
+/// benchmark change moves `omegabench` to [`replay`].
 #[doc(hidden)]
 pub fn replay_parallel(
     raw: &RawTrace,
@@ -300,7 +305,7 @@ pub fn replay_parallel(
     system: &SystemConfig,
     _parallelism: usize,
 ) -> (EngineReport, MemStats, u32, Option<TelemetryReport>) {
-    let r = replay("", 0.0, raw, meta, system, None);
+    let r = replay("", 0.0, &Tape::new(raw, meta), system, None);
     (r.engine, r.mem, r.hot_count, r.telemetry)
 }
 
@@ -437,10 +442,11 @@ mod tests {
         let runner = Runner::new(SystemConfig::mini_baseline()).also(SystemConfig::mini_omega());
         let exec = exec_for(&SystemConfig::mini_baseline());
         let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec);
+        let tape = Tape::from_raw(raw, meta);
         let free: Vec<RunReport> = runner
             .systems
             .iter()
-            .map(|sys| replay(algo.name(), checksum, &raw, &meta, sys, None))
+            .map(|sys| replay(algo.name(), checksum, &tape, sys, None))
             .collect();
         assert_eq!(runner.run_many(&g, algo), free);
     }
@@ -460,7 +466,13 @@ mod tests {
         assert_eq!(exec.chunk_size, 8);
         assert_eq!(exec.n_cores, sys.machine.core.n_cores);
         let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec);
-        let r = replay(algo.name(), checksum, &raw, &meta, &sys, None);
+        let r = replay(
+            algo.name(),
+            checksum,
+            &Tape::from_raw(raw, meta),
+            &sys,
+            None,
+        );
         assert!(r.telemetry.is_some());
     }
 
@@ -528,6 +540,7 @@ mod tests {
         let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
         let exec = exec_for(&SystemConfig::mini_omega());
         let (_, raw, meta) = trace_algorithm(&g, Algo::PageRank { iters: 1 }, &exec);
+        let tape = Tape::from_raw(raw, meta);
         for sp_bytes_per_core in [OmegaConfig::default().sp_bytes_per_core, 64] {
             let machine = |offchip| {
                 SystemConfig::omega_from_baseline(
@@ -541,14 +554,7 @@ mod tests {
             };
             let audited = |offchip| {
                 let mut audit = AuditReport::new();
-                let report = replay(
-                    "pagerank",
-                    0.0,
-                    &raw,
-                    &meta,
-                    &machine(offchip),
-                    Some(&mut audit),
-                );
+                let report = replay("pagerank", 0.0, &tape, &machine(offchip), Some(&mut audit));
                 (report.mem, audit)
             };
             let (stats, offchip) = audited(true);

@@ -3,7 +3,7 @@
 
 use omega_core::config::{OmegaConfig, SystemConfig};
 use omega_core::layout::Layout;
-use omega_core::lower::{lower, Target};
+use omega_core::lower::{lower, Tape, Target};
 use omega_core::runner::{exec_for, replay, trace_algorithm, Runner};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_ligra::algorithms::Algo;
@@ -37,8 +37,9 @@ fn one_trace_many_machines_is_consistent_with_fresh_runs() {
     let algo = Algo::Bfs { root: 0 }.with_default_root(&g);
     let exec = ExecConfig::default();
     let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec);
+    let tape = Tape::new(&raw, &meta);
     for system in [SystemConfig::mini_baseline(), SystemConfig::mini_omega()] {
-        let shared = replay(algo.name(), checksum, &raw, &meta, &system, None);
+        let shared = replay(algo.name(), checksum, &tape, &system, None);
         let fresh = Runner::new(system).run(&g, algo);
         assert_eq!(
             shared.engine.total_cycles,
@@ -111,7 +112,8 @@ fn chunk_size_override_changes_scheduling() {
         ..exec_for(&sys)
     };
     let (checksum, raw, meta) = trace_algorithm(&g, algo, &exec);
-    let coarse = replay(algo.name(), checksum, &raw, &meta, &sys, None);
+    let tape = Tape::new(&raw, &meta);
+    let coarse = replay(algo.name(), checksum, &tape, &sys, None);
     assert_eq!(default_run.checksum, coarse.checksum);
     assert_ne!(
         default_run.total_cycles, coarse.total_cycles,

@@ -1,17 +1,19 @@
-//! Golden equivalence of the streaming trace pipeline.
+//! Golden equivalence of the replay pipeline.
 //!
-//! The production replay path lowers lazily through a [`LoweringStream`]
-//! pulled by the engine; these tests pin it bit-for-bit to the reference
-//! path that first materialises the whole lowered trace with [`lower`] and
-//! replays the vectors. Cycles, every memory-system statistic, and NoC
-//! bytes must be identical — streaming is an implementation strategy, not
-//! a model change.
+//! The production replay path lowers a trace once into a [`Tape`] and
+//! decodes it for each machine as the engine pulls; these tests pin it
+//! bit-for-bit to the reference path that first materialises the whole
+//! lowered trace for one target with [`lower`] and replays the vectors.
+//! Cycles, every memory-system statistic, and NoC bytes must be identical
+//! — the tape is an implementation strategy, not a model change.
 
-use omega_core::config::SystemConfig;
+use omega_core::config::{MemoryModel, OmegaConfig, SystemConfig};
 use omega_core::layout::Layout;
-use omega_core::lower::{lower, LoweringStream, Target};
+use omega_core::lower::{lower, LoweringStream, Tape, Target};
 use omega_core::machine::OmegaMemory;
-use omega_core::runner::{replay, trace_algorithm};
+use omega_core::pim::PimRankMemory;
+use omega_core::pinned::pinned_hierarchy;
+use omega_core::runner::{replay, replay_plain_atomics, trace_algorithm};
 use omega_graph::datasets::{Dataset, DatasetScale};
 use omega_graph::rng::SmallRng;
 use omega_ligra::algorithms::Algo;
@@ -19,30 +21,98 @@ use omega_ligra::trace::{RawTrace, TraceEvent, TraceMeta};
 use omega_ligra::ExecConfig;
 use omega_sim::hierarchy::CacheHierarchy;
 use omega_sim::stats::MemStats;
-use omega_sim::{engine, AtomicKind, EngineReport, OpSource};
+use omega_sim::{engine, AtomicKind, EngineReport, MachineConfig, OpSource, Trace};
 
-/// The reference path: materialise the full lowered trace, then replay it
-/// (what `runner::replay` did before lowering went lazy).
+/// The reference path: materialise the full lowered trace for the
+/// machine's target, then replay it on the machine's memory model (what
+/// `runner::replay` did before lowering went lazy). OMEGA lowers for its
+/// resident vertices; every other model sees the baseline lowering, with
+/// atomics demoted to stores when `plain_atomics` is set.
 fn replay_materialised(
     raw: &RawTrace,
     meta: &TraceMeta,
     system: &SystemConfig,
+    plain_atomics: bool,
 ) -> (EngineReport, MemStats) {
     let layout = Layout::new(meta);
-    if system.omega().is_some() {
-        let mut mem = OmegaMemory::new(system, layout.clone(), meta);
-        let hot = mem.hot_count();
-        let traces = lower(raw, &layout, Target::Omega { hot_count: hot });
-        let report = engine::run(traces, &mut mem, &system.machine);
-        let stats = mem.stats();
-        (report, stats)
+    let baseline = if plain_atomics {
+        Target::BaselinePlainAtomics
     } else {
-        let mut mem = CacheHierarchy::new(&system.machine);
-        let traces = lower(raw, &layout, Target::Baseline);
-        let report = engine::run(traces, &mut mem, &system.machine);
-        let stats = mem.stats();
-        (report, stats)
+        Target::Baseline
+    };
+    let run = |traces: Vec<Trace>, mem: &mut dyn omega_sim::MemorySystem| {
+        engine::run_source(
+            &mut omega_sim::VecOpSource::new(traces),
+            mem,
+            &system.machine,
+        )
+    };
+    match system.model {
+        MemoryModel::Omega(_) => {
+            let mut mem = OmegaMemory::new(system, layout.clone(), meta);
+            let target = Target::Omega {
+                hot_count: mem.hot_count(),
+            };
+            let report = run(lower(raw, &layout, target), &mut mem);
+            (report, mem.stats())
+        }
+        MemoryModel::PimRank(_) => {
+            let mut mem = PimRankMemory::new(system, layout.clone(), meta);
+            let report = run(lower(raw, &layout, baseline), &mut mem);
+            (report, mem.stats())
+        }
+        MemoryModel::Pinned {
+            bytes_per_core,
+            order,
+        } => {
+            let (mut mem, _) =
+                pinned_hierarchy(&system.machine, &layout, meta, bytes_per_core, order);
+            let report = run(lower(raw, &layout, baseline), &mut mem);
+            (report, mem.stats())
+        }
+        MemoryModel::Baseline => {
+            let mut mem = CacheHierarchy::new(&system.machine);
+            let report = run(lower(raw, &layout, baseline), &mut mem);
+            (report, mem.stats())
+        }
     }
+}
+
+/// The configuration of every machine kind the benchmark session runs:
+/// the baseline, OMEGA and its ablations (a half-size scratchpad among
+/// them), and the three rivals.
+fn every_machine() -> Vec<SystemConfig> {
+    let omega = |omega: OmegaConfig| {
+        SystemConfig::omega_from_baseline(MachineConfig::mini_baseline(), omega)
+    };
+    let standard = OmegaConfig::default();
+    vec![
+        SystemConfig::mini_baseline(),
+        SystemConfig::mini_omega(),
+        omega(OmegaConfig {
+            sp_bytes_per_core: standard.sp_bytes_per_core / 2,
+            ..standard
+        }),
+        omega(OmegaConfig {
+            pisc_enabled: false,
+            ..standard
+        }),
+        omega(OmegaConfig {
+            svb_enabled: false,
+            ..standard
+        }),
+        omega(OmegaConfig {
+            mapping_chunk: 64,
+            ..standard
+        }),
+        omega(OmegaConfig {
+            offchip: true,
+            ..standard
+        }),
+        SystemConfig::mini_locked_cache(),
+        SystemConfig::mini_pim_rank(),
+        SystemConfig::mini_specialized_cache(),
+    ]
 }
 
 #[test]
@@ -58,31 +128,31 @@ fn streaming_replay_is_bit_identical_to_materialised_replay() {
         for (name, make) in algos {
             let algo = make(&g);
             let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
-            for system in [SystemConfig::mini_baseline(), SystemConfig::mini_omega()] {
-                let (want_engine, want_mem) = replay_materialised(&raw, &meta, &system);
-                let got = replay(name, 0.0, &raw, &meta, &system, None);
-                assert!(
-                    got.telemetry.is_none(),
-                    "telemetry must stay off unless requested"
-                );
-                assert_eq!(
-                    got.engine,
-                    want_engine,
-                    "{name} on {dataset:?} / {}: engine reports diverge",
-                    system.label()
-                );
-                assert_eq!(
-                    got.mem,
-                    want_mem,
-                    "{name} on {dataset:?} / {}: memory stats diverge",
-                    system.label()
-                );
-                assert_eq!(
-                    got.mem.noc.bytes,
-                    want_mem.noc.bytes,
-                    "{name} on {dataset:?} / {}: NoC bytes diverge",
-                    system.label()
-                );
+            let tape = Tape::new(&raw, &meta);
+            for system in every_machine() {
+                for plain_atomics in [false, true] {
+                    let (want_engine, want_mem) =
+                        replay_materialised(&raw, &meta, &system, plain_atomics);
+                    let got = if plain_atomics {
+                        replay_plain_atomics(name, 0.0, &tape, &system)
+                    } else {
+                        replay(name, 0.0, &tape, &system, None)
+                    };
+                    let what = format!(
+                        "{name} on {dataset:?} / {} (plain atomics: {plain_atomics})",
+                        system.label()
+                    );
+                    assert!(
+                        got.telemetry.is_none(),
+                        "telemetry must stay off unless requested"
+                    );
+                    assert_eq!(got.engine, want_engine, "{what}: engine reports diverge");
+                    assert_eq!(got.mem, want_mem, "{what}: memory stats diverge");
+                    assert_eq!(
+                        got.mem.noc.bytes, want_mem.noc.bytes,
+                        "{what}: NoC bytes diverge"
+                    );
+                }
             }
         }
     }
@@ -178,6 +248,99 @@ fn lowering_stream_matches_collected_lower_under_interleaving() {
                 }
             }
             assert_eq!(got, want, "case {case}, target {target:?}");
+        }
+    }
+}
+
+/// Every target a tape is replayed for: both baseline lowerings, and OMEGA
+/// absorbing no vertex, some, and every one.
+fn targets(n_vertices: u64) -> [Target; 5] {
+    [
+        Target::Baseline,
+        Target::BaselinePlainAtomics,
+        Target::Omega { hot_count: 0 },
+        Target::Omega {
+            hot_count: (n_vertices / 2) as u32,
+        },
+        Target::Omega {
+            hot_count: n_vertices as u32,
+        },
+    ]
+}
+
+/// Drains `tape`'s replay for `target`, core by core.
+fn drain(tape: &Tape, target: Target) -> Vec<Trace> {
+    let mut source = tape.source(target);
+    (0..source.n_cores())
+        .map(|core| std::iter::from_fn(|| source.next(core)).collect())
+        .collect()
+}
+
+/// A tape replayed for a target yields exactly the ops that [`lower`]
+/// materialises for that target, op for op, on random traces (pulled in
+/// an interleaved order, as the engine does) and on real ones.
+#[test]
+fn tape_replays_equal_the_reference_lowering() {
+    let meta = TraceMeta {
+        props: vec![omega_ligra::trace::PropSpec {
+            entry_bytes: 8,
+            len: 96,
+            monitored: true,
+        }],
+        n_vertices: 96,
+        n_arcs: 500,
+        weighted: false,
+    };
+    let layout = Layout::new(&meta);
+    let mut rng = SmallRng::seed_from_u64(0x7A9E_0001);
+    for case in 0..64 {
+        let raw = arb_raw(&mut rng);
+        let tape = Tape::new(&raw, &meta);
+        assert_eq!(
+            tape,
+            Tape::from_raw(raw.clone(), meta.clone()),
+            "case {case}"
+        );
+        for target in targets(meta.n_vertices) {
+            let want = lower(&raw, &layout, target);
+            let mut source = tape.source(target);
+            let mut got: Vec<Vec<_>> = vec![Vec::new(); raw.n_cores()];
+            let mut live: Vec<usize> = (0..raw.n_cores()).collect();
+            while !live.is_empty() {
+                let pick = rng.gen_range(0..live.len());
+                let core = live[pick];
+                match source.next(core) {
+                    Some(op) => got[core].push(op),
+                    None => {
+                        live.swap_remove(pick);
+                        assert!(source.next(core).is_none());
+                    }
+                }
+            }
+            assert_eq!(got, want, "case {case}, target {target:?}");
+        }
+    }
+    for dataset in [Dataset::Sd, Dataset::Ap] {
+        let g = dataset.build(DatasetScale::Tiny).unwrap();
+        for algo in [
+            Algo::PageRank { iters: 1 },
+            Algo::Bfs { root: 0 }.with_default_root(&g),
+            Algo::Cc,
+        ] {
+            if !algo.supports(&g) {
+                continue;
+            }
+            let (_, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+            let layout = Layout::new(&meta);
+            let tape = Tape::new(&raw, &meta);
+            for target in targets(meta.n_vertices) {
+                assert_eq!(
+                    drain(&tape, target),
+                    lower(&raw, &layout, target),
+                    "{} on {dataset:?}, target {target:?}",
+                    algo.name()
+                );
+            }
         }
     }
 }

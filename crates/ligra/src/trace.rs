@@ -307,10 +307,11 @@ impl Tracer for CollectingTracer {
 /// The collected per-core event streams of one algorithm run.
 ///
 /// Events are stored packed ([`PackedEvent`], eight bytes each — half the
-/// natural enum layout) and unpacked on the fly by the accessors; one
-/// `RawTrace` is the single buffered copy of a run that the streaming
-/// lowering pipeline replays, possibly several times, one machine
-/// configuration each.
+/// natural enum layout) and unpacked on the fly by the accessors. A run's
+/// `RawTrace` lives only until it is lowered: `omega-core` turns it into
+/// the op tape every machine replays, consuming it core by core
+/// ([`RawTrace::into_cores`]), so the tape, at the same eight bytes an op,
+/// takes its place as the one buffered copy of the run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RawTrace {
     per_core: Vec<Vec<PackedEvent>>,
@@ -342,6 +343,22 @@ impl RawTrace {
     /// The event at position `idx` of `core`'s stream, if any.
     pub fn event(&self, core: usize, idx: usize) -> Option<TraceEvent> {
         self.per_core[core].get(idx).map(|p| p.unpack())
+    }
+
+    /// Iterates the cores' streams in core order, each as an iterator over
+    /// its events.
+    pub fn cores(&self) -> impl Iterator<Item = impl ExactSizeIterator<Item = TraceEvent> + '_> {
+        self.per_core.iter().map(|s| s.iter().map(|p| p.unpack()))
+    }
+
+    /// Consumes the trace core by core: like [`RawTrace::cores`], but each
+    /// core's buffer is freed as soon as its iterator is dropped, so a
+    /// consumer that converts the streams one at a time never holds two
+    /// full copies of the trace.
+    pub fn into_cores(self) -> impl Iterator<Item = impl ExactSizeIterator<Item = TraceEvent>> {
+        self.per_core
+            .into_iter()
+            .map(|s| s.into_iter().map(PackedEvent::unpack))
     }
 
     /// Iterates every event of every core (core-major order).

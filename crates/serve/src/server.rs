@@ -743,7 +743,7 @@ fn run_job(state: &Arc<ServerState>, job: Job) {
         }
         let trace = state.traces.get_or_build(job.key(), || {
             let exec = exec_for(&job.entries[0].spec.system());
-            GroupTrace::new(g, job.algo, Variant::Standard, &exec)
+            GroupTrace::new(g, job.algo, Variant::Standard, &exec, false)
         });
         for entry in &job.entries {
             let spec = entry.spec;

@@ -29,15 +29,29 @@
 //! ## Run-ahead scheduling
 //!
 //! The order is "the runnable core with the smallest `(time, index)` issues
-//! next", but [`run_source`] does not rescan the cores before every op. One
-//! scan over a compact array of clocks (`Cycle::MAX` for a parked or
-//! finished core) finds both the minimum core and the runner-up, and the
-//! chosen core then keeps issuing until its `(time, index)` passes the
-//! runner-up's, or it parks at a barrier or finishes. This is exact: cores
-//! interact only through the memory system, and while one core issues no
-//! other core's clock moves, so a rescan after each op would pick the same
-//! core every time until that horizon. `crates/sim/tests/engine_timing.rs`
-//! fuzzes the engine against the per-op scanning loop it replaced.
+//! next", but [`run_source`] does not rescan the cores before every op.
+//! Runnable cores sit in a min-heap keyed by `(time, index)`; parked and
+//! finished cores are not in it. The engine pops the best core, peeks the
+//! runner-up, and the chosen core then keeps issuing until its
+//! `(time, index)` passes the runner-up's, or it parks at a barrier or
+//! finishes; a core still runnable goes back into the heap. This is exact:
+//! cores interact only through the memory system, and while one core
+//! issues no other core's clock moves, so a rescan after each op would
+//! pick the same core every time until that horizon.
+//!
+//! ## Lazy window retirement
+//!
+//! A load's window entry is not retired the moment its completion time
+//! passes. Entries are pruned only when the window is full, just before
+//! the stall check. This is exact too: a completed entry never makes
+//! the window stall (its minimum would not exceed the clock), and the
+//! barrier or trace-end drain reads only the maximum, which a
+//! completed entry never raises above the clock.
+//! `crates/sim/tests/engine_timing.rs` fuzzes the engine against the eager,
+//! per-op scanning loop it replaced.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::config::MachineConfig;
 use crate::mem::{Blocking, CoreOp, MemorySystem};
@@ -266,26 +280,18 @@ pub fn run_source<S: OpSource, M: MemorySystem + ?Sized>(
     // the cycle its core's current epoch started at.
     let mut epochs = crate::obs::IntervalRecorder::if_active("core", n).map(|r| (r, vec![0u64; n]));
 
-    // `ready[i]` is core `i`'s clock while it is runnable and `Cycle::MAX`
-    // while it is parked at a barrier or finished: a compact copy of the
-    // scheduling keys, so the scan below touches one cache line or two.
-    let mut ready: Vec<Cycle> = vec![0; n];
+    // The runnable cores, keyed by (time, index) packed into one word:
+    // the index breaks ties toward the lower core.
+    assert!(
+        n <= 1 << CORE_BITS,
+        "{n} cores exceed the scheduler's {CORE_BITS}-bit index"
+    );
+    let mut runnable: BinaryHeap<Reverse<u64>> = (0..n).map(|i| Reverse(key(0, i))).collect();
 
     loop {
         // Pick the runnable core with the smallest (time, index), and the
         // runner-up: the chosen core may run ahead until it passes it.
-        // Scanning in index order with strict compares breaks ties toward
-        // the lower index.
-        let (mut best, mut runner_up) = ((Cycle::MAX, n), (Cycle::MAX, n));
-        for (i, &t) in ready.iter().enumerate() {
-            if t < best.0 {
-                runner_up = best;
-                best = (t, i);
-            } else if t < runner_up.0 {
-                runner_up = (t, i);
-            }
-        }
-        let Some(i) = (best.0 != Cycle::MAX).then_some(best.1) else {
+        let Some(Reverse(best)) = runnable.pop() else {
             // Everyone is finished or parked at a barrier.
             let any_waiting = cores.iter().any(|c| c.at_barrier);
             if !any_waiting {
@@ -306,29 +312,29 @@ pub fn run_source<S: OpSource, M: MemorySystem + ?Sized>(
                     }
                 }
             }
-            for (c, r) in cores.iter_mut().zip(&mut ready) {
+            for (ci, c) in cores.iter_mut().enumerate() {
                 if c.at_barrier {
                     c.report.barrier_cycles += release - c.time;
                     c.time = release;
                     c.at_barrier = false;
-                    *r = release;
+                    runnable.push(Reverse(key(release, ci)));
                 }
             }
             mem.barrier(release);
             continue;
         };
-        // Core `i` stays the scan's pick while it sorts before the
-        // runner-up by (time, index); no other core's clock moves while it
-        // runs, so issuing its ops back to back replays the exact order.
+        let i = (best & ((1 << CORE_BITS) - 1)) as usize;
+        let runner_up = runnable.peek().map_or(u64::MAX, |r| r.0);
+        // Core `i` stays the pick while it sorts before the runner-up by
+        // (time, index); no other core's clock moves while it runs, so
+        // issuing its ops back to back replays the exact order.
         let core = &mut cores[i];
-        while core.runnable() && (core.time, i) < runner_up {
+        while core.runnable() && key(core.time, i) < runner_up {
             step(core, i, source, mem, cfg, max_outstanding, &mut epochs);
         }
-        ready[i] = if core.runnable() {
-            core.time
-        } else {
-            Cycle::MAX
-        };
+        if core.runnable() {
+            runnable.push(Reverse(key(core.time, i)));
+        }
     }
 
     if let Some((mut rec, _)) = epochs {
@@ -344,6 +350,21 @@ pub fn run_source<S: OpSource, M: MemorySystem + ?Sized>(
         total_cycles: total,
         per_core: cores.into_iter().map(|c| c.report).collect(),
     }
+}
+
+/// Bits of a scheduling key that hold the core index; the clock sits
+/// above them.
+const CORE_BITS: u32 = 8;
+
+/// Core `core`'s scheduling key at clock `time`: keys order as
+/// `(time, core)` pairs do.
+#[inline]
+fn key(time: Cycle, core: usize) -> u64 {
+    assert!(
+        time < 1 << (64 - CORE_BITS),
+        "cycle {time} exceeds the scheduler's clock field"
+    );
+    time << CORE_BITS | core as u64
 }
 
 /// Per-core lanes of simulated epoch activity and the start of each lane's
@@ -398,18 +419,18 @@ fn step<S: OpSource, M: MemorySystem + ?Sized>(
             core.time += whole;
             core.report.compute_cycles += whole;
 
-            // A full window stalls the front end.
-            while core.window.len() >= max_outstanding {
-                core.drain_one();
+            // A full window stalls the front end, once the entries that
+            // have completed by now are retired.
+            if core.window.len() >= max_outstanding {
+                let t = core.time;
+                core.window.retain(|&c| c > t);
+                while core.window.len() >= max_outstanding {
+                    core.drain_one();
+                }
             }
             let out = mem.access(i, access, core.time);
             match out.blocking {
-                Blocking::Window => {
-                    // Opportunistically retire completed entries.
-                    let t = core.time;
-                    core.window.retain(|&c| c > t);
-                    core.window.push(out.completion);
-                }
+                Blocking::Window => core.window.push(out.completion),
                 Blocking::Full => {
                     if out.completion > core.time {
                         core.report.atomic_stall_cycles += out.completion - core.time;

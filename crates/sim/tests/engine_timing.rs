@@ -276,9 +276,11 @@ enum Call {
 }
 
 /// A memory whose latency and blocking kind come from a seeded stream, so
-/// any reordering of calls changes every later outcome.
+/// any reordering of calls changes every later outcome. With `instant`
+/// set, every access completes at once.
 struct SeededMem {
     rng: u64,
+    instant: bool,
     calls: Vec<Call>,
 }
 
@@ -291,7 +293,7 @@ impl MemorySystem for SeededMem {
         });
         let r = splitmix(&mut self.rng);
         // One access in eight completes at once, making equal-time ties.
-        let latency = if r.is_multiple_of(8) {
+        let latency = if self.instant || r.is_multiple_of(8) {
             0
         } else {
             (r >> 8) % 160
@@ -347,43 +349,81 @@ fn fuzz_trace(rng: &mut u64, pattern: u64, len: usize, barrier_every: u64) -> Tr
         .collect()
 }
 
+/// The shape of one fuzzed engine run.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Independent streams, window 1–16, seeded latencies.
+    Mixed,
+    /// Every access completes at once (`completion == time`), so completed
+    /// window entries are the rule.
+    ZeroLatency,
+    /// Every core runs the same stream, so all cores tie and the index
+    /// breaks every tie.
+    Identical,
+    /// A window of one outstanding load.
+    SingleSlot,
+}
+
+/// Replays one seeded case through `run_source` and the reference engine
+/// and asserts the same memory calls and the same report.
+fn check_against_reference(seed: u64, shape: Shape) {
+    let mut rng = seed;
+    let n_cores = 1 + (splitmix(&mut rng) % 16) as usize;
+    let pattern = seed % 4;
+    let barrier_every = [7, 31, 200, u64::MAX][(splitmix(&mut rng) % 4) as usize];
+    let mut traces: Vec<Trace> = (0..n_cores)
+        .map(|_| {
+            // Uneven lengths, some empty: cores finish at different
+            // times, some before the others' barriers.
+            let len = (splitmix(&mut rng) % 400) as usize * (splitmix(&mut rng) % 3) as usize;
+            fuzz_trace(&mut rng, pattern, len, barrier_every)
+        })
+        .collect();
+    let mut c = cfg(
+        [25, 50, 100, 130][(splitmix(&mut rng) % 4) as usize],
+        1 + (splitmix(&mut rng) % 16) as usize,
+    );
+    c.core.n_cores = 16;
+    let mem_seed = splitmix(&mut rng);
+    match shape {
+        Shape::Mixed | Shape::ZeroLatency => {}
+        Shape::Identical => {
+            let longest = traces.iter().max_by_key(|t| t.len()).cloned();
+            let n = traces.len().max(2);
+            traces = vec![longest.unwrap_or_default(); n];
+        }
+        Shape::SingleSlot => c.core.max_outstanding = 1,
+    }
+    let instant = matches!(shape, Shape::ZeroLatency);
+
+    let mut expected_mem = SeededMem {
+        rng: mem_seed,
+        instant,
+        calls: Vec::new(),
+    };
+    let expected = reference_run(&traces, &mut expected_mem, &c);
+    let mut mem = SeededMem {
+        rng: mem_seed,
+        instant,
+        calls: Vec::new(),
+    };
+    let mut source = VecOpSource::new(traces);
+    let got = engine::run_source(&mut source, &mut mem, &c);
+    assert_eq!(
+        mem.calls, expected_mem.calls,
+        "seed {seed}, {shape:?}: access sequence"
+    );
+    assert_eq!(got, expected, "seed {seed}, {shape:?}: engine report");
+}
+
 #[test]
 fn run_source_matches_the_reference_engine() {
     for seed in 0..300u64 {
-        let mut rng = seed;
-        let n_cores = 1 + (splitmix(&mut rng) % 16) as usize;
-        let pattern = seed % 4;
-        let barrier_every = [7, 31, 200, u64::MAX][(splitmix(&mut rng) % 4) as usize];
-        let traces: Vec<Trace> = (0..n_cores)
-            .map(|_| {
-                // Uneven lengths, some empty: cores finish at different
-                // times, some before the others' barriers.
-                let len = (splitmix(&mut rng) % 400) as usize * (splitmix(&mut rng) % 3) as usize;
-                fuzz_trace(&mut rng, pattern, len, barrier_every)
-            })
-            .collect();
-        let mut c = cfg(
-            [25, 50, 100, 130][(splitmix(&mut rng) % 4) as usize],
-            1 + (splitmix(&mut rng) % 16) as usize,
-        );
-        c.core.n_cores = 16;
-        let mem_seed = splitmix(&mut rng);
-
-        let mut expected_mem = SeededMem {
-            rng: mem_seed,
-            calls: Vec::new(),
-        };
-        let expected = reference_run(&traces, &mut expected_mem, &c);
-        let mut mem = SeededMem {
-            rng: mem_seed,
-            calls: Vec::new(),
-        };
-        let mut source = VecOpSource::new(traces);
-        let got = engine::run_source(&mut source, &mut mem, &c);
-        assert_eq!(
-            mem.calls, expected_mem.calls,
-            "seed {seed}: access sequence"
-        );
-        assert_eq!(got, expected, "seed {seed}: engine report");
+        check_against_reference(seed, Shape::Mixed);
+    }
+    for seed in 0..100u64 {
+        for shape in [Shape::ZeroLatency, Shape::Identical, Shape::SingleSlot] {
+            check_against_reference(seed, shape);
+        }
     }
 }

@@ -9,6 +9,7 @@
 //! totals.
 
 use omega_repro::core::config::SystemConfig;
+use omega_repro::core::lower::Tape;
 use omega_repro::core::runner::{replay, trace_algorithm};
 use omega_repro::graph::datasets::{Dataset, DatasetScale};
 use omega_repro::graph::rng::SmallRng;
@@ -53,6 +54,7 @@ fn random_configs_pass_the_conservation_audit() {
         let g = dataset.build(DatasetScale::Tiny).unwrap();
         for (name, algo) in workloads(&g) {
             let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+            let tape = Tape::new(&raw, &meta);
             for round in 0..4 {
                 for (label, base) in [
                     ("baseline", SystemConfig::mini_baseline()),
@@ -62,7 +64,7 @@ fn random_configs_pass_the_conservation_audit() {
                     // Once a replay parallelism; still drawn so later configs are unchanged.
                     let _ = rng.gen_range(1usize..=4);
                     let mut audit = AuditReport::new();
-                    let report = replay(name, checksum, &raw, &meta, &sys, Some(&mut audit));
+                    let report = replay(name, checksum, &tape, &sys, Some(&mut audit));
                     assert!(audit.checks_run() > 0);
                     assert!(
                         audit.is_clean(),
@@ -88,13 +90,14 @@ fn audit_stays_clean_with_telemetry_off() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     for (name, algo) in workloads(&g) {
         let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+        let tape = Tape::new(&raw, &meta);
         for (label, sys) in [
             ("baseline", SystemConfig::mini_baseline()),
             ("omega", SystemConfig::mini_omega()),
             ("locked-cache", SystemConfig::mini_locked_cache()),
         ] {
             let mut audit = AuditReport::new();
-            replay(name, checksum, &raw, &meta, &sys, Some(&mut audit));
+            replay(name, checksum, &tape, &sys, Some(&mut audit));
             assert!(audit.is_clean(), "{name} on {label}:\n{audit}");
         }
     }

@@ -3,6 +3,7 @@
 //! mode, all through the public APIs.
 
 use omega_repro::core::config::{MemoryModel, OmegaConfig, PinOrder, SystemConfig};
+use omega_repro::core::lower::Tape;
 use omega_repro::core::runner::{replay, trace_algorithm, RunReport, Runner};
 use omega_repro::graph::datasets::{Dataset, DatasetScale};
 use omega_repro::graph::{reorder, slicing};
@@ -20,10 +21,11 @@ fn graphmat_replays_on_both_machines_without_pisc_activity() {
     assert_eq!(ranks.len(), g.num_vertices());
     let meta = ctx.meta_for(g.num_vertices() as u64, g.num_arcs(), g.is_weighted());
     let raw = tracer.finish();
+    let tape = Tape::new(&raw, &meta);
     assert_eq!(raw.classify().prop_atomics, 0);
 
     // Only cycles and stats are checked, so no functional checksum is passed.
-    let replay_on = |sys: SystemConfig| replay("pagerank", 0.0, &raw, &meta, &sys, None);
+    let replay_on = |sys: SystemConfig| replay("pagerank", 0.0, &tape, &sys, None);
     let base = replay_on(SystemConfig::mini_baseline()).engine;
     let RunReport {
         engine: omega,
@@ -87,8 +89,8 @@ fn zero_budget_pinned_machine_is_the_baseline() {
         for algo in [Algo::PageRank { iters: 1 }, Algo::Bfs { root: 0 }] {
             let algo = algo.with_default_root(&g);
             let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
-            let replay_on =
-                |sys: SystemConfig| replay(algo.name(), checksum, &raw, &meta, &sys, None);
+            let tape = Tape::new(&raw, &meta);
+            let replay_on = |sys: SystemConfig| replay(algo.name(), checksum, &tape, &sys, None);
             let base = replay_on(SystemConfig::mini_baseline());
             for order in [PinOrder::ScratchpadPrefix, PinOrder::VertexMajor] {
                 let pinned = replay_on(SystemConfig {
@@ -120,6 +122,7 @@ fn pull_pagerank_dense_activations_are_absorbed_on_omega() {
     let pull_ranks = omega_repro::ligra::algorithms::pagerank_pull(&g, &mut ctx, 1);
     let meta = ctx.meta_for(g.num_vertices() as u64, g.num_arcs(), g.is_weighted());
     let raw = tracer.finish();
+    let tape = Tape::new(&raw, &meta);
 
     // Push variant for functional cross-check.
     let mut t2 = CollectingTracer::new(exec.n_cores);
@@ -130,7 +133,7 @@ fn pull_pagerank_dense_activations_are_absorbed_on_omega() {
     }
 
     // Only cycles and stats are checked, so no functional checksum is passed.
-    let replay_on = |sys: SystemConfig| replay("pagerank", 0.0, &raw, &meta, &sys, None);
+    let replay_on = |sys: SystemConfig| replay("pagerank", 0.0, &tape, &sys, None);
     let base = replay_on(SystemConfig::mini_baseline()).engine;
     let RunReport {
         engine: omega,

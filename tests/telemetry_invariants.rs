@@ -13,6 +13,7 @@
 //!    cumulative `MemStats`, and window end cycles strictly increase.
 
 use omega_repro::core::config::SystemConfig;
+use omega_repro::core::lower::Tape;
 use omega_repro::core::runner::{replay, trace_algorithm, RunReport};
 use omega_repro::graph::datasets::{Dataset, DatasetScale};
 use omega_repro::ligra::algorithms::Algo;
@@ -42,8 +43,9 @@ fn stall_buckets_partition_wall_time_on_every_machine() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     for (name, algo) in workloads() {
         let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+        let tape = Tape::new(&raw, &meta);
         for (label, system) in machines() {
-            let engine = replay(name, checksum, &raw, &meta, &system, None).engine;
+            let engine = replay(name, checksum, &tape, &system, None).engine;
             for (i, core) in engine.per_core.iter().enumerate() {
                 assert_eq!(
                     core.attributed_cycles(),
@@ -67,11 +69,12 @@ fn telemetry_observation_does_not_perturb_the_simulation() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     for (name, algo) in workloads() {
         let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+        let tape = Tape::new(&raw, &meta);
         for (label, system) in machines() {
             let mut observed = system;
             observed.machine.telemetry = TelemetryConfig::windowed(1024);
-            let off = replay(name, checksum, &raw, &meta, &system, None);
-            let on = replay(name, checksum, &raw, &meta, &observed, None);
+            let off = replay(name, checksum, &tape, &system, None);
+            let on = replay(name, checksum, &tape, &observed, None);
             assert!(
                 off.telemetry.is_none(),
                 "{name} on {label}: telemetry uninvited"
@@ -92,11 +95,11 @@ fn window_deltas_merge_back_to_run_totals() {
     let g = Dataset::Sd.build(DatasetScale::Tiny).unwrap();
     for (name, algo) in workloads() {
         let (checksum, raw, meta) = trace_algorithm(&g, algo, &ExecConfig::default());
+        let tape = Tape::new(&raw, &meta);
         for (label, system) in machines() {
             let mut observed = system;
             observed.machine.telemetry = TelemetryConfig::windowed(512);
-            let RunReport { mem, telemetry, .. } =
-                replay(name, checksum, &raw, &meta, &observed, None);
+            let RunReport { mem, telemetry, .. } = replay(name, checksum, &tape, &observed, None);
             let t = telemetry.expect("telemetry was requested");
             assert_eq!(t.window_cycles, 512);
             assert!(
