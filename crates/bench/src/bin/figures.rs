@@ -347,8 +347,8 @@ fn table1(s: &mut Session) {
     ]);
     for d in Dataset::ALL {
         let meta = d.meta();
-        let g = s.graph(d).clone();
-        let st = stats::degree_stats(&g);
+        let g = s.graph(d);
+        let st = stats::degree_stats(g);
         t.row([
             d.code().to_string(),
             g.num_vertices().to_string(),

@@ -14,7 +14,7 @@ use crate::store::ExperimentStore;
 use omega_core::config::{OmegaConfig, SystemConfig};
 use omega_core::lower::Tape;
 use omega_core::runner::{
-    exec_for, replay, replay_plain_atomics, trace_algorithm, trace_with, RunReport,
+    exec_for, replay, replay_plain_atomics, trace_algorithm, trace_with, ReplayKey, RunReport,
 };
 use omega_core::OmegaError;
 use omega_graph::datasets::{Dataset, DatasetScale};
@@ -30,7 +30,7 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Which machine a run executes on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -649,6 +649,13 @@ pub fn trace_groups(specs: impl IntoIterator<Item = ExperimentSpec>) -> Vec<Trac
 /// [`Tape`] every member replays, and the replay of a member on it: the
 /// paper's trace-once, replay-on-every-machine step (§V). Every computed
 /// run goes through it, in [`Session`]'s workers and in `omega-serve`'s.
+///
+/// Members replay once per distinct machine: each replay is keyed by the
+/// memory model as the tape sees it ([`ReplayKey`]), and a member whose
+/// key the group has already replayed takes a copy of that report under
+/// its own machine label. On a PageRank or BFS trace, for example,
+/// `omega-nosvb` has no source read for its missing buffer to miss, and
+/// `specialized-cache` pins the lines `locked-cache` pins.
 #[derive(Debug)]
 pub struct GroupTrace {
     /// The traced kernel's name, which every report carries.
@@ -656,6 +663,11 @@ pub struct GroupTrace {
     checksum: f64,
     tape: Tape,
     summary: Option<TraceSummary>,
+    /// One report per replay key, kept for the life of the group. The
+    /// slot is filled outside the lock, once, however many workers ask
+    /// for its key at the same time (`omega-serve` shares groups across
+    /// its workers).
+    replays: Mutex<Vec<(ReplayKey, Arc<OnceLock<RunReport>>)>>,
 }
 
 impl GroupTrace {
@@ -685,12 +697,15 @@ impl GroupTrace {
             checksum,
             tape: Tape::from_raw(raw, meta),
             summary,
+            replays: Mutex::default(),
         }
     }
 
     /// Replays member `spec` on its machine, every atomic lowered to a
     /// plain store for [`Variant::PlainAtomics`], and persists the report
-    /// in `store` under the spec's fingerprint at `scale`. A failed write
+    /// in `store` under the spec's fingerprint at `scale`. A member whose
+    /// [`ReplayKey`] the group has replayed before is not replayed again:
+    /// it gets that report with its own machine label. A failed write
     /// (full disk, permissions) degrades to cache-less operation rather
     /// than aborting the run.
     pub fn replay_member(
@@ -701,11 +716,29 @@ impl GroupTrace {
     ) -> RunReport {
         let (algo, checksum, tape) = (self.algo, self.checksum, &self.tape);
         let system = spec.system();
-        let report = if spec.variant == Variant::PlainAtomics {
-            replay_plain_atomics(algo, checksum, tape, &system)
-        } else {
-            replay(algo, checksum, tape, &system, None)
+        let plain_atomics = spec.variant == Variant::PlainAtomics;
+        let key = ReplayKey::new(tape, &system, plain_atomics);
+        let slot = {
+            let mut replays = self.replays.lock().expect("no panics hold the lock");
+            match replays.iter().find(|(k, _)| *k == key) {
+                Some((_, slot)) => Arc::clone(slot),
+                None => {
+                    let slot = Arc::default();
+                    replays.push((key, Arc::clone(&slot)));
+                    slot
+                }
+            }
         };
+        let mut report = slot
+            .get_or_init(|| {
+                if plain_atomics {
+                    replay_plain_atomics(algo, checksum, tape, &system)
+                } else {
+                    replay(algo, checksum, tape, &system, None)
+                }
+            })
+            .clone();
+        report.machine = system.label().to_string();
         if let Some(store) = store {
             if let Err(e) = store.store_report(spec.fingerprint(scale), &spec.label(), &report) {
                 eprintln!("  [store] warning: failed to persist {}: {e}", spec.label());

@@ -205,22 +205,6 @@ pub fn estimate(profile: &WorkloadProfile, system: &SystemConfig) -> AnalyticEst
     }
 }
 
-/// Estimated OMEGA-over-baseline speedup for `algo` on `g`.
-pub fn speedup_estimate(
-    g: &CsrGraph,
-    algo: Algo,
-    baseline: &SystemConfig,
-    omega: &SystemConfig,
-) -> f64 {
-    let p = WorkloadProfile::from_graph(g, algo);
-    let b = estimate(&p, baseline);
-    let o = estimate(&p, omega);
-    if o.cycles == 0.0 {
-        return 0.0;
-    }
-    b.cycles / o.cycles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +213,13 @@ mod tests {
     fn profile(d: Dataset) -> WorkloadProfile {
         let g = d.build(DatasetScale::Tiny).unwrap();
         WorkloadProfile::from_graph(&g, Algo::PageRank { iters: 1 })
+    }
+
+    /// Estimated `omega`-over-`baseline` speedup of PageRank on `d`, as
+    /// `figures fig20` divides the two estimates.
+    fn speedup(d: Dataset, baseline: &SystemConfig, omega: &SystemConfig) -> f64 {
+        let p = profile(d);
+        estimate(&p, baseline).cycles / estimate(&p, omega).cycles
     }
 
     #[test]
@@ -246,10 +237,8 @@ mod tests {
 
     #[test]
     fn omega_estimate_beats_baseline_on_power_law() {
-        let g = Dataset::Lj.build(DatasetScale::Tiny).unwrap();
-        let s = speedup_estimate(
-            &g,
-            Algo::PageRank { iters: 1 },
+        let s = speedup(
+            Dataset::Lj,
             &SystemConfig::mini_baseline(),
             &SystemConfig::mini_omega(),
         );
@@ -262,16 +251,14 @@ mod tests {
 
     #[test]
     fn non_power_law_speedup_is_smaller() {
-        let lj = Dataset::Lj.build(DatasetScale::Tiny).unwrap();
-        let usa = Dataset::Usa.build(DatasetScale::Tiny).unwrap();
         let b = SystemConfig::mini_baseline();
         let o = SystemConfig::mini_omega();
         // Shrink the scratchpad so the road network's flat vtxProp does not
         // simply fit whole (the paper's USA is far larger than on-chip
         // storage; at Tiny scale we scale the scratchpad down to match).
         let o_small = o.with_scratchpad_bytes(256);
-        let s_nat = speedup_estimate(&lj, Algo::PageRank { iters: 1 }, &b, &o_small);
-        let s_road = speedup_estimate(&usa, Algo::PageRank { iters: 1 }, &b, &o_small);
+        let s_nat = speedup(Dataset::Lj, &b, &o_small);
+        let s_road = speedup(Dataset::Usa, &b, &o_small);
         assert!(
             s_nat > s_road,
             "power-law graph must benefit more: {s_nat:.2} vs {s_road:.2}"

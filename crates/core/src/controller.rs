@@ -89,23 +89,31 @@ impl ScratchpadController {
     ) -> Self {
         assert!(n_cores > 0, "need at least one core");
         assert!(chunk > 0, "mapping chunk must be positive");
-        let slot_bytes: u32 = meta
-            .props
-            .iter()
-            .filter(|p| p.monitored)
-            .map(|p| p.entry_bytes)
-            .sum::<u32>()
-            + 1;
-        let total_slots = (sp_bytes_per_core * n_cores as u64) / slot_bytes as u64;
-        let hot_count = total_slots.min(meta.n_vertices).min(u32::MAX as u64) as u32;
         ScratchpadController {
             layout,
             monitored: meta.props.iter().map(|p| p.monitored).collect(),
             n_cores,
             chunk: chunk as u64,
-            hot_count,
-            slot_bytes,
+            hot_count: Self::hot_count_for(meta, n_cores, sp_bytes_per_core),
+            slot_bytes: Self::slot_bytes_for(meta),
         }
+    }
+
+    /// The resident hot-vertex count [`ScratchpadController::new`] computes
+    /// for `n_cores` scratchpads of `sp_bytes_per_core` bytes: as many
+    /// vertex slots as fit, capped at the graph's vertex count.
+    pub fn hot_count_for(meta: &TraceMeta, n_cores: usize, sp_bytes_per_core: u64) -> u32 {
+        let total_slots = (sp_bytes_per_core * n_cores as u64) / Self::slot_bytes_for(meta) as u64;
+        total_slots.min(meta.n_vertices).min(u32::MAX as u64) as u32
+    }
+
+    fn slot_bytes_for(meta: &TraceMeta) -> u32 {
+        meta.props
+            .iter()
+            .filter(|p| p.monitored)
+            .map(|p| p.entry_bytes)
+            .sum::<u32>()
+            + 1
     }
 
     /// Number of scratchpad-resident vertices (the hot prefix `0..hot_count`).

@@ -216,6 +216,9 @@ pub struct Tape {
     cores: Vec<Vec<TapeOp>>,
     meta: TraceMeta,
     layout: Layout,
+    /// Whether any op is a stable (source-vertex) read of a monitored
+    /// property: the only op an OMEGA source-vertex buffer serves.
+    reads_monitored_sources: bool,
 }
 
 impl Tape {
@@ -235,22 +238,26 @@ impl Tape {
         C: ExactSizeIterator<Item = TraceEvent>,
     {
         let layout = Layout::new(&meta);
+        let mut reads_monitored_sources = false;
         let cores = cores
             .enumerate()
             .map(|(core, events)| {
                 let mut cursor = CoreCursor::default();
                 let mut ops = Vec::with_capacity(events.len());
-                ops.extend(events.map(|ev| {
-                    match ev {
-                        TraceEvent::FrontierWrite {
-                            vertex,
-                            dense: true,
-                            fused: true,
-                        } => TapeOp::activation(vertex),
-                        ev => TapeOp::pack(
+                ops.extend(events.map(|ev| match ev {
+                    TraceEvent::FrontierWrite {
+                        vertex,
+                        dense: true,
+                        fused: true,
+                    } => TapeOp::activation(vertex),
+                    ev => {
+                        if let TraceEvent::PropReadSrc { id, .. } = ev {
+                            reads_monitored_sources |= meta.props[id as usize].monitored;
+                        }
+                        TapeOp::pack(
                             lower_event(&layout, Target::Baseline, core, &mut cursor, ev)
                                 .expect("the baseline lowering absorbs no event"),
-                        ),
+                        )
                     }
                 }));
                 ops
@@ -260,6 +267,7 @@ impl Tape {
             cores,
             meta,
             layout,
+            reads_monitored_sources,
         }
     }
 
@@ -271,6 +279,14 @@ impl Tape {
     /// The address layout the tape was lowered under.
     pub(crate) fn layout(&self) -> &Layout {
         &self.layout
+    }
+
+    /// Whether the tape reads a monitored property of a source vertex
+    /// (a `ReadStable` op), the one access an OMEGA source-vertex buffer
+    /// serves. Without one, the buffer's configuration cannot change a
+    /// replay.
+    pub(crate) fn reads_monitored_sources(&self) -> bool {
+        self.reads_monitored_sources
     }
 
     /// A replay of the tape for `target`: the op streams that

@@ -27,15 +27,20 @@ use omega_sim::{MachineConfig, LINE_BYTES};
 
 /// Builds a baseline hierarchy whose L2 banks have hot monitored vtxProp
 /// lines pinned, within a per-core byte budget, selected in `order`.
-/// Returns the memory system and the number of lines pinned (some sets
-/// refuse lines past their lockdown cap).
+/// Returns the memory system and the lines its banks accepted, sorted
+/// (some sets refuse lines past their lockdown cap).
+///
+/// The accepted set decides how the hierarchy behaves: L2 lines are never
+/// invalidated, and victim choice looks only at the unpinned lines' LRU
+/// order. So two budgets or orders that pin the same set replay a trace
+/// identically, which is what a replay key compares.
 pub fn pinned_hierarchy(
     machine: &MachineConfig,
     layout: &Layout,
     meta: &TraceMeta,
     bytes_per_core: u64,
     order: PinOrder,
-) -> (CacheHierarchy, usize) {
+) -> (CacheHierarchy, Vec<u64>) {
     let n_cores = machine.core.n_cores;
     let max_lines = (bytes_per_core * n_cores as u64 / LINE_BYTES) as usize;
     let line_of = |prop: usize, v: u32| layout.prop_addr(prop as u16, v) / LINE_BYTES * LINE_BYTES;
@@ -71,7 +76,8 @@ pub fn pinned_hierarchy(
         }
     };
     let mut mem = CacheHierarchy::new(machine);
-    let pinned = mem.pin_lines(lines);
+    let mut pinned = mem.pin_lines(lines);
+    pinned.sort_unstable();
     (mem, pinned)
 }
 
@@ -102,8 +108,8 @@ mod tests {
         let (mem, pinned) =
             pinned_hierarchy(&machine, &layout, &m, 8 * 1024, PinOrder::ScratchpadPrefix);
         // 8 KB × 16 cores = 128 KB → at most 2048 lines; some sets refuse.
-        assert!(pinned > 0);
-        assert!(pinned <= 2048);
+        assert!(!pinned.is_empty());
+        assert!(pinned.len() <= 2048);
         drop(mem);
     }
 
@@ -149,7 +155,7 @@ mod tests {
             8 * 1024,
             PinOrder::ScratchpadPrefix,
         );
-        assert_eq!(pinned, 0);
+        assert!(pinned.is_empty());
     }
 
     fn two_prop_meta(n: u64) -> TraceMeta {
@@ -178,9 +184,9 @@ mod tests {
         let layout = Layout::new(&m);
         let machine = MachineConfig::mini_baseline();
         let (_, pinned) = pinned_hierarchy(&machine, &layout, &m, 8 * 1024, PinOrder::VertexMajor);
-        assert!(pinned > 0);
+        assert!(!pinned.is_empty());
         // 8 KB × 16 cores = 128 KB → at most 2048 lines; some sets refuse.
-        assert!(pinned <= 2048);
+        assert!(pinned.len() <= 2048);
     }
 
     #[test]
@@ -271,6 +277,6 @@ mod tests {
             8 * 1024,
             PinOrder::VertexMajor,
         );
-        assert_eq!(pinned, 0);
+        assert!(pinned.is_empty());
     }
 }

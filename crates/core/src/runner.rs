@@ -11,11 +11,13 @@
 //! replay path underneath: it replays a tape on one machine, serially,
 //! and is what the builder, the audit, the benchmark session's grouped
 //! compute and the service call. [`exec_for`] is the one rule for the
-//! execution parameters a trace is collected with.
+//! execution parameters a trace is collected with, and [`ReplayKey`] says
+//! when two machines replay one tape alike.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::config::{MemoryModel, SystemConfig};
+use crate::config::{MemoryModel, OmegaConfig, PimRankConfig, SystemConfig};
+use crate::controller::ScratchpadController;
 use crate::layout::Layout;
 use crate::lower::{Tape, Target};
 use crate::machine::OmegaMemory;
@@ -30,7 +32,9 @@ use omega_sim::hierarchy::CacheHierarchy;
 use omega_sim::obs;
 use omega_sim::stats::MemStats;
 use omega_sim::telemetry::TelemetryReport;
-use omega_sim::{engine, AccessOutcome, Cycle, EngineReport, MemAccess, MemorySystem};
+use omega_sim::{
+    engine, AccessOutcome, Cycle, EngineReport, MachineConfig, MemAccess, MemorySystem,
+};
 
 /// The framework execution parameters a trace for `system` uses: the
 /// default [`ExecConfig`] with the machine's core count. Every machine
@@ -240,6 +244,23 @@ pub fn replay_plain_atomics(
     replay_lowered(algo, checksum, tape, system, true, None)
 }
 
+/// The lowering a replay of `tape` on `system` decodes: OMEGA absorbs the
+/// activations of its resident vertices, and every other model sees the
+/// baseline lowering, its atomics demoted to stores for `plain_atomics`.
+fn target_for(tape: &Tape, system: &SystemConfig, plain_atomics: bool) -> Target {
+    match system.model {
+        MemoryModel::Omega(omega) => Target::Omega {
+            hot_count: ScratchpadController::hot_count_for(
+                tape.meta(),
+                system.machine.core.n_cores,
+                omega.sp_bytes_per_core,
+            ),
+        },
+        _ if plain_atomics => Target::BaselinePlainAtomics,
+        _ => Target::Baseline,
+    }
+}
+
 fn replay_lowered(
     algo: &str,
     checksum: f64,
@@ -256,17 +277,7 @@ fn replay_lowered(
     TIMING_REPLAYS.fetch_add(1, Ordering::Relaxed);
     let meta = tape.meta();
     let mut mem = Memory::build(system, tape.layout(), meta);
-    // OMEGA lowers its resident vertices for the scratchpads; every other
-    // model sees the baseline lowering.
-    let hot_count = match &mem {
-        Memory::Omega(m) => Some(m.hot_count()),
-        _ => None,
-    };
-    let target = match hot_count {
-        Some(hot_count) => Target::Omega { hot_count },
-        None if plain_atomics => Target::BaselinePlainAtomics,
-        None => Target::Baseline,
-    };
+    let target = target_for(tape, system, plain_atomics);
     let engine_report = engine::run_source(&mut tape.source(target), &mut mem, &system.machine);
     if let Some(out) = audit.as_deref_mut() {
         mem.audit_into(out);
@@ -286,10 +297,79 @@ fn replay_lowered(
         total_cycles: engine_report.total_cycles,
         engine: engine_report,
         mem: stats,
-        hot_count: hot_count.unwrap_or(0),
+        hot_count: match target {
+            Target::Omega { hot_count } => hot_count,
+            _ => 0,
+        },
         n_vertices: meta.n_vertices,
         n_arcs: meta.n_arcs,
         telemetry,
+    }
+}
+
+/// What a replay of one [`Tape`] depends on: two machines with equal keys
+/// for a tape replay it to equal [`RunReport`]s, the `machine` label
+/// aside, so a trace group replays each distinct key once.
+///
+/// The key is the lowering [`Target`], the [`MachineConfig`] (telemetry
+/// included) and the memory model, with exactly three normalisations of
+/// the model, each for a setting that this tape cannot tell apart:
+///
+/// 1. OMEGA's `sp_bytes_per_core` is cleared: the `hot_count` it yields
+///    is in the target, and nothing else reads it during a replay.
+/// 2. OMEGA's source-vertex buffer (`svb_enabled`, `svb_entries`) is
+///    cleared when the tape has no stable read of a monitored property
+///    (`Tape::reads_monitored_sources`), the only op the buffer serves.
+/// 3. A pinned model becomes the sorted lines its L2 banks accepted
+///    ([`pinned_hierarchy`]), which decide its behaviour.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplayKey {
+    target: Target,
+    machine: MachineConfig,
+    model: ModelKey,
+}
+
+/// The memory-model part of a [`ReplayKey`].
+#[derive(Debug, Clone, PartialEq)]
+enum ModelKey {
+    Baseline,
+    Omega(OmegaConfig),
+    PimRank(PimRankConfig),
+    Pinned(Vec<u64>),
+}
+
+impl ReplayKey {
+    /// The key of replaying `tape` on `system`, through
+    /// [`replay_plain_atomics`] when `plain_atomics` is set and through
+    /// [`replay`] otherwise.
+    pub fn new(tape: &Tape, system: &SystemConfig, plain_atomics: bool) -> ReplayKey {
+        let machine = system.machine;
+        let model = match system.model {
+            MemoryModel::Baseline => ModelKey::Baseline,
+            MemoryModel::Omega(omega) => {
+                let svb = tape.reads_monitored_sources();
+                ModelKey::Omega(OmegaConfig {
+                    sp_bytes_per_core: 0,
+                    svb_enabled: svb && omega.svb_enabled,
+                    svb_entries: if svb { omega.svb_entries } else { 0 },
+                    ..omega
+                })
+            }
+            MemoryModel::PimRank(pim) => ModelKey::PimRank(pim),
+            MemoryModel::Pinned {
+                bytes_per_core,
+                order,
+            } => {
+                let (_, lines) =
+                    pinned_hierarchy(&machine, tape.layout(), tape.meta(), bytes_per_core, order);
+                ModelKey::Pinned(lines)
+            }
+        };
+        ReplayKey {
+            target: target_for(tape, system, plain_atomics),
+            machine,
+            model,
+        }
     }
 }
 

@@ -708,11 +708,9 @@ fn batch_request(state: &Arc<ServerState>, runs: &[RunRequest]) -> Vec<FlightRes
 }
 
 fn worker_loop(state: &Arc<ServerState>) {
-    let c = &state.counters;
     while let Some(job) = state.queue.pop() {
-        c.inflight.fetch_add(1, Ordering::Relaxed);
+        state.counters.inflight.fetch_add(1, Ordering::Relaxed);
         run_job(state, job);
-        c.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -721,10 +719,20 @@ fn worker_loop(state: &Arc<ServerState>) {
 /// its flight retired in turn. An error or a panic anywhere fails
 /// exactly the entries not yet completed, with a structured error
 /// instead of stranding their waiters.
+///
+/// The job leaves `inflight` just before its last flight retires, on
+/// every path, so a client that holds the job's last response never
+/// reads the job as still in flight.
 fn run_job(state: &Arc<ServerState>, job: Job) {
     let c = &state.counters;
     let _span = obs::span_owned(format!("serve.group:{}", job.label()));
     let mut completed = 0;
+    let mut left_inflight = false;
+    let mut leave_inflight = || {
+        if !std::mem::replace(&mut left_inflight, true) {
+            c.inflight.fetch_sub(1, Ordering::Relaxed);
+        }
+    };
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let d = job.dataset;
         let graph = state.graphs.get_or_build((d, job.scale), || {
@@ -757,6 +765,9 @@ fn run_job(state: &Arc<ServerState>, job: Job) {
             // joins the flight or hits the memo.
             state.memo.insert(entry.fp, Arc::clone(&payload));
             c.bump("serve.misses", &c.misses);
+            if completed + 1 == job.entries.len() {
+                leave_inflight();
+            }
             state.flights.complete(entry.fp, Ok(payload));
             completed += 1;
         }
@@ -767,6 +778,7 @@ fn run_job(state: &Arc<ServerState>, job: Job) {
         Ok(Err(e)) => e,
         Err(_) => OmegaError::Internal(format!("worker panicked computing {}", job.label())),
     };
+    leave_inflight();
     let err = Arc::new(err);
     for entry in &job.entries[completed..] {
         c.bump("serve.errors", &c.errors);

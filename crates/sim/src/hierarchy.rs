@@ -216,18 +216,14 @@ impl CacheHierarchy {
 
     /// Pins a set of lines into their home L2 banks (the §IX locked-cache
     /// alternative): pinned lines are pre-loaded `Shared` and excluded from
-    /// replacement. Returns how many lines were actually pinned (pinning
-    /// stops short of monopolising any set).
-    pub fn pin_lines<I: IntoIterator<Item = u64>>(&mut self, lines: I) -> usize {
-        let mut pinned = 0;
-        for line in lines {
-            let line = line_of(line);
-            let bank = self.cfg.l2_bank_of(line);
-            if self.l2[bank].pin(line) {
-                pinned += 1;
-            }
-        }
-        pinned
+    /// replacement. Returns the lines actually pinned, in pin order
+    /// (pinning stops short of monopolising any set).
+    pub fn pin_lines<I: IntoIterator<Item = u64>>(&mut self, lines: I) -> Vec<u64> {
+        lines
+            .into_iter()
+            .map(line_of)
+            .filter(|&line| self.l2[self.cfg.l2_bank_of(line)].pin(line))
+            .collect()
     }
 
     /// Mutable access to the DRAM model, for memory-side extensions

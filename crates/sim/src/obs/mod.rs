@@ -191,12 +191,6 @@ pub fn enable(profile: bool, trace: bool) {
     FLAGS.store(flags, Ordering::SeqCst);
 }
 
-/// Turns observability off without draining. Already-open spans still
-/// record on close; new hooks become inert.
-pub fn disable() {
-    FLAGS.store(0, Ordering::SeqCst);
-}
-
 /// Everything the registry collected since [`enable`], drained in one go.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsDump {

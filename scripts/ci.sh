@@ -101,13 +101,16 @@ cmp target/figures-abl-atomics.txt results/figures_abl_atomics_tiny.txt
 # Trace-sharing gate: the cold sweep traces 68 trace groups (50 standard
 # (dataset, algo) groups with the telemetry figure's runs, 7 traced only
 # for their trace summary, and 11 whose variant changes the graph or the
-# trace) and replays 147 distinct runs. A second session, or a run or
-# summary that lost its group, raises `traces=`.
+# trace). Its 147 distinct runs take 142 replays: a run whose machine
+# replays its group's trace exactly as an earlier member's did shares
+# that replay (`runner::ReplayKey`). A second session, or a run or
+# summary that lost its group, raises `traces=`; a lost replay key raises
+# `replays=`.
 cold_line=$(grep '^\[store\]' target/figures-cold.err)
 echo "ci: cold sweep $cold_line"
 case "$cold_line" in
-  *"traces=68 replays=147"*) ;;
-  *) echo "ci: cold sweep lost trace sharing (expected traces=68 replays=147)" >&2
+  *"traces=68 replays=142"*) ;;
+  *) echo "ci: cold sweep lost trace sharing (expected traces=68 replays=142)" >&2
      exit 1 ;;
 esac
 warm_line=$(grep '^\[store\]' target/figures-warm.err)
