@@ -668,6 +668,9 @@ pub struct GroupTrace {
     /// for its key at the same time (`omega-serve` shares groups across
     /// its workers).
     replays: Mutex<Vec<(ReplayKey, Arc<OnceLock<RunReport>>)>>,
+    /// What the group's `[replay]` progress lines name (kernel, dataset,
+    /// variant); `None` keeps replays silent.
+    progress: Option<String>,
 }
 
 impl GroupTrace {
@@ -698,7 +701,16 @@ impl GroupTrace {
             tape: Tape::from_raw(raw, meta),
             summary,
             replays: Mutex::default(),
+            progress: None,
         }
+    }
+
+    /// Prints a `[replay] {what} (machine)` line to stderr for every
+    /// replay this group actually runs; a member that shares an earlier
+    /// member's replay prints none.
+    pub fn with_progress(mut self, what: Option<String>) -> Self {
+        self.progress = what;
+        self
     }
 
     /// Replays member `spec` on its machine, every atomic lowered to a
@@ -731,6 +743,9 @@ impl GroupTrace {
         };
         let mut report = slot
             .get_or_init(|| {
+                if let Some(what) = &self.progress {
+                    eprintln!("  [replay] {what} ({})", spec.machine.label());
+                }
                 if plain_atomics {
                     replay_plain_atomics(algo, checksum, tape, &system)
                 } else {
@@ -1064,7 +1079,10 @@ impl Session {
                         .specs
                         .first()
                         .map_or_else(ExecConfig::default, |spec| exec_for(&spec.system()));
-                    let trace = GroupTrace::new(g, a, group.variant, &exec, group.summarise);
+                    let trace = GroupTrace::new(g, a, group.variant, &exec, group.summarise)
+                        .with_progress(
+                            verbose.then(|| format!("{} on {}{tag}", a.name(), d.code())),
+                        );
                     if let Some(summary) = trace.summary() {
                         if let Some(store) = store {
                             let (fp, label) = summary_key((d, a), scale);
@@ -1079,14 +1097,6 @@ impl Session {
                     }
                     let mut batch = Vec::with_capacity(group.specs.len());
                     for spec in group.specs() {
-                        if verbose {
-                            eprintln!(
-                                "  [replay] {} on {}{tag} ({})",
-                                a.name(),
-                                d.code(),
-                                spec.machine.label()
-                            );
-                        }
                         batch.push((spec, trace.replay_member(spec, scale, store)));
                     }
                     results

@@ -30,11 +30,11 @@ use crate::pim::DramPim;
 use crate::pisc::{release_offloader, PiscEngine};
 use crate::svbuffer::SourceVertexBuffer;
 use omega_ligra::trace::TraceMeta;
-use omega_sim::audit::{self, AuditReport};
+use omega_sim::audit::AuditReport;
 use omega_sim::dram::RowMode;
 use omega_sim::hierarchy::{CacheHierarchy, LineMap};
 use omega_sim::stats::{AtomicStats, MemStats, ScratchpadStats};
-use omega_sim::telemetry::{TelemetryReport, WindowSampler};
+use omega_sim::telemetry::TelemetryReport;
 use omega_sim::{AccessKind, AccessOutcome, AtomicKind, Blocking, Cycle, MemAccess, MemorySystem};
 
 /// The OMEGA memory system. See the module docs for the request flows.
@@ -58,8 +58,6 @@ pub struct OmegaMemory {
     atomics_executed: u64,
     atomic_lock_wait: u64,
     word_dram_accesses: u64,
-    /// See [`OuterSampled`].
-    sampler: Option<WindowSampler>,
 }
 
 impl OmegaMemory {
@@ -92,10 +90,8 @@ impl OmegaMemory {
             omega.mapping_chunk,
             omega.sp_bytes_per_core,
         );
-        let mut inner = CacheHierarchy::new(&machine);
-        let sampler = inner.take_sampler();
         OmegaMemory {
-            inner,
+            inner: CacheHierarchy::new(&machine),
             omega,
             ctrl,
             piscs: (0..n).map(|_| PiscEngine::new(omega.sp_latency)).collect(),
@@ -126,7 +122,6 @@ impl OmegaMemory {
             atomics_executed: 0,
             atomic_lock_wait: 0,
             word_dram_accesses: 0,
-            sampler,
         }
     }
 
@@ -311,61 +306,8 @@ impl OmegaMemory {
     }
 }
 
-/// A model over a [`CacheHierarchy`] that adds its own counters (OMEGA,
-/// PIM-rank). It takes the hierarchy's window sampler over, so windows see
-/// the merged counters; the hierarchy keeps collecting its histograms.
-pub(crate) trait OuterSampled {
-    /// The taken-over sampler; `None` when telemetry is off.
-    fn sampler(&mut self) -> &mut Option<WindowSampler>;
-
-    /// Hierarchy counters plus the model's own.
-    fn merged_stats(&self) -> MemStats;
-
-    /// Ticks the sampler if `now` crossed a boundary; one compare on the
-    /// common path.
-    #[inline]
-    fn sample_if_due(&mut self, now: Cycle) {
-        if self.sampler().as_ref().is_some_and(|s| s.due(now)) {
-            let cumulative = self.merged_stats();
-            if let Some(s) = self.sampler() {
-                s.tick(now, &cumulative);
-            }
-        }
-    }
-
-    /// Emits the final partial window.
-    fn flush_windows(&mut self, now: Cycle) {
-        if self.sampler().is_some() {
-            let cumulative = self.merged_stats();
-            if let Some(s) = self.sampler() {
-                s.flush(now, &cumulative);
-            }
-        }
-    }
-
-    /// Replaces the hierarchy report's windows with the merged ones.
-    fn attach_windows(&mut self, report: Option<TelemetryReport>) -> Option<TelemetryReport> {
-        let mut report = report?;
-        if let Some(s) = self.sampler().take() {
-            report.windows = s.into_samples();
-        }
-        Some(report)
-    }
-}
-
-impl OuterSampled for OmegaMemory {
-    fn sampler(&mut self) -> &mut Option<WindowSampler> {
-        &mut self.sampler
-    }
-
-    fn merged_stats(&self) -> MemStats {
-        self.stats()
-    }
-}
-
 impl MemorySystem for OmegaMemory {
     fn access(&mut self, core: usize, access: MemAccess, now: Cycle) -> AccessOutcome {
-        self.sample_if_due(now);
         let Some(req) = self.ctrl.classify(access.addr) else {
             return self.inner.access(core, access, now);
         };
@@ -391,21 +333,15 @@ impl MemorySystem for OmegaMemory {
     }
 
     fn finish(&mut self, now: Cycle) {
-        self.flush_windows(now);
         self.inner.finish(now);
     }
 
     fn take_telemetry(&mut self) -> Option<TelemetryReport> {
-        let report = self.inner.take_telemetry();
-        self.attach_windows(report)
+        self.inner.take_telemetry()
     }
 
     fn audit_into(&self, out: &mut AuditReport) {
-        // Component ledgers of the shared fabric, then the cross-component
-        // checks over the *merged* stats: the scratchpad's word/PIM DRAM
-        // traffic and offloaded atomics only balance at this level.
-        self.inner.audit_components(out);
-        audit::check_mem_stats(&self.stats(), out);
+        self.inner.audit_into(out);
         if let Some(pim) = &self.pim {
             pim.audit_into(out);
         }
@@ -700,6 +636,9 @@ mod tests {
 
     #[test]
     fn telemetry_windows_include_scratchpad_activity() {
+        // The histograms only: the replay samples windows over these
+        // merged stats, scratchpad counters included
+        // (`tests/telemetry_invariants.rs`).
         let mut sys = system();
         sys.machine.telemetry = omega_sim::telemetry::TelemetryConfig::windowed(200);
         let mt = meta(10_000);
@@ -714,15 +653,7 @@ mod tests {
         let s = m.stats();
         let t = m.take_telemetry().expect("telemetry enabled");
         assert!(m.take_telemetry().is_none());
-        // Window deltas are computed from the combined stats, so the
-        // scratchpad counters recombine to the run totals too.
-        let mut total = MemStats::default();
-        for w in &t.windows {
-            total.merge(&w.delta);
-        }
-        assert_eq!(total, s);
-        assert!(total.scratchpad.accesses() > 0);
-        assert!(total.scratchpad.pisc_ops > 0);
+        assert!(s.scratchpad.pisc_ops > 0);
         // PISC/SVB-path atomics record their (zero or positive) waits.
         assert_eq!(t.lock_wait.count(), s.atomics.executed);
     }

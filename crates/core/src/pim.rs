@@ -17,14 +17,13 @@
 
 use crate::config::{MemoryModel, PimRankConfig, SystemConfig};
 use crate::layout::Layout;
-use crate::machine::OuterSampled;
 use crate::pisc::{release_offloader, PiscEngine};
 use omega_ligra::trace::TraceMeta;
-use omega_sim::audit::{self, AuditReport};
+use omega_sim::audit::AuditReport;
 use omega_sim::dram::RowMode;
 use omega_sim::hierarchy::CacheHierarchy;
 use omega_sim::stats::{AtomicStats, MemStats, ScratchpadStats};
-use omega_sim::telemetry::{TelemetryReport, WindowSampler};
+use omega_sim::telemetry::TelemetryReport;
 use omega_sim::{
     AccessKind, AccessOutcome, AtomicKind, Cycle, MachineConfig, MemAccess, MemorySystem,
     LINE_BYTES,
@@ -143,8 +142,6 @@ pub struct PimRankMemory {
     /// registers OMEGA's controller uses, §V.A).
     monitored: Vec<bool>,
     ranks: DramPim,
-    /// See [`OuterSampled`].
-    sampler: Option<WindowSampler>,
 }
 
 impl PimRankMemory {
@@ -157,14 +154,11 @@ impl PimRankMemory {
         let MemoryModel::PimRank(cfg) = system.model else {
             panic!("PimRankMemory requires a PIM-rank system config");
         };
-        let mut inner = CacheHierarchy::new(&system.machine);
-        let sampler = inner.take_sampler();
         PimRankMemory {
-            inner,
+            inner: CacheHierarchy::new(&system.machine),
             layout,
             monitored: meta.props.iter().map(|p| p.monitored).collect(),
             ranks: DramPim::new(cfg, &system.machine),
-            sampler,
         }
     }
 
@@ -191,19 +185,8 @@ impl PimRankMemory {
     }
 }
 
-impl OuterSampled for PimRankMemory {
-    fn sampler(&mut self) -> &mut Option<WindowSampler> {
-        &mut self.sampler
-    }
-
-    fn merged_stats(&self) -> MemStats {
-        self.stats()
-    }
-}
-
 impl MemorySystem for PimRankMemory {
     fn access(&mut self, core: usize, access: MemAccess, now: Cycle) -> AccessOutcome {
-        self.sample_if_due(now);
         match access.kind {
             AccessKind::Atomic(kind) if self.is_monitored(access.addr) => {
                 self.ranks.offload(&mut self.inner, access, kind, now)
@@ -217,18 +200,15 @@ impl MemorySystem for PimRankMemory {
     }
 
     fn finish(&mut self, now: Cycle) {
-        self.flush_windows(now);
         self.inner.finish(now);
     }
 
     fn take_telemetry(&mut self) -> Option<TelemetryReport> {
-        let report = self.inner.take_telemetry();
-        self.attach_windows(report)
+        self.inner.take_telemetry()
     }
 
     fn audit_into(&self, out: &mut AuditReport) {
-        self.inner.audit_components(out);
-        audit::check_mem_stats(&self.stats(), out);
+        self.inner.audit_into(out);
         self.ranks.audit_into(out);
     }
 }
@@ -383,6 +363,7 @@ mod tests {
         m.finish(10_000);
         let mut report = AuditReport::new();
         m.audit_into(&mut report);
+        omega_sim::audit::check_mem_stats(&m.stats(), &mut report);
         assert!(report.is_clean(), "{report}");
     }
 

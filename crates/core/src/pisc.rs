@@ -64,11 +64,6 @@ impl PiscEngine {
         done
     }
 
-    /// Cycle until which the engine is busy.
-    pub fn free_at(&self) -> Cycle {
-        self.free_at
-    }
-
     /// Operations executed.
     pub fn ops(&self) -> u64 {
         self.ops
@@ -116,7 +111,7 @@ mod tests {
         let first = p.execute(AtomicKind::FpAdd, 0);
         let second = p.execute(AtomicKind::FpAdd, 0);
         assert_eq!(second, first + first); // same service time, queued
-        assert_eq!(p.free_at(), second);
+        assert_eq!(p.free_at, second);
     }
 
     #[test]

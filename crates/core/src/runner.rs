@@ -10,9 +10,12 @@
 //! timing/memory statistics. The free function [`replay`] is the one
 //! replay path underneath: it replays a tape on one machine, serially,
 //! and is what the builder, the audit, the benchmark session's grouped
-//! compute and the service call. [`exec_for`] is the one rule for the
-//! execution parameters a trace is collected with, and [`ReplayKey`] says
-//! when two machines replay one tape alike.
+//! compute and the service call. It also does, once for every memory
+//! model, the two steps that read a model's merged statistics: it samples
+//! the telemetry windows and, when audited, checks cross-component flow
+//! conservation. [`exec_for`] is the one rule for the execution parameters
+//! a trace is collected with, and [`ReplayKey`] says when two machines
+//! replay one tape alike.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,7 +34,7 @@ use omega_sim::audit::{self, AuditReport};
 use omega_sim::hierarchy::CacheHierarchy;
 use omega_sim::obs;
 use omega_sim::stats::MemStats;
-use omega_sim::telemetry::TelemetryReport;
+use omega_sim::telemetry::{TelemetryReport, WindowSampler};
 use omega_sim::{
     engine, AccessOutcome, Cycle, EngineReport, MachineConfig, MemAccess, MemorySystem,
 };
@@ -218,9 +221,9 @@ pub fn trace_with(
 ///
 /// With `audit` set, the model-conservation audit runs alongside: the
 /// machine's internal ledgers are checked after the replay (before
-/// telemetry is consumed), then the engine report and telemetry are
-/// cross-checked against the memory stats. Violations are collected into
-/// `audit`, not panicked on.
+/// telemetry is consumed), then the merged memory stats, the engine report
+/// and the telemetry are checked against each other. Violations are
+/// collected into `audit`, not panicked on.
 pub fn replay(
     algo: &str,
     checksum: f64,
@@ -279,16 +282,15 @@ fn replay_lowered(
     let mut mem = Memory::build(system, tape.layout(), meta);
     let target = target_for(tape, system, plain_atomics);
     let engine_report = engine::run_source(&mut tape.source(target), &mut mem, &system.machine);
+    let stats = mem.model.stats();
     if let Some(out) = audit.as_deref_mut() {
         mem.audit_into(out);
-    }
-    let stats = mem.stats();
-    let telemetry = mem.take_telemetry();
-    if let Some(out) = audit {
+        audit::check_mem_stats(&stats, out);
         audit::check_engine(&engine_report, out);
-        if let Some(telemetry) = &telemetry {
-            audit::check_telemetry(&stats, telemetry, out);
-        }
+    }
+    let telemetry = mem.take_telemetry();
+    if let (Some(out), Some(telemetry)) = (audit, &telemetry) {
+        audit::check_telemetry(&stats, telemetry, out);
     }
     RunReport {
         algo: algo.to_string(),
@@ -389,72 +391,106 @@ pub fn replay_parallel(
     (r.engine, r.mem, r.hot_count, r.telemetry)
 }
 
-/// The memory system a [`SystemConfig`] replays on: one variant per
-/// concrete model, built by one `match` over [`MemoryModel`]. The pinned
-/// rivals are plain hierarchies once their lines are pinned.
+/// The memory system a [`SystemConfig`] replays on: the concrete model
+/// and, when `system.machine.telemetry` is on, the window sampler. Every
+/// model keeps its own counters and histograms; the sampler snapshots the
+/// model's merged [`MemStats`] (scratchpad and PIM counters included), so
+/// windows are sampled here, once, for every model.
+#[derive(Debug)]
+struct Memory {
+    model: Model,
+    sampler: Option<WindowSampler>,
+}
+
+/// One variant per concrete model, built by [`Memory::build`]'s one
+/// `match` over [`MemoryModel`]. The pinned rivals are plain hierarchies
+/// once their lines are pinned.
 ///
 /// There is one value per replay, so the variants' size spread costs
 /// nothing, while boxing would add a pointer chase to every access.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-enum Memory {
+enum Model {
     Hierarchy(CacheHierarchy),
     Omega(OmegaMemory),
     PimRank(PimRankMemory),
 }
 
-/// Evaluates `$body` with `$m` bound to the concrete model `$mem` holds.
+/// Evaluates `$body` with `$m` bound to the concrete model `$model` holds.
 macro_rules! each_model {
-    ($mem:expr, $m:ident => $body:expr) => {
-        match $mem {
-            Memory::Hierarchy($m) => $body,
-            Memory::Omega($m) => $body,
-            Memory::PimRank($m) => $body,
+    ($model:expr, $m:ident => $body:expr) => {
+        match $model {
+            Model::Hierarchy($m) => $body,
+            Model::Omega($m) => $body,
+            Model::PimRank($m) => $body,
         }
     };
 }
 
-impl Memory {
-    fn build(system: &SystemConfig, layout: &Layout, meta: &TraceMeta) -> Memory {
-        match system.model {
-            MemoryModel::Baseline => Memory::Hierarchy(CacheHierarchy::new(&system.machine)),
-            MemoryModel::Omega(_) => Memory::Omega(OmegaMemory::new(system, layout.clone(), meta)),
-            MemoryModel::PimRank(_) => {
-                Memory::PimRank(PimRankMemory::new(system, layout.clone(), meta))
-            }
-            MemoryModel::Pinned {
-                bytes_per_core,
-                order,
-            } => Memory::Hierarchy(
-                pinned_hierarchy(&system.machine, layout, meta, bytes_per_core, order).0,
-            ),
-        }
-    }
-
+impl Model {
+    /// The model's merged statistics.
     fn stats(&self) -> MemStats {
         each_model!(self, m => m.stats())
     }
 }
 
+impl Memory {
+    fn build(system: &SystemConfig, layout: &Layout, meta: &TraceMeta) -> Memory {
+        let model = match system.model {
+            MemoryModel::Baseline => Model::Hierarchy(CacheHierarchy::new(&system.machine)),
+            MemoryModel::Omega(_) => Model::Omega(OmegaMemory::new(system, layout.clone(), meta)),
+            MemoryModel::PimRank(_) => {
+                Model::PimRank(PimRankMemory::new(system, layout.clone(), meta))
+            }
+            MemoryModel::Pinned {
+                bytes_per_core,
+                order,
+            } => Model::Hierarchy(
+                pinned_hierarchy(&system.machine, layout, meta, bytes_per_core, order).0,
+            ),
+        };
+        let telemetry = system.machine.telemetry;
+        Memory {
+            model,
+            sampler: telemetry
+                .enabled
+                .then(|| WindowSampler::new(telemetry.window_cycles)),
+        }
+    }
+}
+
 impl MemorySystem for Memory {
     fn access(&mut self, core: usize, access: MemAccess, now: Cycle) -> AccessOutcome {
-        each_model!(self, m => m.access(core, access, now))
+        // One compare on the common path; the merged stats are only
+        // assembled when a window boundary has passed.
+        if let Some(sampler) = self.sampler.as_mut().filter(|s| s.due(now)) {
+            sampler.tick(now, &self.model.stats());
+        }
+        each_model!(&mut self.model, m => m.access(core, access, now))
     }
 
     fn barrier(&mut self, now: Cycle) {
-        each_model!(self, m => m.barrier(now))
+        each_model!(&mut self.model, m => m.barrier(now))
     }
 
     fn finish(&mut self, now: Cycle) {
-        each_model!(self, m => m.finish(now))
+        if let Some(sampler) = &mut self.sampler {
+            sampler.flush(now, &self.model.stats());
+        }
+        each_model!(&mut self.model, m => m.finish(now))
     }
 
+    /// The model's histograms, with the windows sampled here.
     fn take_telemetry(&mut self) -> Option<TelemetryReport> {
-        each_model!(self, m => m.take_telemetry())
+        let mut report = each_model!(&mut self.model, m => m.take_telemetry())?;
+        if let Some(sampler) = self.sampler.take() {
+            report.windows = sampler.into_samples();
+        }
+        Some(report)
     }
 
     fn audit_into(&self, out: &mut AuditReport) {
-        each_model!(self, m => m.audit_into(out))
+        each_model!(&self.model, m => m.audit_into(out))
     }
 }
 
@@ -597,8 +633,12 @@ mod tests {
             runner.run_many(&g, algo),
             "auditing must not perturb the model"
         );
+        // The counts pin that each replay runs every check once: the model's
+        // ledgers, the merged-stats flow checks, the engine and the
+        // telemetry. PIM-rank adds its rank ledger.
+        let checks: Vec<u64> = audits.iter().map(AuditReport::checks_run).collect();
+        assert_eq!(checks, [57, 57, 57, 58, 57]);
         for (report, audit) in audited.iter().zip(&audits) {
-            assert!(audit.checks_run() > 0);
             assert!(
                 audit.is_clean(),
                 "{} on {}:\n{audit}",
@@ -640,7 +680,8 @@ mod tests {
             let (stats, offchip) = audited(true);
             let (_, standard) = audited(false);
             assert!(offchip.is_clean(), "{offchip}");
-            assert_eq!(offchip.checks_run(), standard.checks_run() + 1);
+            assert_eq!(offchip.checks_run(), 47);
+            assert_eq!(standard.checks_run(), 46);
             if sp_bytes_per_core == 64 {
                 assert!(stats.scratchpad.pim_ops > 0, "cold atomics reach the PIMs");
             }

@@ -233,11 +233,6 @@ impl CsrGraph {
         (0..self.n as VertexId).flat_map(move |u| self.out_neighbors(u).map(move |v| (u, v)))
     }
 
-    /// Sum of all out-degrees; equals `num_arcs()`.
-    pub fn total_out_degree(&self) -> u64 {
-        self.out_dst.len() as u64
-    }
-
     /// Returns `true` if `v`'s out-adjacency contains `w` (binary search;
     /// adjacency lists built by [`crate::GraphBuilder`] are sorted).
     pub fn has_edge(&self, v: VertexId, w: VertexId) -> bool {

@@ -60,38 +60,6 @@ impl DegreeStats {
         self.in_connectivity(0.20) > 0.55
     }
 
-    /// Maximum in-degree.
-    pub fn max_in_degree(&self) -> u32 {
-        self.in_sorted.first().copied().unwrap_or(0)
-    }
-
-    /// Gini coefficient of the in-degree distribution — an alternative skew
-    /// measure (0 = perfectly uniform, →1 = all edges on one vertex). Used by
-    /// tests to sanity-check the generators.
-    pub fn in_degree_gini(&self) -> f64 {
-        gini(&self.in_sorted)
-    }
-}
-
-fn gini(sorted_desc: &[u32]) -> f64 {
-    let n = sorted_desc.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let total: f64 = sorted_desc.iter().map(|&d| d as f64).sum();
-    if total == 0.0 {
-        return 0.0;
-    }
-    // With values sorted descending, index i (0-based) has ascending rank n - i.
-    let weighted: f64 = sorted_desc
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| (n - i) as f64 * d as f64)
-        .sum();
-    (2.0 * weighted / total - (n as f64 + 1.0)) / n as f64
-}
-
-impl DegreeStats {
     /// Maximum-likelihood estimate of the power-law exponent α of the
     /// in-degree distribution (Clauset–Shalizi–Newman continuous
     /// approximation, `α = 1 + n / Σ ln(d / d_min)` over degrees
@@ -122,8 +90,8 @@ impl DegreeStats {
 /// use omega_graph::{generators, stats};
 /// let hub = generators::star(50)?;
 /// let s = stats::degree_stats(&hub);
-/// assert_eq!(s.max_in_degree(), 49);
-/// assert!(s.in_degree_gini() > 0.4);
+/// assert!(s.follows_power_law());
+/// assert!((s.in_connectivity(0.02) - 0.5).abs() < 1e-9);
 /// # Ok::<(), omega_graph::GraphError>(())
 /// ```
 pub fn degree_stats(g: &CsrGraph) -> DegreeStats {
@@ -137,23 +105,6 @@ pub fn degree_stats(g: &CsrGraph) -> DegreeStats {
         out_sorted: outs,
         total_arcs: g.num_arcs(),
     }
-}
-
-/// Returns the ids of the `frac` most in-connected vertices (the "hot set"
-/// that OMEGA maps to scratchpads), highest in-degree first. Ties broken by
-/// vertex id for determinism.
-///
-/// # Panics
-///
-/// Panics if `frac` is not within `[0, 1]`.
-pub fn top_in_degree_vertices(g: &CsrGraph, frac: f64) -> Vec<VertexId> {
-    assert!((0.0..=1.0).contains(&frac), "fraction must be in [0, 1]");
-    let n = g.num_vertices();
-    let k = ((n as f64 * frac).ceil() as usize).min(n);
-    let mut ids: Vec<VertexId> = (0..n as VertexId).collect();
-    ids.sort_unstable_by(|&a, &b| g.in_degree(b).cmp(&g.in_degree(a)).then(a.cmp(&b)));
-    ids.truncate(k);
-    ids
 }
 
 /// The fraction of arcs whose *destination* lies in `hot` — i.e. the share
@@ -212,27 +163,13 @@ mod tests {
     }
 
     #[test]
-    fn gini_ordering_matches_intuition() {
-        let star = degree_stats(&generators::star(200).unwrap());
-        let path = degree_stats(&generators::path(200).unwrap());
-        assert!(star.in_degree_gini() > path.in_degree_gini());
-    }
-
-    #[test]
-    fn top_vertices_sorted_by_in_degree() {
-        let g = generators::rmat(8, 8, generators::RmatParams::default(), 4).unwrap();
-        let top = top_in_degree_vertices(&g, 0.1);
-        assert_eq!(top.len(), 26); // ceil(256 * 0.1)
-        for w in top.windows(2) {
-            assert!(g.in_degree(w[0]) >= g.in_degree(w[1]));
-        }
-    }
-
-    #[test]
     fn arc_coverage_matches_connectivity() {
         let g = generators::rmat(8, 8, generators::RmatParams::default(), 4).unwrap();
         let s = degree_stats(&g);
-        let top = top_in_degree_vertices(&g, 0.2);
+        // The ceil(20 %) most in-connected vertices.
+        let mut top: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+        top.sort_unstable_by_key(|&v| std::cmp::Reverse(g.in_degree(v)));
+        top.truncate((g.num_vertices() as f64 * 0.2).ceil() as usize);
         let cov = arc_coverage_of(&g, &top);
         assert!((cov - s.in_connectivity(0.2)).abs() < 1e-9);
     }
@@ -241,7 +178,6 @@ mod tests {
     fn empty_graph_stats_are_zero() {
         let g = crate::GraphBuilder::directed(0).build();
         let s = degree_stats(&g);
-        assert_eq!(s.max_in_degree(), 0);
         assert_eq!(s.in_connectivity(0.5), 0.0);
     }
 

@@ -43,7 +43,6 @@ fn builder_produces_consistent_csr() {
             b.add_edge(u, v).unwrap();
         }
         let g = b.build();
-        assert_eq!(g.num_arcs(), g.total_out_degree());
         let mut out_sum = 0u64;
         let mut in_sum = 0u64;
         for v in 0..n as VertexId {
@@ -121,7 +120,5 @@ fn connectivity_curve_is_well_formed() {
             assert!(c + 1e-9 >= prev);
             prev = c;
         }
-        let gini = s.in_degree_gini();
-        assert!((-1e-9..=1.0).contains(&gini), "gini {gini}");
     });
 }

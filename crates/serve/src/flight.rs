@@ -12,95 +12,54 @@
 //!   as soon as the result is delivered (completed work lives in the
 //!   memo/store caches, not here).
 //!
-//! Everything is plain `Mutex` + `Condvar`; builds and replays run
-//! with no lock held, and a builder that panics wakes its waiters so
-//! one of them can take over rather than deadlocking the slot.
+//! Both are a map of [`OnceLock`] cells behind one `Mutex`: the map
+//! lock is held only to find or insert a cell, and builds and replays run
+//! with no lock held. A builder that panics leaves its cell empty, so the
+//! next caller builds it rather than deadlocking the key.
 
 use omega_core::OmegaError;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A panicking holder never leaves these maps half-written (guards
-    // below restore invariants), so poisoning is not meaningful here.
+    // No holder panics while a map is half-written (builds run outside
+    // the lock), so poisoning is not meaningful here.
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-enum Slot<V> {
-    Building,
-    Ready(Arc<V>),
 }
 
 /// A build-once, share-forever cache keyed by `K`.
 pub struct Registry<K, V> {
-    slots: Mutex<HashMap<K, Slot<V>>>,
-    cv: Condvar,
+    cells: Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>,
 }
 
-impl<K: Eq + Hash + Clone, V> Default for Registry<K, V> {
+impl<K: Eq + Hash, V> Default for Registry<K, V> {
     fn default() -> Self {
         Registry {
-            slots: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
+            cells: Mutex::new(HashMap::new()),
         }
     }
 }
 
-impl<K: Eq + Hash + Clone, V> Registry<K, V> {
+impl<K: Eq + Hash, V> Registry<K, V> {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Returns the cached value for `key`, building it (outside any
-    /// lock) if this is the first request. Concurrent requesters for
-    /// the same key block until the one build finishes; if the builder
-    /// panics, the slot is released and a waiter becomes the builder.
+    /// Returns the cached value for `key`, building it (outside the map
+    /// lock) if this is the first request. Concurrent requesters for the
+    /// same key block until the one build finishes; if the builder
+    /// panics, the cell stays empty and a waiter becomes the builder.
     pub fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
-        let mut slots = lock(&self.slots);
-        loop {
-            match slots.get(&key) {
-                Some(Slot::Ready(v)) => return Arc::clone(v),
-                Some(Slot::Building) => {
-                    slots = self.cv.wait(slots).unwrap_or_else(|e| e.into_inner());
-                }
-                None => break,
-            }
-        }
-        slots.insert(key.clone(), Slot::Building);
-        drop(slots);
-
-        // Release the Building claim if `build` unwinds, so waiters
-        // retry instead of sleeping forever.
-        struct Claim<'a, K: Eq + Hash + Clone, V> {
-            reg: &'a Registry<K, V>,
-            key: K,
-            armed: bool,
-        }
-        impl<K: Eq + Hash + Clone, V> Drop for Claim<'_, K, V> {
-            fn drop(&mut self) {
-                if self.armed {
-                    lock(&self.reg.slots).remove(&self.key);
-                    self.reg.cv.notify_all();
-                }
-            }
-        }
-        let mut claim = Claim {
-            reg: self,
-            key: key.clone(),
-            armed: true,
-        };
-        let v = Arc::new(build());
-        claim.armed = false;
-        lock(&self.slots).insert(key, Slot::Ready(Arc::clone(&v)));
-        self.cv.notify_all();
-        v
+        let cell = Arc::clone(lock(&self.cells).entry(key).or_default());
+        Arc::clone(cell.get_or_init(|| Arc::new(build())))
     }
 
-    /// Number of ready or building entries.
+    /// Number of keys requested so far: built, building, or left empty
+    /// by a builder that panicked.
     pub fn len(&self) -> usize {
-        lock(&self.slots).len()
+        lock(&self.cells).len()
     }
 
     /// Whether the registry holds nothing.
@@ -116,33 +75,13 @@ impl<K: Eq + Hash + Clone, V> Registry<K, V> {
 pub type FlightResult = Result<Arc<str>, Arc<OmegaError>>;
 
 /// One in-flight computation, shared between its leader and followers.
-pub struct Flight {
-    state: Mutex<Option<FlightResult>>,
-    cv: Condvar,
-}
+#[derive(Default)]
+pub struct Flight(OnceLock<FlightResult>);
 
 impl Flight {
-    fn new() -> Flight {
-        Flight {
-            state: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
     /// Blocks until the leader (or the worker acting for it) delivers.
     pub fn wait(&self) -> FlightResult {
-        let mut state = lock(&self.state);
-        loop {
-            if let Some(result) = &*state {
-                return result.clone();
-            }
-            state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn deliver(&self, result: FlightResult) {
-        *lock(&self.state) = Some(result);
-        self.cv.notify_all();
+        self.0.wait().clone()
     }
 }
 
@@ -173,7 +112,7 @@ impl Flights {
         if let Some(f) = inner.get(&fp) {
             return Ticket::Follower(Arc::clone(f));
         }
-        let f = Arc::new(Flight::new());
+        let f = Arc::new(Flight::default());
         inner.insert(fp, Arc::clone(&f));
         Ticket::Leader(f)
     }
@@ -186,7 +125,8 @@ impl Flights {
     pub fn complete(&self, fp: u64, result: FlightResult) {
         let f = lock(&self.inner).remove(&fp);
         if let Some(f) = f {
-            f.deliver(result);
+            // A flight is retired, and so delivered, exactly once.
+            let _ = f.0.set(result);
         }
     }
 

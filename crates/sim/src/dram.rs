@@ -220,11 +220,6 @@ impl DramModel {
         self.cfg
     }
 
-    /// Transfer occupancy accumulated on `channel`.
-    pub fn channel_busy(&self, channel: usize) -> u64 {
-        self.channel_busy[channel]
-    }
-
     /// Checks the DRAM model's flow-conservation invariants into `out`:
     /// `busy_cycles` equals the per-channel occupancy sum, every access is
     /// a read or a write, the open-page row outcomes partition their
@@ -468,6 +463,5 @@ mod tests {
         let mut report = AuditReport::default();
         d.audit_into(&mut report);
         assert!(report.is_clean(), "{report}");
-        assert_eq!(d.channel_busy(0) + d.channel_busy(1), d.stats().busy_cycles);
     }
 }

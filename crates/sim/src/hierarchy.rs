@@ -24,14 +24,14 @@
 //! against crafted keys does not apply (see [`LineMap`]). `line_locks` is
 //! pruned at every barrier, so it holds only locks still held.
 
-use crate::audit::{self, AuditReport};
+use crate::audit::AuditReport;
 use crate::cache::{CacheArray, LineState};
 use crate::config::MachineConfig;
 use crate::dram::DramModel;
 use crate::mem::{AccessKind, AccessOutcome, Blocking, MemAccess, MemorySystem};
 use crate::noc::Crossbar;
 use crate::stats::{AtomicStats, CoreCounters, MemStats};
-use crate::telemetry::{LatencyHistogram, TelemetryReport, WindowSampler};
+use crate::telemetry::{LatencyHistogram, TelemetryReport};
 use crate::{line_of, Cycle, LINE_BYTES};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -89,13 +89,13 @@ impl DirEntry {
 }
 
 /// Telemetry the hierarchy itself collects (the DRAM and NoC models own
-/// their histograms). Boxed behind an `Option` so the disabled path pays
-/// one branch.
+/// their histograms; the replay that drives the memory system samples
+/// windows). Boxed behind an `Option` so the disabled path pays one
+/// branch.
 #[derive(Debug)]
 struct HierTelemetry {
     miss_latency: LatencyHistogram,
     lock_wait: LatencyHistogram,
-    sampler: Option<WindowSampler>,
 }
 
 /// The baseline memory system. See the module docs for the protocol.
@@ -138,24 +138,9 @@ impl CacheHierarchy {
             h.telemetry = Some(Box::new(HierTelemetry {
                 miss_latency: LatencyHistogram::new(),
                 lock_wait: LatencyHistogram::new(),
-                sampler: Some(WindowSampler::new(cfg.telemetry.window_cycles)),
             }));
         }
         h
-    }
-
-    /// Whether telemetry collection is active.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
-    /// Moves the window sampler out of the hierarchy, so an outer memory
-    /// system (OMEGA) can drive the windowing from *its* combined
-    /// statistics — scratchpad counters included — while the hierarchy
-    /// keeps collecting its histograms. Returns `None` when telemetry is
-    /// disabled.
-    pub fn take_sampler(&mut self) -> Option<WindowSampler> {
-        self.telemetry.as_deref_mut()?.sampler.take()
     }
 
     /// Records one atomic's serialisation wait into the lock-wait
@@ -166,26 +151,6 @@ impl CacheHierarchy {
     pub fn record_lock_wait(&mut self, wait: Cycle) {
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.lock_wait.record(wait);
-        }
-    }
-
-    /// Ticks the window sampler if `now` crossed a boundary (one compare
-    /// on the common path; `stats()` is only assembled when due).
-    fn sample_if_due(&mut self, now: Cycle) {
-        if self
-            .telemetry
-            .as_ref()
-            .and_then(|t| t.sampler.as_ref())
-            .is_some_and(|s| s.due(now))
-        {
-            let cumulative = self.stats();
-            if let Some(s) = self
-                .telemetry
-                .as_deref_mut()
-                .and_then(|t| t.sampler.as_mut())
-            {
-                s.tick(now, &cumulative);
-            }
         }
     }
 
@@ -231,17 +196,6 @@ impl CacheHierarchy {
     /// paper) that bypass the caches but share the same channels.
     pub fn dram_mut(&mut self) -> &mut DramModel {
         &mut self.dram
-    }
-
-    /// Audits the component-internal ledgers (crossbar ports, DRAM
-    /// channels) without the hierarchy-level cross-checks. An outer memory
-    /// system that shares these components (OMEGA's scratchpad fabric)
-    /// calls this and then runs [`audit::check_mem_stats`] over its *own*
-    /// merged stats — the inner hierarchy's stats alone would not balance
-    /// against traffic the outer machine injected directly.
-    pub fn audit_components(&self, out: &mut AuditReport) {
-        self.noc.audit_into(out);
-        self.dram.audit_into(out);
     }
 
     fn writeback_l1_victim(&mut self, core: usize, line: u64, now: Cycle) {
@@ -458,7 +412,6 @@ impl CacheHierarchy {
 
 impl MemorySystem for CacheHierarchy {
     fn access(&mut self, core: usize, access: MemAccess, now: Cycle) -> AccessOutcome {
-        self.sample_if_due(now);
         match access.kind {
             AccessKind::Read | AccessKind::ReadStable => {
                 let completion = self.do_access(core, access, now);
@@ -504,7 +457,7 @@ impl MemorySystem for CacheHierarchy {
         self.line_locks.retain(|_, free| *free > now);
     }
 
-    fn finish(&mut self, now: Cycle) {
+    fn finish(&mut self, _now: Cycle) {
         // Hand any simulated obs intervals (DRAM busy windows, NoC
         // contention bursts) to the global registry; one branch each when
         // no trace session was active. OMEGA and the locked-cache machine
@@ -512,31 +465,23 @@ impl MemorySystem for CacheHierarchy {
         // machine kind.
         self.dram.flush_obs();
         self.noc.flush_obs();
-        if self.telemetry.as_ref().is_some_and(|t| t.sampler.is_some()) {
-            let cumulative = self.stats();
-            if let Some(s) = self
-                .telemetry
-                .as_deref_mut()
-                .and_then(|t| t.sampler.as_mut())
-            {
-                s.flush(now, &cumulative);
-            }
-        }
     }
 
+    /// Audits the component-internal ledgers (crossbar ports, DRAM
+    /// channels). The flow checks over merged stats
+    /// ([`crate::audit::check_mem_stats`]) belong to the replay, which
+    /// alone sees the traffic an outer model (OMEGA's scratchpad fabric)
+    /// injects into these components directly.
     fn audit_into(&self, out: &mut AuditReport) {
-        self.audit_components(out);
-        audit::check_mem_stats(&self.stats(), out);
+        self.noc.audit_into(out);
+        self.dram.audit_into(out);
     }
 
     fn take_telemetry(&mut self) -> Option<TelemetryReport> {
         let t = *self.telemetry.take()?;
         Some(TelemetryReport {
             window_cycles: self.cfg.telemetry.window_cycles,
-            windows: t
-                .sampler
-                .map(WindowSampler::into_samples)
-                .unwrap_or_default(),
+            windows: Vec::new(),
             dram_queue: self.dram.take_queue_histogram().unwrap_or_default(),
             noc_contention: self.noc.take_contention_histogram().unwrap_or_default(),
             miss_latency: t.miss_latency,
@@ -725,10 +670,12 @@ mod tests {
 
     #[test]
     fn telemetry_collects_histograms_and_windows() {
+        // The histograms only: windows are sampled by the replay over the
+        // merged stats (`tests/telemetry_invariants.rs`), so a bare
+        // hierarchy reports none.
         let mut cfg = MachineConfig::mini_baseline();
         cfg.telemetry = crate::telemetry::TelemetryConfig::windowed(500);
         let mut h = CacheHierarchy::new(&cfg);
-        assert!(h.telemetry_enabled());
         for i in 0..20u64 {
             h.access(0, MemAccess::read(0x4000 + i * LINE_BYTES, 8), i * 100);
         }
@@ -743,23 +690,12 @@ mod tests {
         assert_eq!(t.lock_wait.count(), s.atomics.executed);
         assert_eq!(t.dram_queue.count(), s.dram.reads + s.dram.writes);
         assert_eq!(t.window_cycles, 500);
-        assert!(!t.windows.is_empty());
-        // Window deltas recombine to the run totals.
-        let mut total = MemStats::default();
-        for w in &t.windows {
-            total.merge(&w.delta);
-        }
-        assert_eq!(total, s);
-        // Window ends are strictly increasing.
-        for pair in t.windows.windows(2) {
-            assert!(pair[0].end < pair[1].end);
-        }
+        assert!(t.windows.is_empty());
     }
 
     #[test]
     fn disabled_telemetry_returns_none_and_identical_stats() {
         let (cfg, mut h) = mini();
-        assert!(!h.telemetry_enabled());
         let mut cfg_on = cfg;
         cfg_on.telemetry = crate::telemetry::TelemetryConfig::windowed(256);
         let mut h_on = CacheHierarchy::new(&cfg_on);

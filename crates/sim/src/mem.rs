@@ -158,8 +158,9 @@ pub trait MemorySystem {
     /// count, so bandwidth-utilisation statistics can be closed out.
     fn finish(&mut self, _now: Cycle) {}
 
-    /// Takes the telemetry collected during the replay (latency histograms
-    /// and the windowed [`crate::stats::MemStats`] time series). Returns
+    /// Takes the latency histograms collected during the replay (the
+    /// replay adds the windowed [`crate::stats::MemStats`] time series,
+    /// see [`crate::telemetry::WindowSampler`]). Returns
     /// `None` when telemetry was disabled — the default for machines that
     /// do not instrument themselves. Call after [`Self::finish`]; a second
     /// call returns `None`.

@@ -285,10 +285,11 @@ pub struct WindowSample {
 /// Snapshots a cumulative [`MemStats`] into per-window deltas every
 /// `window_cycles`.
 ///
-/// The owning memory system calls [`WindowSampler::due`] (one compare) on
-/// its access path and [`WindowSampler::tick`] only when a boundary has
-/// been crossed, then [`WindowSampler::flush`] once at the end of the
-/// replay. The engine's per-core times have bounded divergence — `now` can
+/// Its one owner, the replay's memory wrapper (`omega_core::runner`),
+/// calls [`WindowSampler::due`] (one compare) before each access and
+/// [`WindowSampler::tick`] with the model's merged stats only when a
+/// boundary has been crossed, then [`WindowSampler::flush`] once at the end
+/// of the replay. The engine's per-core times have bounded divergence — `now` can
 /// regress between calls — which is harmless here: boundaries only ever
 /// advance, and counter deltas are computed from the monotone cumulative
 /// statistics, never from `now`.
@@ -371,6 +372,8 @@ pub struct TelemetryReport {
     /// Window length of the time series.
     pub window_cycles: Cycle,
     /// Per-window [`MemStats`] deltas; the deltas sum to the run totals.
+    /// Filled by the replay, which samples the windows; a bare memory
+    /// model reports none.
     pub windows: Vec<WindowSample>,
     /// DRAM queueing delay per access (cycles spent behind channel backlog).
     pub dram_queue: LatencyHistogram,

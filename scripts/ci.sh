@@ -113,6 +113,12 @@ case "$cold_line" in
   *) echo "ci: cold sweep lost trace sharing (expected traces=68 replays=142)" >&2
      exit 1 ;;
 esac
+# The `[replay]` progress log names real replays only: a member that
+# shares its group's replay prints no line.
+cold_replays=$(echo "$cold_line" | grep -o 'replays=[0-9]*' | cut -d= -f2)
+replay_lines=$(grep -c '\[replay\]' target/figures-cold.err)
+[ "$replay_lines" -eq "$cold_replays" ] \
+  || { echo "ci: $replay_lines [replay] lines vs replays=$cold_replays" >&2; exit 1; }
 warm_line=$(grep '^\[store\]' target/figures-warm.err)
 echo "ci: warm sweep $warm_line"
 case "$warm_line" in

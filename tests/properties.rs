@@ -156,8 +156,6 @@ fn skew_statistics_are_reorder_invariant() {
         let a = stats::degree_stats(&g);
         let b = stats::degree_stats(&rg);
         assert!((a.in_connectivity(0.2) - b.in_connectivity(0.2)).abs() < 1e-9);
-        assert_eq!(a.max_in_degree(), b.max_in_degree());
-        assert!((a.in_degree_gini() - b.in_degree_gini()).abs() < 1e-9);
     });
 }
 
