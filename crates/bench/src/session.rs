@@ -744,7 +744,12 @@ impl GroupTrace {
         let mut report = slot
             .get_or_init(|| {
                 if let Some(what) = &self.progress {
-                    eprintln!("  [replay] {what} ({})", spec.machine.label());
+                    let tag = if spec.telemetry.enabled {
+                        " +telemetry"
+                    } else {
+                        ""
+                    };
+                    eprintln!("  [replay] {what} ({}{tag})", spec.machine.label());
                 }
                 if plain_atomics {
                     replay_plain_atomics(algo, checksum, tape, &system)

@@ -60,7 +60,8 @@ fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, OmegaError> {
 }
 
 fn fu64(v: &Json, key: &str) -> Result<u64, OmegaError> {
-    pu64(field(v, key)?)
+    let x = field(v, key)?;
+    pu64(x).map_err(|_| corrupt(format!("field `{key}` is not a u64: {x:?}")))
 }
 
 fn fstr(v: &Json, key: &str) -> Result<String, OmegaError> {
@@ -81,104 +82,37 @@ fn ff64(v: &Json, key: &str) -> Result<f64, OmegaError> {
         .map_err(|e| corrupt(format!("bad f64 bits `{hex}`: {e}")))
 }
 
-fn cache_stats_to_json(c: &CacheStats) -> Json {
-    let mut o = Json::obj();
-    o.set("hits", ju64(c.hits));
-    o.set("misses", ju64(c.misses));
-    o.set("writebacks", ju64(c.writebacks));
-    o.set("invalidations", ju64(c.invalidations));
-    o
-}
-
-fn cache_stats_from_json(v: &Json) -> Result<CacheStats, OmegaError> {
-    Ok(CacheStats {
-        hits: fu64(v, "hits")?,
-        misses: fu64(v, "misses")?,
-        writebacks: fu64(v, "writebacks")?,
-        invalidations: fu64(v, "invalidations")?,
-    })
+/// One counter group as an object keyed by counter name, in the group's
+/// declaration order; `visit` is the group's `for_each_field`.
+fn counters_to_json(visit: impl FnOnce(&mut dyn FnMut(&'static str, u64))) -> Json {
+    let mut entries = Vec::new();
+    visit(&mut |name, n| entries.push((name.to_string(), ju64(n))));
+    Json::Obj(entries)
 }
 
 fn mem_stats_to_json(m: &MemStats) -> Json {
-    let mut noc = Json::obj();
-    noc.set("packets", ju64(m.noc.packets));
-    noc.set("bytes", ju64(m.noc.bytes));
-    noc.set("contention_cycles", ju64(m.noc.contention_cycles));
-    let mut dram = Json::obj();
-    dram.set("reads", ju64(m.dram.reads));
-    dram.set("writes", ju64(m.dram.writes));
-    dram.set("bytes", ju64(m.dram.bytes));
-    dram.set("busy_cycles", ju64(m.dram.busy_cycles));
-    dram.set("queue_cycles", ju64(m.dram.queue_cycles));
-    dram.set("row_hits", ju64(m.dram.row_hits));
-    dram.set("row_conflicts", ju64(m.dram.row_conflicts));
-    dram.set("row_opens", ju64(m.dram.row_opens));
-    dram.set("open_page_accesses", ju64(m.dram.open_page_accesses));
-    let mut atomics = Json::obj();
-    atomics.set("executed", ju64(m.atomics.executed));
-    atomics.set("lock_wait_cycles", ju64(m.atomics.lock_wait_cycles));
-    let sp = &m.scratchpad;
-    let mut scratchpad = Json::obj();
-    scratchpad.set("local_accesses", ju64(sp.local_accesses));
-    scratchpad.set("remote_accesses", ju64(sp.remote_accesses));
-    scratchpad.set("range_misses", ju64(sp.range_misses));
-    scratchpad.set("pisc_ops", ju64(sp.pisc_ops));
-    scratchpad.set("pisc_busy_cycles", ju64(sp.pisc_busy_cycles));
-    scratchpad.set("svb_hits", ju64(sp.svb_hits));
-    scratchpad.set("svb_misses", ju64(sp.svb_misses));
-    scratchpad.set("active_list_updates", ju64(sp.active_list_updates));
-    scratchpad.set("pim_ops", ju64(sp.pim_ops));
-    scratchpad.set("word_dram_accesses", ju64(sp.word_dram_accesses));
     let mut o = Json::obj();
-    o.set("l1", cache_stats_to_json(&m.l1));
-    o.set("l2", cache_stats_to_json(&m.l2));
-    o.set("noc", noc);
-    o.set("dram", dram);
-    o.set("atomics", atomics);
-    o.set("scratchpad", scratchpad);
+    o.set("l1", counters_to_json(|f| m.l1.for_each_field(f)));
+    o.set("l2", counters_to_json(|f| m.l2.for_each_field(f)));
+    o.set("noc", counters_to_json(|f| m.noc.for_each_field(f)));
+    o.set("dram", counters_to_json(|f| m.dram.for_each_field(f)));
+    o.set("atomics", counters_to_json(|f| m.atomics.for_each_field(f)));
+    let sp = &m.scratchpad;
+    o.set("scratchpad", counters_to_json(|f| sp.for_each_field(f)));
     o
 }
 
 fn mem_stats_from_json(v: &Json) -> Result<MemStats, OmegaError> {
-    let noc = field(v, "noc")?;
-    let dram = field(v, "dram")?;
-    let atomics = field(v, "atomics")?;
+    let (l1, l2, noc) = (field(v, "l1")?, field(v, "l2")?, field(v, "noc")?);
+    let (dram, atomics) = (field(v, "dram")?, field(v, "atomics")?);
     let sp = field(v, "scratchpad")?;
     Ok(MemStats {
-        l1: cache_stats_from_json(field(v, "l1")?)?,
-        l2: cache_stats_from_json(field(v, "l2")?)?,
-        noc: NocStats {
-            packets: fu64(noc, "packets")?,
-            bytes: fu64(noc, "bytes")?,
-            contention_cycles: fu64(noc, "contention_cycles")?,
-        },
-        dram: DramStats {
-            reads: fu64(dram, "reads")?,
-            writes: fu64(dram, "writes")?,
-            bytes: fu64(dram, "bytes")?,
-            busy_cycles: fu64(dram, "busy_cycles")?,
-            queue_cycles: fu64(dram, "queue_cycles")?,
-            row_hits: fu64(dram, "row_hits")?,
-            row_conflicts: fu64(dram, "row_conflicts")?,
-            row_opens: fu64(dram, "row_opens")?,
-            open_page_accesses: fu64(dram, "open_page_accesses")?,
-        },
-        atomics: AtomicStats {
-            executed: fu64(atomics, "executed")?,
-            lock_wait_cycles: fu64(atomics, "lock_wait_cycles")?,
-        },
-        scratchpad: ScratchpadStats {
-            local_accesses: fu64(sp, "local_accesses")?,
-            remote_accesses: fu64(sp, "remote_accesses")?,
-            range_misses: fu64(sp, "range_misses")?,
-            pisc_ops: fu64(sp, "pisc_ops")?,
-            pisc_busy_cycles: fu64(sp, "pisc_busy_cycles")?,
-            svb_hits: fu64(sp, "svb_hits")?,
-            svb_misses: fu64(sp, "svb_misses")?,
-            active_list_updates: fu64(sp, "active_list_updates")?,
-            pim_ops: fu64(sp, "pim_ops")?,
-            word_dram_accesses: fu64(sp, "word_dram_accesses")?,
-        },
+        l1: CacheStats::try_from_fields(|k| fu64(l1, k))?,
+        l2: CacheStats::try_from_fields(|k| fu64(l2, k))?,
+        noc: NocStats::try_from_fields(|k| fu64(noc, k))?,
+        dram: DramStats::try_from_fields(|k| fu64(dram, k))?,
+        atomics: AtomicStats::try_from_fields(|k| fu64(atomics, k))?,
+        scratchpad: ScratchpadStats::try_from_fields(|k| fu64(sp, k))?,
     })
 }
 
@@ -436,6 +370,65 @@ mod tests {
         }
     }
 
+    /// The member `key` of an object, mutably.
+    fn member<'a>(v: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Obj(entries) = v else {
+            panic!("`{key}`: not an object")
+        };
+        &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+
+    /// The encoded counter groups of a report: its `mem`, or with `window`
+    /// set its first telemetry window's `delta`.
+    fn groups(j: &mut Json, window: bool) -> &mut Json {
+        if !window {
+            return member(j, "mem");
+        }
+        let Json::Arr(windows) = member(member(j, "telemetry"), "windows") else {
+            panic!("windows are not an array")
+        };
+        member(&mut windows[0], "delta")
+    }
+
+    /// `synthetic_report` with every counter of every group, under `mem`
+    /// and under the first window's `delta`, set to a distinct value —
+    /// alternately below and above 2^53. It walks the encoded groups, so
+    /// it names no counter.
+    fn distinct_counters_report() -> RunReport {
+        let mut j = report_to_json(&synthetic_report());
+        let mut k = 0u64;
+        for window in [false, true] {
+            let Json::Obj(entries) = groups(&mut j, window) else {
+                panic!()
+            };
+            for (_, group) in entries {
+                let Json::Obj(counters) = group else { panic!() };
+                for (_, v) in counters {
+                    k += 1;
+                    let n = if k.is_multiple_of(2) {
+                        (1 << 53) + k
+                    } else {
+                        1000 * k
+                    };
+                    *v = ju64(n);
+                }
+            }
+        }
+        report_from_json(&j).unwrap()
+    }
+
+    /// The store's bytes for a report whose every counter is distinct, as
+    /// the hand-written per-counter codec wrote them: a counter group's
+    /// declaration order alone now decides its key order, so moving or
+    /// renaming a counter fails here.
+    #[test]
+    fn store_bytes_are_pinned() {
+        let text = report_to_json(&distinct_counters_report()).dump();
+        let mut h = omega_sim::Fnv64::new();
+        h.write_str(&text);
+        assert_eq!(h.finish(), 0x833c_5684_cbf0_99c9, "{text}");
+    }
+
     #[test]
     fn extreme_values_round_trip_exactly() {
         let r = synthetic_report();
@@ -475,5 +468,28 @@ mod tests {
         assert!(report_from_json(&bad).is_err());
         assert!(report_from_json(&Json::Null).is_err());
         assert!(report_from_json(&Json::Arr(vec![])).is_err());
+        // Drop any one counter of any group under `mem` or the first
+        // window's `delta`, or make it a bool: `Corrupt`, naming it.
+        for window in [false, true] {
+            let mut names = good.clone();
+            for (group, counters) in groups(&mut names, window).as_object().unwrap() {
+                for (counter, _) in counters.as_object().unwrap() {
+                    for as_bool in [false, true] {
+                        let mut bad = good.clone();
+                        let g = member(groups(&mut bad, window), group);
+                        if as_bool {
+                            g.set(counter, Json::Bool(true));
+                        } else {
+                            g.remove(counter);
+                        }
+                        let err = report_from_json(&bad).unwrap_err();
+                        assert!(
+                            matches!(&err, OmegaError::Corrupt(m) if m.contains(&format!("`{counter}`"))),
+                            "{group}.{counter}: {err:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! replay engine, the store, and the figure derivations run. Two data
 //! kinds share one process-global registry:
 //!
-//! * **Host spans** ([`span`] / [`span_owned`]): RAII scoped timers on a
+//! * **Host spans** ([`span()`] / [`span_owned`]): RAII scoped timers on a
 //!   monotonic clock, nested per thread. Every close updates a per-name
 //!   aggregate (count / total / self / min / max); in trace mode the full
 //!   span record is kept as well, so the timeline can be exported as
@@ -19,7 +19,7 @@
 //! ## Overhead discipline
 //!
 //! Observability is **off by default** and every hook costs exactly one
-//! predictable branch while off: [`span`] reads one relaxed atomic and
+//! predictable branch while off: [`span()`] reads one relaxed atomic and
 //! returns an inert guard; sim-interval recorders are `Option`-boxed and
 //! only allocated when a trace session is active on the constructing
 //! thread. Disabled runs are therefore bit-identical to a build without
@@ -211,7 +211,7 @@ pub struct ObsDump {
     pub counters: Vec<(String, u64)>,
     /// Full span records (trace mode only), in close order.
     pub spans: Vec<SpanRecord>,
-    /// Spans not retained because [`SPAN_CAP`] was hit.
+    /// Spans not retained because the retention cap (2^20 spans) was hit.
     pub spans_dropped: u64,
     /// Label per simulated session, 1-based (session id 1 is index 0).
     pub sim_sessions: Vec<String>,

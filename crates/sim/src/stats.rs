@@ -4,17 +4,65 @@
 //! energy, and the figure harness can print hit rates, traffic, and
 //! bandwidth utilisation directly.
 
-/// Hit/miss counters for one cache level (aggregated over instances).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Accesses that hit.
-    pub hits: u64,
-    /// Accesses that missed.
-    pub misses: u64,
-    /// Dirty lines written back to the next level.
-    pub writebacks: u64,
-    /// Lines invalidated by coherence actions.
-    pub invalidations: u64,
+/// Declares a group of `u64` activity counters once. Besides the struct,
+/// it generates `merge`, a saturating `delta_since`, and the by-name
+/// visitor and constructor the store codec walks; both visit the counters
+/// in declaration order.
+macro_rules! counter_group {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident { $($(#[$fmeta:meta])* pub $field:ident: u64,)* }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: u64,)*
+        }
+
+        impl $name {
+            /// Accumulates another instance's counters.
+            pub fn merge(&mut self, other: &$name) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// Field-wise difference against an earlier snapshot (saturating,
+            /// so a non-monotone snapshot can never underflow).
+            pub fn delta_since(&self, earlier: &$name) -> $name {
+                $name {
+                    $($field: self.$field.saturating_sub(earlier.$field),)*
+                }
+            }
+
+            /// Calls `f(name, value)` for every counter, in declaration order.
+            pub fn for_each_field(&self, mut f: impl FnMut(&'static str, u64)) {
+                $(f(stringify!($field), self.$field);)*
+            }
+
+            /// Builds an instance by asking `f` for every counter by name, in
+            /// declaration order; the first error is returned.
+            pub fn try_from_fields<E>(
+                mut f: impl FnMut(&'static str) -> Result<u64, E>,
+            ) -> Result<$name, E> {
+                Ok($name {
+                    $($field: f(stringify!($field))?,)*
+                })
+            }
+        }
+    };
+}
+
+counter_group! {
+    /// Hit/miss counters for one cache level (aggregated over instances).
+    pub struct CacheStats {
+        /// Accesses that hit.
+        pub hits: u64,
+        /// Accesses that missed.
+        pub misses: u64,
+        /// Dirty lines written back to the next level.
+        pub writebacks: u64,
+        /// Lines invalidated by coherence actions.
+        pub invalidations: u64,
+    }
 }
 
 impl CacheStats {
@@ -29,25 +77,6 @@ impl CacheStats {
             0.0
         } else {
             self.hits as f64 / self.accesses() as f64
-        }
-    }
-
-    /// Accumulates another instance's counters.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.writebacks += other.writebacks;
-        self.invalidations += other.invalidations;
-    }
-
-    /// Field-wise difference against an earlier snapshot (saturating, so a
-    /// non-monotone snapshot can never underflow).
-    pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            writebacks: self.writebacks.saturating_sub(earlier.writebacks),
-            invalidations: self.invalidations.saturating_sub(earlier.invalidations),
         }
     }
 }
@@ -114,68 +143,50 @@ impl CoreCounters {
     }
 }
 
-/// On-chip interconnect traffic counters (Fig. 17's quantity).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NocStats {
-    /// Packets sent.
-    pub packets: u64,
-    /// Total payload + header bytes moved.
-    pub bytes: u64,
-    /// Cycles spent queueing behind busy ports (contention).
-    pub contention_cycles: u64,
-}
-
-impl NocStats {
-    /// Accumulates another instance's counters.
-    pub fn merge(&mut self, other: &NocStats) {
-        self.packets += other.packets;
-        self.bytes += other.bytes;
-        self.contention_cycles += other.contention_cycles;
-    }
-
-    /// Field-wise difference against an earlier snapshot (saturating).
-    pub fn delta_since(&self, earlier: &NocStats) -> NocStats {
-        NocStats {
-            packets: self.packets.saturating_sub(earlier.packets),
-            bytes: self.bytes.saturating_sub(earlier.bytes),
-            contention_cycles: self
-                .contention_cycles
-                .saturating_sub(earlier.contention_cycles),
-        }
+counter_group! {
+    /// On-chip interconnect traffic counters (Fig. 17's quantity).
+    pub struct NocStats {
+        /// Packets sent.
+        pub packets: u64,
+        /// Total payload + header bytes moved.
+        pub bytes: u64,
+        /// Cycles spent queueing behind busy ports (contention).
+        pub contention_cycles: u64,
     }
 }
 
-/// DRAM activity counters (Fig. 16's quantity).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DramStats {
-    /// Read requests (line granularity).
-    pub reads: u64,
-    /// Write requests (writebacks).
-    pub writes: u64,
-    /// Bytes transferred in either direction.
-    pub bytes: u64,
-    /// Total cycles during which channels were busy transferring
-    /// (summed over channels).
-    pub busy_cycles: u64,
-    /// Cycles requests waited behind busy channels.
-    pub queue_cycles: u64,
-    /// Open-page row-buffer hits (zero under the default close-page
-    /// policy; populated by the §IX hybrid-policy extension).
-    pub row_hits: u64,
-    /// Open-page accesses that found a different row open and paid the
-    /// precharge. Hits + conflicts + opens partition the open-page
-    /// accesses, so Fig.-16-style row-locality ratios have an exact
-    /// denominator.
-    pub row_conflicts: u64,
-    /// Open-page accesses that activated a closed bank (first touch after
-    /// reset or after a close-page access precharged the row).
-    pub row_opens: u64,
-    /// Accesses issued under the open-page policy — the exact denominator
-    /// of the row-outcome partition. Close-page accesses (and rank-local
-    /// PIM traffic, which always precharges) contribute nothing here, so
-    /// the auditor can require `row_hits + row_conflicts + row_opens ==
-    /// open_page_accesses` instead of a lossy `<= accesses` bound.
-    pub open_page_accesses: u64,
+counter_group! {
+    /// DRAM activity counters (Fig. 16's quantity).
+    pub struct DramStats {
+        /// Read requests (line granularity).
+        pub reads: u64,
+        /// Write requests (writebacks).
+        pub writes: u64,
+        /// Bytes transferred in either direction.
+        pub bytes: u64,
+        /// Total cycles during which channels were busy transferring
+        /// (summed over channels).
+        pub busy_cycles: u64,
+        /// Cycles requests waited behind busy channels.
+        pub queue_cycles: u64,
+        /// Open-page row-buffer hits (zero under the default close-page
+        /// policy; populated by the §IX hybrid-policy extension).
+        pub row_hits: u64,
+        /// Open-page accesses that found a different row open and paid the
+        /// precharge. Hits + conflicts + opens partition the open-page
+        /// accesses, so Fig.-16-style row-locality ratios have an exact
+        /// denominator.
+        pub row_conflicts: u64,
+        /// Open-page accesses that activated a closed bank (first touch after
+        /// reset or after a close-page access precharged the row).
+        pub row_opens: u64,
+        /// Accesses issued under the open-page policy — the exact denominator
+        /// of the row-outcome partition. Close-page accesses (and rank-local
+        /// PIM traffic, which always precharges) contribute nothing here, so
+        /// the auditor can require `row_hits + row_conflicts + row_opens ==
+        /// open_page_accesses` instead of a lossy `<= accesses` bound.
+        pub open_page_accesses: u64,
+    }
 }
 
 impl DramStats {
@@ -189,36 +200,6 @@ impl DramStats {
         self.busy_cycles as f64 / (elapsed_cycles as f64 * channels as f64)
     }
 
-    /// Accumulates another instance's counters.
-    pub fn merge(&mut self, other: &DramStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.bytes += other.bytes;
-        self.busy_cycles += other.busy_cycles;
-        self.queue_cycles += other.queue_cycles;
-        self.row_hits += other.row_hits;
-        self.row_conflicts += other.row_conflicts;
-        self.row_opens += other.row_opens;
-        self.open_page_accesses += other.open_page_accesses;
-    }
-
-    /// Field-wise difference against an earlier snapshot (saturating).
-    pub fn delta_since(&self, earlier: &DramStats) -> DramStats {
-        DramStats {
-            reads: self.reads.saturating_sub(earlier.reads),
-            writes: self.writes.saturating_sub(earlier.writes),
-            bytes: self.bytes.saturating_sub(earlier.bytes),
-            busy_cycles: self.busy_cycles.saturating_sub(earlier.busy_cycles),
-            queue_cycles: self.queue_cycles.saturating_sub(earlier.queue_cycles),
-            row_hits: self.row_hits.saturating_sub(earlier.row_hits),
-            row_conflicts: self.row_conflicts.saturating_sub(earlier.row_conflicts),
-            row_opens: self.row_opens.saturating_sub(earlier.row_opens),
-            open_page_accesses: self
-                .open_page_accesses
-                .saturating_sub(earlier.open_page_accesses),
-        }
-    }
-
     /// Total requests (reads + writes) — the auditor's "accesses" side of
     /// `reads + writes == accesses`.
     pub fn accesses(&self) -> u64 {
@@ -226,101 +207,49 @@ impl DramStats {
     }
 }
 
-/// Per-line-locked atomic execution counters (baseline cores or PISCs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AtomicStats {
-    /// Atomic operations executed.
-    pub executed: u64,
-    /// Cycles spent serialised behind a locked line/vertex.
-    pub lock_wait_cycles: u64,
-}
-
-impl AtomicStats {
-    /// Accumulates another instance's counters.
-    pub fn merge(&mut self, other: &AtomicStats) {
-        self.executed += other.executed;
-        self.lock_wait_cycles += other.lock_wait_cycles;
-    }
-
-    /// Field-wise difference against an earlier snapshot (saturating).
-    pub fn delta_since(&self, earlier: &AtomicStats) -> AtomicStats {
-        AtomicStats {
-            executed: self.executed.saturating_sub(earlier.executed),
-            lock_wait_cycles: self
-                .lock_wait_cycles
-                .saturating_sub(earlier.lock_wait_cycles),
-        }
+counter_group! {
+    /// Per-line-locked atomic execution counters (baseline cores or PISCs).
+    pub struct AtomicStats {
+        /// Atomic operations executed.
+        pub executed: u64,
+        /// Cycles spent serialised behind a locked line/vertex.
+        pub lock_wait_cycles: u64,
     }
 }
 
-/// Scratchpad counters (OMEGA machines only; zero on the baseline).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScratchpadStats {
-    /// Accesses served by the local scratchpad.
-    pub local_accesses: u64,
-    /// Accesses served by a remote scratchpad over the crossbar.
-    pub remote_accesses: u64,
-    /// Requests that fell outside the scratchpad-resident range and went to
-    /// the regular cache hierarchy.
-    pub range_misses: u64,
-    /// Atomic operations offloaded to PISC engines.
-    pub pisc_ops: u64,
-    /// Cycles PISC engines were busy.
-    pub pisc_busy_cycles: u64,
-    /// Source-vertex-buffer hits (§V.C).
-    pub svb_hits: u64,
-    /// Source-vertex-buffer misses.
-    pub svb_misses: u64,
-    /// Active-list update operations absorbed by scratchpad bits.
-    pub active_list_updates: u64,
-    /// Cold-vertex atomics offloaded to memory-side PIM engines
-    /// (§IX.2 extension; zero on standard OMEGA).
-    pub pim_ops: u64,
-    /// Cold-vertex accesses served by word-granularity DRAM reads/writes
-    /// (§IX.1 extension; zero on standard OMEGA).
-    pub word_dram_accesses: u64,
+counter_group! {
+    /// Scratchpad counters (OMEGA machines only; zero on the baseline).
+    pub struct ScratchpadStats {
+        /// Accesses served by the local scratchpad.
+        pub local_accesses: u64,
+        /// Accesses served by a remote scratchpad over the crossbar.
+        pub remote_accesses: u64,
+        /// Requests that fell outside the scratchpad-resident range and went to
+        /// the regular cache hierarchy.
+        pub range_misses: u64,
+        /// Atomic operations offloaded to PISC engines.
+        pub pisc_ops: u64,
+        /// Cycles PISC engines were busy.
+        pub pisc_busy_cycles: u64,
+        /// Source-vertex-buffer hits (§V.C).
+        pub svb_hits: u64,
+        /// Source-vertex-buffer misses.
+        pub svb_misses: u64,
+        /// Active-list update operations absorbed by scratchpad bits.
+        pub active_list_updates: u64,
+        /// Cold-vertex atomics offloaded to memory-side PIM engines
+        /// (§IX.2 extension; zero on standard OMEGA).
+        pub pim_ops: u64,
+        /// Cold-vertex accesses served by word-granularity DRAM reads/writes
+        /// (§IX.1 extension; zero on standard OMEGA).
+        pub word_dram_accesses: u64,
+    }
 }
 
 impl ScratchpadStats {
     /// Total scratchpad data accesses (local + remote).
     pub fn accesses(&self) -> u64 {
         self.local_accesses + self.remote_accesses
-    }
-
-    /// Accumulates another instance's counters.
-    pub fn merge(&mut self, other: &ScratchpadStats) {
-        self.local_accesses += other.local_accesses;
-        self.remote_accesses += other.remote_accesses;
-        self.range_misses += other.range_misses;
-        self.pisc_ops += other.pisc_ops;
-        self.pisc_busy_cycles += other.pisc_busy_cycles;
-        self.svb_hits += other.svb_hits;
-        self.svb_misses += other.svb_misses;
-        self.active_list_updates += other.active_list_updates;
-        self.pim_ops += other.pim_ops;
-        self.word_dram_accesses += other.word_dram_accesses;
-    }
-
-    /// Field-wise difference against an earlier snapshot (saturating).
-    pub fn delta_since(&self, earlier: &ScratchpadStats) -> ScratchpadStats {
-        ScratchpadStats {
-            local_accesses: self.local_accesses.saturating_sub(earlier.local_accesses),
-            remote_accesses: self.remote_accesses.saturating_sub(earlier.remote_accesses),
-            range_misses: self.range_misses.saturating_sub(earlier.range_misses),
-            pisc_ops: self.pisc_ops.saturating_sub(earlier.pisc_ops),
-            pisc_busy_cycles: self
-                .pisc_busy_cycles
-                .saturating_sub(earlier.pisc_busy_cycles),
-            svb_hits: self.svb_hits.saturating_sub(earlier.svb_hits),
-            svb_misses: self.svb_misses.saturating_sub(earlier.svb_misses),
-            active_list_updates: self
-                .active_list_updates
-                .saturating_sub(earlier.active_list_updates),
-            pim_ops: self.pim_ops.saturating_sub(earlier.pim_ops),
-            word_dram_accesses: self
-                .word_dram_accesses
-                .saturating_sub(earlier.word_dram_accesses),
-        }
     }
 }
 
@@ -420,6 +349,44 @@ mod tests {
                 invalidations: 44
             }
         );
+    }
+
+    /// Builds a `$group` through its by-name constructor, giving field `k`
+    /// the value `k + 1`, and checks the names are unique, the visitor
+    /// yields them back in order, `merge` with itself doubles every field
+    /// and `delta_since` a larger snapshot saturates every field to 0.
+    macro_rules! check_counter_group {
+        ($group:ty) => {{
+            let fields = |g: &$group| {
+                let mut v = Vec::new();
+                g.for_each_field(|name, x| v.push((name, x)));
+                v
+            };
+            let mut names = Vec::new();
+            let g = <$group>::try_from_fields(|name| {
+                names.push(name);
+                Ok::<u64, ()>(names.len() as u64)
+            })
+            .unwrap();
+            let unique: std::collections::HashSet<_> = names.iter().collect();
+            assert_eq!(unique.len(), names.len(), "{names:?}");
+            let numbered: Vec<_> = names.iter().copied().zip(1..).collect();
+            assert_eq!(fields(&g), numbered);
+            let mut doubled = g;
+            doubled.merge(&g);
+            let twice: Vec<_> = numbered.iter().map(|&(n, k)| (n, 2 * k)).collect();
+            assert_eq!(fields(&doubled), twice);
+            assert_eq!(g.delta_since(&doubled), <$group>::default());
+        }};
+    }
+
+    #[test]
+    fn every_group_goes_through_its_one_field_list() {
+        check_counter_group!(CacheStats);
+        check_counter_group!(NocStats);
+        check_counter_group!(DramStats);
+        check_counter_group!(AtomicStats);
+        check_counter_group!(ScratchpadStats);
     }
 
     #[test]

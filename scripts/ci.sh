@@ -10,6 +10,7 @@ cargo build --release --workspace --all-targets
 cargo test -q --workspace
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Examples gate: the build above compiles every example, and each must also
 # run to exit 0, so an example that panics fails CI.
